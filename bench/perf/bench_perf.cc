@@ -1,7 +1,8 @@
 /**
  * @file
  * Performance micro-harness for the hot path: trace build, columnar
- * conversion, profiling (fused vs. legacy reference), the simulator
+ * conversion, profiling (profileWorkload vs. the legacy reference, at
+ * one job, at --jobs and chunked), the simulator
  * oracle (legacy AoS vs. columnar vs. parallel engines), single
  * prediction and a full Study sweep-grid evaluation (naive per-point
  * vs. memoized component engine), per workload kernel.
@@ -21,11 +22,14 @@
  *              [--write-baseline FILE]
  *
  * --jobs drives every parallel knob at once: the Study worker pool of
- * the grid phases, the parallel profiler of the profile_par phase, the
- * parallel simulator of the sim_par phase, and the fully-parallel cold
- * Study of the study_cold phase (trace build + profile + memoized grid,
- * end to end from a spec). profile_par_speedup (fused wall time /
- * parallel wall time), sim_speedup (legacy / columnar), sim_par_speedup
+ * the grid phases, the profiler jobs of the profile_par and
+ * profile_stream phases, the parallel simulator of the sim_par phase,
+ * and the fully-parallel cold Study of the study_cold phase (trace
+ * build + profile + memoized grid, end to end from a spec). The profile
+ * phase runs profileWorkload() at one job; it is the denominator of
+ * profile_speedup (legacy / profile), profile_par_speedup (profile /
+ * profile_par wall time) and stream_overhead. sim_speedup (legacy /
+ * columnar), sim_par_speedup
  * (columnar sequential / parallel) and the other per-kernel speedups
  * are summarized as geomeans in a "summary" JSON block and on stdout.
  *
@@ -37,9 +41,10 @@
  * against one noisy CI iteration in either direction, unlike best-of
  * (which a lucky run biases) or the mean (which a descheduled run
  * poisons). The regression check compares the normalized ns/op metrics
- * (profile_fused, predict, grid, grid_memo) against the baseline with a
- * relative tolerance (default 0.25 = fail when >25% slower). The
- * fused/legacy profile speedup and the grid memoization speedup are
+ * (profile, profile_par, sim, sim_par, predict, grid, grid_memo)
+ * against the baseline with a relative tolerance (default 0.25 = fail
+ * when >25% slower). The legacy/profile speedup and the grid
+ * memoization speedup are
  * machine-independent ratios and can be gated with
  * --min-profile-speedup / --min-grid-speedup (both per kernel). The
  * simulator-engine gates --min-sim-speedup / --min-sim-par-speedup
@@ -65,11 +70,12 @@
  * profile-once state alive in a daemon.
  *
  * The profile_stream phase runs the out-of-core streaming engine
- * (default chunk size, --jobs workers) over the in-memory trace;
- * stream_overhead = profile_stream_ms / profile_fused_ms is the price
- * of chunked execution on a trace that would have fit in memory anyway
- * — its geomean is gated via --max-stream-overhead (CI uses 1.15: the
- * pipeline may cost at most 15% over the fused sweep at smoke scale).
+ * (profileWorkload with streamChunkRecords set, --jobs workers) over the
+ * in-memory trace; stream_overhead = profile_stream_ms / profile_ms is
+ * the price of chunked execution on a trace that would have fit in
+ * memory anyway — its geomean is gated via --max-stream-overhead (CI
+ * uses 1.15: the pipeline may cost at most 15% over the one-job
+ * profile at smoke scale).
  *
  * Every medianOf-timed phase also records the getrusage max-RSS *delta*
  * across its repeats as <metric>_rss_delta_kb: how much that phase grew
@@ -282,36 +288,33 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
     ColumnarTrace cols;
     timed("columnar", [&] { cols = ColumnarTrace::fromWorkload(trace); });
 
+    // The one-job profile: the epoch-sharded engine run serially.
     WorkloadProfile profile;
-    timed("profile_fused", [&] { profile = profileWorkload(cols); });
+    timed("profile", [&] { profile = profileWorkload(cols); });
     timed("profile_legacy", [&] {
         WorkloadProfile legacy = profileWorkloadLegacy(trace);
         if (legacy.totalOps() != profile.totalOps())
-            std::fprintf(stderr, "warning: legacy/fused op mismatch\n");
+            std::fprintf(stderr, "warning: legacy/profile op mismatch\n");
     });
     result.profileSpeedup =
-        result.ms["profile_legacy"] / result.ms["profile_fused"];
+        result.ms["profile_legacy"] / result.ms["profile"];
 
-    // Parallel epoch-sharded profiler on the harness's --jobs workers.
-    // profile_par_speedup is fused/parallel wall time: > 1 means the
-    // worker pool beats the single-threaded fused sweep (expect ~1.0 or
-    // slightly below when --jobs 1 or on a single-core machine — the
-    // sharded engine then pays its scatter overhead with no cores to
-    // spend it on).
+    // The same engine on the harness's --jobs workers.
+    // profile_par_speedup is one-job/--jobs wall time: > 1 means the
+    // worker pool pays for itself (expect ~1.0 at --jobs 1 or on a
+    // single-core machine).
     ProfilerOptions paropts;
     paropts.jobs = jobs;
     WorkloadProfile parProfile;
-    timed("profile_par", [&] {
-        parProfile = profileWorkloadParallel(cols, paropts);
-    });
+    timed("profile_par", [&] { parProfile = profileWorkload(cols, paropts); });
     if (parProfile.totalOps() != profile.totalOps())
-        std::fprintf(stderr, "warning: parallel/fused op mismatch\n");
+        std::fprintf(stderr, "warning: parallel/serial op mismatch\n");
     result.profileParSpeedup =
-        result.ms["profile_fused"] / result.ms["profile_par"];
+        result.ms["profile"] / result.ms["profile_par"];
 
     // Out-of-core streaming engine over the same in-memory trace:
     // stream_overhead is what the chunk pipeline costs relative to the
-    // fused sweep when memory pressure is not an issue (the case the
+    // one-job profile when memory pressure is not an issue (the case the
     // engine exists for is gated by the CI memory-cap job instead). The
     // chunk size is scaled so smoke-sized traces still split into
     // enough chunks to exercise the pipeline overlap, like a real
@@ -322,12 +325,12 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
         std::max<uint64_t>(result.ops / (8 * spec.numThreads()), 4096);
     WorkloadProfile streamProfile;
     timed("profile_stream", [&] {
-        streamProfile = profileWorkloadStreaming(cols, streamopts);
+        streamProfile = profileWorkload(cols, streamopts);
     });
     if (streamProfile.totalOps() != profile.totalOps())
-        std::fprintf(stderr, "warning: streaming/fused op mismatch\n");
+        std::fprintf(stderr, "warning: streaming/serial op mismatch\n");
     result.streamOverhead =
-        result.ms["profile_stream"] / result.ms["profile_fused"];
+        result.ms["profile_stream"] / result.ms["profile"];
 
     const MulticoreConfig base = baseConfig();
     timed("predict", [&] {
@@ -706,7 +709,7 @@ class BaselineParser
 
 /** Metrics gated against the baseline (normalized per-op, so trace size
  *  changes show up too). */
-const char *kGatedMetrics[] = {"profile_fused_ns_per_op",
+const char *kGatedMetrics[] = {"profile_ns_per_op",
                                "profile_par_ns_per_op",
                                "sim_ns_per_op", "sim_par_ns_per_op",
                                "predict_ns_per_op", "grid_ns_per_op",
@@ -813,7 +816,7 @@ checkRegressions(const std::vector<KernelResult> &results,
         if (bad)
             ++failures;
     }
-    // The streaming-overhead gate is self-relative (streaming vs. fused
+    // The streaming-overhead gate is self-relative (streaming vs. one-job
     // wall time in the same run) and a geomean, for the same noise
     // reasons as the sim gates; profile_stream stays out of
     // kGatedMetrics because the ratio, not the machine-dependent ns/op,
@@ -1013,7 +1016,7 @@ main(int argc, char **argv)
                     "%.2fx) cold=%7.1fms serve=%6.1fms (%.2fx)\n",
                     r.name.c_str(),
                     static_cast<unsigned long long>(r.ops), r.ms["build"],
-                    r.ms["profile_fused"], r.ms["profile_legacy"],
+                    r.ms["profile"], r.ms["profile_legacy"],
                     r.profileSpeedup, r.ms["profile_par"],
                     r.profileParSpeedup, r.ms["profile_stream"],
                     r.streamOverhead, r.ms["sim"], r.ms["sim_legacy"],

@@ -8,9 +8,10 @@
  * scheduling: the same computation run with 1 worker and with 16 workers
  * yields byte-identical results.
  *
- * Users: the Study grid executor (study/executor.hh re-exports this
- * class under its historical name), the parallel profiler's phase
- * fan-outs (profile/profiler_parallel.cc) and parallel trace synthesis
+ * Users: the Study grid executor (study/study.cc), the profiler's phase
+ * fan-outs (profile/profiler_parallel.cc, profile/profiler_stream.cc),
+ * the parallel simulator (sim/simulator_parallel.cc), the columnar
+ * conversion (trace/columnar.cc) and parallel trace synthesis
  * (workload/workload.cc).
  */
 

@@ -11,17 +11,15 @@
  * another thread wrote a line between two accesses by the same thread;
  * if so, an infinite per-thread reuse distance is recorded.
  *
- * The primary implementation is a *single-pass fused sweep* over the
- * columnar trace (trace/columnar.hh): one walk feeds the ILP statistics
- * (dependence distances, micro-traces), the MLP statistics (load gaps,
- * load-on-load chains), the branch entropy accumulators, the
- * memory/StatStack reuse-distance distributions and the synchronization
- * profile simultaneously — structural validation and barrier sizing read
- * only the sparse sync columns instead of re-walking the trace. The hot
- * per-line and per-PC state lives in open-addressing tables instead of
- * std::unordered_map. The original multi-pass AoS implementation is kept
- * as profileWorkloadLegacy() (profiler_legacy.cc) and the two are
- * bit-identical by test.
+ * profileWorkload() runs the epoch-sharded engine over a resident
+ * columnar trace (trace/columnar.hh), or the chunked streaming engine
+ * when opts.streamChunkRecords > 0; profileWorkloadStreamingFile()
+ * streams a trace file that need not fit in memory. Both engines share
+ * one statistics sweep (profile/stat_sweep.hh) and produce bit-identical
+ * profiles for every job count and chunk size. The original multi-pass
+ * AoS implementation is kept as profileWorkloadLegacy()
+ * (profiler_legacy.cc), the reference every engine is tested against
+ * byte for byte.
  *
  * The output is a WorkloadProfile: only microarchitecture-independent
  * statistics, collected once, usable to predict any MulticoreConfig.
@@ -65,21 +63,20 @@ struct ProfilerOptions
     bool detectInvalidation = true;
 
     /**
-     * Worker threads for the profile itself (1 = the single-threaded
-     * fused sweep, 0 = all hardware threads, n = the epoch-sharded
-     * parallel engine on n workers). Pure execution policy: the profile
-     * is bit-identical for every value, so this knob is deliberately
-     * excluded from profilerOptionsKey() and thus from ProfileCache
-     * keys — a cached profile serves every job count.
+     * Worker threads for the profile itself (0 = all hardware threads,
+     * n = n workers; 1 runs the engine serially). Pure execution policy:
+     * the profile is bit-identical for every value, so this knob is
+     * deliberately excluded from profilerOptionsKey() and thus from
+     * ProfileCache keys — a cached profile serves every job count.
      */
     unsigned jobs = 1;
 
     /**
      * Records per streaming chunk for the out-of-core engine (0 = do not
-     * stream; profileWorkload() picks fused/parallel as usual). Like
+     * stream; profileWorkload() runs the epoch-sharded engine). Like
      * jobs, pure execution policy — the streaming engine is bit-identical
-     * to the fused sweep at every chunk size, so this knob too stays out
-     * of profilerOptionsKey() and ProfileCache keys.
+     * to the sharded engine at every chunk size, so this knob too stays
+     * out of profilerOptionsKey() and ProfileCache keys.
      */
     uint64_t streamChunkRecords = 0;
 };
@@ -89,50 +86,23 @@ struct ProfilerOptions
  *  per in-flight chunk per thread). */
 constexpr uint64_t kDefaultStreamChunkRecords = uint64_t{1} << 22;
 
-/** Profile @p trace once; the result predicts any architecture. This is
- *  the hot path of every Study grid: opts.jobs == 1 runs the fused
- *  single-pass sweep, any other value the parallel engine — the output
- *  is bit-identical either way. */
+/**
+ * Profile @p trace once; the result predicts any architecture. This is
+ * the hot path of every Study grid. opts.streamChunkRecords > 0 selects
+ * the chunked streaming engine (peak scratch memory bounded by the chunk
+ * size); otherwise the epoch-sharded engine runs on opts.jobs workers.
+ *
+ * The sharded engine (profiler_parallel.cc): a cheap sequential replay
+ * of the round-robin schedule over the sparse sync columns pins down the
+ * exact global interleaving; the interleaved reuse/coherence resolution
+ * is sharded by line hash across the worker pool; and the per-thread
+ * statistics sweep fans out in segments, consuming the pre-resolved
+ * reuse distances. The streaming engine (profiler_stream.cc) runs the
+ * same phases chunk by chunk. Both are bit-identical to
+ * profileWorkloadLegacy() by test.
+ */
 WorkloadProfile profileWorkload(const ColumnarTrace &trace,
                                 const ProfilerOptions &opts = {});
-
-/** The fused single-threaded sweep, callable directly (differential
- *  tests, and the speedup baseline of the parallel engine). */
-WorkloadProfile profileWorkloadFused(const ColumnarTrace &trace,
-                                     const ProfilerOptions &opts = {});
-
-/**
- * The parallel epoch-sharded profiler, callable directly regardless of
- * opts.jobs (opts.jobs selects the worker count; even jobs == 1 runs
- * the sharded engine serially, which the differential tests exploit).
- *
- * Decomposition (profiler_parallel.cc): a cheap sequential replay of
- * the round-robin schedule over the sparse sync columns pins down the
- * exact global interleaving; the interleaved reuse/coherence resolution
- * is sharded by line hash across the worker pool (per-shard LineTables,
- * shared write-timestamp semantics preserved exactly); and the
- * per-thread statistics sweep — instruction mix, dependence and
- * instruction-reuse distances, branch entropy, micro-trace sampling —
- * fans out one thread per worker, consuming the pre-resolved reuse
- * distances. Bit-identical to profileWorkloadFused() by construction
- * and by test.
- */
-WorkloadProfile profileWorkloadParallel(const ColumnarTrace &trace,
-                                        const ProfilerOptions &opts = {});
-
-/**
- * The chunked streaming profiler over an in-memory columnar trace,
- * callable directly regardless of opts.streamChunkRecords (0 falls back
- * to kDefaultStreamChunkRecords). Processes each thread's records in
- * fixed-size chunks through the same phase decomposition as the parallel
- * engine — per-chunk bucketing overlaps with shard resolution of the
- * previous chunk, and the statistics sweep consumes chunk-local reuse
- * arrays from a carried cursor — so peak scratch memory is bounded by
- * the chunk size instead of the trace size. Bit-identical to
- * profileWorkloadFused() by construction and by test.
- */
-WorkloadProfile profileWorkloadStreaming(const ColumnarTrace &trace,
-                                         const ProfilerOptions &opts = {});
 
 /**
  * The out-of-core entry point: streams an RPPMTRC container straight
@@ -150,8 +120,9 @@ WorkloadProfile profileWorkload(const WorkloadTrace &trace,
 
 /**
  * Reference implementation: the original multi-pass AoS profiler, kept
- * for equivalence testing and as the bench/perf speedup baseline.
- * Produces a profile bit-identical to profileWorkload().
+ * as the oracle of the engine equivalence tests and as the bench/perf
+ * speedup baseline. Produces a profile bit-identical to
+ * profileWorkload().
  */
 WorkloadProfile profileWorkloadLegacy(const WorkloadTrace &trace,
                                       const ProfilerOptions &opts = {});

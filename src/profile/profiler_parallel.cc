@@ -1,14 +1,14 @@
 /**
  * @file
- * Parallel epoch-sharded profiler — bit-identical to the fused sweep.
+ * The epoch-sharded profiler: the in-memory engine of profileWorkload().
  *
- * profileWorkload()'s fused single-pass sweep (profiler.cc) is
- * inherently sequential: the multi-threaded StatStack extension orders
- * every memory access of every thread on one global sequence counter,
- * and coherence invalidation compares per-line write timestamps across
- * threads. This engine reproduces exactly the same profile — the same
- * bits, for every job count — by decomposing the sweep into phases
- * whose parallel grains are independent by construction:
+ * The multi-threaded StatStack extension orders every memory access of
+ * every thread on one global sequence counter, and coherence
+ * invalidation compares per-line write timestamps across threads, so a
+ * direct replay is inherently sequential. This engine reproduces the
+ * replay's profile exactly — the same bits, for every job count — by
+ * decomposing it into phases whose parallel grains are independent by
+ * construction:
  *
  *  A. Index     (parallel, one task per thread) Per-thread prefix
  *               counts of memory records, so any record range can be
@@ -17,9 +17,9 @@
  *               round-robin quantum scheduler over the *sparse sync
  *               columns only* (profile/schedule_replay.hh, shared with
  *               the streaming engine): it runs the same SyncState
- *               machine as the fused sweep but skips all per-record
- *               statistics, so it costs O(#runs + #sync) instead of
- *               O(#records). Its output is the exact global
+ *               machine as the reference profiler but skips all
+ *               per-record statistics, so it costs O(#runs + #sync)
+ *               instead of O(#records). Its output is the exact global
  *               interleaving: for every run of micro-ops it executed,
  *               the global-sequence number its first memory access will
  *               receive.
@@ -32,41 +32,39 @@
  *  D. Resolve   (parallel, one task per shard) Each shard merges its
  *               per-thread entry lists by global sequence number — a
  *               deterministic interleaving identical to the schedule's —
- *               and walks them through a shard-local LineTable, the same
- *               table the fused sweep uses globally. This resolves, per
- *               access: the interleaved (global) reuse distance, and the
- *               per-thread reuse distance including the coherence rule
- *               ("another thread wrote the line since my last access"
- *               => infinite distance), using the shared write-timestamp
- *               ordering the global sequence numbers encode. Results
- *               scatter into per-thread arrays indexed by access
- *               ordinal — every slot is written exactly once, so shards
- *               need no locks.
+ *               and walks them through a shard-local LineTable. This
+ *               resolves, per access: the interleaved (global) reuse
+ *               distance, and the per-thread reuse distance including
+ *               the coherence rule ("another thread wrote the line since
+ *               my last access" => infinite distance), using the shared
+ *               write-timestamp ordering the global sequence numbers
+ *               encode. Results scatter into per-thread arrays indexed
+ *               by access ordinal — every slot is written exactly once,
+ *               so shards need no locks.
  *  E. Sweep     (parallel, one task per *segment*) The per-thread
- *               statistics pass of the fused sweep — instruction mix,
- *               dependence distances, instruction-stream reuse, branch
- *               entropy, load gaps, pointer-chase detection, micro-trace
- *               sampling, epoch delimitation — which only reads thread-
- *               local state plus the pre-resolved reuse arrays from D.
- *               The loop itself is the shared sweep template
- *               (profile/stat_sweep.hh), instantiated here with an
- *               array-reader reuse-distance provider. To scale past the
- *               workload's thread count (most suite kernels have 2-4
- *               threads), each thread's record range splits into up to
- *               4 x jobs segments: a cheap cursor dry-run pins the exact
- *               sweep state at each boundary, the segments sweep
- *               concurrently, and a sequential per-thread stitch
- *               resolves cross-segment instruction reuse and open
- *               micro-trace windows exactly (stat_sweep.hh).
+ *               statistics pass — instruction mix, dependence and
+ *               instruction-stream reuse distances, branch entropy, load
+ *               gaps, pointer-chase detection, micro-trace sampling,
+ *               epoch delimitation — which only reads thread-local state
+ *               plus the pre-resolved reuse arrays from D. The loop
+ *               itself is the shared sweep (profile/stat_sweep.hh). To
+ *               scale past the workload's thread count (most suite
+ *               kernels have 2-4 threads), each thread's record range
+ *               splits into up to 4 x jobs segments: a cheap cursor
+ *               dry-run pins the exact sweep state at each boundary, the
+ *               segments sweep concurrently, and a sequential per-thread
+ *               stitch resolves cross-segment instruction reuse and open
+ *               micro-trace windows exactly (stat_sweep.hh). At jobs == 1
+ *               every thread is one segment and the phases run serially.
  *  F. Classify  (sequential, cheap) Synchronization counts and condvar
  *               classification from the sync columns; both are
  *               order-independent aggregates (classifySyncProfile,
- *               shared with the other engines).
+ *               shared with the streaming engine).
  *
  * Nothing here is sampled or approximated: phase B pins down the exact
- * interleaving the fused sweep would have produced, and phases C-E are
- * refactorings of the fused loops around it. tests/test_profile_parallel
- * asserts byte-identical serialized profiles against the fused engine on
+ * interleaving of the reference replay, and phases C-E are refactorings
+ * of its per-record loop around it. tests/test_profile_parallel asserts
+ * byte-identical serialized profiles against profileWorkloadLegacy() on
  * the whole workload suite for several job counts.
  */
 
@@ -227,7 +225,7 @@ profileWorkloadParallel(const ColumnarTrace &trace,
         // Deterministic merge of the per-thread entry lists by global
         // sequence number (each list is already ascending; gseq values
         // are globally unique). This is exactly the order in which the
-        // fused sweep touched these lines.
+        // round-robin replay touches these lines.
         std::vector<size_t> at(num_threads, 0);
         for (uint64_t n = 0; n < shard_accesses; ++n) {
             uint32_t tid = UINT32_MAX;
@@ -255,7 +253,7 @@ profileWorkloadParallel(const ColumnarTrace &trace,
                     meta.lastWriter != tid;
                 if (!invalidated) {
                     // The thread's data-access counter at any access is
-                    // ordinal+1, so the fused sweep's
+                    // ordinal+1, so the replay's
                     // localDataSeq - count - 1 is this difference.
                     local = e.ordinal - (mine.count - 1) - 1;
                 }
@@ -316,10 +314,8 @@ profileWorkloadParallel(const ColumnarTrace &trace,
     pool.forEach(segments.size(), [&](size_t i) {
         const Segment &sg = segments[i];
         const ThreadColumns &cols = trace.threads[sg.tid];
-        auto rd = [&](size_t memIdx,
-                      bool) -> std::pair<uint64_t, uint64_t> {
-            return {localRd[sg.tid][memIdx], globalRd[sg.tid][memIdx]};
-        };
+        const ReuseSpans rd{{localRd[sg.tid].data(), 0},
+                            {globalRd[sg.tid].data(), 0}};
         sweeps[i] = runSweepSegment(cols, sync_views[sg.tid], opts,
                                     sg.entry, rd, sg.lo, sg.hi);
     });

@@ -1,11 +1,11 @@
 /**
  * @file
- * Out-of-core streaming profiler — bit-identical to the fused sweep
- * with peak memory bounded by the chunk size, not the trace size.
+ * Out-of-core streaming profiler — bit-identical to the epoch-sharded
+ * engine with peak memory bounded by the chunk size, not the trace size.
  *
- * The fused and parallel engines both require the whole trace resident
- * (owned columns or a whole-file mapping), so their peak address-space
- * charge is O(trace). This engine processes the trace in fixed-size
+ * The epoch-sharded engine requires the whole trace resident (owned
+ * columns or a whole-file mapping), so its peak address-space charge is
+ * O(trace). This engine processes the trace in fixed-size
  * chunks of streamChunkRecords records per thread, keeping at most two
  * chunks in flight, and produces exactly the same profile — the same
  * bits, for every chunk size and job count.
@@ -604,11 +604,8 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
                                     {tc.data.dep2, tc.recLo},
                                     {tc.data.taken,
                                      static_cast<size_t>(tc.brLo)}};
-                auto rd = [&tc](size_t memIdx,
-                                bool) -> std::pair<uint64_t, uint64_t> {
-                    return {tc.localRd[memIdx - tc.memLo],
-                            tc.globalRd[memIdx - tc.memLo]};
-                };
+                const ReuseSpans rd{{tc.localRd.data(), tc.memLo},
+                                    {tc.globalRd.data(), tc.memLo}};
                 SegmentSweep seg =
                     runSweepSegment(wc, sync_views[t], opts, eCursor[t],
                                     rd, tc.recLo, tc.recHi);

@@ -1,14 +1,15 @@
 /**
  * @file
  * Pausable round-robin schedule replayer (internal, shared by the
- * parallel and streaming engines).
+ * epoch-sharded and streaming engines).
  *
- * Phase B of the decomposed profilers: replay the fused sweep's
- * round-robin quantum scheduler using only the sparse sync columns plus
- * a caller-supplied memory-count oracle. The loop structure mirrors
- * profileWorkloadFused() exactly — same quantum accounting, same step
- * clock driving SyncState, same deadlock check — minus all per-record
- * work, so it costs O(#runs + #sync) instead of O(#records). Its output
+ * Phase B of both engines: replay the profiler's round-robin quantum
+ * scheduler using only the sparse sync columns plus a caller-supplied
+ * memory-count oracle. The loop structure mirrors the reference replay
+ * of profileWorkloadLegacy() (profiler_legacy.cc) exactly — same
+ * quantum accounting, same step clock driving SyncState, same deadlock
+ * check — minus all per-record work, so it costs O(#runs + #sync)
+ * instead of O(#records). Its output
  * is the exact global interleaving: for every run of micro-ops, the
  * global-sequence number its first memory access will receive.
  *
@@ -108,7 +109,8 @@ class ScheduleReplayer
                     ++step_;
                     ++executed;
                     // Source markers never reach SyncState (and never
-                    // block) in the fused sweep; everything else does.
+                    // block) in the reference replay; everything else
+                    // does.
                     if (type == SyncType::CondMarker)
                         continue;
                     TraceRecord rec;

@@ -1,37 +1,28 @@
 /**
  * @file
- * The one statistics sweep shared by every profiler engine (internal).
+ * The one statistics sweep shared by both profiler engines (internal).
  *
- * Historically the per-record statistics loop — instruction mix,
- * dependence distances, instruction-stream reuse, micro-trace sampling,
- * branch entropy, load gaps, pointer-chase detection — existed twice:
- * once in the fused engine's process_run (profiler.cc) and once in the
- * parallel engine's sweepThread (profiler_parallel.cc), differing only
- * in where the memory reuse distances come from. The streaming engine
- * would have made a third copy, so the loop now lives here exactly once,
- * templated on a *reuse-distance provider*:
+ * The per-record statistics loop — instruction mix, dependence
+ * distances, instruction-stream reuse, micro-trace sampling, branch
+ * entropy, load gaps, pointer-chase detection — exists exactly once,
+ * here. Both engines resolve memory reuse distances ahead of the sweep
+ * (their phase D) and hand them in as ReuseSpans; everything else in the
+ * loop is shared, which is what pins the epoch-sharded engine
+ * (profiler_parallel.cc) and the streaming engine (profiler_stream.cc)
+ * byte-identical by construction.
  *
- *   provider(memIdx, isStore) -> {localRd, globalRd}
- *
- * The fused engine instantiates it with a live provider that probes the
- * global LineTable in replay order; the parallel and streaming engines
- * instantiate it with array readers over reuse distances pre-resolved by
- * their phase D. Everything else in the loop is shared, which is what
- * pins the engines byte-identical by construction.
- *
- * On top of the shared run loop, this header provides the *segmented*
- * sweep used for finer-than-thread parallelism: a thread's record range
- * is split at arbitrary record boundaries, each segment is swept
- * independently from a carried cursor (SweepState), and a cheap
- * sequential stitch per thread resolves the two pieces of state that
- * cross segment boundaries — instruction-reuse first touches (deferred
- * as pendings against the thread's long-lived InstrLineMap) and
- * micro-trace windows left open at the boundary. Stitching is exact, not
- * approximate: histogram adds commute, so resolving a first touch after
- * the fact produces the same buckets the sequential sweep would have.
- * The parallel engine uses segments to scale phase E past the workload's
- * thread count; the streaming engine uses one segment per (chunk,
- * thread) with the cursor carried across chunks.
+ * The sweep is *segmented*: a thread's record range is split at
+ * arbitrary record boundaries, each segment is swept independently from
+ * a carried cursor (SweepState), and a cheap sequential stitch per
+ * thread resolves the two pieces of state that cross segment boundaries
+ * — instruction-reuse first touches (deferred as pendings against the
+ * thread's long-lived InstrLineMap) and micro-trace windows left open at
+ * the boundary. Stitching is exact, not approximate: histogram adds
+ * commute, so resolving a first touch after the fact produces the same
+ * buckets an unsegmented sweep would have. The sharded engine uses
+ * segments to scale phase E past the workload's thread count; the
+ * streaming engine uses one segment per (chunk, thread) with the cursor
+ * carried across chunks.
  */
 
 #ifndef RPPM_PROFILE_STAT_SWEEP_HH
@@ -130,6 +121,41 @@ struct WindowCols
     OffsetSpan<uint8_t> taken;
 };
 
+/** Pre-resolved reuse distances of one thread's memory accesses (the
+ *  engines' phase D output), indexed by absolute sparse addr index. */
+struct ReuseSpans
+{
+    OffsetSpan<uint64_t> local;
+    OffsetSpan<uint64_t> global;
+};
+
+/** An instruction line first fetched inside a segment: whether the fetch
+ *  was cold or a reuse of an earlier segment's fetch is only decidable
+ *  at stitch time, against the thread's carried InstrLineMap. */
+struct InstrPending
+{
+    uint64_t line;
+    uint64_t seq;   ///< instrSeq at the touch
+    uint32_t epoch; ///< index into the segment's epoch vector
+};
+
+/** Result of sweeping one segment independently of its predecessors. */
+struct SegmentSweep
+{
+    /** Partial epochs; the first continues whatever epoch was open at
+     *  the segment boundary (possibly a brand-new empty one). */
+    std::vector<EpochProfile> epochs;
+    std::vector<InstrPending> pendings;
+    /** Segment-local line -> last fetch seq (exported to the carried
+     *  map at stitch; its key set is exactly the pendings' lines). */
+    SeqTable instr{size_t{1} << 8};
+    /** Entry cursor had an open micro-trace window: the segment's first
+     *  micro-trace extends the thread's currently open one. */
+    bool firstTraceContinues = false;
+    /** Cursor after the segment (chunked engines carry it forward). */
+    SweepState exit;
+};
+
 /**
  * One run of pure micro-ops [start, end) of one thread — no sync records
  * inside, so the epoch reference is stable. This is THE per-record
@@ -138,24 +164,22 @@ struct WindowCols
  * histogram or counter whose content depends only on per-component
  * order, which each loop preserves).
  *
- * @param cols  column bundle: cols.op/pc/dep1/dep2 indexed by absolute
- *              record index, cols.taken by ts.brIdx
- * @param ts    carried cursor (advanced in place)
- * @param instr instruction-line -> last-fetch map; lookup(line, inserted)
- * @param rd    reuse-distance provider: rd(memIdx, isStore) ->
- *              {localRd, globalRd} for the access at sparse index memIdx
- * @param firstTouch hook for an instruction line first seen by @p instr:
- *              firstTouch(ep, line, instrSeq). Whole-thread sweeps add
- *              kInfinity (a cold fetch); segmented sweeps defer the
- *              decision to the stitcher.
+ * @param cols column bundle: cols.op/pc/dep1/dep2 indexed by absolute
+ *             record index, cols.taken by ts.brIdx
+ * @param rd   pre-resolved reuse distances, indexed by ts.memIdx
+ * @param ts   carried cursor (advanced in place)
+ * @param seg  the segment being swept: its last epoch receives the
+ *             statistics, and instruction lines first fetched in the
+ *             segment become pendings for the stitcher
  */
-template <typename Cols, typename InstrMap, typename RdProvider,
-          typename FirstTouch>
+template <typename Cols>
 void
-sweepRun(const Cols &cols, const ProfilerOptions &opts, SweepState &ts,
-         InstrMap &instr, RdProvider &&rd, FirstTouch &&firstTouch,
-         EpochProfile &ep, size_t start, size_t end)
+sweepRun(const Cols &cols, const ProfilerOptions &opts, ReuseSpans rd,
+         SweepState &ts, SegmentSweep &seg, size_t start, size_t end)
 {
+    EpochProfile &ep = seg.epochs.back();
+    const uint32_t epochIdx = static_cast<uint32_t>(seg.epochs.size() - 1);
+
     // --- Instruction mix (op column only).
     {
         std::array<uint64_t, kNumOpClasses> mix_local{};
@@ -177,11 +201,14 @@ sweepRun(const Cols &cols, const ProfilerOptions &opts, SweepState &ts,
         const uint64_t pc_line = cols.pc[i] / opts.lineBytes;
         ++ts.instrSeq;
         bool inserted = false;
-        uint64_t &last_fetch = instr.lookup(pc_line, inserted);
+        uint64_t &last_fetch = seg.instr.lookup(pc_line, inserted);
         if (!inserted) {
             ep.instrRd.add(ts.instrSeq - last_fetch - 1);
         } else {
-            firstTouch(ep, pc_line, ts.instrSeq);
+            // Cold, or a reuse of an earlier segment's fetch: only the
+            // stitcher can tell.
+            seg.pendings.push_back(
+                InstrPending{pc_line, ts.instrSeq, epochIdx});
         }
         last_fetch = ts.instrSeq;
     }
@@ -215,11 +242,9 @@ sweepRun(const Cols &cols, const ProfilerOptions &opts, SweepState &ts,
 
         if (isMemory(op)) {
             const bool is_store = op == OpClass::Store;
-            const std::pair<uint64_t, uint64_t> rds =
-                rd(ts.memIdx, is_store);
+            local_rd = rd.local[ts.memIdx];
+            global_rd = rd.global[ts.memIdx];
             ++ts.memIdx;
-            local_rd = rds.first;
-            global_rd = rds.second;
 
             ep.localRd.add(local_rd);
             ep.globalRd.add(global_rd);
@@ -286,14 +311,6 @@ sweepRun(const Cols &cols, const ProfilerOptions &opts, SweepState &ts,
     }
 }
 
-/** firstTouch policy of whole-thread sweeps: a first fetch of an
- *  instruction line is a cold (infinite-distance) fetch. */
-inline void
-coldFirstTouch(EpochProfile &ep, uint64_t, uint64_t)
-{
-    ep.instrRd.add(LogHistogram::kInfinity);
-}
-
 /**
  * Advance @p ts across records [lo, hi) exactly as the sweep would —
  * same sampling-window state machine, same epoch resets, same cursor
@@ -348,44 +365,16 @@ advanceSweepCursor(const Cols &cols, const SyncView &sync,
     }
 }
 
-/** An instruction line first fetched inside a segment: whether the fetch
- *  was cold or a reuse of an earlier segment's fetch is only decidable
- *  at stitch time, against the thread's carried InstrLineMap. */
-struct InstrPending
-{
-    uint64_t line;
-    uint64_t seq;   ///< instrSeq at the touch
-    uint32_t epoch; ///< index into the segment's epoch vector
-};
-
-/** Result of sweeping one segment independently of its predecessors. */
-struct SegmentSweep
-{
-    /** Partial epochs; the first continues whatever epoch was open at
-     *  the segment boundary (possibly a brand-new empty one). */
-    std::vector<EpochProfile> epochs;
-    std::vector<InstrPending> pendings;
-    /** Segment-local line -> last fetch seq (exported to the carried
-     *  map at stitch; its key set is exactly the pendings' lines). */
-    SeqTable instr{size_t{1} << 8};
-    /** Entry cursor had an open micro-trace window: the segment's first
-     *  micro-trace extends the thread's currently open one. */
-    bool firstTraceContinues = false;
-    /** Cursor after the segment (chunked engines carry it forward). */
-    SweepState exit;
-};
-
 /**
  * Sweep records [lo, hi) of one thread from entry cursor @p entry.
  * Pure function of (columns, options, entry, rd): segments can run on
- * any worker in any order. @p rd is the reuse-distance provider (see
- * sweepRun).
+ * any worker in any order.
  */
-template <typename Cols, typename RdProvider>
+template <typename Cols>
 SegmentSweep
 runSweepSegment(const Cols &cols, const SyncView &sync,
                 const ProfilerOptions &opts, const SweepState &entry,
-                RdProvider &&rd, size_t lo, size_t hi)
+                ReuseSpans rd, size_t lo, size_t hi)
 {
     SegmentSweep seg;
     SweepState ts = entry;
@@ -396,11 +385,6 @@ runSweepSegment(const Cols &cols, const SyncView &sync,
     // splice onto it.
     if (seg.firstTraceContinues)
         seg.epochs.back().microTraces.emplace_back();
-
-    uint32_t epochIdx = 0;
-    auto firstTouch = [&](EpochProfile &, uint64_t line, uint64_t seq) {
-        seg.pendings.push_back(InstrPending{line, seq, epochIdx});
-    };
 
     size_t i = lo;
     while (i < hi) {
@@ -422,7 +406,6 @@ runSweepSegment(const Cols &cols, const SyncView &sync,
             seg.epochs.back().endType = type;
             seg.epochs.back().endArg = arg;
             seg.epochs.emplace_back();
-            ++epochIdx;
             ts.opsInEpoch = 0;
             ts.nextMicroTraceAt = 0;
             ts.microTraceRemaining = 0;
@@ -430,10 +413,9 @@ runSweepSegment(const Cols &cols, const SyncView &sync,
         }
         // The whole run up to the next sync event (or segment end):
         // quantum boundaries only order the global interleaving, which
-        // the reuse-distance provider has already absorbed.
+        // the pre-resolved reuse distances have already absorbed.
         const size_t run_end = std::min(next_sync, hi);
-        sweepRun(cols, opts, ts, seg.instr, rd, firstTouch,
-                 seg.epochs.back(), i, run_end);
+        sweepRun(cols, opts, rd, ts, seg, i, run_end);
         i = run_end;
     }
     seg.exit = ts;
@@ -578,6 +560,17 @@ classifySyncProfile(WorkloadProfile &profile,
             CondVarClass::BarrierLike : CondVarClass::ProducerConsumer;
     }
 }
+
+/** The epoch-sharded engine (profiler_parallel.cc) on opts.jobs workers;
+ *  jobs == 1 runs it serially. Reached through profileWorkload(). */
+WorkloadProfile profileWorkloadParallel(const ColumnarTrace &trace,
+                                        const ProfilerOptions &opts);
+
+/** The chunked streaming engine over a resident trace
+ *  (profiler_stream.cc). Reached through profileWorkload() when
+ *  opts.streamChunkRecords > 0. */
+WorkloadProfile profileWorkloadStreaming(const ColumnarTrace &trace,
+                                         const ProfilerOptions &opts);
 
 } // namespace rppm
 

@@ -24,8 +24,8 @@
  * Every cached value is produced by the same code the naive path runs,
  * on the same inputs, so memoized predictions are bit-identical to
  * rppm::predict per design point (predictGrid vs predictLegacyGrid below
- * is the differential-testing pair, mirroring the fused/legacy profiler
- * split). All caches are thread-safe: one engine serves every worker of
+ * is the differential-testing pair, mirroring the profileWorkload /
+ * profileWorkloadLegacy profiler split). All caches are thread-safe: one engine serves every worker of
  * a Study grid. Concurrent misses on one key may both evaluate (the
  * first insert wins), which is harmless — the evaluation is
  * deterministic, so both results are identical.

@@ -15,8 +15,8 @@ profilerOptionsKey(const ProfilerOptions &opts)
 {
     // Only the options that shape profile *content* enter the key.
     // opts.jobs and opts.streamChunkRecords are deliberately absent:
-    // the parallel and streaming engines are bit-identical to the fused
-    // sweep for every job count and chunk size, so a cached artifact
+    // the sharded and streaming engines are bit-identical to each other
+    // for every job count and chunk size, so a cached artifact
     // must serve all of them — profiling with 8 workers and re-reading
     // with 1, or streaming out-of-core and re-reading in-memory, is the
     // same profile, same key, same bytes (asserted by

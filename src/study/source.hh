@@ -37,8 +37,8 @@ class ProfileCache;
  * default (profile() routes to the streaming engine with the default
  * chunk size unless the caller pinned streamChunkRecords). 256 MiB of
  * columns is where materializing the whole trace starts to contend with
- * the profiler's own working set on small machines; below it the fused
- * and parallel engines win on constant factors.
+ * the profiler's own working set on small machines; below it the
+ * in-memory epoch-sharded engine wins on constant factors.
  */
 constexpr uint64_t kStreamFileBytesThreshold = uint64_t{256} << 20;
 
@@ -93,7 +93,7 @@ class WorkloadSource
 
     /**
      * The columnar view of the trace, built (and cached) on first call —
-     * the representation the fused profiler consumes, so a Study grid
+     * the representation the in-memory profiler consumes, so a Study grid
      * converts each workload at most once. Thread-safe,
      * immutable-after-publish; throws std::logic_error on a
      * profile-only source.

@@ -9,8 +9,8 @@
 #include <stdexcept>
 
 #include "arch/component_key.hh"
+#include "common/parallel.hh"
 #include "common/stats.hh"
-#include "study/executor.hh"
 
 namespace rppm {
 

@@ -1,16 +1,17 @@
 /**
  * @file
- * Differential tests for the parallel epoch-sharded profiler.
+ * Differential tests for the epoch-sharded profiler.
  *
- * The contract under test is absolute: profileWorkloadParallel() must
- * produce a profile *bit-identical* to the fused single-pass sweep —
- * same histograms, same micro-traces, same epoch structure, same
- * synchronization classification — for every job count, on every kernel
- * of the workload suite, under custom profiler options, and through the
+ * The contract under test is absolute: profileWorkload() must produce a
+ * profile *bit-identical* to the multi-pass reference
+ * profileWorkloadLegacy() — same histograms, same micro-traces, same
+ * epoch structure, same synchronization classification — for every job
+ * count (jobs == 1 runs the sharded engine serially), on every kernel of
+ * the workload suite, under custom profiler options, and through the
  * ProfileCache (same key, same serialized bytes, regardless of how many
  * profile workers produced the artifact). Equality is asserted through
- * the deterministic text serializer, the same oracle the fused-vs-legacy
- * tests use.
+ * the deterministic text serializer against the reference text, computed
+ * once per kernel and option set.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 
 #include "profile/profiler.hh"
 #include "profile/serialize.hh"
+#include "profile_reference.hh"
 #include "study/profile_cache.hh"
 #include "study/source.hh"
 #include "trace/columnar.hh"
@@ -33,32 +35,11 @@ namespace rppm {
 namespace {
 
 std::string
-serializeProfileText(const WorkloadProfile &profile)
-{
-    std::stringstream ss;
-    saveProfile(profile, ss);
-    return ss.str();
-}
-
-std::string
 serializeProfileBinary(const WorkloadProfile &profile)
 {
     std::stringstream ss;
     saveProfileBinary(profile, ss);
     return ss.str();
-}
-
-/** Suite spec scaled down so 26 kernels x several job counts stay fast;
- *  all synchronization structure is preserved. */
-WorkloadSpec
-scaledSpec(const SuiteEntry &entry, uint64_t divisor = 20)
-{
-    WorkloadSpec spec = entry.spec;
-    spec.opsPerEpoch = std::max<uint64_t>(1, spec.opsPerEpoch / divisor);
-    spec.initOps = std::max<uint64_t>(1, spec.initOps / divisor);
-    spec.finalOps = std::max<uint64_t>(1, spec.finalOps / divisor);
-    spec.itemOps = std::max<uint64_t>(1, spec.itemOps / divisor);
-    return spec;
 }
 
 /** A structurally rich workload: barriers, critical sections, a
@@ -79,23 +60,22 @@ const unsigned kJobCounts[] = {1, 2, 4, 7};
 
 TEST(ParallelProfiler, BitIdenticalOnEveryKernelForEveryJobCount)
 {
-    // The tentpole guarantee: on all 26 suite kernels, the parallel
+    // The tentpole guarantee: on all 26 suite kernels, the sharded
     // engine's profile serializes byte-for-byte identically to the
-    // fused sweep's, for every tested job count (including the serial
-    // execution of the sharded engine itself, jobs = 1).
+    // legacy reference's, for every tested job count (including the
+    // serial execution of the sharded engine, jobs = 1).
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
-        const ColumnarTrace cols =
-            ColumnarTrace::fromWorkload(generateWorkload(spec));
-        const std::string fused =
-            serializeProfileText(profileWorkloadFused(cols));
+        const WorkloadTrace trace = generateWorkload(spec);
+        const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+        const std::string legacy = legacyProfileText(trace);
         for (const unsigned jobs : kJobCounts) {
             ProfilerOptions opts;
             opts.jobs = jobs;
             // EXPECT_TRUE rather than EXPECT_EQ: on failure gtest would
             // try to print two multi-hundred-kB strings.
-            EXPECT_TRUE(serializeProfileText(
-                            profileWorkloadParallel(cols, opts)) == fused)
+            EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
+                        legacy)
                 << spec.name << " jobs=" << jobs;
         }
     }
@@ -104,9 +84,9 @@ TEST(ParallelProfiler, BitIdenticalOnEveryKernelForEveryJobCount)
 TEST(ParallelProfiler, BitIdenticalUnderCustomOptions)
 {
     // Options that change profile *content* (sampling policy, quantum,
-    // coherence detection) must keep parallel == fused at every job
-    // count: the schedule replay honors the quantum, the sharded
-    // resolution honors detectInvalidation, the sweep honors the
+    // coherence detection, line size) must keep sharded == legacy at
+    // every job count: the schedule replay honors the quantum, the
+    // sharded resolution honors detectInvalidation, the sweep honors the
     // sampling windows.
     ProfilerOptions base;
     base.quantum = 17;
@@ -119,16 +99,15 @@ TEST(ParallelProfiler, BitIdenticalUnderCustomOptions)
     ProfilerOptions bigLines = base;
     bigLines.lineBytes = 256;
 
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+    const WorkloadTrace trace = generateWorkload(richSpec());
+    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
     for (const ProfilerOptions &proto : {base, noInval, bigLines}) {
-        const std::string fused =
-            serializeProfileText(profileWorkloadFused(cols, proto));
+        const std::string legacy = legacyProfileText(trace, proto);
         for (const unsigned jobs : kJobCounts) {
             ProfilerOptions opts = proto;
             opts.jobs = jobs;
-            EXPECT_TRUE(serializeProfileText(
-                            profileWorkloadParallel(cols, opts)) == fused)
+            EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
+                        legacy)
                 << "quantum=" << opts.quantum << " inv="
                 << opts.detectInvalidation << " lb=" << opts.lineBytes
                 << " jobs=" << jobs;
@@ -136,21 +115,16 @@ TEST(ParallelProfiler, BitIdenticalUnderCustomOptions)
     }
 }
 
-TEST(ParallelProfiler, DispatchRoutesOnJobs)
+TEST(ParallelProfiler, AllHardwareThreadsMatchesLegacy)
 {
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
-    ProfilerOptions par;
-    par.jobs = 4;
-    // profileWorkload with jobs != 1 routes to the parallel engine and
-    // must still match the default fused output bit for bit.
-    EXPECT_TRUE(serializeProfileText(profileWorkload(cols, par)) ==
-                serializeProfileText(profileWorkload(cols)));
-    // jobs = 0 means "all hardware threads" and must be equivalent too.
+    // jobs = 0 means "all hardware threads": whatever count that
+    // resolves to on this machine, the profile is the reference's.
+    const WorkloadTrace trace = generateWorkload(richSpec());
     ProfilerOptions all;
     all.jobs = 0;
-    EXPECT_TRUE(serializeProfileText(profileWorkload(cols, all)) ==
-                serializeProfileText(profileWorkload(cols)));
+    EXPECT_TRUE(serializeProfileText(profileWorkload(
+                    ColumnarTrace::fromWorkload(trace), all)) ==
+                legacyProfileText(trace));
 }
 
 TEST(ParallelProfiler, JobsStayOutOfTheCacheKey)
@@ -209,7 +183,8 @@ TEST(ParallelProfiler, CacheArtifactsIdenticalForAnyJobCount)
         spec.name, par, [&] { return profileWorkload(cols, par); });
     EXPECT_EQ(cacheB.stats().diskHits, 1u);
     EXPECT_TRUE(serializeProfileText(*fromSerial) ==
-                serializeProfileText(*fromPar));
+                legacyProfileText(trace));
+    EXPECT_TRUE(serializeProfileText(*fromPar) == legacyProfileText(trace));
     EXPECT_TRUE(serializeProfileBinary(*fromSerial) ==
                 serializeProfileBinary(*fromPar));
 
@@ -236,7 +211,7 @@ TEST(ParallelProfiler, SingleThreadedWorkload)
 {
     // Degenerate shape: one thread, no synchronization except the built-in
     // create/join scaffolding; the schedule replay and sharded resolution
-    // must still agree with the fused sweep exactly.
+    // must still agree with the legacy reference exactly.
     WorkloadSpec spec;
     spec.name = "single";
     spec.numWorkers = 1;
@@ -244,14 +219,14 @@ TEST(ParallelProfiler, SingleThreadedWorkload)
     spec.numEpochs = 3;
     spec.opsPerEpoch = 4000;
     spec.barrierFlavor = BarrierFlavor::None;
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(spec));
-    const std::string fused = serializeProfileText(profileWorkloadFused(cols));
+    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+    const std::string legacy = legacyProfileText(trace);
     for (const unsigned jobs : kJobCounts) {
         ProfilerOptions opts;
         opts.jobs = jobs;
-        EXPECT_TRUE(serializeProfileText(
-                        profileWorkloadParallel(cols, opts)) == fused)
+        EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
+                    legacy)
             << "jobs=" << jobs;
     }
 }

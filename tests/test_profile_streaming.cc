@@ -2,15 +2,17 @@
  * @file
  * Differential tests for the out-of-core streaming profiler.
  *
- * The contract under test is the same absolute one the parallel engine
- * carries: profileWorkloadStreaming() — and its file-backed variant,
- * which never materializes the trace — must produce a profile
- * *bit-identical* to the fused single-pass sweep for every chunk size
+ * The contract under test is the same absolute one the epoch-sharded
+ * engine carries: profileWorkload() with streamChunkRecords > 0 — and
+ * the file-backed profileWorkloadStreamingFile(), which never
+ * materializes the trace — must produce a profile *bit-identical* to
+ * the multi-pass reference profileWorkloadLegacy() for every chunk size
  * and every job count, on every kernel of the workload suite. Equality
- * is asserted through the deterministic text serializer. On top of the
- * identity sweep: structural rejection of truncated/corrupt trace
+ * is asserted through the deterministic text serializer against the
+ * reference text, computed once per kernel and option set. On top of
+ * the identity sweep: structural rejection of truncated/corrupt trace
  * files at every prefix length, chunk-size exclusion from the profile
- * cache key, and artifact identity across all three engines.
+ * cache key, and artifact identity across both engines.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +25,7 @@
 #include <string>
 
 #include "profile/profiler.hh"
-#include "profile/serialize.hh"
+#include "profile_reference.hh"
 #include "study/profile_cache.hh"
 #include "study/source.hh"
 #include "trace/columnar.hh"
@@ -33,27 +35,6 @@
 
 namespace rppm {
 namespace {
-
-std::string
-serializeProfileText(const WorkloadProfile &profile)
-{
-    std::stringstream ss;
-    saveProfile(profile, ss);
-    return ss.str();
-}
-
-/** Suite spec scaled down so 26 kernels x chunk sizes x job counts stay
- *  fast; all synchronization structure is preserved. */
-WorkloadSpec
-scaledSpec(const SuiteEntry &entry, uint64_t divisor = 20)
-{
-    WorkloadSpec spec = entry.spec;
-    spec.opsPerEpoch = std::max<uint64_t>(1, spec.opsPerEpoch / divisor);
-    spec.initOps = std::max<uint64_t>(1, spec.initOps / divisor);
-    spec.finalOps = std::max<uint64_t>(1, spec.finalOps / divisor);
-    spec.itemOps = std::max<uint64_t>(1, spec.itemOps / divisor);
-    return spec;
-}
 
 /** A structurally rich workload: barriers, critical sections, a
  *  producer-consumer queue, shared data, coherence traffic. */
@@ -100,14 +81,13 @@ class TempTraceFile
 TEST(StreamingProfiler, BitIdenticalOnEveryKernelChunkSizeAndJobCount)
 {
     // The tentpole guarantee: on all 26 suite kernels, the streaming
-    // engine's profile serializes byte-for-byte identically to the fused
-    // sweep's, for every (chunk size, job count) combination.
+    // engine's profile serializes byte-for-byte identically to the
+    // legacy reference's, for every (chunk size, job count) combination.
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
-        const ColumnarTrace cols =
-            ColumnarTrace::fromWorkload(generateWorkload(spec));
-        const std::string fused =
-            serializeProfileText(profileWorkloadFused(cols));
+        const WorkloadTrace trace = generateWorkload(spec);
+        const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+        const std::string legacy = legacyProfileText(trace);
         for (const uint64_t chunk : kChunkSizes) {
             for (const unsigned jobs : kJobCounts) {
                 ProfilerOptions opts;
@@ -115,8 +95,8 @@ TEST(StreamingProfiler, BitIdenticalOnEveryKernelChunkSizeAndJobCount)
                 opts.jobs = jobs;
                 // EXPECT_TRUE rather than EXPECT_EQ: on failure gtest
                 // would try to print two multi-hundred-kB strings.
-                EXPECT_TRUE(serializeProfileText(profileWorkloadStreaming(
-                                cols, opts)) == fused)
+                EXPECT_TRUE(serializeProfileText(
+                                profileWorkload(cols, opts)) == legacy)
                     << spec.name << " chunk=" << chunk
                     << " jobs=" << jobs;
             }
@@ -128,19 +108,19 @@ TEST(StreamingProfiler, FileBackedBitIdentical)
 {
     // The out-of-core path: serialize the trace, profile it straight
     // from the file through mapped chunk windows, and require the exact
-    // fused bytes — across chunk sizes that force many windows per run.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+    // reference bytes — across chunk sizes that force many windows per
+    // run.
+    const WorkloadTrace trace = generateWorkload(richSpec());
+    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
     const TempTraceFile file(cols);
-    const std::string fused =
-        serializeProfileText(profileWorkloadFused(cols));
+    const std::string legacy = legacyProfileText(trace);
     for (const uint64_t chunk : kChunkSizes) {
         for (const unsigned jobs : kJobCounts) {
             ProfilerOptions opts;
             opts.streamChunkRecords = chunk;
             opts.jobs = jobs;
             EXPECT_TRUE(serializeProfileText(profileWorkloadStreamingFile(
-                            file.path(), opts)) == fused)
+                            file.path(), opts)) == legacy)
                 << "chunk=" << chunk << " jobs=" << jobs;
         }
     }
@@ -149,7 +129,7 @@ TEST(StreamingProfiler, FileBackedBitIdentical)
 TEST(StreamingProfiler, BitIdenticalUnderCustomOptions)
 {
     // Content-shaping options (sampling policy, quantum, coherence
-    // detection, line size) must keep streaming == fused for small
+    // detection, line size) must keep streaming == legacy for small
     // chunks, where every epoch spans many chunk stitches.
     ProfilerOptions base;
     base.quantum = 17;
@@ -162,35 +142,21 @@ TEST(StreamingProfiler, BitIdenticalUnderCustomOptions)
     ProfilerOptions bigLines = base;
     bigLines.lineBytes = 256;
 
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+    const WorkloadTrace trace = generateWorkload(richSpec());
+    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
     for (const ProfilerOptions &proto : {base, noInval, bigLines}) {
-        const std::string fused =
-            serializeProfileText(profileWorkloadFused(cols, proto));
+        const std::string legacy = legacyProfileText(trace, proto);
         for (const uint64_t chunk : {uint64_t{1}, uint64_t{4096}}) {
             ProfilerOptions opts = proto;
             opts.streamChunkRecords = chunk;
             opts.jobs = 3;
-            EXPECT_TRUE(serializeProfileText(
-                            profileWorkloadStreaming(cols, opts)) == fused)
+            EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
+                        legacy)
                 << "quantum=" << opts.quantum << " inv="
                 << opts.detectInvalidation << " lb=" << opts.lineBytes
                 << " chunk=" << chunk;
         }
     }
-}
-
-TEST(StreamingProfiler, DispatchRoutesOnStreamChunkRecords)
-{
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
-    ProfilerOptions stream;
-    stream.streamChunkRecords = 2048;
-    stream.jobs = 4;
-    // profileWorkload with streamChunkRecords > 0 routes to the
-    // streaming engine and must still match the default fused output.
-    EXPECT_TRUE(serializeProfileText(profileWorkload(cols, stream)) ==
-                serializeProfileText(profileWorkload(cols)));
 }
 
 TEST(StreamingProfiler, SingleThreadedWorkload)
@@ -205,16 +171,15 @@ TEST(StreamingProfiler, SingleThreadedWorkload)
     spec.numEpochs = 3;
     spec.opsPerEpoch = 4000;
     spec.barrierFlavor = BarrierFlavor::None;
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(spec));
-    const std::string fused =
-        serializeProfileText(profileWorkloadFused(cols));
+    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+    const std::string legacy = legacyProfileText(trace);
     for (const uint64_t chunk : kChunkSizes) {
         ProfilerOptions opts;
         opts.streamChunkRecords = chunk;
         opts.jobs = 2;
-        EXPECT_TRUE(serializeProfileText(
-                        profileWorkloadStreaming(cols, opts)) == fused)
+        EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
+                    legacy)
             << "chunk=" << chunk;
     }
 }
@@ -265,9 +230,9 @@ TEST(StreamingProfiler, FileBackedWorkloadSource)
     // A WorkloadSource registered by trace path: construction indexes
     // the container (picking up the embedded name), profile() with an
     // explicit chunk size streams straight from the file, and the
-    // result matches an in-memory source bit for bit.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+    // result matches the reference bit for bit.
+    const WorkloadTrace trace = generateWorkload(richSpec());
+    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
     const TempTraceFile file(cols);
 
     const WorkloadSource src = WorkloadSource::fromTraceFile(file.path());
@@ -279,8 +244,7 @@ TEST(StreamingProfiler, FileBackedWorkloadSource)
     stream.jobs = 2;
     ProfileCache cache;
     const auto streamed = src.profile(stream, cache);
-    EXPECT_TRUE(serializeProfileText(*streamed) ==
-                serializeProfileText(profileWorkloadFused(cols)));
+    EXPECT_TRUE(serializeProfileText(*streamed) == legacyProfileText(trace));
 
     // Consumers that need the in-memory views still get them (lazily,
     // as a zero-copy mmap of the same file).
@@ -307,37 +271,39 @@ TEST(StreamingProfiler, ChunkSizeStaysOutOfTheCacheKey)
 TEST(StreamingProfiler, CacheArtifactIdenticalAcrossEngines)
 {
     // A ProfileCache fed by the streaming engine must produce the same
-    // artifact — same path (key), same bytes — as one fed by the fused
-    // engine, and the fused artifact must serve streaming requests.
+    // artifact — same path (key), same bytes — as one fed by the
+    // in-memory engine, and the in-memory artifact must serve streaming
+    // requests.
     const auto dir = std::filesystem::temp_directory_path() /
         "rppm-stream-cache-test";
     std::filesystem::remove_all(dir);
 
     const WorkloadSpec spec = richSpec("stream-cache");
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(spec));
+    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
 
-    ProfilerOptions fused;
+    ProfilerOptions memory;
     ProfilerOptions stream;
     stream.streamChunkRecords = 2048;
     stream.jobs = 4;
 
     ProfileCache cacheA;
     cacheA.setDirectory(dir.string());
-    const auto fromFused = cacheA.getOrCompute(
-        spec.name, fused, [&] { return profileWorkload(cols, fused); });
-    EXPECT_EQ(cacheA.pathFor(spec.name, fused),
+    const auto fromMemory = cacheA.getOrCompute(
+        spec.name, memory, [&] { return profileWorkload(cols, memory); });
+    EXPECT_EQ(cacheA.pathFor(spec.name, memory),
               cacheA.pathFor(spec.name, stream));
 
     // Fresh cache, same directory, streaming request: disk hit off the
-    // fused artifact, identical content.
+    // in-memory artifact, identical content.
     ProfileCache cacheB;
     cacheB.setDirectory(dir.string());
     const auto fromStream = cacheB.getOrCompute(
         spec.name, stream, [&] { return profileWorkload(cols, stream); });
     EXPECT_EQ(cacheB.stats().diskHits, 1u);
-    EXPECT_TRUE(serializeProfileText(*fromFused) ==
-                serializeProfileText(*fromStream));
+    const std::string legacy = legacyProfileText(trace);
+    EXPECT_TRUE(serializeProfileText(*fromMemory) == legacy);
+    EXPECT_TRUE(serializeProfileText(*fromStream) == legacy);
 
     std::filesystem::remove_all(dir);
 }

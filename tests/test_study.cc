@@ -15,12 +15,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/parallel.hh"
 #include "profile/profiler.hh"
 #include "rppm/baselines.hh"
 #include "rppm/dse.hh"
 #include "rppm/predictor.hh"
 #include "sim/simulator.hh"
-#include "study/executor.hh"
 #include "study/study.hh"
 #include "workload/suite.hh"
 #include "workload/workload.hh"

@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests for the columnar trace engine and the fused profiler:
+ * Tests for the columnar trace engine and the profiler entry points:
  *
  *  - AoS <-> columnar conversion is lossless;
  *  - binary trace serialization round-trips bit-identically and rejects
  *    old-version, truncated and corrupt input cleanly;
- *  - the fused single-pass profiler produces profiles bit-identical to
- *    the legacy multi-pass reference on every workload kernel of the
+ *  - profileWorkload() (both overloads) produces profiles bit-identical
+ *    to the legacy multi-pass reference on every workload kernel of the
  *    suite (byte-compared through the deterministic text serializer);
  *  - the binary profile format round-trips exactly (predictions and
  *    bytes) and the ProfileCache self-heals corrupt or legacy-format
@@ -15,13 +15,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "profile/profiler.hh"
 #include "profile/serialize.hh"
+#include "profile_reference.hh"
 #include "rppm/predictor.hh"
 #include "sim/sync_state.hh"
 #include "study/profile_cache.hh"
@@ -53,14 +53,6 @@ serializeTrace(const ColumnarTrace &trace)
 {
     std::stringstream ss;
     saveTrace(trace, ss);
-    return ss.str();
-}
-
-std::string
-serializeProfileText(const WorkloadProfile &profile)
-{
-    std::stringstream ss;
-    saveProfile(profile, ss);
     return ss.str();
 }
 
@@ -147,9 +139,9 @@ TEST(Columnar, BarrierPopulationsMatchLegacyScan)
 {
     const WorkloadTrace trace = generateWorkload(richSpec());
     const auto legacy = barrierPopulations(trace);
-    const auto fused = ColumnarTrace::fromWorkload(trace)
-                           .validateAndBarrierPopulations();
-    EXPECT_EQ(fused, legacy);
+    const auto columnar = ColumnarTrace::fromWorkload(trace)
+                              .validateAndBarrierPopulations();
+    EXPECT_EQ(columnar, legacy);
 }
 
 // ------------------------------------------------- binary trace I/O ---
@@ -342,33 +334,25 @@ TEST(TraceView, ColumnBorrowSemantics)
     EXPECT_NE(owned.data(), borrowed.data());
 }
 
-// ------------------------------------ fused vs. legacy equivalence ---
+// ----------------------------------- profiler vs. legacy equivalence ---
 
-TEST(FusedProfiler, BitIdenticalToLegacyOnEveryKernel)
+TEST(Profiler, BitIdenticalToLegacyOnEveryKernel)
 {
-    // The acceptance bar of the refactor: one text-serialized byte
-    // mismatch anywhere in mix, histograms, micro-traces, branch counts
-    // or sync structure fails this test. Kernels are scaled down to keep
-    // the test fast; every suite entry is covered.
+    // One text-serialized byte mismatch anywhere in mix, histograms,
+    // micro-traces, branch counts or sync structure fails this test.
+    // Kernels are scaled down to keep the test fast; every suite entry
+    // is covered, through the AoS overload at default options.
     for (const SuiteEntry &entry : fullSuite()) {
-        WorkloadSpec spec = entry.spec;
-        spec.opsPerEpoch = std::max<uint64_t>(1, spec.opsPerEpoch / 20);
-        spec.initOps = std::max<uint64_t>(1, spec.initOps / 20);
-        spec.finalOps = std::max<uint64_t>(1, spec.finalOps / 20);
-        spec.itemOps = std::max<uint64_t>(1, spec.itemOps / 20);
-        const WorkloadTrace trace = generateWorkload(spec);
-
-        const WorkloadProfile legacy = profileWorkloadLegacy(trace);
-        const WorkloadProfile fused = profileWorkload(trace);
+        const WorkloadTrace trace = generateWorkload(scaledSpec(entry));
         // EXPECT_TRUE rather than EXPECT_EQ: on failure gtest would try
         // to print two multi-hundred-kB strings.
-        EXPECT_TRUE(serializeProfileText(fused) ==
-                    serializeProfileText(legacy))
-            << spec.name;
+        EXPECT_TRUE(serializeProfileText(profileWorkload(trace)) ==
+                    legacyProfileText(trace))
+            << trace.name;
     }
 }
 
-TEST(FusedProfiler, ColumnarOverloadMatchesAoSOverload)
+TEST(Profiler, ColumnarOverloadMatchesAoSOverload)
 {
     const WorkloadTrace trace = generateWorkload(richSpec());
     const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
@@ -376,9 +360,10 @@ TEST(FusedProfiler, ColumnarOverloadMatchesAoSOverload)
                 serializeProfileText(profileWorkload(trace)));
 }
 
-TEST(FusedProfiler, RespectsProfilerOptions)
+TEST(Profiler, RespectsProfilerOptions)
 {
-    // The options that change profile content must keep fused == legacy.
+    // The options that change profile content must keep the profile
+    // equal to the reference's.
     ProfilerOptions opts;
     opts.detectInvalidation = false;
     opts.quantum = 17;
@@ -386,7 +371,7 @@ TEST(FusedProfiler, RespectsProfilerOptions)
     opts.microTraceInterval = 500;
     const WorkloadTrace trace = generateWorkload(richSpec());
     EXPECT_TRUE(serializeProfileText(profileWorkload(trace, opts)) ==
-                serializeProfileText(profileWorkloadLegacy(trace, opts)));
+                legacyProfileText(trace, opts));
 }
 
 // ----------------------------------------------- binary profile I/O ---

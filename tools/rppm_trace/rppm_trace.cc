@@ -24,13 +24,13 @@
  *     OFF after writing — a deliberate corruption for checksum tests
  *     and chaos CI.
  *
- *   profile FILE [--engine fused|streaming] [--stream-chunk N]
+ *   profile FILE [--engine memory|streaming] [--stream-chunk N]
  *           [--jobs N] [--mti N]
  *     Profile the trace with the chosen engine and print a short
- *     summary. The fused engine materializes the whole file (mmap);
- *     the streaming engine reads it in chunks — under `ulimit -v` the
- *     former dies where the latter succeeds, which is exactly what the
- *     CI memory-cap job asserts.
+ *     summary. The memory engine maps the whole file and runs
+ *     profileWorkload() on --jobs workers; the streaming engine reads it
+ *     in chunks — under `ulimit -v` the former dies where the latter
+ *     succeeds, which is exactly what the CI memory-cap job asserts.
  */
 
 #include <cinttypes>
@@ -62,7 +62,7 @@ usage()
         "usage: rppm_trace info FILE\n"
         "       rppm_trace synth FILE --records N [--name NAME]\n"
         "                  [--sync-period P] [--corrupt-at OFF]\n"
-        "       rppm_trace profile FILE [--engine fused|streaming]\n"
+        "       rppm_trace profile FILE [--engine memory|streaming]\n"
         "                  [--stream-chunk N] [--jobs N] [--mti N]\n");
     return 2;
 }
@@ -355,8 +355,8 @@ cmdProfile(const std::string &path, const std::string &engine,
            const ProfilerOptions &opts)
 {
     WorkloadProfile profile;
-    if (engine == "fused") {
-        profile = profileWorkloadFused(loadTraceViewFromFile(path), opts);
+    if (engine == "memory") {
+        profile = profileWorkload(loadTraceViewFromFile(path), opts);
     } else if (engine == "streaming") {
         profile = profileWorkloadStreamingFile(path, opts);
     } else {

@@ -1,5 +1,6 @@
 # Round-trip smoke for rppm_trace: synth -> info -> profile with both
-# engines. Invoked by CTest (see CMakeLists.txt).
+# engines, which must print the same summary. Invoked by CTest (see
+# CMakeLists.txt).
 set(trace "${WORK_DIR}/smoke.rppmtrc")
 
 function(run)
@@ -10,11 +11,27 @@ function(run)
     endif()
 endfunction()
 
+# Profile the trace with the given arguments; store the summary line,
+# minus its [engine] tag, in ${out_var}.
+function(profile_summary out_var)
+    execute_process(COMMAND ${RPPM_TRACE} profile ${trace} ${ARGN}
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "profile ${ARGN} failed (${rc})")
+    endif()
+    string(REGEX REPLACE " \\[[a-z]+\\]" "" out "${out}")
+    set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
 run(${RPPM_TRACE} synth ${trace} --records 300000 --sync-period 10000
     --name smoke)
 run(${RPPM_TRACE} info ${trace})
-run(${RPPM_TRACE} profile ${trace} --engine fused)
-run(${RPPM_TRACE} profile ${trace} --engine streaming
-    --stream-chunk 4096 --jobs 2)
+profile_summary(memory --engine memory --jobs 2)
+profile_summary(streaming --engine streaming --stream-chunk 4096 --jobs 2)
+if(NOT memory STREQUAL streaming)
+    message(FATAL_ERROR "engines disagree:\n  memory:    ${memory}"
+                        "  streaming: ${streaming}")
+endif()
+message(STATUS "both engines: ${memory}")
 
 file(REMOVE ${trace})
