@@ -69,10 +69,11 @@
  * --min-serve-speedup — the "predict many" payoff of keeping the
  * profile-once state alive in a daemon.
  *
- * The profile_stream phase runs the out-of-core streaming engine
- * (profileWorkload with streamChunkRecords set, --jobs workers) over the
- * in-memory trace; stream_overhead = profile_stream_ms / profile_ms is
- * the price of chunked execution on a trace that would have fit in
+ * The profile_par and profile_stream phases run the same engine at
+ * --jobs workers: profile_par in one window spanning the trace,
+ * profile_stream in bounded chunks (streamChunkRecords set) over the
+ * same in-memory trace. stream_overhead = profile_stream_ms / profile_ms
+ * is the price of chunked execution on a trace that would have fit in
  * memory anyway — its geomean is gated via --max-stream-overhead (CI
  * uses 1.15: the pipeline may cost at most 15% over the one-job
  * profile at smoke scale).
@@ -288,7 +289,7 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
     ColumnarTrace cols;
     timed("columnar", [&] { cols = ColumnarTrace::fromWorkload(trace); });
 
-    // The one-job profile: the epoch-sharded engine run serially.
+    // The one-job profile: the engine run serially, in one window.
     WorkloadProfile profile;
     timed("profile", [&] { profile = profileWorkload(cols); });
     timed("profile_legacy", [&] {
@@ -299,7 +300,7 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
     result.profileSpeedup =
         result.ms["profile_legacy"] / result.ms["profile"];
 
-    // The same engine on the harness's --jobs workers.
+    // The same engine and window on the harness's --jobs workers.
     // profile_par_speedup is one-job/--jobs wall time: > 1 means the
     // worker pool pays for itself (expect ~1.0 at --jobs 1 or on a
     // single-core machine).
@@ -312,10 +313,10 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
     result.profileParSpeedup =
         result.ms["profile"] / result.ms["profile_par"];
 
-    // Out-of-core streaming engine over the same in-memory trace:
-    // stream_overhead is what the chunk pipeline costs relative to the
-    // one-job profile when memory pressure is not an issue (the case the
-    // engine exists for is gated by the CI memory-cap job instead). The
+    // The same engine in bounded chunks over the same in-memory trace:
+    // stream_overhead is what chunking costs relative to the one-job
+    // one-window profile when memory pressure does not matter (the case
+    // chunks exist for is gated by the CI memory-cap job instead). The
     // chunk size is scaled so smoke-sized traces still split into
     // enough chunks to exercise the pipeline overlap, like a real
     // out-of-core run would.

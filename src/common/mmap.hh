@@ -64,7 +64,7 @@ class MappedFile
  * An open read-only file descriptor with RAII lifetime and whole-read
  * pread. The out-of-core trace reader uses this instead of MappedFile:
  * mapping a whole file charges its full size against RLIMIT_AS (the
- * `ulimit -v` memory caps the streaming engine must run under), whereas
+ * `ulimit -v` memory caps out-of-core profiling must run under), whereas
  * a descriptor plus small MappedWindow views charges only the windows.
  */
 class FdFile

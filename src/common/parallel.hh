@@ -8,11 +8,10 @@
  * scheduling: the same computation run with 1 worker and with 16 workers
  * yields byte-identical results.
  *
- * Users: the Study grid executor (study/study.cc), the profiler's phase
- * fan-outs (profile/profiler_parallel.cc, profile/profiler_stream.cc),
- * the parallel simulator (sim/simulator_parallel.cc), the columnar
- * conversion (trace/columnar.cc) and parallel trace synthesis
- * (workload/workload.cc).
+ * Users: the Study grid executor (study/study.cc), the profiler's chunk
+ * pipeline (profile/profiler_stream.cc, through WorkDeque), the parallel
+ * simulator (sim/simulator_parallel.cc), the columnar conversion
+ * (trace/columnar.cc) and parallel trace synthesis (workload/workload.cc).
  */
 
 #ifndef RPPM_COMMON_PARALLEL_HH
@@ -59,8 +58,8 @@ unsigned resolveJobs(unsigned jobs);
  *
  * ParallelExecutor::forEach is a barrier: it returns only when every
  * task of one homogeneous batch is done, so two overlapping stages (the
- * streaming profiler's phase-C bucketing of chunk k+1 against phase-D
- * resolution of chunk k) would serialize. WorkDeque instead tags each
+ * profiler's phase-C bucketing of chunk k+1 against phase-D resolution
+ * of chunk k) would serialize. WorkDeque instead tags each
  * task with a Group: post() enqueues onto one shared FIFO deque that
  * all workers drain regardless of group — the work *stealing* across
  * the stage boundary — and wait(group) blocks only until that group's

@@ -11,14 +11,13 @@
  * another thread wrote a line between two accesses by the same thread;
  * if so, an infinite per-thread reuse distance is recorded.
  *
- * profileWorkload() runs the epoch-sharded engine over a resident
- * columnar trace (trace/columnar.hh), or the chunked streaming engine
- * when opts.streamChunkRecords > 0; profileWorkloadStreamingFile()
- * streams a trace file that need not fit in memory. Both engines share
- * one statistics sweep (profile/stat_sweep.hh) and produce bit-identical
- * profiles for every job count and chunk size. The original multi-pass
- * AoS implementation is kept as profileWorkloadLegacy()
- * (profiler_legacy.cc), the reference every engine is tested against
+ * One engine (profiler_stream.cc) does the work: a chunk pipeline fed
+ * either by a resident columnar trace (profileWorkload(), see
+ * trace/columnar.hh) or by a trace file that need not fit in memory
+ * (profileWorkloadStreamingFile()). Its profile is bit-identical for
+ * every job count and chunk size. The original multi-pass AoS
+ * implementation is kept as profileWorkloadLegacy()
+ * (profiler_legacy.cc), the reference the engine is tested against
  * byte for byte.
  *
  * The output is a WorkloadProfile: only microarchitecture-independent
@@ -72,44 +71,44 @@ struct ProfilerOptions
     unsigned jobs = 1;
 
     /**
-     * Records per streaming chunk for the out-of-core engine (0 = do not
-     * stream; profileWorkload() runs the epoch-sharded engine). Like
-     * jobs, pure execution policy — the streaming engine is bit-identical
-     * to the sharded engine at every chunk size, so this knob too stays
-     * out of profilerOptionsKey() and ProfileCache keys.
+     * Records per thread per chunk of the engine's pipeline, bounding its
+     * working memory (0 = profileWorkload() runs one window spanning the
+     * whole trace; profileWorkloadStreamingFile() uses
+     * kDefaultStreamChunkRecords). Like jobs, pure execution policy —
+     * the profile is bit-identical at every chunk size, so this knob too
+     * stays out of profilerOptionsKey() and ProfileCache keys.
      */
     uint64_t streamChunkRecords = 0;
 };
 
-/** Default chunk size when an entry point wants streaming but the caller
- *  left streamChunkRecords at 0 (~4M records ≈ 32 MiB of dense columns
- *  per in-flight chunk per thread). */
+/** Chunk size of profileWorkloadStreamingFile() when the caller left
+ *  streamChunkRecords at 0 (~4M records ≈ 32 MiB of dense columns per
+ *  in-flight chunk per thread). */
 constexpr uint64_t kDefaultStreamChunkRecords = uint64_t{1} << 22;
 
 /**
  * Profile @p trace once; the result predicts any architecture. This is
- * the hot path of every Study grid. opts.streamChunkRecords > 0 selects
- * the chunked streaming engine (peak scratch memory bounded by the chunk
- * size); otherwise the epoch-sharded engine runs on opts.jobs workers.
+ * the hot path of every Study grid. Runs on opts.jobs workers, as one
+ * window over the whole trace, or in chunks of opts.streamChunkRecords
+ * records when that is > 0 (peak working memory bounded by the chunk).
  *
- * The sharded engine (profiler_parallel.cc): a cheap sequential replay
- * of the round-robin schedule over the sparse sync columns pins down the
- * exact global interleaving; the interleaved reuse/coherence resolution
- * is sharded by line hash across the worker pool; and the per-thread
- * statistics sweep fans out in segments, consuming the pre-resolved
- * reuse distances. The streaming engine (profiler_stream.cc) runs the
- * same phases chunk by chunk. Both are bit-identical to
- * profileWorkloadLegacy() by test.
+ * A cheap sequential replay of the round-robin schedule over the sparse
+ * sync columns pins down the exact global interleaving; the interleaved
+ * reuse/coherence resolution is sharded by line hash across the worker
+ * pool; and the per-thread statistics sweep fans out in segments,
+ * consuming the pre-resolved reuse distances (profiler_stream.cc).
+ * Bit-identical to profileWorkloadLegacy() by test.
  */
 WorkloadProfile profileWorkload(const ColumnarTrace &trace,
                                 const ProfilerOptions &opts = {});
 
 /**
- * The out-of-core entry point: streams an RPPMTRC container straight
- * from disk without ever materializing whole columns. Only the sparse
- * sync columns are resident; dense column data is read through small
- * per-chunk mapped windows, so peak RSS is O(chunk × threads), not
- * O(file). Profiles traces larger than physical memory.
+ * The out-of-core entry point: the same engine, streaming an RPPMTRC
+ * container straight from disk without ever materializing whole
+ * columns. Only the sparse sync columns are resident; dense column data
+ * is read through small per-chunk mapped windows, so peak RSS is
+ * O(chunk × threads), not O(file). Profiles traces larger than physical
+ * memory.
  */
 WorkloadProfile profileWorkloadStreamingFile(const std::string &path,
                                              const ProfilerOptions &opts = {});

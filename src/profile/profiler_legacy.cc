@@ -2,10 +2,10 @@
  * @file
  * Reference profiler: the original multi-pass AoS implementation.
  *
- * Kept verbatim as the correctness oracle for both columnar engines
- * (profiler_parallel.cc, profiler_stream.cc): every engine equivalence
- * test compares their serialized profiles byte for byte against this
- * implementation's, and bench/perf reports profileWorkload()'s speedup
+ * Kept verbatim as the correctness oracle for the columnar engine
+ * (profiler_stream.cc): every equivalence test compares its serialized
+ * profiles byte for byte against this implementation's, and bench/perf
+ * reports profileWorkload()'s speedup
  * against it. It walks the AoS trace three times (validate,
  * barrier populations, replay) and keeps its hot state in
  * std::unordered_map.

@@ -1,57 +1,68 @@
 /**
  * @file
- * Out-of-core streaming profiler — bit-identical to the epoch-sharded
- * engine with peak memory bounded by the chunk size, not the trace size.
+ * The profiler engine: one chunk pipeline, fed by a resident trace or by
+ * a trace file.
  *
- * The epoch-sharded engine requires the whole trace resident (owned
- * columns or a whole-file mapping), so its peak address-space charge is
- * O(trace). This engine processes the trace in fixed-size
- * chunks of streamChunkRecords records per thread, keeping at most two
- * chunks in flight, and produces exactly the same profile — the same
- * bits, for every chunk size and job count.
+ * The multi-threaded StatStack extension orders every memory access of
+ * every thread on one global sequence counter, and coherence
+ * invalidation compares per-line write timestamps across threads, so a
+ * direct replay is inherently sequential. This engine reproduces the
+ * replay's profile exactly — the same bits, for every job count and
+ * chunk size — through phases whose parallel grains are independent by
+ * construction, run over chunks of at most streamChunkRecords records
+ * per thread (working memory is bounded by the chunk, not the trace):
  *
- * The decomposition is the parallel engine's (see
- * profiler_parallel.cc), re-cut along the record axis:
+ *  A. Index     (per source) Memory/branch record counts of any run: a
+ *               resident trace builds per-thread prefix counts on the
+ *               worker pool (O(1) per run); a file scans its op column
+ *               in a rolling window (no O(records) index out of core).
+ *  B. Schedule  (sequential) The pausable replay of the round-robin
+ *               quantum scheduler over the sparse sync columns only
+ *               (profile/schedule_replay.hh), advanced until every live
+ *               thread reaches the next chunk target. It pauses only
+ *               between quantum slices, so chunk edges are run
+ *               boundaries and every access gets the global sequence
+ *               number of the unpaused replay.
+ *  C. Emit      (one task per thread) Each thread turns its runs into
+ *               (line, global seq, ordinal) entries, bucketed by
+ *               line-hash shard; a line lives in exactly one shard.
+ *  D. Resolve   (one task per shard) Each shard merges its per-thread
+ *               lists by global sequence number — the replay's order —
+ *               through its LineTable, carried across chunks: global
+ *               and per-thread reuse distances, including the coherence
+ *               rule ("another thread wrote the line since my last
+ *               access" => infinite distance). Results scatter into
+ *               per-thread arrays by access ordinal, each slot written
+ *               once, so shards need no locks.
+ *  E. Sweep     The shared statistics sweep (profile/stat_sweep.hh),
+ *               continued from each thread's carried cursor. A long
+ *               slice splits into up to 4 x jobs segments: a cursor
+ *               dry-run pins each segment's entry state, the segments
+ *               sweep concurrently, and the last to finish stitches
+ *               them in order. At jobs == 1 every slice is one segment.
+ *  F. Classify  (sequential) Order-independent synchronization counts
+ *               and condvar classification from the sync columns.
  *
- *  1. The pausable schedule replayer (profile/schedule_replay.hh) is
- *     advanced until every live thread's record cursor reaches the next
- *     chunk target. It pauses only between quantum slices, so the
- *     resulting chunk edges are exact run boundaries: every scheduled
- *     run lies wholly inside one chunk, and the global sequence numbers
- *     it assigns are identical to the unpaused replay's. The memory
- *     oracle it needs is a rolling forward scan of the op column (a
- *     small mapped window for file sources), which also yields the
- *     sparse addr/taken offsets of each chunk edge.
- *  2. Phase C (shard-bucketed access emit) runs per (chunk, thread)
- *     over just-mapped column windows.
- *  3. Phase D (per-shard reuse resolution) runs per shard against
- *     *persistent* shard LineTables that carry line state across
- *     chunks; the absolute ordinals and global sequence numbers make
- *     the per-chunk merges a partition of the whole-trace merge.
- *  4. Phase E is the shared statistics sweep (profile/stat_sweep.hh),
- *     one segment per (chunk, thread) with the SweepState cursor and
- *     InstrLineMap carried across chunks and stitched in chunk order.
+ * profileWorkload() with streamChunkRecords == 0 runs one window
+ * spanning the longest thread. Chunks overlap through a shared work
+ * deque (common/parallel.hh): chunk k+1's emit tasks are queued before
+ * chunk k's resolve tasks, the waits help run whatever is queued, and
+ * the main thread replays chunk k+1 while workers bucket chunk k. The
+ * file source keeps only the sparse sync columns resident and maps each
+ * chunk's column slices on demand (trace/trace_stream.hh), so it
+ * profiles traces larger than the address-space budget.
  *
- * The phases of consecutive chunks overlap through a shared work deque
- * (common/parallel.hh): chunk k+1's emit tasks are queued before chunk
- * k's resolve tasks, and the barrier waits help execute whatever is at
- * the front of the deque, so workers flow across the C/D boundary
- * instead of idling at it. The main thread advances the replayer for
- * chunk k+1 while workers bucket chunk k.
- *
- * Sources: an in-memory ColumnarTrace (windows are pointer slices into
- * its columns) or an RPPMTRC file accessed through the chunked reader
- * (trace/trace_stream.hh) — index the container, keep only the sparse
- * sync columns resident, and map each chunk's column slices on demand.
- * The file path never materializes the trace, so profiling a trace far
- * larger than the address-space budget succeeds where the whole-file
- * loaders cannot even map their input (tests/test_profile_streaming,
- * CI stream-smoke).
+ * Nothing is sampled or approximated. tests/test_profile_parallel and
+ * tests/test_profile_streaming assert byte-identical serialized profiles
+ * against profileWorkloadLegacy() on the whole workload suite for
+ * several job counts and chunk sizes.
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -71,23 +82,29 @@ namespace rppm {
 
 namespace {
 
+/** One thread of a source: its record count, declared sparse column
+ *  lengths (cross-checked against the run counts) and sync columns. */
+struct SourceThread
+{
+    uint64_t records;
+    uint64_t mems;
+    uint64_t branches;
+    SyncView sync;
+};
+
 /**
- * Where chunk data comes from. The driver below only ever sees absolute
- * record/ordinal ranges and TraceChunk windows, so the pipeline is
- * identical for resident and out-of-core traces.
+ * Where chunk data comes from. The pipeline below only ever sees
+ * absolute record/ordinal ranges and TraceChunk windows, so it is
+ * identical for resident and out-of-core traces. Sources fill name and
+ * threads on construction.
  */
 class StreamSource
 {
   public:
     virtual ~StreamSource() = default;
 
-    virtual const std::string &name() const = 0;
-    virtual uint32_t numThreads() const = 0;
-    virtual uint64_t numRecords(uint32_t t) const = 0;
-    /** Declared sparse column lengths (cross-checked against the scan). */
-    virtual uint64_t numMems(uint32_t t) const = 0;
-    virtual uint64_t numBranches(uint32_t t) const = 0;
-    virtual SyncView sync(uint32_t t) const = 0;
+    std::string name;
+    std::vector<SourceThread> threads;
 
     /** Structural validation + barrier populations (throws
      *  std::invalid_argument, same as the resident loaders). */
@@ -96,13 +113,16 @@ class StreamSource
 
     /**
      * Count memory and branch records in records [lo, hi) of thread
-     * @p t, adding into @p mems / @p branches. Called with ascending,
-     * non-overlapping ranges per thread (the replayer's runs), so a
-     * rolling window suffices. File sources validate op classes here —
-     * the one walk that sees every record.
+     * @p t, adding into @p mems / @p branches (phase A). Called with
+     * ascending, non-overlapping ranges per thread (the replayer's
+     * runs), so a rolling window suffices. File sources validate op
+     * classes here; the sweep checks the sync slots in between.
      */
     virtual void countRange(uint32_t t, size_t lo, size_t hi,
                             uint64_t &mems, uint64_t &branches) = 0;
+
+    /** The schedule replay is spent: no countRange call follows. */
+    virtual void releaseIndex() {}
 
     /** Materialize one chunk's column windows (see TraceChunk). */
     virtual TraceChunk fetch(uint32_t t, size_t recLo, size_t recHi,
@@ -110,48 +130,55 @@ class StreamSource
                              uint64_t brHi) = 0;
 };
 
-/** Resident source: chunks are pointer slices into the trace columns. */
+/** Resident source: chunks are pointer slices into the trace columns,
+ *  and countRange() reads per-thread prefix counts built up front on
+ *  the worker pool. */
 class MemorySource final : public StreamSource
 {
   public:
-    explicit MemorySource(const ColumnarTrace &trace) : trace_(trace) {}
-
-    const std::string &name() const override { return trace_.name; }
-
-    uint32_t
-    numThreads() const override
+    MemorySource(const ColumnarTrace &trace, WorkDeque &deque)
+        : trace_(trace), memPrefix_(trace.numThreads()),
+          brPrefix_(trace.numThreads())
     {
-        return static_cast<uint32_t>(trace_.numThreads());
-    }
-
-    uint64_t
-    numRecords(uint32_t t) const override
-    {
-        return trace_.threads[t].numRecords();
-    }
-
-    uint64_t
-    numMems(uint32_t t) const override
-    {
-        return trace_.threads[t].addr.size();
-    }
-
-    uint64_t
-    numBranches(uint32_t t) const override
-    {
-        return trace_.threads[t].taken.size();
-    }
-
-    SyncView
-    sync(uint32_t t) const override
-    {
-        return syncView(trace_.threads[t]);
+        trace_.validateColumnConsistency();
+        name = trace.name;
+        WorkDeque::Group group;
+        for (size_t t = 0; t < trace.numThreads(); ++t) {
+            const ThreadColumns &cols = trace.threads[t];
+            threads.push_back(SourceThread{cols.numRecords(),
+                                           cols.addr.size(),
+                                           cols.taken.size(),
+                                           syncView(cols)});
+            deque.post(group, [this, &cols, t] {
+                RPPM_REQUIRE(cols.addr.size() < UINT32_MAX &&
+                                 cols.taken.size() < UINT32_MAX,
+                             "trace thread exceeds 2^32 memory or branch "
+                             "records");
+                const size_t n = cols.numRecords();
+                memPrefix_[t] =
+                    std::make_unique_for_overwrite<uint32_t[]>(n + 1);
+                brPrefix_[t] =
+                    std::make_unique_for_overwrite<uint32_t[]>(n + 1);
+                uint32_t *const mem = memPrefix_[t].get();
+                uint32_t *const br = brPrefix_[t].get();
+                uint32_t mems = 0, branches = 0;
+                for (size_t i = 0; i < n; ++i) {
+                    mem[i] = mems;
+                    br[i] = branches;
+                    const OpClass op = cols.op[i];
+                    mems += isMemory(op);
+                    branches += op == OpClass::Branch;
+                }
+                mem[n] = mems;
+                br[n] = branches;
+            });
+        }
+        deque.wait(group);
     }
 
     std::unordered_map<uint32_t, uint32_t>
     validateAndBarriers() const override
     {
-        trace_.validateColumnConsistency();
         return trace_.validateAndBarrierPopulations();
     }
 
@@ -159,13 +186,15 @@ class MemorySource final : public StreamSource
     countRange(uint32_t t, size_t lo, size_t hi, uint64_t &mems,
                uint64_t &branches) override
     {
-        const Column<OpClass> &op = trace_.threads[t].op;
-        for (size_t i = lo; i < hi; ++i) {
-            if (isMemory(op[i]))
-                ++mems;
-            else if (op[i] == OpClass::Branch)
-                ++branches;
-        }
+        mems += memPrefix_[t][hi] - memPrefix_[t][lo];
+        branches += brPrefix_[t][hi] - brPrefix_[t][lo];
+    }
+
+    void
+    releaseIndex() override
+    {
+        memPrefix_.clear();
+        brPrefix_.clear();
     }
 
     TraceChunk
@@ -195,6 +224,9 @@ class MemorySource final : public StreamSource
 
   private:
     const ColumnarTrace &trace_;
+    /** Memory / branch records before each record, per thread. */
+    std::vector<std::unique_ptr<uint32_t[]>> memPrefix_;
+    std::vector<std::unique_ptr<uint32_t[]>> brPrefix_;
 };
 
 /** Out-of-core source over an indexed RPPMTRC file. Resident state is
@@ -207,44 +239,17 @@ class FileSource final : public StreamSource
         : file_(path), layout_(indexTraceFile(file_)),
           sync_(loadSyncColumns(file_, layout_)), reader_(file_, layout_)
     {
+        name = layout_.name;
         scanners_.reserve(layout_.threads.size());
-        for (const ThreadLayout &th : layout_.threads)
+        for (size_t t = 0; t < layout_.threads.size(); ++t) {
+            const ThreadLayout &th = layout_.threads[t];
+            const ResidentSync &s = sync_[t];
+            threads.push_back(SourceThread{
+                th.records, th.addr.count, th.taken.count,
+                SyncView{s.pos.data(), s.type.data(), s.arg.data(),
+                         s.pos.size(), static_cast<size_t>(th.records)}});
             scanners_.emplace_back(file_, th);
-    }
-
-    const std::string &name() const override { return layout_.name; }
-
-    uint32_t
-    numThreads() const override
-    {
-        return static_cast<uint32_t>(layout_.threads.size());
-    }
-
-    uint64_t
-    numRecords(uint32_t t) const override
-    {
-        return layout_.threads[t].records;
-    }
-
-    uint64_t
-    numMems(uint32_t t) const override
-    {
-        return layout_.threads[t].addr.count;
-    }
-
-    uint64_t
-    numBranches(uint32_t t) const override
-    {
-        return layout_.threads[t].taken.count;
-    }
-
-    SyncView
-    sync(uint32_t t) const override
-    {
-        const ResidentSync &s = sync_[t];
-        return SyncView{s.pos.data(), s.type.data(), s.arg.data(),
-                        s.pos.size(),
-                        static_cast<size_t>(layout_.threads[t].records)};
+        }
     }
 
     std::unordered_map<uint32_t, uint32_t>
@@ -301,6 +306,11 @@ class FileSource final : public StreamSource
     std::vector<OpColumnScanner> scanners_;
 };
 
+/** Records below which a thread's chunk slice is not split: the
+ *  boundary dry-run and stitch are O(range) and O(touched lines), so
+ *  tiny segments would be all overhead. */
+constexpr size_t kMinSegmentRecords = 4096;
+
 /** One scheduled run inside a chunk (records [start, end) of one
  *  thread); its mems get gseqBase+1.. and sparse ordinals memBase.. */
 struct Run
@@ -311,14 +321,23 @@ struct Run
     uint64_t memBase;
 };
 
-/** One memory access routed to a line-hash shard (as in the parallel
- *  engine; the ordinal is absolute, so shard state carries verbatim). */
+/** One memory access routed to a line-hash shard. The ordinal is
+ *  absolute, so shard state carries across chunks verbatim. */
 struct AccessEntry
 {
     uint64_t line;
-    uint64_t gseq;
-    uint32_t ordinal;
+    uint64_t gseq;    ///< global sequence number (from the schedule)
+    uint32_t ordinal; ///< index into the thread's sparse addr column
     uint32_t isStore;
+};
+
+/** One phase-E work item: records [lo, hi) of a thread, entered with
+ *  the exact sweep cursor the sequential sweep would hold at lo. */
+struct Segment
+{
+    size_t lo = 0, hi = 0;
+    SweepState entry;
+    SegmentSweep sweep;
 };
 
 /** One thread's slice of one in-flight chunk. */
@@ -331,8 +350,13 @@ struct ThreadChunk
     TraceChunk data;
     /** Phase-C output: per-shard access entries. */
     std::vector<std::vector<AccessEntry>> buckets;
-    /** Phase-D output, indexed ordinal - memLo. */
-    std::vector<uint64_t> localRd, globalRd;
+    /** Phase-D output, indexed ordinal - memLo; every slot is written
+     *  exactly once, so it starts uninitialized. */
+    std::unique_ptr<uint64_t[]> localRd, globalRd;
+    /** Phase E: the slice's segments, and how many are still unswept
+     *  (the task that takes it to zero stitches them in order). */
+    std::vector<Segment> segs;
+    std::atomic<size_t> unswept{0};
 };
 
 /** One in-flight chunk (the pipeline keeps two alive). */
@@ -340,18 +364,167 @@ struct ChunkState
 {
     std::vector<ThreadChunk> threads;
     bool valid = false;
+    bool last = false; ///< the schedule is spent: no chunk follows
 };
 
-WorkloadProfile
-streamProfile(StreamSource &src, const ProfilerOptions &opts)
+/**
+ * Phase C for one thread's slice of a chunk: route every memory access
+ * of its runs to a line-hash shard. Shards partition the line space by
+ * the *high* bits of the same mix64 hash the LineTable probes with its
+ * low bits, so shard assignment and in-shard probing stay uncorrelated.
+ */
+void
+emitAccesses(ThreadChunk &tc, const ProfilerOptions &opts,
+             unsigned shardBits)
 {
-    const uint32_t num_threads = src.numThreads();
-    const uint64_t chunk_records = opts.streamChunkRecords > 0 ?
-        opts.streamChunkRecords :
-        kDefaultStreamChunkRecords;
+    const size_t numShards = size_t{1} << shardBits;
+    tc.buckets.resize(numShards);
+    const size_t expect =
+        static_cast<size_t>(tc.memHi - tc.memLo) / numShards + 16;
+    for (auto &bucket : tc.buckets)
+        bucket.reserve(expect);
+
+    // Bound once: the pushes below could otherwise alias tc's fields.
+    std::vector<AccessEntry> *const buckets = tc.buckets.data();
+    const OpClass *const op = tc.data.op;
+    const uint64_t *const addr = tc.data.addr;
+    const size_t recLo = tc.recLo;
+    const uint64_t memLo = tc.memLo;
+    const uint64_t lineBytes = opts.lineBytes;
+    for (const Run &run : tc.runs) {
+        uint64_t j = run.memBase;
+        uint64_t gseq = run.gseqBase;
+        for (size_t i = run.start - recLo; i < run.end - recLo; ++i) {
+            if (!isMemory(op[i]))
+                continue;
+            const uint64_t line = addr[j - memLo] / lineBytes;
+            const size_t shard =
+                static_cast<size_t>(mix64(line + 1) >> (64 - shardBits));
+            buckets[shard].push_back(
+                AccessEntry{line, ++gseq, static_cast<uint32_t>(j),
+                            op[i] == OpClass::Store});
+            ++j;
+        }
+    }
+}
+
+/**
+ * Phase D for shard @p s of one chunk: merge the threads' entry lists by
+ * global sequence number — each list is ascending and gseqs are globally
+ * unique, so this is exactly the order in which the round-robin replay
+ * touches these lines — and resolve every access against the shard's
+ * LineTable, created on first use. Absolute gseqs and ordinals make each
+ * chunk's merge a slice of the whole-trace merge.
+ */
+void
+resolveShard(ChunkState &st, size_t s, std::unique_ptr<LineTable> &table,
+             uint64_t lineHint, const ProfilerOptions &opts)
+{
+    /** One thread's entries in this shard, with its outputs bound. */
+    struct Lane
+    {
+        const AccessEntry *at;
+        const AccessEntry *end;
+        uint64_t *localRd;
+        uint64_t *globalRd;
+        uint64_t memLo;
+        uint32_t tid;
+    };
+    std::vector<Lane> lanes;
+    for (uint32_t t = 0; t < st.threads.size(); ++t) {
+        ThreadChunk &tc = st.threads[t];
+        if (tc.buckets.empty() || tc.buckets[s].empty())
+            continue;
+        const std::vector<AccessEntry> &entries = tc.buckets[s];
+        lanes.push_back(Lane{entries.data(),
+                             entries.data() + entries.size(),
+                             tc.localRd.get(), tc.globalRd.get(), tc.memLo,
+                             t});
+    }
+    if (lanes.empty())
+        return;
+    if (!table) {
+        table = std::make_unique<LineTable>(
+            static_cast<uint32_t>(st.threads.size()), lineHint);
+    }
+    LineTable &lines = *table;
+
+    while (!lanes.empty()) {
+        // The lane with the smallest head runs until its head passes
+        // the smallest head of the others.
+        size_t pick = 0;
+        uint64_t bound = UINT64_MAX;
+        for (size_t l = 1; l < lanes.size(); ++l) {
+            if (lanes[l].at->gseq < lanes[pick].at->gseq) {
+                bound = lanes[pick].at->gseq;
+                pick = l;
+            } else {
+                bound = std::min(bound, lanes[l].at->gseq);
+            }
+        }
+        Lane &lane = lanes[pick];
+        const uint32_t tid = lane.tid;
+        do {
+            const AccessEntry &e = *lane.at;
+            const size_t slot = lines.slot(e.line);
+            LineTable::Meta &meta = lines.meta(slot);
+            LineTable::PerThread &mine = lines.perThread(slot, tid);
+
+            uint64_t local = LogHistogram::kInfinity;
+            uint64_t global = LogHistogram::kInfinity;
+            if (meta.lastGlobalSeq != 0)
+                global = e.gseq - meta.lastGlobalSeq - 1;
+            if (mine.count != 0) {
+                const bool invalidated = opts.detectInvalidation &&
+                    meta.lastWriteSeq > mine.seq && meta.lastWriter != tid;
+                if (!invalidated) {
+                    // The thread's data-access counter at any access is
+                    // ordinal+1, so the replay's
+                    // localDataSeq - count - 1 is this difference.
+                    local = e.ordinal - (mine.count - 1) - 1;
+                }
+            }
+            lane.localRd[e.ordinal - lane.memLo] = local;
+            lane.globalRd[e.ordinal - lane.memLo] = global;
+
+            mine.count = static_cast<uint64_t>(e.ordinal) + 1;
+            mine.seq = e.gseq;
+            meta.lastGlobalSeq = e.gseq;
+            if (e.isStore) {
+                meta.lastWriteSeq = e.gseq;
+                meta.lastWriter = tid;
+            }
+        } while (++lane.at != lane.end && lane.at->gseq < bound);
+        if (lane.at == lane.end) {
+            lane = lanes.back();
+            lanes.pop_back();
+        }
+    }
+}
+
+/** A chunk slice's columns, indexed by absolute record/branch index. */
+WindowCols
+windowCols(const ThreadChunk &tc)
+{
+    return WindowCols{{tc.data.op, tc.recLo},
+                      {tc.data.pc, tc.recLo},
+                      {tc.data.dep1, tc.recLo},
+                      {tc.data.dep2, tc.recLo},
+                      {tc.data.taken, static_cast<size_t>(tc.brLo)}};
+}
+
+/**
+ * Run the pipeline over @p src. @p chunkRecords == 0 means one window
+ * spanning the longest thread.
+ */
+WorkloadProfile
+streamProfile(StreamSource &src, WorkDeque &deque,
+              const ProfilerOptions &opts, uint64_t chunkRecords)
+{
+    const uint32_t num_threads = static_cast<uint32_t>(src.threads.size());
 
     WorkloadProfile profile;
-    profile.name = src.name();
+    profile.name = src.name;
     profile.numThreads = num_threads;
     profile.threads.resize(num_threads);
     profile.barrierPopulation = src.validateAndBarriers();
@@ -359,41 +532,40 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
     std::vector<SyncView> sync_views;
     sync_views.reserve(num_threads);
     uint64_t total_mems = 0;
-    for (uint32_t t = 0; t < num_threads; ++t) {
-        sync_views.push_back(src.sync(t));
-        RPPM_REQUIRE(src.numMems(t) < UINT32_MAX,
+    uint64_t longest = 1;
+    for (const SourceThread &th : src.threads) {
+        sync_views.push_back(th.sync);
+        RPPM_REQUIRE(th.mems < UINT32_MAX,
                      "trace thread exceeds 2^32 memory accesses");
-        total_mems += src.numMems(t);
+        total_mems += th.mems;
+        longest = std::max(longest, th.records);
     }
+    // No window needs to exceed the longest thread; the clamp also keeps
+    // prevCursor + chunk_records and the table presize below in range.
+    const uint64_t chunk_records =
+        chunkRecords == 0 ? longest : std::min(chunkRecords, longest);
 
-    WorkDeque deque(opts.jobs);
-
-    // Same shard geometry as the parallel engine (profiler_parallel.cc
-    // phase C); the per-shard LineTables here are *persistent*, carrying
+    // The shard count is pure execution policy — every count yields the
+    // same profile. The per-shard LineTables are *persistent*, carrying
     // line state across chunks so the per-chunk resolves compose to the
     // whole-trace merge.
     unsigned shardBits = 3;
     while ((1u << shardBits) < std::min(64u, deque.jobs() * 4))
         ++shardBits;
     const size_t numShards = size_t{1} << shardBits;
-    // Presize from the *chunk* size, not total_mems: the whole point of
-    // streaming is peak memory independent of trace length, and the
-    // tables grow on demand if the workload really touches more
-    // distinct lines than a couple of chunks' worth of accesses.
+    // Presize from the *chunk* size, not total_mems: peak memory must not
+    // grow with trace length, and the tables grow on demand if the
+    // workload really touches more distinct lines than a couple of
+    // chunks' worth of accesses.
     const uint64_t line_hint =
         std::min(total_mems, 2 * chunk_records * num_threads) / numShards;
-    std::vector<LineTable> shardLines;
-    shardLines.reserve(numShards);
-    for (size_t s = 0; s < numShards; ++s)
-        shardLines.emplace_back(num_threads, line_hint);
+    std::vector<std::unique_ptr<LineTable>> shardLines(numShards);
 
-    // The replayer's memory oracle: a rolling forward scan of the op
-    // column tracking the absolute sparse offsets reached so far. At
-    // every pause the un-scanned tail of a thread consists solely of
-    // sync slots (neutral: no mems, no branches), so the rolling totals
-    // are exact at every chunk edge.
+    // The replayer's memory oracle counts each run and tracks the
+    // absolute sparse offsets reached so far. Records between runs are
+    // sync slots (neutral: no mems, no branches), so the totals are
+    // exact at every chunk edge.
     ScheduleReplayer replayer(opts, sync_views, profile.barrierPopulation);
-    std::vector<size_t> scanPos(num_threads, 0);
     std::vector<uint64_t> memSoFar(num_threads, 0);
     std::vector<uint64_t> brSoFar(num_threads, 0);
     std::vector<size_t> prevCursor(num_threads, 0);
@@ -401,15 +573,14 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
     std::vector<uint64_t> prevBrHi(num_threads, 0);
     bool replayDone = false;
 
-    auto memCount = [&](uint32_t t, size_t, size_t hi) -> uint64_t {
+    auto memCount = [&](uint32_t t, size_t lo, size_t hi) -> uint64_t {
         const uint64_t before = memSoFar[t];
-        src.countRange(t, scanPos[t], hi, memSoFar[t], brSoFar[t]);
-        scanPos[t] = hi;
+        src.countRange(t, lo, hi, memSoFar[t], brSoFar[t]);
         return memSoFar[t] - before;
     };
 
     // Carried phase-E state, one per thread: the sweep cursor, and the
-    // instruction-line map the chunk stitches resolve against.
+    // instruction-line map the stitches resolve against.
     std::vector<SweepState> eCursor(num_threads);
     std::vector<InstrLineMap> carried(num_threads);
 
@@ -424,14 +595,13 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
         st.valid = false;
         if (replayDone)
             return false;
-        st.threads.clear();
-        st.threads.resize(num_threads);
+        st.threads = std::vector<ThreadChunk>(num_threads);
 
         std::vector<size_t> target(num_threads);
         for (uint32_t t = 0; t < num_threads; ++t) {
             target[t] = static_cast<size_t>(
                 std::min<uint64_t>(prevCursor[t] + chunk_records,
-                                   src.numRecords(t)));
+                                   src.threads[t].records));
         }
         // Never pause before the first slice: when every target is
         // already met (e.g. all remaining threads are recordless), the
@@ -457,6 +627,9 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
                 }
             },
             pause);
+        if (replayDone)
+            src.releaseIndex();
+        st.last = replayDone;
 
         bool any = false;
         for (uint32_t t = 0; t < num_threads; ++t) {
@@ -477,142 +650,99 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
                                 tc.brLo, tc.brHi);
             // Phase D scatters into these from multiple shard tasks;
             // allocate them here, before any task can run.
-            tc.localRd.resize(tc.memHi - tc.memLo);
-            tc.globalRd.resize(tc.memHi - tc.memLo);
+            const size_t mems = static_cast<size_t>(tc.memHi - tc.memLo);
+            tc.localRd = std::make_unique_for_overwrite<uint64_t[]>(mems);
+            tc.globalRd = std::make_unique_for_overwrite<uint64_t[]>(mems);
         }
         st.valid = any;
         return any;
     };
 
-    // --- Phase C of one chunk: shard-bucketed access emit, one task
-    //     per thread (identical math to the parallel engine, with run
-    //     memBase standing in for the memory prefix array).
+    // --- Phase C of one chunk: one emit task per thread.
     auto postEmit = [&](ChunkState &st, WorkDeque::Group &group) {
-        for (uint32_t t = 0; t < num_threads; ++t) {
-            ThreadChunk &tc = st.threads[t];
+        for (ThreadChunk &tc : st.threads) {
             if (tc.runs.empty())
                 continue;
-            deque.post(group, [&opts, &tc, numShards, shardBits] {
-                tc.buckets.resize(numShards);
-                const size_t expect =
-                    static_cast<size_t>(tc.memHi - tc.memLo) / numShards +
-                    16;
-                for (auto &bucket : tc.buckets)
-                    bucket.reserve(expect);
-                for (const Run &run : tc.runs) {
-                    uint64_t j = run.memBase;
-                    uint64_t gseq = run.gseqBase;
-                    for (size_t i = run.start; i < run.end; ++i) {
-                        const OpClass op = tc.data.op[i - tc.recLo];
-                        if (!isMemory(op))
-                            continue;
-                        const uint64_t line =
-                            tc.data.addr[j - tc.memLo] / opts.lineBytes;
-                        const size_t shard = static_cast<size_t>(
-                            mix64(line + 1) >> (64 - shardBits));
-                        tc.buckets[shard].push_back(AccessEntry{
-                            line, ++gseq, static_cast<uint32_t>(j),
-                            op == OpClass::Store});
-                        ++j;
-                    }
-                }
+            deque.post(group, [&opts, &tc, shardBits] {
+                emitAccesses(tc, opts, shardBits);
             });
         }
     };
 
-    // --- Phase D of one chunk: per-shard reuse resolution against the
-    //     persistent shard tables. Byte-for-byte the parallel engine's
-    //     merge: absolute gseqs make per-chunk in-order globally
-    //     in-order, absolute ordinals make the counts carry verbatim.
+    // --- Phase D of one chunk: one resolve task per shard. A shard's
+    //     line state is dead once the last chunk has resolved.
     auto postResolve = [&](ChunkState &st, WorkDeque::Group &group) {
         for (size_t s = 0; s < numShards; ++s) {
-            deque.post(group, [&st, &shardLines, &opts, num_threads, s] {
-                auto entries =
-                    [&](uint32_t t) -> std::vector<AccessEntry> & {
-                    return st.threads[t].buckets[s];
-                };
-                uint64_t shard_accesses = 0;
-                for (uint32_t t = 0; t < num_threads; ++t) {
-                    if (!st.threads[t].buckets.empty())
-                        shard_accesses += entries(t).size();
-                }
-                if (shard_accesses == 0)
-                    return;
-                LineTable &lines = shardLines[s];
-
-                std::vector<size_t> at(num_threads, 0);
-                for (uint64_t n = 0; n < shard_accesses; ++n) {
-                    uint32_t tid = UINT32_MAX;
-                    uint64_t best = UINT64_MAX;
-                    for (uint32_t t = 0; t < num_threads; ++t) {
-                        if (st.threads[t].buckets.empty())
-                            continue;
-                        if (at[t] < entries(t).size() &&
-                            entries(t)[at[t]].gseq < best) {
-                            best = entries(t)[at[t]].gseq;
-                            tid = t;
-                        }
-                    }
-                    const AccessEntry &e = entries(tid)[at[tid]++];
-
-                    const size_t slot = lines.slot(e.line);
-                    LineTable::Meta &meta = lines.meta(slot);
-                    LineTable::PerThread &mine =
-                        lines.perThread(slot, tid);
-
-                    uint64_t local = LogHistogram::kInfinity;
-                    uint64_t global = LogHistogram::kInfinity;
-                    if (meta.lastGlobalSeq != 0)
-                        global = e.gseq - meta.lastGlobalSeq - 1;
-                    if (mine.count != 0) {
-                        const bool invalidated =
-                            opts.detectInvalidation &&
-                            meta.lastWriteSeq > mine.seq &&
-                            meta.lastWriter != tid;
-                        if (!invalidated)
-                            local = e.ordinal - (mine.count - 1) - 1;
-                    }
-                    ThreadChunk &tc = st.threads[tid];
-                    tc.localRd[e.ordinal - tc.memLo] = local;
-                    tc.globalRd[e.ordinal - tc.memLo] = global;
-
-                    mine.count = static_cast<uint64_t>(e.ordinal) + 1;
-                    mine.seq = e.gseq;
-                    meta.lastGlobalSeq = e.gseq;
-                    if (e.isStore) {
-                        meta.lastWriteSeq = e.gseq;
-                        meta.lastWriter = tid;
-                    }
-                }
+            deque.post(group, [&st, &shardLines, &opts, line_hint, s] {
+                resolveShard(st, s, shardLines[s], line_hint, opts);
+                if (st.last)
+                    shardLines[s].reset();
             });
         }
     };
 
-    // --- Phase E of one chunk: the shared statistics sweep, one
-    //     segment per thread, cursor carried across chunks and stitched
-    //     in-task (chunks arrive in order; threads are independent).
-    auto postSweep = [&](ChunkState &st, WorkDeque::Group &group) {
+    // --- Phase E: sweep one segment of a thread's chunk slice. The task
+    //     that finishes the slice's last segment stitches all of them in
+    //     order and carries the exit cursor to the next chunk.
+    auto sweepSegment = [&](ThreadChunk &tc, uint32_t t, size_t s) {
+        Segment &sg = tc.segs[s];
+        const ReuseSpans rd{{tc.localRd.get(), tc.memLo},
+                            {tc.globalRd.get(), tc.memLo}};
+        sg.sweep = runSweepSegment(windowCols(tc), sync_views[t], opts,
+                                   sg.entry, rd, sg.lo, sg.hi);
+        if (tc.unswept.fetch_sub(1) != 1)
+            return;
+        eCursor[t] = tc.segs.back().sweep.exit;
+        for (Segment &done : tc.segs) {
+            stitchSweepSegment(profile.threads[t], carried[t],
+                               std::move(done.sweep));
+        }
+    };
+
+    // --- Phase E of one thread's chunk slice. A slice long enough to
+    //     split fans out into up to 4 x jobs segments: a dry-run of the
+    //     sweep's cursor arithmetic from the carried cursor (1-byte op
+    //     column reads, no statistics) pins each segment's entry state,
+    //     so the segments sweep concurrently. A shorter slice is one
+    //     segment, swept right here.
+    auto sweepSlice = [&](ThreadChunk &tc, uint32_t t) {
+        tc.buckets = {}; // phase D's input, dead from here on
+        const size_t n = tc.recHi - tc.recLo;
+        size_t numSegs = 1;
+        if (deque.jobs() > 1 && n >= 2 * kMinSegmentRecords) {
+            numSegs = std::min<size_t>(size_t{4} * deque.jobs(),
+                                       n / kMinSegmentRecords);
+        }
+        tc.segs.resize(numSegs);
+        tc.unswept = numSegs;
+        const WindowCols wc = windowCols(tc);
+        SweepState cursor = eCursor[t];
+        for (size_t s = 0; s < numSegs; ++s) {
+            Segment &sg = tc.segs[s];
+            sg.lo = tc.recLo + n * s / numSegs;
+            sg.hi = tc.recLo + n * (s + 1) / numSegs;
+            sg.entry = cursor;
+            if (numSegs == 1) {
+                sweepSegment(tc, t, s);
+            } else {
+                deque.post(eGroup, [&sweepSegment, &tc, t, s] {
+                    sweepSegment(tc, t, s);
+                });
+            }
+            if (s + 1 < numSegs) {
+                advanceSweepCursor(wc, sync_views[t], opts, cursor, sg.lo,
+                                   sg.hi);
+            }
+        }
+    };
+
+    auto postSweep = [&](ChunkState &st) {
         for (uint32_t t = 0; t < num_threads; ++t) {
             ThreadChunk &tc = st.threads[t];
-            if (tc.recLo == tc.recHi)
-                continue;
-            deque.post(group, [&sync_views, &opts, &profile, &eCursor,
-                               &carried, &tc, t] {
-                const WindowCols wc{{tc.data.op, tc.recLo},
-                                    {tc.data.pc, tc.recLo},
-                                    {tc.data.dep1, tc.recLo},
-                                    {tc.data.dep2, tc.recLo},
-                                    {tc.data.taken,
-                                     static_cast<size_t>(tc.brLo)}};
-                const ReuseSpans rd{{tc.localRd.data(), tc.memLo},
-                                    {tc.globalRd.data(), tc.memLo}};
-                SegmentSweep seg =
-                    runSweepSegment(wc, sync_views[t], opts, eCursor[t],
-                                    rd, tc.recLo, tc.recHi);
-                eCursor[t] = seg.exit;
-                stitchSweepSegment(profile.threads[t], carried[t],
-                                   std::move(seg));
-            });
+            if (tc.recLo != tc.recHi) {
+                deque.post(eGroup,
+                           [&sweepSlice, &tc, t] { sweepSlice(tc, t); });
+            }
         }
     };
 
@@ -636,9 +766,9 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
                 postEmit(nxt, cGroup[(k + 1) & 1]);
             postResolve(cur, dGroup);
             deque.wait(dGroup);
-            postSweep(cur, eGroup);
+            postSweep(cur);
             deque.wait(eGroup);
-            cur = ChunkState{}; // release windows, buckets, rd arrays
+            cur = ChunkState{}; // release windows, rd arrays, segments
             ++k;
         }
     } catch (...) {
@@ -654,19 +784,20 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
         throw;
     }
 
-    // The scan is the only pass that sees every record of a file-backed
-    // trace; cross-check it against the declared sparse column lengths
-    // (the resident loaders validate the same properties up front).
+    // For a file-backed trace the counts come from the only pass that
+    // sees every run record; cross-check them against the declared
+    // sparse column lengths (resident traces are validated up front).
     for (uint32_t t = 0; t < num_threads; ++t) {
-        RPPM_REQUIRE(memSoFar[t] == src.numMems(t),
+        RPPM_REQUIRE(memSoFar[t] == src.threads[t].mems,
                      "addr column length does not match memory op count");
-        RPPM_REQUIRE(brSoFar[t] == src.numBranches(t),
+        RPPM_REQUIRE(brSoFar[t] == src.threads[t].branches,
                      "taken column length does not match branch count");
         // A thread with no records still owns one (empty) epoch.
         if (profile.threads[t].epochs.empty())
             profile.threads[t].epochs.emplace_back();
     }
 
+    // --- Phase F: synchronization aggregates (order-independent).
     classifySyncProfile(profile, sync_views);
     return profile;
 }
@@ -674,19 +805,31 @@ streamProfile(StreamSource &src, const ProfilerOptions &opts)
 } // namespace
 
 WorkloadProfile
-profileWorkloadStreaming(const ColumnarTrace &trace,
-                         const ProfilerOptions &opts)
+profileWorkload(const ColumnarTrace &trace, const ProfilerOptions &opts)
 {
-    MemorySource src(trace);
-    return streamProfile(src, opts);
+    // Neither jobs nor streamChunkRecords enters the ProfileCache key
+    // (study/profile_cache.cc): both are pure execution policy.
+    WorkDeque deque(opts.jobs);
+    MemorySource src(trace, deque);
+    return streamProfile(src, deque, opts, opts.streamChunkRecords);
+}
+
+WorkloadProfile
+profileWorkload(const WorkloadTrace &trace, const ProfilerOptions &opts)
+{
+    return profileWorkload(ColumnarTrace::fromWorkload(trace), opts);
 }
 
 WorkloadProfile
 profileWorkloadStreamingFile(const std::string &path,
                              const ProfilerOptions &opts)
 {
+    WorkDeque deque(opts.jobs);
     FileSource src(path);
-    return streamProfile(src, opts);
+    return streamProfile(src, deque, opts,
+                         opts.streamChunkRecords > 0 ?
+                             opts.streamChunkRecords :
+                             kDefaultStreamChunkRecords);
 }
 
 } // namespace rppm

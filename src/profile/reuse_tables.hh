@@ -1,23 +1,20 @@
 /**
  * @file
- * Open-addressing state tables shared by the epoch-sharded and
- * streaming profilers (internal header).
+ * Open-addressing state tables of the profiler engine (internal header).
  *
  * The profiler's hot per-line and per-PC state lives in open-addressing
- * tables with flat storage instead of std::unordered_map nodes. Both
- * engines keep one LineTable per line-hash shard (the streaming engine
- * carries its shard tables across chunks) — the table layout and
- * probing are identical, which is part of why the two engines produce
- * bit-identical profiles.
+ * tables with flat storage instead of std::unordered_map nodes. The
+ * engine keeps one LineTable per line-hash shard and carries it across
+ * chunks.
  *
  * Thread-safety contract: these tables are deliberately NOT internally
  * synchronized and carry no RPPM_GUARDED_BY annotations — each instance
  * is owned by exactly one thread at a time. Each shard's table belongs
  * to exactly one phase-D task at a time (shard index = high mix64 bits
  * of the line key, so two workers can never reach the same table), and
- * each thread's InstrLineMap to that thread's sequential stitch. Sharing
- * one table across threads is a bug; guard it with rppm::Mutex and
- * annotate if a future engine ever needs to.
+ * each thread's InstrLineMap to the one task stitching that thread's
+ * segments. Sharing one table across threads is a bug; guard it with
+ * rppm::Mutex and annotate if a future engine ever needs to.
  */
 
 #ifndef RPPM_PROFILE_REUSE_TABLES_HH

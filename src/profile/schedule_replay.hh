@@ -1,23 +1,21 @@
 /**
  * @file
- * Pausable round-robin schedule replayer (internal, shared by the
- * epoch-sharded and streaming engines).
+ * Pausable round-robin schedule replayer (internal; phase B of the
+ * profiler engine, profiler_stream.cc).
  *
- * Phase B of both engines: replay the profiler's round-robin quantum
- * scheduler using only the sparse sync columns plus a caller-supplied
- * memory-count oracle. The loop structure mirrors the reference replay
- * of profileWorkloadLegacy() (profiler_legacy.cc) exactly — same
- * quantum accounting, same step clock driving SyncState, same deadlock
- * check — minus all per-record work, so it costs O(#runs + #sync)
- * instead of O(#records). Its output
+ * Replay the profiler's round-robin quantum scheduler using only the
+ * sparse sync columns plus a caller-supplied memory-count oracle. The
+ * loop structure mirrors the reference replay of profileWorkloadLegacy()
+ * (profiler_legacy.cc) exactly — same quantum accounting, same step
+ * clock driving SyncState, same deadlock check — minus all per-record
+ * work, so it costs O(#runs + #sync) instead of O(#records). Its output
  * is the exact global interleaving: for every run of micro-ops, the
  * global-sequence number its first memory access will receive.
  *
- * Unlike the original one-shot helper, the replayer is *pausable*: the
- * streaming engine advances it in chunk-sized slices, pausing between
- * quantum slices (never inside a run), so every emitted run lies
- * entirely within one chunk and chunk boundaries are exact run
- * boundaries. The parallel engine simply never pauses. Because the
+ * The replayer is *pausable*: the engine advances it in chunk-sized
+ * slices, pausing between quantum slices (never inside a run), so every
+ * emitted run lies entirely within one chunk and chunk boundaries are
+ * exact run boundaries; a one-window profile never pauses. Because the
  * replay state (cursors, SyncState, global sequence, step clock) is
  * carried across pauses, the schedule — and therefore the profile — is
  * invariant under the chunk size.
@@ -69,7 +67,7 @@ class ScheduleReplayer
      *        schedule order; the run's memory accesses receive global
      *        sequence numbers gseqBase+1 .. gseqBase+mem. Runs with
      *        mem == 0 are reported too (callers tracking record
-     *        coverage need them; the parallel engine just filters).
+     *        coverage need them).
      * @param pause checked before picking the next thread; return true
      *        to suspend. The replayer resumes exactly where it left off
      *        on the next advance() call.
@@ -141,10 +139,8 @@ class ScheduleReplayer
         return true;
     }
 
-    bool done() const { return live_ == 0; }
-
     /** Record cursor of thread @p t. Between advance() calls this is
-     *  always a run/sync boundary — the streaming engine's chunk edges. */
+     *  always a run/sync boundary — the engine's chunk edges. */
     size_t recordCursor(uint32_t t) const { return cur_[t].next; }
 
   private:

@@ -1,15 +1,13 @@
 /**
  * @file
- * The one statistics sweep shared by both profiler engines (internal).
+ * The profiler engine's statistics sweep, phase E of profiler_stream.cc
+ * (internal).
  *
  * The per-record statistics loop — instruction mix, dependence
  * distances, instruction-stream reuse, micro-trace sampling, branch
  * entropy, load gaps, pointer-chase detection — exists exactly once,
- * here. Both engines resolve memory reuse distances ahead of the sweep
- * (their phase D) and hand them in as ReuseSpans; everything else in the
- * loop is shared, which is what pins the epoch-sharded engine
- * (profiler_parallel.cc) and the streaming engine (profiler_stream.cc)
- * byte-identical by construction.
+ * here. The engine resolves memory reuse distances ahead of the sweep
+ * (its phase D) and hands them in as ReuseSpans.
  *
  * The sweep is *segmented*: a thread's record range is split at
  * arbitrary record boundaries, each segment is swept independently from
@@ -19,10 +17,9 @@
  * thread's long-lived InstrLineMap) and micro-trace windows left open at
  * the boundary. Stitching is exact, not approximate: histogram adds
  * commute, so resolving a first touch after the fact produces the same
- * buckets an unsegmented sweep would have. The sharded engine uses
- * segments to scale phase E past the workload's thread count; the
- * streaming engine uses one segment per (chunk, thread) with the cursor
- * carried across chunks.
+ * buckets an unsegmented sweep would have. The engine carries the
+ * cursor across chunks, and splits a long chunk slice into segments to
+ * scale phase E past the workload's thread count.
  */
 
 #ifndef RPPM_PROFILE_STAT_SWEEP_HH
@@ -45,7 +42,7 @@
 
 namespace rppm {
 
-/** Ring size for load->load dependence detection (all engines). */
+/** Ring size for load->load dependence detection. */
 constexpr size_t kSweepRecentOps = 512;
 
 /**
@@ -54,7 +51,7 @@ constexpr size_t kSweepRecentOps = 512;
  * statistics the uninterrupted sweep would emit from i on — that is the
  * whole carried-state handoff contract of segmented and chunked sweeps.
  * All cursors are absolute (indices into the thread's full columns);
- * windowed engines translate via OffsetSpan, not by resetting cursors.
+ * chunk windows translate via OffsetSpan, not by resetting cursors.
  */
 struct SweepState
 {
@@ -99,8 +96,8 @@ syncView(const ThreadColumns &cols)
 
 /**
  * A pointer that answers absolute record indices for a mapped window:
- * span[i] reads element i - base of the underlying slice. Lets windowed
- * engines keep every SweepState cursor absolute.
+ * span[i] reads element i - base of the underlying slice. Lets chunk
+ * windows keep every SweepState cursor absolute.
  */
 template <typename T>
 struct OffsetSpan
@@ -111,7 +108,7 @@ struct OffsetSpan
     const T &operator[](size_t i) const { return p[i - base]; }
 };
 
-/** Column bundle for windowed sweeps (streaming chunks). */
+/** Column bundle for windowed sweeps (one chunk slice). */
 struct WindowCols
 {
     OffsetSpan<OpClass> op;
@@ -122,7 +119,7 @@ struct WindowCols
 };
 
 /** Pre-resolved reuse distances of one thread's memory accesses (the
- *  engines' phase D output), indexed by absolute sparse addr index. */
+ *  engine's phase D output), indexed by absolute sparse addr index. */
 struct ReuseSpans
 {
     OffsetSpan<uint64_t> local;
@@ -152,7 +149,7 @@ struct SegmentSweep
     /** Entry cursor had an open micro-trace window: the segment's first
      *  micro-trace extends the thread's currently open one. */
     bool firstTraceContinues = false;
-    /** Cursor after the segment (chunked engines carry it forward). */
+    /** Cursor after the segment (carried into the next chunk). */
     SweepState exit;
 };
 
@@ -172,9 +169,8 @@ struct SegmentSweep
  *             statistics, and instruction lines first fetched in the
  *             segment become pendings for the stitcher
  */
-template <typename Cols>
-void
-sweepRun(const Cols &cols, const ProfilerOptions &opts, ReuseSpans rd,
+inline void
+sweepRun(const WindowCols &cols, const ProfilerOptions &opts, ReuseSpans rd,
          SweepState &ts, SegmentSweep &seg, size_t start, size_t end)
 {
     EpochProfile &ep = seg.epochs.back();
@@ -317,9 +313,8 @@ sweepRun(const Cols &cols, const ProfilerOptions &opts, ReuseSpans rd,
  * arithmetic — without emitting any statistics. O(records) over the
  * 1-byte op column; this is how segment entry cursors are computed.
  */
-template <typename Cols>
-void
-advanceSweepCursor(const Cols &cols, const SyncView &sync,
+inline void
+advanceSweepCursor(const WindowCols &cols, const SyncView &sync,
                    const ProfilerOptions &opts, SweepState &ts, size_t lo,
                    size_t hi)
 {
@@ -370,9 +365,8 @@ advanceSweepCursor(const Cols &cols, const SyncView &sync,
  * Pure function of (columns, options, entry, rd): segments can run on
  * any worker in any order.
  */
-template <typename Cols>
-SegmentSweep
-runSweepSegment(const Cols &cols, const SyncView &sync,
+inline SegmentSweep
+runSweepSegment(const WindowCols &cols, const SyncView &sync,
                 const ProfilerOptions &opts, const SweepState &entry,
                 ReuseSpans rd, size_t lo, size_t hi)
 {
@@ -392,7 +386,7 @@ runSweepSegment(const Cols &cols, const SyncView &sync,
         if (i == next_sync) {
             const SyncType type = sync.type[ts.syncIdx];
             const uint32_t arg = sync.arg[ts.syncIdx];
-            // Windowed engines skip whole-column validation; re-assert
+            // File-backed chunks skip whole-column validation; re-assert
             // the sync-slot neutrality invariant the sweep relies on
             // here, where it costs O(#sync) instead of O(records).
             RPPM_REQUIRE(cols.op[i] == OpClass::IntAlu &&
@@ -504,7 +498,7 @@ stitchSweepSegment(ThreadProfile &tp, InstrLineMap &carried,
 }
 
 /**
- * Phase F of every engine: synchronization counts and condvar
+ * Phase F of the engine: synchronization counts and condvar
  * classification from the sparse sync columns (order-independent
  * aggregates, paper Sec. III-B).
  */
@@ -560,17 +554,6 @@ classifySyncProfile(WorkloadProfile &profile,
             CondVarClass::BarrierLike : CondVarClass::ProducerConsumer;
     }
 }
-
-/** The epoch-sharded engine (profiler_parallel.cc) on opts.jobs workers;
- *  jobs == 1 runs it serially. Reached through profileWorkload(). */
-WorkloadProfile profileWorkloadParallel(const ColumnarTrace &trace,
-                                        const ProfilerOptions &opts);
-
-/** The chunked streaming engine over a resident trace
- *  (profiler_stream.cc). Reached through profileWorkload() when
- *  opts.streamChunkRecords > 0. */
-WorkloadProfile profileWorkloadStreaming(const ColumnarTrace &trace,
-                                         const ProfilerOptions &opts);
 
 } // namespace rppm
 

@@ -10,7 +10,7 @@
  * held", "is the queue empty" — all order-determined); only release
  * *times* carry clock values. That makes the whole global interleaving
  * replayable from the sparse sync columns alone, exactly like the
- * parallel profiler (profile/profiler_parallel.cc), and the engine
+ * profiler engine (profile/profiler_stream.cc), and the engine
  * decomposes into phases whose parallel grains are independent by
  * construction:
  *

@@ -15,12 +15,12 @@ profilerOptionsKey(const ProfilerOptions &opts)
 {
     // Only the options that shape profile *content* enter the key.
     // opts.jobs and opts.streamChunkRecords are deliberately absent:
-    // the sharded and streaming engines are bit-identical to each other
-    // for every job count and chunk size, so a cached artifact
-    // must serve all of them — profiling with 8 workers and re-reading
-    // with 1, or streaming out-of-core and re-reading in-memory, is the
-    // same profile, same key, same bytes (asserted by
-    // tests/test_profile_parallel.cc and test_profile_streaming.cc).
+    // the profiler is bit-identical for every job count and chunk size,
+    // so a cached artifact must serve all of them — profiling with 8
+    // workers and re-reading with 1, or streaming out-of-core and
+    // re-reading in-memory, is the same profile, same key, same bytes
+    // (asserted by tests/test_profile_parallel.cc and
+    // test_profile_streaming.cc).
     std::ostringstream key;
     key << "mtl" << opts.microTraceLength
         << "-mti" << opts.microTraceInterval

@@ -34,11 +34,12 @@ class ProfileCache;
 
 /**
  * File-backed sources at or above this size are profiled out-of-core by
- * default (profile() routes to the streaming engine with the default
- * chunk size unless the caller pinned streamChunkRecords). 256 MiB of
- * columns is where materializing the whole trace starts to contend with
- * the profiler's own working set on small machines; below it the
- * in-memory epoch-sharded engine wins on constant factors.
+ * default (profile() streams the file in chunks of the default size
+ * unless the caller pinned streamChunkRecords). 256 MiB of columns is
+ * where materializing the whole trace starts to contend with the
+ * profiler's own working set on small machines; below it the mapped
+ * trace, profiled as one window with an O(1) run index, wins on constant
+ * factors.
  */
 constexpr uint64_t kStreamFileBytesThreshold = uint64_t{256} << 20;
 

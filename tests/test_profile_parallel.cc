@@ -1,12 +1,13 @@
 /**
  * @file
- * Differential tests for the epoch-sharded profiler.
+ * Differential tests for the profiler engine across job counts.
  *
  * The contract under test is absolute: profileWorkload() must produce a
  * profile *bit-identical* to the multi-pass reference
  * profileWorkloadLegacy() — same histograms, same micro-traces, same
  * epoch structure, same synchronization classification — for every job
- * count (jobs == 1 runs the sharded engine serially), on every kernel of
+ * count (jobs == 1 runs the engine serially), with the trace profiled as
+ * one window (streamChunkRecords == 0), on every kernel of
  * the workload suite, under custom profiler options, and through the
  * ProfileCache (same key, same serialized bytes, regardless of how many
  * profile workers produced the artifact). Equality is asserted through
@@ -60,10 +61,10 @@ const unsigned kJobCounts[] = {1, 2, 4, 7};
 
 TEST(ParallelProfiler, BitIdenticalOnEveryKernelForEveryJobCount)
 {
-    // The tentpole guarantee: on all 26 suite kernels, the sharded
-    // engine's profile serializes byte-for-byte identically to the
-    // legacy reference's, for every tested job count (including the
-    // serial execution of the sharded engine, jobs = 1).
+    // The central guarantee: on all 26 suite kernels, the one-window
+    // profile serializes byte-for-byte identically to the legacy
+    // reference's, for every tested job count (including the serial
+    // run, jobs = 1).
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
         const WorkloadTrace trace = generateWorkload(spec);

@@ -1,9 +1,9 @@
 /**
  * @file
- * Differential tests for the out-of-core streaming profiler.
+ * Differential tests for the profiler engine across chunk sizes.
  *
- * The contract under test is the same absolute one the epoch-sharded
- * engine carries: profileWorkload() with streamChunkRecords > 0 — and
+ * The contract under test is the same absolute one the one-window
+ * profile carries: profileWorkload() with streamChunkRecords > 0 — and
  * the file-backed profileWorkloadStreamingFile(), which never
  * materializes the trace — must produce a profile *bit-identical* to
  * the multi-pass reference profileWorkloadLegacy() for every chunk size
@@ -12,7 +12,7 @@
  * reference text, computed once per kernel and option set. On top of
  * the identity sweep: structural rejection of truncated/corrupt trace
  * files at every prefix length, chunk-size exclusion from the profile
- * cache key, and artifact identity across both engines.
+ * cache key, and artifact identity between one-window and chunked runs.
  */
 
 #include <gtest/gtest.h>
@@ -51,9 +51,12 @@ richSpec(const char *name = "stream-test")
 }
 
 /** Chunk targets: degenerate (every chunk is a single quantum slice),
- *  small (thousands of chunks on suite kernels), and larger than any
- *  test trace (the whole trace is one chunk). */
-const uint64_t kChunkSizes[] = {1, 4096, uint64_t{1} << 30};
+ *  small (thousands of chunks on suite kernels), three segments' worth
+ *  (suite kernels span several chunks, and at jobs 2 and 4 each
+ *  full-length chunk slice splits into three concurrently swept
+ *  segments), and larger than any test trace (the whole trace is one
+ *  chunk). */
+const uint64_t kChunkSizes[] = {1, 4096, 12288, uint64_t{1} << 30};
 const unsigned kJobCounts[] = {1, 2, 4};
 
 class TempTraceFile
@@ -257,7 +260,7 @@ TEST(StreamingProfiler, FileBackedWorkloadSource)
 
 TEST(StreamingProfiler, ChunkSizeStaysOutOfTheCacheKey)
 {
-    // "Profile once" must hold across engines: the cache key carries
+    // "Profile once" must hold across chunk sizes: the cache key carries
     // options that shape profile content; the chunk size (like the job
     // count) is pure execution policy.
     ProfilerOptions a, b, c;
@@ -270,9 +273,9 @@ TEST(StreamingProfiler, ChunkSizeStaysOutOfTheCacheKey)
 
 TEST(StreamingProfiler, CacheArtifactIdenticalAcrossEngines)
 {
-    // A ProfileCache fed by the streaming engine must produce the same
-    // artifact — same path (key), same bytes — as one fed by the
-    // in-memory engine, and the in-memory artifact must serve streaming
+    // A ProfileCache fed by a chunked run must produce the same
+    // artifact — same path (key), same bytes — as one fed by a
+    // one-window run, and the one-window artifact must serve chunked
     // requests.
     const auto dir = std::filesystem::temp_directory_path() /
         "rppm-stream-cache-test";
@@ -294,8 +297,8 @@ TEST(StreamingProfiler, CacheArtifactIdenticalAcrossEngines)
     EXPECT_EQ(cacheA.pathFor(spec.name, memory),
               cacheA.pathFor(spec.name, stream));
 
-    // Fresh cache, same directory, streaming request: disk hit off the
-    // in-memory artifact, identical content.
+    // Fresh cache, same directory, chunked request: disk hit off the
+    // one-window artifact, identical content.
     ProfileCache cacheB;
     cacheB.setDirectory(dir.string());
     const auto fromStream = cacheB.getOrCompute(

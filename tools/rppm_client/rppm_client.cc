@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "arch/config.hh"
+#include "cli_flags.hh"
 #include "server/client.hh"
 #include "study/study.hh"
 #include "trace/trace_io.hh"
@@ -161,8 +162,8 @@ main(int argc, char **argv)
         else if (arg == "--configs")
             opts.configSet = value();
         else if (arg == "--deadline-ms")
-            opts.deadlineMs =
-                static_cast<uint32_t>(std::strtoul(value(), nullptr, 10));
+            opts.deadlineMs = rppm::cli::flagValue<uint32_t>(
+                "rppm_client", arg, value());
         else if (arg == "--local")
             opts.local = true;
         else if (arg == "--shutdown")

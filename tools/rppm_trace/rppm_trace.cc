@@ -26,10 +26,10 @@
  *
  *   profile FILE [--engine memory|streaming] [--stream-chunk N]
  *           [--jobs N] [--mti N]
- *     Profile the trace with the chosen engine and print a short
- *     summary. The memory engine maps the whole file and runs
- *     profileWorkload() on --jobs workers; the streaming engine reads it
- *     in chunks — under `ulimit -v` the former dies where the latter
+ *     Profile the trace from the chosen source and print a short
+ *     summary. `memory` maps the whole file and runs profileWorkload()
+ *     on --jobs workers; `streaming` runs the same engine over chunked
+ *     file reads — under `ulimit -v` the former dies where the latter
  *     succeeds, which is exactly what the CI memory-cap job asserts.
  */
 
@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_flags.hh"
 #include "common/binio.hh"
 #include "common/crc32c.hh"
 #include "common/mmap.hh"
@@ -402,24 +403,28 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Numeric flags parse strictly into the field's own type.
+        const auto number = [&](auto field) {
+            return cli::flagValue<decltype(field)>("rppm_trace", arg,
+                                                   value());
+        };
         if (arg == "--records")
-            records = std::strtoull(value(), nullptr, 10);
+            records = number(records);
         else if (arg == "--sync-period")
-            syncPeriod = std::strtoull(value(), nullptr, 10);
+            syncPeriod = number(syncPeriod);
         else if (arg == "--name")
             name = value();
         else if (arg == "--engine")
             engine = value();
         else if (arg == "--stream-chunk")
-            opts.streamChunkRecords = std::strtoull(value(), nullptr, 10);
+            opts.streamChunkRecords = number(opts.streamChunkRecords);
         else if (arg == "--jobs")
-            opts.jobs =
-                static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+            opts.jobs = number(opts.jobs);
         else if (arg == "--mti")
-            opts.microTraceInterval = std::strtoull(value(), nullptr, 10);
+            opts.microTraceInterval = number(opts.microTraceInterval);
         else if (arg == "--corrupt-at")
-            corruptAt = static_cast<int64_t>(
-                std::strtoll(value(), nullptr, 10));
+            corruptAt = static_cast<int64_t>(cli::flagValue<uint64_t>(
+                "rppm_trace", arg, value(), INT64_MAX));
         else
             return usage();
     }

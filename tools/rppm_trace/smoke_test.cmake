@@ -1,5 +1,6 @@
-# Round-trip smoke for rppm_trace: synth -> info -> profile with both
-# engines, which must print the same summary. Invoked by CTest (see
+# Round-trip smoke for rppm_trace: synth -> info -> profile from memory
+# and streamed from the file, which must print the same summary; then
+# malformed numeric flags must be rejected. Invoked by CTest (see
 # CMakeLists.txt).
 set(trace "${WORK_DIR}/smoke.rppmtrc")
 
@@ -29,9 +30,20 @@ run(${RPPM_TRACE} info ${trace})
 profile_summary(memory --engine memory --jobs 2)
 profile_summary(streaming --engine streaming --stream-chunk 4096 --jobs 2)
 if(NOT memory STREQUAL streaming)
-    message(FATAL_ERROR "engines disagree:\n  memory:    ${memory}"
+    message(FATAL_ERROR "sources disagree:\n  memory:    ${memory}"
                         "  streaming: ${streaming}")
 endif()
-message(STATUS "both engines: ${memory}")
+message(STATUS "both sources: ${memory}")
+
+# Malformed numeric flags are usage errors (exit 2), never a silently
+# truncated number.
+foreach(bad "--stream-chunk;4k" "--jobs;two")
+    execute_process(COMMAND ${RPPM_TRACE} profile ${trace} ${bad}
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+    if(NOT rc EQUAL 2)
+        list(JOIN bad " " flag)
+        message(FATAL_ERROR "profile ${flag} exited ${rc}, expected 2")
+    endif()
+endforeach()
 
 file(REMOVE ${trace})

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <string>
 
+#include "cli_flags.hh"
 #include "common/fault.hh"
 #include "server/server.hh"
 
@@ -95,32 +96,33 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // Numeric flags parse strictly into the field's own type.
+        const auto number = [&](auto field) {
+            return rppm::cli::flagValue<decltype(field)>("rppmd", arg,
+                                                         value());
+        };
         if (arg == "--socket")
             opts.socketPath = value();
         else if (arg == "--profile-dir")
             opts.profileDirectory = value();
         else if (arg == "--max-profile-bytes")
-            opts.maxProfileBytes = std::strtoull(value(), nullptr, 10);
+            opts.maxProfileBytes = number(opts.maxProfileBytes);
         else if (arg == "--max-memo-bytes")
-            opts.maxMemoBytes = std::strtoull(value(), nullptr, 10);
+            opts.maxMemoBytes = number(opts.maxMemoBytes);
         else if (arg == "--workers")
-            opts.workers =
-                static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+            opts.workers = number(opts.workers);
         else if (arg == "--jobs")
-            opts.jobs =
-                static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+            opts.jobs = number(opts.jobs);
         else if (arg == "--stream-chunk")
-            opts.streamChunkRecords = std::strtoull(value(), nullptr, 10);
+            opts.streamChunkRecords = number(opts.streamChunkRecords);
         else if (arg == "--idle-timeout")
-            opts.idleTimeoutSec =
-                static_cast<unsigned>(std::strtoul(value(), nullptr, 10));
+            opts.idleTimeoutSec = number(opts.idleTimeoutSec);
         else if (arg == "--max-queued-cells")
-            opts.maxQueuedCells = std::strtoull(value(), nullptr, 10);
+            opts.maxQueuedCells = number(opts.maxQueuedCells);
         else if (arg == "--busy-retry-ms")
-            opts.busyRetryMs =
-                static_cast<uint32_t>(std::strtoul(value(), nullptr, 10));
+            opts.busyRetryMs = number(opts.busyRetryMs);
         else if (arg == "--max-resident-bytes")
-            opts.maxResidentBytes = std::strtoull(value(), nullptr, 10);
+            opts.maxResidentBytes = number(opts.maxResidentBytes);
         else if (arg == "--fault-plan") {
             try {
                 rppm::fault::installPlan(value());
