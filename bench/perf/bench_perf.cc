@@ -54,6 +54,11 @@
  * medianOfInterleaved) so machine-speed drift cancels out of the
  * ratios.
  *
+ * rppm_vs_sim = sim_ms / predict_ms (per kernel and as a geomean) is
+ * the paper's Sec. VII claim: the cost of one more simulated design
+ * point over one more predicted one. It is printed and recorded, not
+ * gated.
+ *
  * The grid phases evaluate the standard sweep grid — the Table-IV design
  * points, a per-core DVFS ladder on Base and every distinct thread
  * placement on a 2+2 big.LITTLE machine — end to end through a cold
@@ -148,6 +153,7 @@ struct KernelResult
     double gridSpeedup = 0.0;
     double serveSpeedup = 0.0;
     double streamOverhead = 0.0;
+    double rppmVsSim = 0.0;
 
     double
     nsPerOp(const std::string &metric) const
@@ -368,6 +374,9 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
         std::fprintf(stderr, "warning: parallel/legacy sim mismatch\n");
     result.simSpeedup = result.ms["sim_legacy"] / result.ms["sim"];
     result.simParSpeedup = result.ms["sim"] / result.ms["sim_par"];
+    // What one more predicted design point saves over simulating it
+    // (paper Sec. VII): > 1 means predict() is the cheaper answer.
+    result.rppmVsSim = result.ms["sim"] / result.ms["predict"];
 
     // Full facade path over the standard sweep grid: fresh Study per
     // repeat (profiling included) so the numbers reflect what a cold
@@ -514,7 +523,8 @@ resultsToJson(const std::vector<KernelResult> &results, double scale,
            << "      \"sim_speedup\": " << r.simSpeedup << ",\n"
            << "      \"sim_par_speedup\": " << r.simParSpeedup << ",\n"
            << "      \"grid_speedup\": " << r.gridSpeedup << ",\n"
-           << "      \"serve_speedup\": " << r.serveSpeedup << "\n"
+           << "      \"serve_speedup\": " << r.serveSpeedup << ",\n"
+           << "      \"rppm_vs_sim\": " << r.rppmVsSim << "\n"
            << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     // Geomean summary across the measured kernel set, precomputed so
@@ -567,6 +577,11 @@ resultsToJson(const std::vector<KernelResult> &results, double scale,
        << "    \"serve_speedup_geomean\": "
        << geomean(results, [](const KernelResult &r) {
               return r.serveSpeedup;
+          })
+       << ",\n"
+       << "    \"rppm_vs_sim_geomean\": "
+       << geomean(results, [](const KernelResult &r) {
+              return r.rppmVsSim;
           })
        << "\n  }\n}\n";
     return os.str();
@@ -1013,7 +1028,8 @@ main(int argc, char **argv)
                     "(legacy %7.1fms, %.2fx; par %7.1fms, %.2fx; stream "
                     "%7.1fms, %.2fx) "
                     "sim=%7.1fms (legacy %7.1fms, %.2fx; par %7.1fms, "
-                    "%.2fx) predict=%6.2fms grid=%7.1fms (memo %7.1fms, "
+                    "%.2fx) predict=%6.2fms (rppm_vs_sim %.2fx) "
+                    "grid=%7.1fms (memo %7.1fms, "
                     "%.2fx) cold=%7.1fms serve=%6.1fms (%.2fx)\n",
                     r.name.c_str(),
                     static_cast<unsigned long long>(r.ops), r.ms["build"],
@@ -1022,7 +1038,7 @@ main(int argc, char **argv)
                     r.profileParSpeedup, r.ms["profile_stream"],
                     r.streamOverhead, r.ms["sim"], r.ms["sim_legacy"],
                     r.simSpeedup, r.ms["sim_par"], r.simParSpeedup,
-                    r.ms["predict"], r.ms["grid"],
+                    r.ms["predict"], r.rppmVsSim, r.ms["grid"],
                     r.ms["grid_memo"], r.gridSpeedup, r.ms["study_cold"],
                     r.ms["serve_warm"], r.serveSpeedup);
         results.push_back(std::move(r));
@@ -1032,7 +1048,7 @@ main(int argc, char **argv)
                 "%.2fx | sim_speedup "
                 "%.2fx | sim_par_speedup %.2fx | grid_speedup "
                 "%.2fx | study_cold %.1fms | serve_warm %.1fms "
-                "(%.2fx)\n",
+                "(%.2fx) | rppm_vs_sim %.2fx\n",
                 geomean(results, [](const KernelResult &r) {
                     return r.profileSpeedup;
                 }),
@@ -1062,6 +1078,9 @@ main(int argc, char **argv)
                 }),
                 geomean(results, [](const KernelResult &r) {
                     return r.serveSpeedup;
+                }),
+                geomean(results, [](const KernelResult &r) {
+                    return r.rppmVsSim;
                 }));
 
     const std::string json = resultsToJson(results, scale, repeat, jobs);

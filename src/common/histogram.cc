@@ -10,12 +10,6 @@ LogHistogram::LogHistogram() : infinite_(0), totalFinite_(0)
     // hold many per-epoch histograms and most of them stay empty.
 }
 
-size_t
-LogHistogram::numBuckets()
-{
-    return kTotalBuckets;
-}
-
 uint64_t
 LogHistogram::bucketLo(size_t index)
 {

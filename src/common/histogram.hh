@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace rppm {
@@ -102,8 +103,12 @@ class LogHistogram
             fn(kInfinity, infinite_);
     }
 
+    /** Per-bucket finite sample counts, indexed like bucketIndex();
+     *  empty until the first finite sample is recorded. */
+    std::span<const uint64_t> bucketCounts() const { return counts_; }
+
     /** Number of buckets (excluding the infinity bucket). */
-    static size_t numBuckets();
+    static constexpr size_t numBuckets() { return kTotalBuckets; }
 
     /** Lower bound (inclusive) of bucket @p index. */
     static uint64_t bucketLo(size_t index);

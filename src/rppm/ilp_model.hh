@@ -11,11 +11,23 @@
  * misses, loads at their *expected* hit latency from the statistical
  * cache model — and reports the achieved IPC, which becomes Deff for the
  * surrounding epoch.
+ *
+ * The Eq.-1 CPI stack needs five replays of each micro-trace that differ
+ * only in load latency, front-end stall and flush rate. They run as
+ * lanes of one lockstep pass: op decode, dependence and latency lookups
+ * are shared, while every lane keeps its own dispatch, functional-unit,
+ * MSHR, completion, issue and retire state and updates it in the same
+ * order as a lone replay, so each lane's result is bit-identical to
+ * replaying it alone. A single replay is the one-lane instance of the
+ * same kernel.
  */
 
 #ifndef RPPM_RPPM_ILP_MODEL_HH
 #define RPPM_RPPM_ILP_MODEL_HH
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 
 #include "arch/config.hh"
@@ -23,22 +35,15 @@
 
 namespace rppm {
 
+struct EpochMemoryModel;
+
 /**
  * Returns the expected latency (cycles) of a memory micro-op given its
- * profiled reuse distances. Bound to the statistical cache model by the
- * caller; kept abstract so the ILP model is testable in isolation.
+ * profiled reuse distances. Kept abstract so the ILP model is testable
+ * in isolation; it is evaluated once per memory op before the replay.
  */
 using LoadLatencyFn =
     std::function<double(const MicroTraceOp &op)>;
-
-/**
- * Indexed flavour: additionally receives the micro-trace index within
- * the epoch and the op index within the trace, so implementations can
- * serve precomputed per-op quantities (see EpochStacks::microSd) instead
- * of re-deriving them on every replay. Same contract otherwise.
- */
-using IndexedLatencyFn = std::function<double(
-    const MicroTraceOp &op, uint32_t trace, uint32_t idx)>;
 
 /** Result of replaying one micro-trace. */
 struct IlpResult
@@ -52,6 +57,14 @@ struct IlpResult
      * extra). This is what one misprediction adds to execution time.
      */
     double branchPenalty = 0.0;
+};
+
+/** One lane of a lockstep replay with caller-supplied latencies. */
+struct LatencyLane
+{
+    LoadLatencyFn memLatency;     ///< latency of each memory op
+    double fetchStallPerOp = 0.0; ///< see replayMicroTrace
+    double branchMissRate = 0.0;  ///< see replayMicroTrace
 };
 
 /**
@@ -74,13 +87,13 @@ IlpResult replayMicroTrace(const MicroTrace &mt, const CoreConfig &core,
                            double fetch_stall_per_op = 0.0,
                            double branch_miss_rate = 0.0);
 
-/** Indexed variant: @p trace is the micro-trace's index within its
- *  epoch, forwarded (with each op's index) to @p mem_latency. */
-IlpResult replayMicroTrace(const MicroTrace &mt, uint32_t trace,
-                           const CoreConfig &core,
-                           const IndexedLatencyFn &mem_latency,
-                           double fetch_stall_per_op = 0.0,
-                           double branch_miss_rate = 0.0);
+/** Replay @p mt once per lane, all lanes in lockstep. Lane k's result
+ *  is bit-identical to replayMicroTrace with lane k's parameters.
+ *  Instantiated for 1 and 5 lanes. */
+template <size_t Lanes>
+std::array<IlpResult, Lanes>
+replayMicroTrace(const MicroTrace &mt, const CoreConfig &core,
+                 const std::array<LatencyLane, Lanes> &lanes);
 
 /**
  * Effective dispatch rate of an epoch: micro-op-weighted average over the
@@ -92,11 +105,34 @@ IlpResult epochIlp(const EpochProfile &epoch, const CoreConfig &core,
                    double fetch_stall_per_op = 0.0,
                    double branch_miss_rate = 0.0);
 
-/** Indexed variant (see IndexedLatencyFn). */
-IlpResult epochIlp(const EpochProfile &epoch, const CoreConfig &core,
-                   const IndexedLatencyFn &mem_latency,
-                   double fetch_stall_per_op = 0.0,
-                   double branch_miss_rate = 0.0);
+/** How a replay lane driven by the statistical cache model prices a
+ *  load (stores always take the store FU latency). */
+enum class LoadPricing : uint8_t
+{
+    L1Only,  ///< every load hits the L1D (the pure-ILP base)
+    HitPath, ///< L2/LLC hit latencies from the expected stack distances
+    Full,    ///< hit path plus DRAM latency past the LLC reach
+};
+
+/** One lane of a lockstep epoch replay over the cache model. */
+struct ReplayLane
+{
+    LoadPricing pricing = LoadPricing::Full;
+    double fetchStallPerOp = 0.0;
+    double branchMissRate = 0.0;
+};
+
+/**
+ * epochIlp for every lane at once, with load latencies from @p mem's
+ * precomputed per-op stack distances (EpochStacks::microSd). @p mem must
+ * model @p epoch on @p core. Scratch space is one buffer owned by the
+ * call. Instantiated for 1 and 5 lanes.
+ */
+template <size_t Lanes>
+std::array<IlpResult, Lanes>
+epochIlp(const EpochProfile &epoch, const CoreConfig &core,
+         const EpochMemoryModel &mem,
+         const std::array<ReplayLane, Lanes> &lanes);
 
 } // namespace rppm
 

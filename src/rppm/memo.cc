@@ -1,6 +1,7 @@
 #include "rppm/memo.hh"
 
 #include <sstream>
+#include <utility>
 
 #include "arch/component_key.hh"
 #include "common/assert.hh"
@@ -189,13 +190,15 @@ PredictionMemo::approxResidentBytes() const
     // The engine pins its profile; charge it here so the pool budget
     // sees the real cost of keeping the engine around.
     uint64_t bytes = profile_->approxResidentBytes();
-    // One EpochStacks bundle ≈ five StatStacks (each a copied histogram
-    // plus survival prefix sums over the bucket table) plus the lazily
-    // built per-op stack distances of the epoch's micro-trace loads.
-    const uint64_t per_stack =
-        5 * 2 * LogHistogram::numBuckets() * sizeof(double);
+    // One EpochStacks bundle: the bundle itself (five StatStacks whose
+    // tables are inline), one map node per memoized miss-rate curve
+    // point, and the lazily built per-op stack distances of the epoch's
+    // micro-trace loads.
+    constexpr uint64_t kCurveNodeBytes = 4 * sizeof(void *) +
+        sizeof(std::pair<const std::pair<uint8_t, uint64_t>, double>);
     for (const auto &[key, stacks] : stacks_) {
-        bytes += per_stack;
+        bytes += sizeof(EpochStacks) +
+            stacks->curvePoints() * kCurveNodeBytes;
         for (const auto &mt : stacks->epoch().microTraces)
             bytes += mt.ops.size() * sizeof(EpochStacks::OpSd);
     }

@@ -65,90 +65,31 @@ EpochMemoryModel::llcRd(const MicroTraceOp &op) const
     return stacks_->llcUsesGlobalRd() ? op.globalRd : op.localRd;
 }
 
-double
-EpochMemoryModel::hitLatency(double sd_local) const
+EpochStacks::OpSd
+EpochMemoryModel::opSd(const MicroTraceOp &op) const
 {
-    // Walk the hierarchy with per-access hit/miss decisions derived from
-    // the access's own reuse distances (loads only — callers return the
-    // store FU latency before reaching here). DRAM latency is excluded:
-    // the long-latency load stall is Eq. 1's separate D-component.
-    double latency = static_cast<double>(core_.l1d.latency);
-    if (sd_local >= static_cast<double>(l1Lines_)) {
-        latency += static_cast<double>(core_.l2.latency);
-        if (sd_local >= static_cast<double>(l2Lines_))
-            latency += static_cast<double>(cfg_.llc.latency);
-    }
-    return latency;
+    EpochStacks::OpSd sd;
+    sd.local = stacks_->stack(EpochStacks::Which::Local)
+                   .stackDistance(op.localRd);
+    sd.llc = stacks_->stack(EpochStacks::Which::Global)
+                 .stackDistance(llcRd(op));
+    return sd;
 }
 
 double
 EpochMemoryModel::expectedLatency(const MicroTraceOp &op) const
 {
     if (op.op == OpClass::Store)
-        return static_cast<double>(
-            core_.fus[static_cast<size_t>(OpClass::Store)].latency);
-    return hitLatency(stacks_->stack(EpochStacks::Which::Local)
-                          .stackDistance(op.localRd));
+        return storeLatency();
+    return loadPrices(opSd(op)).hit;
 }
 
 double
 EpochMemoryModel::expectedLatencyFull(const MicroTraceOp &op) const
 {
-    double latency = expectedLatency(op);
-    if (op.op == OpClass::Load) {
-        const double sd_local = stacks_->stack(EpochStacks::Which::Local)
-                                    .stackDistance(op.localRd);
-        const double sd_global = stacks_->stack(EpochStacks::Which::Global)
-                                     .stackDistance(llcRd(op));
-        // A DRAM access requires missing the private levels and the
-        // shared LLC (its interleaved reuse must exceed the LLC reach).
-        if (sd_local >= static_cast<double>(l2Lines_) &&
-            sd_global >= static_cast<double>(llcLines_)) {
-            latency += static_cast<double>(core_.memLatency);
-        }
-    }
-    return latency;
-}
-
-void
-EpochMemoryModel::prepareReplay() const
-{
-    if (!microSd_)
-        microSd_ = &stacks_->microSd();
-}
-
-double
-EpochMemoryModel::expectedLatency(const MicroTraceOp &op, uint32_t trace,
-                                  uint32_t idx) const
-{
-    if (op.op == OpClass::Store)
-        return static_cast<double>(
-            core_.fus[static_cast<size_t>(OpClass::Store)].latency);
-    return hitLatency((*microSd_)[trace][idx].local);
-}
-
-double
-EpochMemoryModel::expectedLatencyFull(const MicroTraceOp &op, uint32_t trace,
-                                      uint32_t idx) const
-{
-    double latency = expectedLatency(op, trace, idx);
-    if (op.op == OpClass::Load) {
-        const EpochStacks::OpSd &sd = (*microSd_)[trace][idx];
-        if (sd.local >= static_cast<double>(l2Lines_) &&
-            sd.llc >= static_cast<double>(llcLines_)) {
-            latency += static_cast<double>(core_.memLatency);
-        }
-    }
-    return latency;
-}
-
-double
-EpochMemoryModel::expectedLatencyL1Only(const MicroTraceOp &op) const
-{
-    if (op.op == OpClass::Store)
-        return static_cast<double>(
-            core_.fus[static_cast<size_t>(OpClass::Store)].latency);
-    return static_cast<double>(core_.l1d.latency);
+    if (op.op != OpClass::Load)
+        return expectedLatency(op);
+    return loadPrices(opSd(op)).full;
 }
 
 } // namespace rppm

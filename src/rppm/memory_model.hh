@@ -15,12 +15,18 @@
  * memoized grid engine builds one per epoch for a whole Study) or builds
  * its own (the naive per-point path); both produce bit-identical
  * predictions.
+ *
+ * The Eq.-1 window replays price each sampled load through loadPrices():
+ * one lookup of the load's precomputed stack distances yields its L1-only,
+ * hit-path and full (DRAM) latencies, which the lockstep replay lanes
+ * share.
  */
 
 #ifndef RPPM_RPPM_MEMORY_MODEL_HH
 #define RPPM_RPPM_MEMORY_MODEL_HH
 
 #include <memory>
+#include <vector>
 
 #include "arch/config.hh"
 #include "profile/epoch_profile.hh"
@@ -95,25 +101,57 @@ struct EpochMemoryModel
      */
     double expectedLatencyFull(const MicroTraceOp &op) const;
 
-    /** Same access, but every level treated as an L1 hit; used to split
-     *  the base component for CPI-stack reporting. */
-    double expectedLatencyL1Only(const MicroTraceOp &op) const;
+    /** Latencies of one micro-trace load under each LoadPricing of
+     *  the Eq.-1 replays. */
+    struct LoadPrices
+    {
+        double l1Only; ///< L1D hit
+        double hit;    ///< expectedLatency: L2/LLC hit path
+        double full;   ///< expectedLatencyFull: plus the DRAM penalty
+    };
 
     /**
-     * Bind the precomputed per-op stack distances of the micro-traces so
-     * the indexed expectedLatency* overloads below can be used. Called
-     * once before the Eq.-1 window replays; a no-op on repeat calls.
+     * The prices of a load from its precomputed expected stack distances
+     * (one entry of microSd()) — bit-identical to the expectedLatency*
+     * forms, without re-deriving the stack distances per replay. Inline:
+     * the replay kernel calls it once per sampled load.
      */
-    void prepareReplay() const;
+    LoadPrices loadPrices(const EpochStacks::OpSd &sd) const
+    {
+        // Walk the hierarchy with per-access hit/miss decisions. The hit
+        // path excludes DRAM latency: the long-latency load stall is
+        // Eq. 1's separate D-component.
+        LoadPrices prices;
+        prices.l1Only = static_cast<double>(core_.l1d.latency);
+        prices.hit = prices.l1Only;
+        if (sd.local >= static_cast<double>(l1Lines_)) {
+            prices.hit += static_cast<double>(core_.l2.latency);
+            if (sd.local >= static_cast<double>(l2Lines_))
+                prices.hit += static_cast<double>(cfg_.llc.latency);
+        }
+        prices.full = prices.hit;
+        // A DRAM access requires missing the private levels and the
+        // shared LLC (its interleaved reuse must exceed the LLC reach).
+        if (sd.local >= static_cast<double>(l2Lines_) &&
+            sd.llc >= static_cast<double>(llcLines_)) {
+            prices.full += static_cast<double>(core_.memLatency);
+        }
+        return prices;
+    }
 
-    /** Indexed variants reading the precomputed stack distances of
-     *  micro-trace op (@p trace, @p idx) — bit-identical to the
-     *  unindexed forms, without re-deriving the stack distance per
-     *  replay. prepareReplay() must have been called. */
-    double expectedLatency(const MicroTraceOp &op, uint32_t trace,
-                           uint32_t idx) const;
-    double expectedLatencyFull(const MicroTraceOp &op, uint32_t trace,
-                               uint32_t idx) const;
+    /** Latency of every store (the store FU latency). */
+    double storeLatency() const
+    {
+        return static_cast<double>(
+            core_.fus[static_cast<size_t>(OpClass::Store)].latency);
+    }
+
+    /** Per-op expected stack distances of the epoch's micro-trace loads
+     *  (built by the stack bundle on first use). */
+    const std::vector<std::vector<EpochStacks::OpSd>> &microSd() const
+    {
+        return stacks_->microSd();
+    }
 
     /** Predicted I-cache component cycles for the whole epoch (additive
      *  Eq. 1 form; the replay-based path uses icachePerFetch instead). */
@@ -130,16 +168,13 @@ struct EpochMemoryModel
     /** The reuse distance driving shared-LLC decisions for one op. */
     uint64_t llcRd(const MicroTraceOp &op) const;
 
-    /** Hit-path latency of a load from its expected local stack
-     *  distance (callers handle stores before reaching here). */
-    double hitLatency(double sd_local) const;
+    /** Expected stack distances of one op, computed on the spot. */
+    EpochStacks::OpSd opSd(const MicroTraceOp &op) const;
 
     const EpochProfile &epoch_;
     const MulticoreConfig &cfg_;
     const CoreConfig &core_;
     std::shared_ptr<const EpochStacks> stacks_;
-    mutable const std::vector<std::vector<EpochStacks::OpSd>> *microSd_ =
-        nullptr;
 
     uint64_t l1Lines_, l2Lines_, llcLines_;
     double l1dMiss_ = 0.0;

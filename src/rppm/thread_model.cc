@@ -114,14 +114,11 @@ predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
     // emerging from dependences, ROB occupancy and MSHR pressure.
     // Per-op expected stack distances are precomputed (and shared across
     // grid points through EpochStacks), so the replays read two doubles
-    // per load instead of re-walking the survival sums.
-    mem.prepareReplay();
-    const auto full_latency_fn = [&mem, &opts](const MicroTraceOp &op,
-                                               uint32_t trace,
-                                               uint32_t idx) {
-        return opts.mlpOverlap ? mem.expectedLatencyFull(op, trace, idx)
-                               : mem.expectedLatency(op, trace, idx);
-    };
+    // per load instead of re-walking the survival sums. With MLP overlap
+    // off (ablation) the full replays price loads on the hit path.
+    const LoadPricing full =
+        opts.mlpOverlap ? LoadPricing::Full : LoadPricing::HitPath;
+    const double fetch_stall = mem.icachePerFetch();
     const double miss_rate_pred =
         opts.branch ? epochBranchMissRate(epoch, core) : 0.0;
 
@@ -129,10 +126,8 @@ predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
         // Fast path: only the final replay (full memory + I-cache
         // stalls + branch flushes). Identical total to the decomposed
         // path up to clamping; everything reported as Base.
-        const IlpResult ilp = epochIlp(epoch, core,
-                                       IndexedLatencyFn(full_latency_fn),
-                                       mem.icachePerFetch(),
-                                       miss_rate_pred);
+        const IlpResult ilp = epochIlp<1>(
+            epoch, core, mem, {{{full, fetch_stall, miss_rate_pred}}})[0];
         pred.deff = ilp.ipc;
         double cycles = n / ilp.ipc;
         if (!opts.mlpOverlap)
@@ -147,32 +142,25 @@ predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
         return pred;
     }
 
-    const IlpResult ilp_l1 = epochIlp(
-        epoch, core,
-        IndexedLatencyFn([&mem](const MicroTraceOp &op, uint32_t,
-                                uint32_t) {
-            return mem.expectedLatencyL1Only(op);
-        }));
-    const IlpResult ilp_hit = epochIlp(
-        epoch, core,
-        IndexedLatencyFn([&mem](const MicroTraceOp &op, uint32_t trace,
-                                uint32_t idx) {
-            return mem.expectedLatency(op, trace, idx);
-        }));
-    const IlpResult ilp_full =
-        epochIlp(epoch, core, IndexedLatencyFn(full_latency_fn));
-    // Fourth replay: add the expected I-cache front-end stalls on top of
-    // the full memory behaviour, so instruction misses only cost what
-    // the back end does not hide.
-    const IlpResult ilp_fetch =
-        epochIlp(epoch, core, IndexedLatencyFn(full_latency_fn),
-                 mem.icachePerFetch());
-    // Fifth replay: emulate front-end flushes at the entropy-predicted
-    // misprediction rate, capturing redirect latency plus window ramp-up
-    // (Eq. 1's mbpred x (cres + cfr) term, evaluated mechanistically).
-    const IlpResult ilp_flush = epochIlp(
-        epoch, core, IndexedLatencyFn(full_latency_fn),
-        mem.icachePerFetch(), miss_rate_pred);
+    // The five replays run as lanes of one lockstep pass. The fourth
+    // adds the expected I-cache front-end stalls on top of the full
+    // memory behaviour, so instruction misses only cost what the back
+    // end does not hide. The fifth emulates front-end flushes at the
+    // entropy-predicted misprediction rate, capturing redirect latency
+    // plus window ramp-up (Eq. 1's mbpred x (cres + cfr) term, evaluated
+    // mechanistically).
+    const std::array<IlpResult, 5> lanes = epochIlp<5>(
+        epoch, core, mem,
+        {{{LoadPricing::L1Only, 0.0, 0.0},
+          {LoadPricing::HitPath, 0.0, 0.0},
+          {full, 0.0, 0.0},
+          {full, fetch_stall, 0.0},
+          {full, fetch_stall, miss_rate_pred}}});
+    const IlpResult &ilp_l1 = lanes[0];
+    const IlpResult &ilp_hit = lanes[1];
+    const IlpResult &ilp_full = lanes[2];
+    const IlpResult &ilp_fetch = lanes[3];
+    const IlpResult &ilp_flush = lanes[4];
 
     const double base_cycles = n / ilp_l1.ipc;
     const double hit_cycles = n / ilp_hit.ipc;

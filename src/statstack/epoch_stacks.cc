@@ -12,7 +12,7 @@ EpochStacks::EpochStacks(const EpochProfile &epoch, bool llc_uses_global_rd)
       loadLocal_(epoch.loadLocalRd),
       loadGlobal_(llc_uses_global_rd ? epoch.loadGlobalRd
                                      : epoch.loadLocalRd),
-      instr_(hasInstr_ ? epoch.instrRd : LogHistogram())
+      instr_(hasInstr_ ? StatStack(epoch.instrRd) : StatStack())
 {
 }
 

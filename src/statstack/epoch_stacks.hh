@@ -14,11 +14,13 @@
  *
  *  - the four data stacks (per-thread / interleaved, all-accesses /
  *    loads-only) and the instruction stack are built exactly once per
- *    (epoch, llcUsesGlobalRd flavour);
+ *    (epoch, llcUsesGlobalRd flavour). Each StatStack holds its tables
+ *    inline, so a bundle is one allocation of sizeof(EpochStacks) plus
+ *    its memo tables, and it does not copy the epoch's histograms;
  *  - per-op expected stack distances of the micro-trace loads are
- *    precomputed lazily on first replay, so the five Eq.-1 window
- *    replays read two doubles per load instead of re-walking the
- *    survival sums;
+ *    precomputed lazily on first replay, so the lockstep five-lane
+ *    Eq.-1 window replay reads two doubles per load instead of
+ *    re-walking the survival sums;
  *  - missRate() is memoized per (stack, line count): a grid axis with
  *    ten cache sizes evaluates each CDF ten times total, not once per
  *    grid point.

@@ -24,11 +24,19 @@
  * LLC, capturing both positive (sharing) and negative (capacity)
  * interference. Coherence write-invalidations appear as infinite
  * per-thread reuse distances and therefore as guaranteed misses.
+ *
+ * A prediction builds five stacks per epoch, and sync-dense workloads
+ * have tens of thousands of short epochs, so construction is table
+ * driven: the bucket geometry lives in one static immutable table, the
+ * model keeps only two inline arrays (no heap, no histogram copy), and
+ * runs of empty buckets share one division. Results are bit-identical
+ * to evaluating LogHistogram::survival() bucket by bucket.
  */
 
 #ifndef RPPM_STATSTACK_STATSTACK_HH
 #define RPPM_STATSTACK_STATSTACK_HH
 
+#include <array>
 #include <cstdint>
 
 #include "common/histogram.hh"
@@ -38,17 +46,26 @@ namespace rppm {
 /**
  * StatStack model built from one reuse-distance distribution.
  *
- * Construction precomputes the survival prefix sums over the histogram's
- * log buckets so stackDistance() and missRate() are O(#buckets).
+ * Construction turns the histogram into two inline tables over its log
+ * buckets, the suffix counts and the survival prefix sums, so
+ * stackDistance() and missRate() need neither the histogram nor a heap
+ * allocation. The per-bucket geometry (bounds, widths, midpoint
+ * fractions) comes from one static immutable table shared by every
+ * stack. Every value is bit-identical to evaluating
+ * LogHistogram::survival() at the bucket midpoints: the suffix sums are
+ * exact integers and each floating-point expression keeps its order.
  */
 class StatStack
 {
   public:
-    /**
-     * Build from a reuse-distance histogram (may be empty). The
-     * histogram is copied so the model owns its inputs.
-     */
-    explicit StatStack(LogHistogram reuse_distances);
+    static constexpr size_t kBuckets = LogHistogram::numBuckets();
+
+    /** Empty model: no samples, stack distance equals reuse distance. */
+    StatStack();
+
+    /** Build from a reuse-distance histogram (may be empty). The
+     *  histogram is not retained. */
+    explicit StatStack(const LogHistogram &reuse_distances);
 
     /** Expected stack distance for an access with reuse distance @p rd. */
     double stackDistance(uint64_t rd) const;
@@ -66,27 +83,32 @@ class StatStack
     uint64_t criticalReuseDistance(uint64_t cache_lines) const;
 
     /** True when no finite samples were available. */
-    bool empty() const { return hist_.totalFinite() == 0; }
+    bool empty() const { return total_ == infinite_; }
 
   private:
+    /** Finite samples in bucket @p idx, recovered from the suffix
+     *  counts (exact integer arithmetic). */
+    uint64_t countAt(size_t idx) const
+    {
+        return idx == 0 ? total_ - suffixCounts_[0]
+                        : suffixCounts_[idx - 1] - suffixCounts_[idx];
+    }
+
     /**
-     * survival() restricted to bucket midpoints, computed from the
-     * precomputed suffix counts in O(1) instead of re-walking the
-     * histogram — this is what makes construction O(#buckets) rather
-     * than O(#buckets^2). Produces bit-identical values to
-     * LogHistogram::survival(bucketMid(idx)): the suffix sums are exact
-     * integer arithmetic in the same association order.
+     * LogHistogram::survival(bucketMid(idx)), evaluated from the suffix
+     * counts in O(1) with the same operations in the same order.
      */
     double survivalAtBucketMid(size_t idx) const;
 
-    LogHistogram hist_;
+    uint64_t total_ = 0;    ///< finite + infinite samples
+    uint64_t infinite_ = 0; ///< infinite samples
     // suffixCounts_[i]: infinite samples plus all finite samples in
     // buckets strictly after i.
-    std::vector<uint64_t> suffixCounts_;
+    std::array<uint64_t, kBuckets> suffixCounts_;
     // survivalPrefix_[i]: sum over j in [0, bucketHi(i)] of survival(j),
     // i.e. the expected stack distance of a reuse distance at the end of
     // bucket i. Interpolated within buckets on query.
-    std::vector<double> survivalPrefix_;
+    std::array<double, kBuckets> survivalPrefix_;
 };
 
 } // namespace rppm

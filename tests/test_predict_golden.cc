@@ -111,11 +111,15 @@ key(const std::string &kernel, const std::string &config,
 std::string
 line(const std::string &k, const RppmPrediction &pred)
 {
-    std::string out = k + " " + fmt(pred.totalCycles);
+    std::string out = k;
+    out += ' ';
+    out += fmt(pred.totalCycles);
     for (const ThreadPrediction &thread : pred.threads) {
         out += " ;";
-        for (double cycles : thread.stack.cycles)
-            out += " " + fmt(cycles);
+        for (double cycles : thread.stack.cycles) {
+            out += ' ';
+            out += fmt(cycles);
+        }
     }
     return out;
 }

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
+#include "common/rng.hh"
 #include "profile/profiler.hh"
 #include "rppm/baselines.hh"
 #include "rppm/dse.hh"
@@ -141,6 +143,91 @@ TEST(IlpModel, EpochAggregatesMicroTraces)
     // Harmonic-style mean of ~4 and ~1: 2000 / (250 + 1000) = 1.6.
     EXPECT_GT(r.ipc, 1.2);
     EXPECT_LT(r.ipc, 2.2);
+}
+
+/** A seeded random micro-trace: every op class, dependences reaching
+ *  past the trace start, and load bursts that outrun the MSHRs. */
+MicroTrace
+randomMicroTrace(Rng &rng, size_t n)
+{
+    MicroTrace mt;
+    for (size_t i = 0; i < n; ++i) {
+        MicroTraceOp op;
+        const bool burst = (i / 16) % 4 == 1;
+        op.op = burst && rng.nextBool(0.8) ?
+            OpClass::Load :
+            static_cast<OpClass>(rng.nextBounded(kNumOpClasses));
+        op.dep1 = static_cast<uint16_t>(rng.nextBounded(24));
+        op.dep2 = rng.nextBool(0.3) ?
+            static_cast<uint16_t>(rng.nextBounded(300)) : 0;
+        op.localRd = rng.nextBounded(1u << 20);
+        op.globalRd = rng.nextBounded(1u << 22);
+        mt.ops.push_back(op);
+    }
+    return mt;
+}
+
+/** Bit-for-bit equality of two replay results. */
+void
+expectSameBits(const IlpResult &a, const IlpResult &b,
+               const std::string &context)
+{
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.ipc), std::bit_cast<uint64_t>(b.ipc))
+        << context << " ipc " << a.ipc << " vs " << b.ipc;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.branchResolution),
+              std::bit_cast<uint64_t>(b.branchResolution))
+        << context << " branchResolution";
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.branchPenalty),
+              std::bit_cast<uint64_t>(b.branchPenalty))
+        << context << " branchPenalty";
+}
+
+TEST(IlpModel, LockstepLanesMatchLoneReplays)
+{
+    // Five lanes that differ in latency, fetch stall and flush rate, as
+    // the Eq.-1 replays do. Shared MSHR, functional-unit or flush state
+    // between lanes would make some lane differ from its lone replay.
+    const auto latency = [](double dram, double scale) {
+        return [dram, scale](const MicroTraceOp &op) {
+            if (op.op == OpClass::Store)
+                return 2.0;
+            double lat = 3.0 + scale * static_cast<double>(op.localRd % 5);
+            if (op.globalRd % 3 == 0)
+                lat += dram;
+            return lat;
+        };
+    };
+    const std::array<LatencyLane, 5> lanes{{
+        {latency(0.0, 0.0), 0.0, 0.0},
+        {latency(0.0, 4.0), 0.0, 0.37},
+        {latency(200.0, 4.0), 0.0, 0.0},
+        {latency(200.0, 4.0), 0.13, 0.0},
+        {latency(200.0, 4.0), 0.13, 0.37},
+    }};
+
+    CoreConfig narrow = baseConfig().core();
+    narrow.mshrs = 2;
+    narrow.robSize = 24;
+    narrow.issueQueueSize = 12;
+    narrow.dispatchWidth = 2;
+    for (const CoreConfig &core : {baseConfig().core(), narrow}) {
+        Rng rng(17 + core.robSize);
+        for (int t = 0; t < 12; ++t) {
+            const MicroTrace mt =
+                randomMicroTrace(rng, 1 + rng.nextBounded(400));
+            const std::array<IlpResult, 5> together =
+                replayMicroTrace<5>(mt, core, lanes);
+            for (size_t k = 0; k < lanes.size(); ++k) {
+                const IlpResult alone = replayMicroTrace(
+                    mt, core, lanes[k].memLatency, lanes[k].fetchStallPerOp,
+                    lanes[k].branchMissRate);
+                expectSameBits(together[k], alone,
+                               "rob " + std::to_string(core.robSize) +
+                                   " trace " + std::to_string(t) +
+                                   " lane " + std::to_string(k));
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------ MLP model ---

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <list>
 #include <unordered_map>
 #include <vector>
@@ -214,6 +215,119 @@ TEST(StatStack, InvalidationAsInfiniteDistanceRaisesMissRate)
     hist.add(LogHistogram::kInfinity, 500);
     StatStack ss(hist);
     EXPECT_NEAR(ss.missRate(1024), 0.5, 0.01);
+}
+
+// ------------------------------------- table-driven construction ---
+
+/** Seeded random histograms: empty, infinite-only, single-bucket,
+ *  sparse, dense and far-tail shapes. */
+std::vector<LogHistogram>
+randomHistograms(uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<LogHistogram> out;
+    out.emplace_back(); // empty
+    LogHistogram inf_only;
+    inf_only.add(LogHistogram::kInfinity, 1 + rng.nextBounded(1000));
+    out.push_back(inf_only);
+    for (uint64_t value : {uint64_t{0}, uint64_t{7}, uint64_t{1000},
+                           uint64_t{1} << 42}) {
+        LogHistogram single;
+        single.add(value, 1 + rng.nextBounded(1000));
+        out.push_back(single);
+        single.add(LogHistogram::kInfinity, 1 + rng.nextBounded(50));
+        out.push_back(single);
+    }
+    for (int h = 0; h < 24; ++h) {
+        LogHistogram hist;
+        const uint64_t samples = 1 + rng.nextBounded(h < 12 ? 6 : 400);
+        for (uint64_t i = 0; i < samples; ++i) {
+            // Log-uniform values up to far past the last bucket's start.
+            const uint64_t value = rng.nextBounded(
+                (uint64_t{1} << rng.nextBounded(48)) + 1);
+            hist.add(value, 1 + rng.nextBounded(1u << rng.nextBounded(20)));
+        }
+        if (rng.nextBool(0.5))
+            hist.add(LogHistogram::kInfinity, 1 + rng.nextBounded(100));
+        out.push_back(hist);
+    }
+    return out;
+}
+
+/** O(buckets^2) reference: the survival prefix sums evaluated straight
+ *  from LogHistogram::survival at each bucket midpoint. */
+std::vector<double>
+referencePrefix(const LogHistogram &hist)
+{
+    std::vector<double> prefix;
+    double sum = 0.0;
+    for (size_t i = 0; i < LogHistogram::numBuckets(); ++i) {
+        sum += hist.survival(LogHistogram::bucketMid(i)) *
+            static_cast<double>(LogHistogram::bucketHi(i) -
+                                LogHistogram::bucketLo(i) + 1);
+        prefix.push_back(sum);
+    }
+    return prefix;
+}
+
+double
+referenceStackDistance(const LogHistogram &hist,
+                       const std::vector<double> &prefix, uint64_t rd)
+{
+    if (rd == LogHistogram::kInfinity)
+        return static_cast<double>(LogHistogram::kInfinity);
+    if (hist.total() == 0)
+        return static_cast<double>(rd);
+    const size_t idx = LogHistogram::bucketIndex(rd);
+    const double below = idx > 0 ? prefix[idx - 1] : 0.0;
+    return below + hist.survival(LogHistogram::bucketMid(idx)) *
+        static_cast<double>(rd - LogHistogram::bucketLo(idx) + 1);
+}
+
+TEST(StatStack, TablesMatchHistogramSurvivalBitForBit)
+{
+    Rng rng(2010);
+    const std::vector<LogHistogram> hists = randomHistograms(2010);
+    for (size_t h = 0; h < hists.size(); ++h) {
+        const LogHistogram &hist = hists[h];
+        const StatStack ss(hist);
+        EXPECT_EQ(ss.empty(), hist.totalFinite() == 0) << "hist " << h;
+
+        for (uint64_t lines :
+             {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{7},
+              uint64_t{64}, uint64_t{512}, uint64_t{4096}, uint64_t{32768},
+              uint64_t{1} << 20, uint64_t{1} << 30, uint64_t{1} << 45,
+              1 + rng.nextBounded(1u << 24)}) {
+            const uint64_t critical = ss.criticalReuseDistance(lines);
+            const double expected = critical == LogHistogram::kInfinity ?
+                (hist.total() == 0 ? 0.0 :
+                     static_cast<double>(hist.totalInfinite()) /
+                         static_cast<double>(hist.total())) :
+                hist.survival(critical);
+            EXPECT_EQ(std::bit_cast<uint64_t>(ss.missRate(lines)),
+                      std::bit_cast<uint64_t>(expected))
+                << "hist " << h << " lines " << lines;
+        }
+
+        const std::vector<double> prefix = referencePrefix(hist);
+        std::vector<uint64_t> rds = {0, 1, 15, 16, 17, 1000,
+                                     LogHistogram::kInfinity,
+                                     LogHistogram::kInfinity - 1,
+                                     uint64_t{1} << 40, uint64_t{1} << 50};
+        for (size_t i = 0; i < LogHistogram::numBuckets(); ++i) {
+            rds.push_back(LogHistogram::bucketLo(i));
+            rds.push_back(LogHistogram::bucketHi(i));
+        }
+        for (int i = 0; i < 64; ++i)
+            rds.push_back(rng.nextBounded(
+                (uint64_t{1} << rng.nextBounded(44)) + 1));
+        for (uint64_t rd : rds) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(ss.stackDistance(rd)),
+                      std::bit_cast<uint64_t>(
+                          referenceStackDistance(hist, prefix, rd)))
+                << "hist " << h << " rd " << rd;
+        }
+    }
 }
 
 } // namespace

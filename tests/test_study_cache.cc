@@ -12,7 +12,9 @@
 #include <filesystem>
 
 #include "profile/profiler.hh"
+#include "rppm/memo.hh"
 #include "rppm/predictor.hh"
+#include "statstack/epoch_stacks.hh"
 #include "study/profile_cache.hh"
 #include "study/study.hh"
 #include "workload/workload.hh"
@@ -308,6 +310,33 @@ TEST(MemoPool, BudgetEvictsWholeEngines)
     EXPECT_EQ(before.totalCycles, after.totalCycles);
     EXPECT_EQ(before.threadSeconds, after.threadSeconds);
     (void)eb;
+}
+
+TEST(MemoPool, ChargeCoversEveryStackBundle)
+{
+    // The pool budget evicts by approxResidentBytes, so the charge must
+    // grow with every StatStack bundle the engine keeps: each holds its
+    // five stacks' tables inline.
+    const auto profile = std::make_shared<const WorkloadProfile>(
+        profileWorkload(generateWorkload(cacheSpec("memo-charge"))));
+    PredictionMemoPool pool;
+    const auto engine = pool.forProfile(profile);
+    const uint64_t before = engine->approxResidentBytes();
+    ASSERT_EQ(engine->stats().stacksBuilt, 0u);
+
+    engine->predict(baseConfig());
+    const uint64_t built = engine->stats().stacksBuilt;
+    ASSERT_GT(built, 0u);
+    const uint64_t after = engine->approxResidentBytes();
+    EXPECT_GE(after - before, built * sizeof(EpochStacks));
+
+    // A predict on a second LLC size adds curve points, not bundles; the
+    // charge still does not shrink.
+    MulticoreConfig llc = baseConfig();
+    llc.llc.sizeBytes *= 2;
+    engine->predict(llc);
+    EXPECT_EQ(engine->stats().stacksBuilt, built);
+    EXPECT_GE(engine->approxResidentBytes(), after);
 }
 
 } // namespace
