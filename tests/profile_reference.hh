@@ -1,22 +1,30 @@
 /**
  * @file
- * Shared helpers of the profiler equivalence tests.
+ * Shared helpers of the profiler identity tests.
  *
- * Every byte-identity check of a profiler engine compares deterministic
- * text serializations (profile/serialize.hh) against the text of the
- * multi-pass reference profiler, profileWorkloadLegacy(). Tests compute
- * the reference once per kernel and option set and compare every engine
- * configuration against it directly.
+ * Every byte-identity check of the profiler engine compares the
+ * deterministic text serialization (profile/serialize.hh) of its
+ * profile against the committed corpus tests/golden/profile.txt (see
+ * golden.hh): one line per workload and option set, holding the byte
+ * length and CRC32C of the text. This header names the corpus cases, so
+ * that the tests and the recorder in test_profile_parallel.cc agree on
+ * them.
  */
 
 #ifndef RPPM_TESTS_PROFILE_REFERENCE_HH
 #define RPPM_TESTS_PROFILE_REFERENCE_HH
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "golden.hh"
 #include "profile/profiler.hh"
 #include "profile/serialize.hh"
 #include "workload/suite.hh"
@@ -33,14 +41,6 @@ serializeProfileText(const WorkloadProfile &profile)
     return ss.str();
 }
 
-/** The reference text every engine must reproduce byte for byte. */
-inline std::string
-legacyProfileText(const WorkloadTrace &trace,
-                  const ProfilerOptions &opts = {})
-{
-    return serializeProfileText(profileWorkloadLegacy(trace, opts));
-}
-
 /** Suite spec scaled down so 26 kernels x many engine configurations
  *  stay fast; all synchronization structure is preserved. */
 inline WorkloadSpec
@@ -52,6 +52,124 @@ scaledSpec(const SuiteEntry &entry, uint64_t divisor = 20)
     spec.finalOps = std::max<uint64_t>(1, spec.finalOps / divisor);
     spec.itemOps = std::max<uint64_t>(1, spec.itemOps / divisor);
     return spec;
+}
+
+/** A structurally rich workload: barriers, critical sections, a
+ *  producer-consumer queue, shared data, coherence traffic. */
+inline WorkloadSpec
+richSpec(const char *name)
+{
+    WorkloadSpec spec = barrierLoopSpec(4, 5, 2500);
+    spec.name = name;
+    spec.csPerEpoch = 2;
+    spec.queueItems = 6;
+    spec.kernel.sharedFrac = 0.25;
+    spec.kernel.branchEntropy = 0.1;
+    return spec;
+}
+
+/** A smaller rich workload (three workers, four epochs). */
+inline WorkloadSpec
+columnarRichSpec(const char *name = "columnar-test")
+{
+    WorkloadSpec spec = barrierLoopSpec(3, 4, 2500);
+    spec.name = name;
+    spec.csPerEpoch = 2;
+    spec.queueItems = 5;
+    spec.kernel.sharedFrac = 0.2;
+    spec.kernel.branchEntropy = 0.1;
+    return spec;
+}
+
+/** Degenerate shape: one thread, no synchronization beyond the
+ *  create/join scaffolding. */
+inline WorkloadSpec
+singleThreadSpec()
+{
+    WorkloadSpec spec;
+    spec.name = "single";
+    spec.numWorkers = 1;
+    spec.mainWorks = false;
+    spec.numEpochs = 3;
+    spec.opsPerEpoch = 4000;
+    spec.barrierFlavor = BarrierFlavor::None;
+    return spec;
+}
+
+/** Options that change profile content (sampling policy, quantum,
+ *  coherence detection, line size), by corpus name. */
+inline std::vector<std::pair<const char *, ProfilerOptions>>
+customProfilerOptions()
+{
+    ProfilerOptions q17;
+    q17.quantum = 17;
+    q17.microTraceLength = 64;
+    q17.microTraceInterval = 500;
+
+    ProfilerOptions noInval = q17;
+    noInval.detectInvalidation = false;
+
+    ProfilerOptions bigLines = q17;
+    bigLines.lineBytes = 256;
+
+    return {{"q17", q17}, {"noinval", noInval}, {"line256", bigLines}};
+}
+
+/** Corpus key of workload @p workload under option set @p options. */
+inline std::string
+profileKey(const std::string &workload, const char *options = "default")
+{
+    return workload + "|" + options;
+}
+
+/** One line of tests/golden/profile.txt. */
+struct ProfileCase
+{
+    std::string key;
+    WorkloadSpec spec;
+    ProfilerOptions opts;
+};
+
+/** Every case of the profile corpus, in corpus order. */
+inline std::vector<ProfileCase>
+profileCorpusCases()
+{
+    std::vector<ProfileCase> cases;
+    for (const SuiteEntry &entry : fullSuite()) {
+        const WorkloadSpec spec = scaledSpec(entry);
+        cases.push_back({profileKey(spec.name), spec, {}});
+    }
+    for (const char *name : {"par-test", "stream-test"}) {
+        cases.push_back({profileKey(name), richSpec(name), {}});
+        for (const auto &[opts_name, opts] : customProfilerOptions())
+            cases.push_back({profileKey(name, opts_name), richSpec(name),
+                             opts});
+    }
+    for (const char *name : {"par-cache", "stream-cache"})
+        cases.push_back({profileKey(name), richSpec(name), {}});
+    cases.push_back({profileKey("single"), singleThreadSpec(), {}});
+    cases.push_back({profileKey("columnar-test", "noinval"),
+                     columnarRichSpec(),
+                     customProfilerOptions()[1].second});
+    return cases;
+}
+
+/** Does @p profile serialize to the corpus line of @p key? */
+inline ::testing::AssertionResult
+matchesProfileCorpus(const std::string &key, const WorkloadProfile &profile)
+{
+    static const std::map<std::string, std::string> corpus =
+        golden::load("profile.txt");
+    const std::string got =
+        golden::digest(key, serializeProfileText(profile));
+    const auto it = corpus.find(key);
+    if (it == corpus.end())
+        return ::testing::AssertionFailure()
+            << "no line for " << key << " in " << golden::path("profile.txt");
+    if (got != it->second)
+        return ::testing::AssertionFailure()
+            << "computed '" << got << "', corpus '" << it->second << "'";
+    return ::testing::AssertionSuccess();
 }
 
 } // namespace rppm

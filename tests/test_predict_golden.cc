@@ -11,31 +11,24 @@
  * file instead of against a retained slow implementation.
  *
  * Regenerate it only in a change that alters results on purpose, and say
- * why in that change:
- *
- *   RPPM_GOLDEN_WRITE=tests/golden/predict.txt build/tests/test_predict_golden
+ * why in that change (recipe in golden.hh).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "arch/config.hh"
+#include "golden.hh"
 #include "profile/profiler.hh"
 #include "rppm/memo.hh"
 #include "rppm/predictor.hh"
 #include "workload/suite.hh"
 #include "workload/workload.hh"
-
-#ifndef RPPM_GOLDEN_DIR
-#error "RPPM_GOLDEN_DIR must name the directory holding predict.txt"
-#endif
 
 namespace rppm {
 namespace {
@@ -124,40 +117,21 @@ line(const std::string &k, const RppmPrediction &pred)
     return out;
 }
 
-std::string
-corpusPath()
-{
-    return std::string(RPPM_GOLDEN_DIR) + "/predict.txt";
-}
-
-/** Golden lines by key. */
-std::map<std::string, std::string>
-loadCorpus()
-{
-    std::map<std::string, std::string> corpus;
-    std::ifstream in(corpusPath());
-    std::string text;
-    while (std::getline(in, text)) {
-        if (text.empty() || text[0] == '#')
-            continue;
-        corpus.emplace(text.substr(0, text.find(' ')), text);
-    }
-    return corpus;
-}
-
 TEST(PredictGolden, PredictAndGridMatchCorpus)
 {
     const std::vector<Variant> variants = corpusVariants();
     constexpr size_t kConfigs = 7;
 
-    // rppm-lint: rng-ok(selects the output file, never a result)
-    const char *write_path = std::getenv("RPPM_GOLDEN_WRITE");
+    const std::string write_path = golden::writePath("predict.txt");
+    const bool writing = !write_path.empty();
     const std::map<std::string, std::string> corpus =
-        write_path ? std::map<std::string, std::string>() : loadCorpus();
-    if (!write_path) {
+        writing ? std::map<std::string, std::string>() :
+                  golden::load("predict.txt");
+    if (!writing) {
         ASSERT_EQ(corpus.size(),
                   fullSuite().size() * kConfigs * variants.size())
-            << "corpus " << corpusPath() << " is missing or incomplete";
+            << "corpus " << golden::path("predict.txt")
+            << " is missing or incomplete";
     }
 
     std::vector<std::string> written;
@@ -178,7 +152,7 @@ TEST(PredictGolden, PredictAndGridMatchCorpus)
                     key(spec.name, configs[c].name, variant.name);
                 const std::string got = line(
                     k, predict(prof, configs[c], variant.opts));
-                if (write_path) {
+                if (writing) {
                     written.push_back(got);
                     continue;
                 }
@@ -196,16 +170,16 @@ TEST(PredictGolden, PredictAndGridMatchCorpus)
         }
     }
 
-    if (write_path) {
-        std::ofstream out(write_path);
-        out << "# RPPM golden prediction corpus: "
-               "<kernel>|<config>|<variant> <totalCycles>"
-               " then ' ;' and the 7 CPI components of each thread.\n"
-               "# Written by tests/test_predict_golden.cc; see its header "
-               "before regenerating.\n";
-        for (const std::string &text : written)
-            out << text << "\n";
-        ASSERT_TRUE(out.good()) << "cannot write " << write_path;
+    if (writing) {
+        ASSERT_TRUE(golden::write(
+            write_path,
+            "# RPPM golden prediction corpus: "
+            "<kernel>|<config>|<variant> <totalCycles>"
+            " then ' ;' and the 7 CPI components of each thread.\n"
+            "# Written by tests/test_predict_golden.cc; see its header "
+            "before regenerating.\n",
+            written))
+            << "cannot write " << write_path;
         return;
     }
     EXPECT_EQ(checked, corpus.size());

@@ -3,16 +3,16 @@
  * Differential tests for the profiler engine across job counts.
  *
  * The contract under test is absolute: profileWorkload() must produce a
- * profile *bit-identical* to the multi-pass reference
- * profileWorkloadLegacy() — same histograms, same micro-traces, same
+ * profile *bit-identical* to the committed corpus
+ * tests/golden/profile.txt — same histograms, same micro-traces, same
  * epoch structure, same synchronization classification — for every job
  * count (jobs == 1 runs the engine serially), with the trace profiled as
  * one window (streamChunkRecords == 0), on every kernel of
  * the workload suite, under custom profiler options, and through the
  * ProfileCache (same key, same serialized bytes, regardless of how many
  * profile workers produced the artifact). Equality is asserted through
- * the deterministic text serializer against the reference text, computed
- * once per kernel and option set.
+ * the byte length and CRC32C of the deterministic text serialization.
+ * This file also records the corpus (ProfileGolden below).
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "golden.hh"
 #include "profile/profiler.hh"
 #include "profile/serialize.hh"
 #include "profile_reference.hh"
@@ -43,41 +44,55 @@ serializeProfileBinary(const WorkloadProfile &profile)
     return ss.str();
 }
 
-/** A structurally rich workload: barriers, critical sections, a
- *  producer-consumer queue, shared data, coherence traffic. */
-WorkloadSpec
-richSpec(const char *name = "par-test")
-{
-    WorkloadSpec spec = barrierLoopSpec(4, 5, 2500);
-    spec.name = name;
-    spec.csPerEpoch = 2;
-    spec.queueItems = 6;
-    spec.kernel.sharedFrac = 0.25;
-    spec.kernel.branchEntropy = 0.1;
-    return spec;
-}
-
 const unsigned kJobCounts[] = {1, 2, 4, 7};
+
+TEST(ProfileGolden, CorpusCoversEveryCase)
+{
+    // Records tests/golden/profile.txt from the reference profiler when
+    // RPPM_GOLDEN_WRITE names it (golden.hh). Otherwise the corpus must
+    // hold exactly the cases the identity tests look up, and the
+    // reference must reproduce every line.
+    const std::vector<ProfileCase> cases = profileCorpusCases();
+    const std::string target = golden::writePath("profile.txt");
+    if (!target.empty()) {
+        std::vector<std::string> lines;
+        for (const ProfileCase &c : cases) {
+            lines.push_back(golden::digest(
+                c.key, serializeProfileText(profileWorkloadLegacy(
+                           generateWorkload(c.spec), c.opts))));
+        }
+        ASSERT_TRUE(golden::write(
+            target,
+            "# RPPM golden profile corpus: <workload>|<options> then the\n"
+            "# byte length and CRC32C of the text-serialized profile.\n"
+            "# Written by tests/test_profile_parallel.cc; see "
+            "tests/golden.hh before regenerating.\n",
+            lines))
+            << "cannot write " << target;
+        return;
+    }
+    EXPECT_EQ(golden::load("profile.txt").size(), cases.size());
+    for (const ProfileCase &c : cases) {
+        EXPECT_TRUE(matchesProfileCorpus(
+            c.key, profileWorkloadLegacy(generateWorkload(c.spec), c.opts)));
+    }
+}
 
 TEST(ParallelProfiler, BitIdenticalOnEveryKernelForEveryJobCount)
 {
     // The central guarantee: on all 26 suite kernels, the one-window
-    // profile serializes byte-for-byte identically to the legacy
-    // reference's, for every tested job count (including the serial
-    // run, jobs = 1).
+    // profile serializes byte-for-byte identically to the corpus, for
+    // every tested job count (including the serial run, jobs = 1).
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
-        const WorkloadTrace trace = generateWorkload(spec);
-        const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-        const std::string legacy = legacyProfileText(trace);
+        const ColumnarTrace cols =
+            ColumnarTrace::fromWorkload(generateWorkload(spec));
         for (const unsigned jobs : kJobCounts) {
             ProfilerOptions opts;
             opts.jobs = jobs;
-            // EXPECT_TRUE rather than EXPECT_EQ: on failure gtest would
-            // try to print two multi-hundred-kB strings.
-            EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
-                        legacy)
-                << spec.name << " jobs=" << jobs;
+            EXPECT_TRUE(matchesProfileCorpus(profileKey(spec.name),
+                                             profileWorkload(cols, opts)))
+                << "jobs=" << jobs;
         }
     }
 }
@@ -85,47 +100,34 @@ TEST(ParallelProfiler, BitIdenticalOnEveryKernelForEveryJobCount)
 TEST(ParallelProfiler, BitIdenticalUnderCustomOptions)
 {
     // Options that change profile *content* (sampling policy, quantum,
-    // coherence detection, line size) must keep sharded == legacy at
-    // every job count: the schedule replay honors the quantum, the
-    // sharded resolution honors detectInvalidation, the sweep honors the
+    // coherence detection, line size) must keep every job count on the
+    // corpus: the schedule replay honors the quantum, the sharded
+    // resolution honors detectInvalidation, the sweep honors the
     // sampling windows.
-    ProfilerOptions base;
-    base.quantum = 17;
-    base.microTraceLength = 64;
-    base.microTraceInterval = 500;
-
-    ProfilerOptions noInval = base;
-    noInval.detectInvalidation = false;
-
-    ProfilerOptions bigLines = base;
-    bigLines.lineBytes = 256;
-
-    const WorkloadTrace trace = generateWorkload(richSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    for (const ProfilerOptions &proto : {base, noInval, bigLines}) {
-        const std::string legacy = legacyProfileText(trace, proto);
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(richSpec("par-test")));
+    for (const auto &[name, proto] : customProfilerOptions()) {
         for (const unsigned jobs : kJobCounts) {
             ProfilerOptions opts = proto;
             opts.jobs = jobs;
-            EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
-                        legacy)
-                << "quantum=" << opts.quantum << " inv="
-                << opts.detectInvalidation << " lb=" << opts.lineBytes
-                << " jobs=" << jobs;
+            EXPECT_TRUE(matchesProfileCorpus(profileKey("par-test", name),
+                                             profileWorkload(cols, opts)))
+                << "jobs=" << jobs;
         }
     }
 }
 
-TEST(ParallelProfiler, AllHardwareThreadsMatchesLegacy)
+TEST(ParallelProfiler, AllHardwareThreadsMatchesCorpus)
 {
     // jobs = 0 means "all hardware threads": whatever count that
-    // resolves to on this machine, the profile is the reference's.
-    const WorkloadTrace trace = generateWorkload(richSpec());
+    // resolves to on this machine, the profile is the corpus'.
     ProfilerOptions all;
     all.jobs = 0;
-    EXPECT_TRUE(serializeProfileText(profileWorkload(
-                    ColumnarTrace::fromWorkload(trace), all)) ==
-                legacyProfileText(trace));
+    EXPECT_TRUE(matchesProfileCorpus(
+        profileKey("par-test"),
+        profileWorkload(
+            ColumnarTrace::fromWorkload(generateWorkload(richSpec("par-test"))),
+            all)));
 }
 
 TEST(ParallelProfiler, JobsStayOutOfTheCacheKey)
@@ -156,8 +158,8 @@ TEST(ParallelProfiler, CacheArtifactsIdenticalForAnyJobCount)
     std::filesystem::remove_all(dir);
 
     const WorkloadSpec spec = richSpec("par-cache");
-    const WorkloadTrace trace = generateWorkload(spec);
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(spec));
 
     ProfilerOptions serial;
     serial.jobs = 1;
@@ -183,9 +185,8 @@ TEST(ParallelProfiler, CacheArtifactsIdenticalForAnyJobCount)
     const auto fromPar = cacheB.getOrCompute(
         spec.name, par, [&] { return profileWorkload(cols, par); });
     EXPECT_EQ(cacheB.stats().diskHits, 1u);
-    EXPECT_TRUE(serializeProfileText(*fromSerial) ==
-                legacyProfileText(trace));
-    EXPECT_TRUE(serializeProfileText(*fromPar) == legacyProfileText(trace));
+    EXPECT_TRUE(matchesProfileCorpus(profileKey(spec.name), *fromSerial));
+    EXPECT_TRUE(matchesProfileCorpus(profileKey(spec.name), *fromPar));
     EXPECT_TRUE(serializeProfileBinary(*fromSerial) ==
                 serializeProfileBinary(*fromPar));
 
@@ -212,22 +213,14 @@ TEST(ParallelProfiler, SingleThreadedWorkload)
 {
     // Degenerate shape: one thread, no synchronization except the built-in
     // create/join scaffolding; the schedule replay and sharded resolution
-    // must still agree with the legacy reference exactly.
-    WorkloadSpec spec;
-    spec.name = "single";
-    spec.numWorkers = 1;
-    spec.mainWorks = false;
-    spec.numEpochs = 3;
-    spec.opsPerEpoch = 4000;
-    spec.barrierFlavor = BarrierFlavor::None;
-    const WorkloadTrace trace = generateWorkload(spec);
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    const std::string legacy = legacyProfileText(trace);
+    // must still reproduce the corpus exactly.
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(singleThreadSpec()));
     for (const unsigned jobs : kJobCounts) {
         ProfilerOptions opts;
         opts.jobs = jobs;
-        EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
-                    legacy)
+        EXPECT_TRUE(matchesProfileCorpus(profileKey("single"),
+                                         profileWorkload(cols, opts)))
             << "jobs=" << jobs;
     }
 }

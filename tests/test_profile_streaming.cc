@@ -6,10 +6,10 @@
  * profile carries: profileWorkload() with streamChunkRecords > 0 — and
  * the file-backed profileWorkloadStreamingFile(), which never
  * materializes the trace — must produce a profile *bit-identical* to
- * the multi-pass reference profileWorkloadLegacy() for every chunk size
+ * the committed corpus tests/golden/profile.txt for every chunk size
  * and every job count, on every kernel of the workload suite. Equality
- * is asserted through the deterministic text serializer against the
- * reference text, computed once per kernel and option set. On top of
+ * is asserted through the byte length and CRC32C of the deterministic
+ * text serialization. On top of
  * the identity sweep: structural rejection of truncated/corrupt trace
  * files at every prefix length, chunk-size exclusion from the profile
  * cache key, and artifact identity between one-window and chunked runs.
@@ -36,20 +36,6 @@
 namespace rppm {
 namespace {
 
-/** A structurally rich workload: barriers, critical sections, a
- *  producer-consumer queue, shared data, coherence traffic. */
-WorkloadSpec
-richSpec(const char *name = "stream-test")
-{
-    WorkloadSpec spec = barrierLoopSpec(4, 5, 2500);
-    spec.name = name;
-    spec.csPerEpoch = 2;
-    spec.queueItems = 6;
-    spec.kernel.sharedFrac = 0.25;
-    spec.kernel.branchEntropy = 0.1;
-    return spec;
-}
-
 /** Chunk targets: degenerate (every chunk is a single quantum slice),
  *  small (thousands of chunks on suite kernels), three segments' worth
  *  (suite kernels span several chunks, and at jobs 2 and 4 each
@@ -58,6 +44,9 @@ richSpec(const char *name = "stream-test")
  *  chunk). */
 const uint64_t kChunkSizes[] = {1, 4096, 12288, uint64_t{1} << 30};
 const unsigned kJobCounts[] = {1, 2, 4};
+
+/** Corpus name of the rich workload. */
+const char *const kRich = "stream-test";
 
 class TempTraceFile
 {
@@ -85,23 +74,19 @@ TEST(StreamingProfiler, BitIdenticalOnEveryKernelChunkSizeAndJobCount)
 {
     // The tentpole guarantee: on all 26 suite kernels, the streaming
     // engine's profile serializes byte-for-byte identically to the
-    // legacy reference's, for every (chunk size, job count) combination.
+    // corpus, for every (chunk size, job count) combination.
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
-        const WorkloadTrace trace = generateWorkload(spec);
-        const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-        const std::string legacy = legacyProfileText(trace);
+        const ColumnarTrace cols =
+            ColumnarTrace::fromWorkload(generateWorkload(spec));
         for (const uint64_t chunk : kChunkSizes) {
             for (const unsigned jobs : kJobCounts) {
                 ProfilerOptions opts;
                 opts.streamChunkRecords = chunk;
                 opts.jobs = jobs;
-                // EXPECT_TRUE rather than EXPECT_EQ: on failure gtest
-                // would try to print two multi-hundred-kB strings.
-                EXPECT_TRUE(serializeProfileText(
-                                profileWorkload(cols, opts)) == legacy)
-                    << spec.name << " chunk=" << chunk
-                    << " jobs=" << jobs;
+                EXPECT_TRUE(matchesProfileCorpus(
+                    profileKey(spec.name), profileWorkload(cols, opts)))
+                    << "chunk=" << chunk << " jobs=" << jobs;
             }
         }
     }
@@ -111,19 +96,17 @@ TEST(StreamingProfiler, FileBackedBitIdentical)
 {
     // The out-of-core path: serialize the trace, profile it straight
     // from the file through mapped chunk windows, and require the exact
-    // reference bytes — across chunk sizes that force many windows per
-    // run.
-    const WorkloadTrace trace = generateWorkload(richSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    const TempTraceFile file(cols);
-    const std::string legacy = legacyProfileText(trace);
+    // corpus bytes — across chunk sizes that force many windows per run.
+    const TempTraceFile file(
+        ColumnarTrace::fromWorkload(generateWorkload(richSpec(kRich))));
     for (const uint64_t chunk : kChunkSizes) {
         for (const unsigned jobs : kJobCounts) {
             ProfilerOptions opts;
             opts.streamChunkRecords = chunk;
             opts.jobs = jobs;
-            EXPECT_TRUE(serializeProfileText(profileWorkloadStreamingFile(
-                            file.path(), opts)) == legacy)
+            EXPECT_TRUE(matchesProfileCorpus(
+                profileKey(kRich),
+                profileWorkloadStreamingFile(file.path(), opts)))
                 << "chunk=" << chunk << " jobs=" << jobs;
         }
     }
@@ -132,32 +115,18 @@ TEST(StreamingProfiler, FileBackedBitIdentical)
 TEST(StreamingProfiler, BitIdenticalUnderCustomOptions)
 {
     // Content-shaping options (sampling policy, quantum, coherence
-    // detection, line size) must keep streaming == legacy for small
+    // detection, line size) must keep streaming on the corpus for small
     // chunks, where every epoch spans many chunk stitches.
-    ProfilerOptions base;
-    base.quantum = 17;
-    base.microTraceLength = 64;
-    base.microTraceInterval = 500;
-
-    ProfilerOptions noInval = base;
-    noInval.detectInvalidation = false;
-
-    ProfilerOptions bigLines = base;
-    bigLines.lineBytes = 256;
-
-    const WorkloadTrace trace = generateWorkload(richSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    for (const ProfilerOptions &proto : {base, noInval, bigLines}) {
-        const std::string legacy = legacyProfileText(trace, proto);
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(richSpec(kRich)));
+    for (const auto &[name, proto] : customProfilerOptions()) {
         for (const uint64_t chunk : {uint64_t{1}, uint64_t{4096}}) {
             ProfilerOptions opts = proto;
             opts.streamChunkRecords = chunk;
             opts.jobs = 3;
-            EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
-                        legacy)
-                << "quantum=" << opts.quantum << " inv="
-                << opts.detectInvalidation << " lb=" << opts.lineBytes
-                << " chunk=" << chunk;
+            EXPECT_TRUE(matchesProfileCorpus(profileKey(kRich, name),
+                                             profileWorkload(cols, opts)))
+                << "chunk=" << chunk;
         }
     }
 }
@@ -167,22 +136,14 @@ TEST(StreamingProfiler, SingleThreadedWorkload)
     // Degenerate shape: one thread, no synchronization beyond the
     // create/join scaffolding — every chunk edge is a bare quantum
     // boundary inside one long epoch.
-    WorkloadSpec spec;
-    spec.name = "single";
-    spec.numWorkers = 1;
-    spec.mainWorks = false;
-    spec.numEpochs = 3;
-    spec.opsPerEpoch = 4000;
-    spec.barrierFlavor = BarrierFlavor::None;
-    const WorkloadTrace trace = generateWorkload(spec);
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    const std::string legacy = legacyProfileText(trace);
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(singleThreadSpec()));
     for (const uint64_t chunk : kChunkSizes) {
         ProfilerOptions opts;
         opts.streamChunkRecords = chunk;
         opts.jobs = 2;
-        EXPECT_TRUE(serializeProfileText(profileWorkload(cols, opts)) ==
-                    legacy)
+        EXPECT_TRUE(matchesProfileCorpus(profileKey("single"),
+                                         profileWorkload(cols, opts)))
             << "chunk=" << chunk;
     }
 }
@@ -233,9 +194,9 @@ TEST(StreamingProfiler, FileBackedWorkloadSource)
     // A WorkloadSource registered by trace path: construction indexes
     // the container (picking up the embedded name), profile() with an
     // explicit chunk size streams straight from the file, and the
-    // result matches the reference bit for bit.
-    const WorkloadTrace trace = generateWorkload(richSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+    // result matches the corpus bit for bit.
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(richSpec(kRich)));
     const TempTraceFile file(cols);
 
     const WorkloadSource src = WorkloadSource::fromTraceFile(file.path());
@@ -247,7 +208,7 @@ TEST(StreamingProfiler, FileBackedWorkloadSource)
     stream.jobs = 2;
     ProfileCache cache;
     const auto streamed = src.profile(stream, cache);
-    EXPECT_TRUE(serializeProfileText(*streamed) == legacyProfileText(trace));
+    EXPECT_TRUE(matchesProfileCorpus(profileKey(kRich), *streamed));
 
     // Consumers that need the in-memory views still get them (lazily,
     // as a zero-copy mmap of the same file).
@@ -282,8 +243,8 @@ TEST(StreamingProfiler, CacheArtifactIdenticalAcrossEngines)
     std::filesystem::remove_all(dir);
 
     const WorkloadSpec spec = richSpec("stream-cache");
-    const WorkloadTrace trace = generateWorkload(spec);
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(spec));
 
     ProfilerOptions memory;
     ProfilerOptions stream;
@@ -304,9 +265,8 @@ TEST(StreamingProfiler, CacheArtifactIdenticalAcrossEngines)
     const auto fromStream = cacheB.getOrCompute(
         spec.name, stream, [&] { return profileWorkload(cols, stream); });
     EXPECT_EQ(cacheB.stats().diskHits, 1u);
-    const std::string legacy = legacyProfileText(trace);
-    EXPECT_TRUE(serializeProfileText(*fromMemory) == legacy);
-    EXPECT_TRUE(serializeProfileText(*fromStream) == legacy);
+    EXPECT_TRUE(matchesProfileCorpus(profileKey(spec.name), *fromMemory));
+    EXPECT_TRUE(matchesProfileCorpus(profileKey(spec.name), *fromStream));
 
     std::filesystem::remove_all(dir);
 }

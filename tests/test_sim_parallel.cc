@@ -4,23 +4,28 @@
  *
  * The contract under test is absolute: simulate() on a ColumnarTrace —
  * sequential or with any SimOptions::jobs — must produce a SimResult
- * *byte-identical* to simulateLegacy()'s, on every kernel of the
- * workload suite, under custom scheduler/architecture options, and in
- * every dispatch corner (single thread, bus-coupled hierarchy, jobs
- * clamping). Equality is asserted through a deterministic hexfloat dump
+ * *byte-identical* to the committed corpus tests/golden/sim.txt, on
+ * every kernel of the workload suite, under custom
+ * scheduler/architecture options, and in every dispatch corner (single
+ * thread, bus-coupled hierarchy, jobs clamping). Equality is asserted
+ * through the byte length and CRC32C of a deterministic hexfloat dump
  * of every SimResult field, so even a 1-ulp drift in any thread's
  * finish time, CPI component, activity interval or cache counter fails.
+ * This file also records the corpus (SimGolden below).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <iomanip>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/config.hh"
+#include "golden.hh"
 #include "sim/simulator.hh"
 #include "trace/columnar.hh"
 #include "trace/trace_builder.hh"
@@ -92,46 +97,24 @@ richSpec(const char *name = "sim-par-test")
 
 const unsigned kJobCounts[] = {1, 2, 4, 7};
 
-TEST(ParallelSimulator, BitIdenticalOnEveryKernelForEveryJobCount)
+/** One named architecture / scheduler variant of the rich workload. */
+struct Variant
 {
-    // The tentpole guarantee: on all 26 suite kernels, the columnar
-    // engine and the phased parallel engine dump byte-for-byte
-    // identically to the legacy AoS reference, for every tested job
-    // count (including the sequential columnar path itself, jobs = 1).
-    const MulticoreConfig cfg = baseConfig();
-    for (const SuiteEntry &entry : fullSuite()) {
-        const WorkloadSpec spec = scaledSpec(entry);
-        const WorkloadTrace trace = generateWorkload(spec);
-        const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-        const std::string legacy = dumpResult(simulateLegacy(trace, cfg));
-        for (const unsigned jobs : kJobCounts) {
-            SimOptions opts;
-            opts.jobs = jobs;
-            // EXPECT_TRUE rather than EXPECT_EQ: on failure gtest would
-            // try to print two multi-hundred-kB strings.
-            EXPECT_TRUE(dumpResult(simulate(cols, cfg, opts)) == legacy)
-                << spec.name << " jobs=" << jobs;
-        }
-    }
-}
+    const char *name;
+    MulticoreConfig cfg;
+    SimOptions opts;
+};
 
-TEST(ParallelSimulator, BitIdenticalUnderCustomOptions)
+/**
+ * Options and architectures that change the simulated interleaving or
+ * the sharding geometry: the schedule replay honors the quantum and the
+ * sync cost, the shard partition honors non-default line sizes, and
+ * heterogeneous machines exercise per-thread time scales and per-slot
+ * cache parameters.
+ */
+std::vector<Variant>
+customVariants()
 {
-    // Options and architectures that change the simulated interleaving
-    // or the sharding geometry must keep every engine identical: the
-    // schedule replay honors the quantum and the sync cost, the shard
-    // partition honors non-default line sizes, and heterogeneous
-    // machines exercise per-thread time scales and per-slot cache
-    // parameters.
-    const WorkloadTrace trace = generateWorkload(richSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-
-    struct Variant
-    {
-        const char *name;
-        MulticoreConfig cfg;
-        SimOptions opts;
-    };
     std::vector<Variant> variants;
     variants.push_back({"base", baseConfig(), {}});
     {
@@ -155,42 +138,22 @@ TEST(ParallelSimulator, BitIdenticalUnderCustomOptions)
         variants.push_back({"line256", cfg, {}});
     }
     variants.push_back({"bigLittle", bigLittleConfig(2, 2), {}});
-
-    for (const Variant &v : variants) {
-        const std::string legacy =
-            dumpResult(simulateLegacy(trace, v.cfg, v.opts));
-        for (const unsigned jobs : kJobCounts) {
-            SimOptions opts = v.opts;
-            opts.jobs = jobs;
-            EXPECT_TRUE(dumpResult(simulate(cols, v.cfg, opts)) == legacy)
-                << v.name << " jobs=" << jobs;
-        }
-    }
+    return variants;
 }
 
-TEST(ParallelSimulator, BusCoupledConfigFallsBackAndStaysIdentical)
+/** Base with a shared memory bus (memBusCycles > 0). */
+MulticoreConfig
+busConfig()
 {
-    // memBusCycles > 0 couples cache latency to global time, which the
-    // sharded replay cannot honor; the dispatcher must route such
-    // configs to the sequential engine for every job count — still
-    // byte-identical to the legacy reference.
     MulticoreConfig cfg = baseConfig();
     cfg.memBusCycles = 12;
-    const WorkloadTrace trace = generateWorkload(richSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    const std::string legacy = dumpResult(simulateLegacy(trace, cfg));
-    for (const unsigned jobs : kJobCounts) {
-        SimOptions opts;
-        opts.jobs = jobs;
-        EXPECT_TRUE(dumpResult(simulate(cols, cfg, opts)) == legacy)
-            << "bus jobs=" << jobs;
-    }
+    return cfg;
 }
 
-TEST(ParallelSimulator, SingleThreadedTraceIsIdenticalAtAnyJobCount)
+/** A 1-thread trace: nothing to overlap. */
+WorkloadTrace
+soloTrace()
 {
-    // A 1-thread trace has nothing to overlap; the dispatcher runs it
-    // sequentially no matter what jobs says, and the result matches.
     WorkloadTrace trace;
     trace.name = "solo";
     trace.threads.resize(1);
@@ -202,14 +165,171 @@ TEST(ParallelSimulator, SingleThreadedTraceIsIdenticalAtAnyJobCount)
         if (i % 7 == 0)
             main.branch(4 * static_cast<uint32_t>(i % 96), i % 2 == 0);
     }
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    const std::string legacy =
-        dumpResult(simulateLegacy(trace, baseConfig()));
+    return trace;
+}
+
+/** Corpus key of workload @p workload on variant @p variant. */
+std::string
+simKey(const std::string &workload, const char *variant = "base")
+{
+    return workload + "|" + variant;
+}
+
+std::string
+fmt(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+/** Corpus line of @p r: key, dump digest, then the totals. */
+std::string
+simLine(const std::string &key, const SimResult &r)
+{
+    return golden::digest(key, dumpResult(r)) + " " + fmt(r.totalCycles) +
+        " " + fmt(r.totalSeconds);
+}
+
+/** Does @p r reproduce the corpus line of @p key? */
+::testing::AssertionResult
+matchesSimCorpus(const std::string &key, const SimResult &r)
+{
+    static const std::map<std::string, std::string> corpus =
+        golden::load("sim.txt");
+    const std::string got = simLine(key, r);
+    const auto it = corpus.find(key);
+    if (it == corpus.end())
+        return ::testing::AssertionFailure()
+            << "no line for " << key << " in " << golden::path("sim.txt");
+    if (got != it->second)
+        return ::testing::AssertionFailure()
+            << "computed '" << got << "', corpus '" << it->second << "'";
+    return ::testing::AssertionSuccess();
+}
+
+/** One line of tests/golden/sim.txt. */
+struct SimCase
+{
+    std::string key;
+    WorkloadTrace trace;
+    MulticoreConfig cfg;
+    SimOptions opts;
+};
+
+/** Every case of the sim corpus, in corpus order. */
+std::vector<SimCase>
+simCorpusCases()
+{
+    std::vector<SimCase> cases;
+    for (const SuiteEntry &entry : fullSuite()) {
+        const WorkloadSpec spec = scaledSpec(entry);
+        cases.push_back(
+            {simKey(spec.name), generateWorkload(spec), baseConfig(), {}});
+    }
+    const WorkloadTrace rich = generateWorkload(richSpec());
+    for (const Variant &v : customVariants())
+        cases.push_back({simKey(rich.name, v.name), rich, v.cfg, v.opts});
+    cases.push_back({simKey(rich.name, "bus12"), rich, busConfig(), {}});
+    cases.push_back({simKey("solo"), soloTrace(), baseConfig(), {}});
+    return cases;
+}
+
+TEST(SimGolden, CorpusCoversEveryCase)
+{
+    // Records tests/golden/sim.txt from the reference engine when
+    // RPPM_GOLDEN_WRITE names it (golden.hh). Otherwise the corpus must
+    // hold exactly the cases the identity tests look up, and the
+    // reference must reproduce every line.
+    const std::vector<SimCase> cases = simCorpusCases();
+    const std::string target = golden::writePath("sim.txt");
+    if (!target.empty()) {
+        std::vector<std::string> lines;
+        for (const SimCase &c : cases)
+            lines.push_back(
+                simLine(c.key, simulateLegacy(c.trace, c.cfg, c.opts)));
+        ASSERT_TRUE(golden::write(
+            target,
+            "# RPPM golden simulation corpus: <workload>|<variant>, the\n"
+            "# byte length and CRC32C of the hexfloat SimResult dump,\n"
+            "# then %.17g totalCycles and totalSeconds.\n"
+            "# Written by tests/test_sim_parallel.cc; see "
+            "tests/golden.hh before regenerating.\n",
+            lines))
+            << "cannot write " << target;
+        return;
+    }
+    EXPECT_EQ(golden::load("sim.txt").size(), cases.size());
+    for (const SimCase &c : cases) {
+        EXPECT_TRUE(matchesSimCorpus(
+            c.key, simulateLegacy(c.trace, c.cfg, c.opts)));
+    }
+}
+
+TEST(ParallelSimulator, BitIdenticalOnEveryKernelForEveryJobCount)
+{
+    // The tentpole guarantee: on all 26 suite kernels, the columnar
+    // engine and the phased parallel engine reproduce the corpus byte
+    // for byte, for every tested job count (including the sequential
+    // columnar path itself, jobs = 1).
+    const MulticoreConfig cfg = baseConfig();
+    for (const SuiteEntry &entry : fullSuite()) {
+        const WorkloadSpec spec = scaledSpec(entry);
+        const ColumnarTrace cols =
+            ColumnarTrace::fromWorkload(generateWorkload(spec));
+        for (const unsigned jobs : kJobCounts) {
+            SimOptions opts;
+            opts.jobs = jobs;
+            EXPECT_TRUE(matchesSimCorpus(simKey(spec.name),
+                                         simulate(cols, cfg, opts)))
+                << "jobs=" << jobs;
+        }
+    }
+}
+
+TEST(ParallelSimulator, BitIdenticalUnderCustomOptions)
+{
+    // Every engine stays on the corpus under each custom variant.
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+    for (const Variant &v : customVariants()) {
+        for (const unsigned jobs : kJobCounts) {
+            SimOptions opts = v.opts;
+            opts.jobs = jobs;
+            EXPECT_TRUE(matchesSimCorpus(simKey(cols.name, v.name),
+                                         simulate(cols, v.cfg, opts)))
+                << "jobs=" << jobs;
+        }
+    }
+}
+
+TEST(ParallelSimulator, BusCoupledConfigFallsBackAndStaysIdentical)
+{
+    // memBusCycles > 0 couples cache latency to global time, which the
+    // sharded replay cannot honor; the dispatcher must route such
+    // configs to the sequential engine for every job count — still
+    // byte-identical to the corpus.
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
     for (const unsigned jobs : kJobCounts) {
         SimOptions opts;
         opts.jobs = jobs;
-        EXPECT_TRUE(dumpResult(simulate(cols, baseConfig(), opts)) ==
-                    legacy)
+        EXPECT_TRUE(matchesSimCorpus(simKey(cols.name, "bus12"),
+                                     simulate(cols, busConfig(), opts)))
+            << "bus jobs=" << jobs;
+    }
+}
+
+TEST(ParallelSimulator, SingleThreadedTraceIsIdenticalAtAnyJobCount)
+{
+    // A 1-thread trace has nothing to overlap; the dispatcher runs it
+    // sequentially no matter what jobs says, and the result matches.
+    const ColumnarTrace cols = ColumnarTrace::fromWorkload(soloTrace());
+    for (const unsigned jobs : kJobCounts) {
+        SimOptions opts;
+        opts.jobs = jobs;
+        EXPECT_TRUE(matchesSimCorpus(simKey("solo"),
+                                     simulate(cols, baseConfig(), opts)))
             << "1-thread jobs=" << jobs;
     }
 }
@@ -217,24 +337,24 @@ TEST(ParallelSimulator, SingleThreadedTraceIsIdenticalAtAnyJobCount)
 TEST(ParallelSimulator, AosOverloadRoutesThroughColumnar)
 {
     // The WorkloadTrace overload converts and forwards; it must equal
-    // both the explicit columnar call and the legacy engine.
+    // both the explicit columnar call and the corpus.
     const WorkloadTrace trace = generateWorkload(richSpec());
     const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    const std::string via_aos = dumpResult(simulate(trace, baseConfig()));
-    EXPECT_EQ(via_aos, dumpResult(simulate(cols, baseConfig())));
-    EXPECT_TRUE(via_aos == dumpResult(simulateLegacy(trace, baseConfig())));
+    const SimResult via_aos = simulate(trace, baseConfig());
+    EXPECT_EQ(dumpResult(via_aos), dumpResult(simulate(cols, baseConfig())));
+    EXPECT_TRUE(matchesSimCorpus(simKey(trace.name), via_aos));
 }
 
 TEST(ParallelSimulator, JobsZeroMeansAllHardwareThreads)
 {
     // jobs = 0 resolves to the hardware thread count; whatever that is
     // on the host, the result bits cannot change.
-    const WorkloadTrace trace = generateWorkload(richSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
     SimOptions opts;
     opts.jobs = 0;
-    EXPECT_TRUE(dumpResult(simulate(cols, baseConfig(), opts)) ==
-                dumpResult(simulateLegacy(trace, baseConfig())));
+    EXPECT_TRUE(matchesSimCorpus(simKey(cols.name),
+                                 simulate(cols, baseConfig(), opts)));
 }
 
 TEST(ParallelSimulator, RejectsZeroQuantum)

@@ -6,8 +6,9 @@
  *  - binary trace serialization round-trips bit-identically and rejects
  *    old-version, truncated and corrupt input cleanly;
  *  - profileWorkload() (both overloads) produces profiles bit-identical
- *    to the legacy multi-pass reference on every workload kernel of the
- *    suite (byte-compared through the deterministic text serializer);
+ *    to the committed corpus tests/golden/profile.txt on every workload
+ *    kernel of the suite (byte length and CRC32C of the deterministic
+ *    text serialization);
  *  - the binary profile format round-trips exactly (predictions and
  *    bytes) and the ProfileCache self-heals corrupt or legacy-format
  *    artifacts.
@@ -34,20 +35,6 @@
 namespace rppm {
 namespace {
 
-/** A small but structurally rich workload (barriers, critical sections,
- *  a producer-consumer queue, shared data). */
-WorkloadSpec
-richSpec(const char *name = "columnar-test")
-{
-    WorkloadSpec spec = barrierLoopSpec(3, 4, 2500);
-    spec.name = name;
-    spec.csPerEpoch = 2;
-    spec.queueItems = 5;
-    spec.kernel.sharedFrac = 0.2;
-    spec.kernel.branchEntropy = 0.1;
-    return spec;
-}
-
 std::string
 serializeTrace(const ColumnarTrace &trace)
 {
@@ -58,7 +45,7 @@ serializeTrace(const ColumnarTrace &trace)
 
 TEST(Columnar, ConversionIsLossless)
 {
-    const WorkloadTrace trace = generateWorkload(richSpec());
+    const WorkloadTrace trace = generateWorkload(columnarRichSpec());
     const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
 
     EXPECT_EQ(cols.numThreads(), trace.numThreads());
@@ -118,7 +105,7 @@ TEST(Columnar, CursorWalksRecordsInOrder)
 
 TEST(Columnar, ValidateMatchesAoSValidate)
 {
-    const WorkloadTrace good = generateWorkload(richSpec());
+    const WorkloadTrace good = generateWorkload(columnarRichSpec());
     EXPECT_NO_THROW(good.validate());
     EXPECT_NO_THROW(
         ColumnarTrace::fromWorkload(good).validateAndBarrierPopulations());
@@ -137,7 +124,7 @@ TEST(Columnar, ValidateMatchesAoSValidate)
 
 TEST(Columnar, BarrierPopulationsMatchLegacyScan)
 {
-    const WorkloadTrace trace = generateWorkload(richSpec());
+    const WorkloadTrace trace = generateWorkload(columnarRichSpec());
     const auto legacy = barrierPopulations(trace);
     const auto columnar = ColumnarTrace::fromWorkload(trace)
                               .validateAndBarrierPopulations();
@@ -149,7 +136,7 @@ TEST(Columnar, BarrierPopulationsMatchLegacyScan)
 TEST(TraceIo, RoundTripIsBitIdentical)
 {
     const ColumnarTrace original =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec()));
     const std::string bytes = serializeTrace(original);
 
     std::stringstream in(bytes);
@@ -163,7 +150,7 @@ TEST(TraceIo, RoundTripIsBitIdentical)
 TEST(TraceIo, FileRoundTrip)
 {
     const ColumnarTrace original =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec()));
     const std::string path = "/tmp/rppm_test_trace.rppmtrc";
     saveTraceToFile(original, path);
     const ColumnarTrace loaded = loadTraceFromFile(path);
@@ -180,7 +167,7 @@ TEST(TraceIo, RejectsBadMagic)
 TEST(TraceIo, RejectsOldVersion)
 {
     std::string bytes = serializeTrace(
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec())));
+        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec())));
     // The version field sits after the 8-byte magic and the 4-byte
     // endianness marker.
     bytes[12] = static_cast<char>(kTraceFormatVersion + 1);
@@ -191,7 +178,7 @@ TEST(TraceIo, RejectsOldVersion)
 TEST(TraceIo, RejectsTruncatedInput)
 {
     const std::string bytes = serializeTrace(
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec())));
+        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec())));
     for (const double frac : {0.25, 0.5, 0.9}) {
         std::stringstream in(bytes.substr(
             0, static_cast<size_t>(static_cast<double>(bytes.size()) *
@@ -203,7 +190,7 @@ TEST(TraceIo, RejectsTruncatedInput)
 TEST(TraceIo, RejectsTrailingGarbage)
 {
     std::string bytes = serializeTrace(
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec())));
+        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec())));
     bytes += "garbage.";
     std::stringstream in(bytes);
     EXPECT_THROW(loadTrace(in), std::invalid_argument);
@@ -228,7 +215,7 @@ writeTempFile(const std::string &bytes, const char *name)
 TEST(TraceView, BorrowedViewEqualsOwnedLoad)
 {
     const ColumnarTrace original =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec()));
     const std::string path =
         writeTempFile(serializeTrace(original), "rppm_test_view.rppmtrc");
 
@@ -256,7 +243,7 @@ TEST(TraceView, BorrowedViewEqualsOwnedLoad)
 TEST(TraceView, ProfilesBitIdenticallyToOwnedLoad)
 {
     const ColumnarTrace original =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec()));
     const std::string path = writeTempFile(
         serializeTrace(original), "rppm_test_view_prof.rppmtrc");
 
@@ -276,7 +263,7 @@ TEST(TraceView, ProfilesBitIdenticallyToOwnedLoad)
 TEST(TraceView, RejectsExactlyWhatTheCopyLoaderRejects)
 {
     const std::string bytes = serializeTrace(
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec())));
+        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec())));
     const char *path_name = "rppm_test_view_bad.rppmtrc";
 
     // Bad magic.
@@ -334,27 +321,24 @@ TEST(TraceView, ColumnBorrowSemantics)
     EXPECT_NE(owned.data(), borrowed.data());
 }
 
-// ----------------------------------- profiler vs. legacy equivalence ---
+// ------------------------------------------ profiler vs. the corpus ---
 
-TEST(Profiler, BitIdenticalToLegacyOnEveryKernel)
+TEST(Profiler, BitIdenticalToCorpusOnEveryKernel)
 {
     // One text-serialized byte mismatch anywhere in mix, histograms,
     // micro-traces, branch counts or sync structure fails this test.
     // Kernels are scaled down to keep the test fast; every suite entry
     // is covered, through the AoS overload at default options.
     for (const SuiteEntry &entry : fullSuite()) {
-        const WorkloadTrace trace = generateWorkload(scaledSpec(entry));
-        // EXPECT_TRUE rather than EXPECT_EQ: on failure gtest would try
-        // to print two multi-hundred-kB strings.
-        EXPECT_TRUE(serializeProfileText(profileWorkload(trace)) ==
-                    legacyProfileText(trace))
-            << trace.name;
+        const WorkloadSpec spec = scaledSpec(entry);
+        EXPECT_TRUE(matchesProfileCorpus(
+            profileKey(spec.name), profileWorkload(generateWorkload(spec))));
     }
 }
 
 TEST(Profiler, ColumnarOverloadMatchesAoSOverload)
 {
-    const WorkloadTrace trace = generateWorkload(richSpec());
+    const WorkloadTrace trace = generateWorkload(columnarRichSpec());
     const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
     EXPECT_TRUE(serializeProfileText(profileWorkload(cols)) ==
                 serializeProfileText(profileWorkload(trace)));
@@ -363,15 +347,15 @@ TEST(Profiler, ColumnarOverloadMatchesAoSOverload)
 TEST(Profiler, RespectsProfilerOptions)
 {
     // The options that change profile content must keep the profile
-    // equal to the reference's.
+    // equal to the corpus'.
     ProfilerOptions opts;
     opts.detectInvalidation = false;
     opts.quantum = 17;
     opts.microTraceLength = 64;
     opts.microTraceInterval = 500;
-    const WorkloadTrace trace = generateWorkload(richSpec());
-    EXPECT_TRUE(serializeProfileText(profileWorkload(trace, opts)) ==
-                legacyProfileText(trace, opts));
+    EXPECT_TRUE(matchesProfileCorpus(
+        profileKey("columnar-test", "noinval"),
+        profileWorkload(generateWorkload(columnarRichSpec()), opts)));
 }
 
 // ----------------------------------------------- binary profile I/O ---
@@ -379,7 +363,7 @@ TEST(Profiler, RespectsProfilerOptions)
 TEST(ProfileBinary, RoundTripPredictsIdentically)
 {
     const WorkloadProfile original =
-        profileWorkload(generateWorkload(richSpec()));
+        profileWorkload(generateWorkload(columnarRichSpec()));
     std::stringstream ss;
     saveProfileBinary(original, ss);
     const WorkloadProfile copy = loadProfileBinary(ss);
@@ -394,7 +378,7 @@ TEST(ProfileBinary, RoundTripPredictsIdentically)
 TEST(ProfileBinary, DoubleRoundTripIsByteStable)
 {
     const WorkloadProfile original =
-        profileWorkload(generateWorkload(richSpec()));
+        profileWorkload(generateWorkload(columnarRichSpec()));
     std::stringstream once, twice;
     saveProfileBinary(original, once);
     const WorkloadProfile copy = loadProfileBinary(once);
@@ -405,7 +389,7 @@ TEST(ProfileBinary, DoubleRoundTripIsByteStable)
 TEST(ProfileBinary, RejectsBadInput)
 {
     const WorkloadProfile original =
-        profileWorkload(generateWorkload(richSpec()));
+        profileWorkload(generateWorkload(columnarRichSpec()));
     std::stringstream ss;
     saveProfileBinary(original, ss);
     std::string bytes = ss.str();
@@ -435,7 +419,7 @@ TEST(ProfileBinary, CacheSelfHealsCorruptAndLegacyArtifacts)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
 
-    const WorkloadSpec spec = richSpec("heal-me");
+    const WorkloadSpec spec = columnarRichSpec("heal-me");
     const WorkloadTrace trace = generateWorkload(spec);
     const WorkloadProfile reference = profileWorkload(trace);
 
