@@ -1,24 +1,23 @@
 /**
  * @file
  * Performance micro-harness for the hot path: trace build, columnar
- * conversion, profiling (profileWorkload vs. the legacy reference, at
- * one job, at --jobs and chunked), the simulator
- * oracle (legacy AoS vs. columnar vs. parallel engines), single
- * prediction and a full Study sweep-grid evaluation (naive per-point
- * vs. memoized component engine), per workload kernel.
+ * conversion, profiling (at one job, at --jobs and chunked), the
+ * simulator oracle (sequential columnar vs. parallel engine), single
+ * prediction and a full Study sweep-grid evaluation through the
+ * memoized component engine, per workload kernel.
  *
  * Emits machine-readable JSON (schema "rppm-bench-perf-1") and can check
- * the measurements against a committed baseline, failing the process on
- * regression — this is what the CI perf-smoke job runs.
+ * the measurements against a baseline written by another run, failing
+ * the process on regression. CI's perf-smoke job builds the parent
+ * commit and the change on the same runner, writes the parent's
+ * baseline, then runs the change against it (an A/B gate).
  *
  * Usage:
  *   bench_perf [--kernels a,b,c | --kernels all] [--filter REGEX]
  *              [--scale F] [--repeat N] [--jobs N] [--out FILE]
  *              [--baseline FILE [--max-regression F]]
- *              [--min-profile-speedup F] [--min-profile-par-speedup F]
- *              [--min-sim-speedup F] [--min-sim-par-speedup F]
- *              [--min-grid-speedup F] [--min-serve-speedup F]
- *              [--max-stream-overhead F]
+ *              [--min-profile-par-speedup F] [--min-sim-par-speedup F]
+ *              [--min-serve-speedup F] [--max-stream-overhead F]
  *              [--write-baseline FILE]
  *
  * --jobs drives every parallel knob at once: the Study worker pool of
@@ -27,11 +26,10 @@
  * and the fully-parallel cold Study of the study_cold phase (trace
  * build + profile + memoized grid, end to end from a spec). The profile
  * phase runs profileWorkload() at one job; it is the denominator of
- * profile_speedup (legacy / profile), profile_par_speedup (profile /
- * profile_par wall time) and stream_overhead. sim_speedup (legacy /
- * columnar), sim_par_speedup
- * (columnar sequential / parallel) and the other per-kernel speedups
- * are summarized as geomeans in a "summary" JSON block and on stdout.
+ * profile_par_speedup (profile / profile_par wall time) and
+ * stream_overhead. sim_par_speedup (columnar sequential / parallel) and
+ * the other per-kernel ratios are summarized as geomeans in a "summary"
+ * JSON block and on stdout.
  *
  * --filter selects kernels whose name matches REGEX (case-insensitive,
  * std::regex search). On its own it filters the full 26-kernel suite;
@@ -41,30 +39,26 @@
  * against one noisy CI iteration in either direction, unlike best-of
  * (which a lucky run biases) or the mean (which a descheduled run
  * poisons). The regression check compares the normalized ns/op metrics
- * (profile, profile_par, sim, sim_par, predict, grid, grid_memo)
- * against the baseline with a relative tolerance (default 0.25 = fail
- * when >25% slower). The legacy/profile speedup and the grid
- * memoization speedup are
- * machine-independent ratios and can be gated with
- * --min-profile-speedup / --min-grid-speedup (both per kernel). The
- * simulator-engine gates --min-sim-speedup / --min-sim-par-speedup
- * apply to the geomean over the kernel set instead: the sim phases run
- * tens of milliseconds at smoke scale, where per-kernel ratios are
- * noise-dominated, and the three engines are timed interleaved (see
- * medianOfInterleaved) so machine-speed drift cancels out of the
- * ratios.
+ * (profile, profile_par, sim, sim_par, predict, grid_memo) against the
+ * baseline with a relative tolerance (default 0.25 = fail when >25%
+ * slower); the baseline must come from the same machine, which is why
+ * CI records it from the parent commit in the same job. The profiler's
+ * parallel speedup --min-profile-par-speedup is gated per kernel. The
+ * simulator gate --min-sim-par-speedup applies to the geomean over the
+ * kernel set instead: the sim phases run tens of milliseconds at smoke
+ * scale, where per-kernel ratios are noise-dominated, and the two
+ * engines are timed interleaved (see medianOfInterleaved) so
+ * machine-speed drift cancels out of the ratio.
  *
  * rppm_vs_sim = sim_ms / predict_ms (per kernel and as a geomean) is
  * the paper's Sec. VII claim: the cost of one more simulated design
  * point over one more predicted one. It is printed and recorded, not
  * gated.
  *
- * The grid phases evaluate the standard sweep grid — the Table-IV design
- * points, a per-core DVFS ladder on Base and every distinct thread
- * placement on a 2+2 big.LITTLE machine — end to end through a cold
- * Study (profiling included). "grid" forces the naive per-point path
- * (Study::memoization(false)); "grid_memo" is the default memoized
- * engine; grid_speedup is their ratio.
+ * The grid_memo phase evaluates the standard sweep grid — the Table-IV
+ * design points, a per-core DVFS ladder on Base and every distinct
+ * thread placement on a 2+2 big.LITTLE machine — end to end through a
+ * cold Study (profiling included) on the memoized component engine.
  *
  * The serve_warm phase measures the same sweep grid answered by a warm
  * in-process rppmd daemon (src/server) over its Unix-socket protocol:
@@ -146,11 +140,8 @@ struct KernelResult
     // repeats, in kB (see file comment; kept separate from ms so the
     // ns/op machinery never treats it as a timing).
     std::map<std::string, double> rssDeltaKb;
-    double profileSpeedup = 0.0;
     double profileParSpeedup = 0.0;
-    double simSpeedup = 0.0;
     double simParSpeedup = 0.0;
-    double gridSpeedup = 0.0;
     double serveSpeedup = 0.0;
     double streamOverhead = 0.0;
     double rppmVsSim = 0.0;
@@ -298,13 +289,6 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
     // The one-job profile: the engine run serially, in one window.
     WorkloadProfile profile;
     timed("profile", [&] { profile = profileWorkload(cols); });
-    timed("profile_legacy", [&] {
-        WorkloadProfile legacy = profileWorkloadLegacy(trace);
-        if (legacy.totalOps() != profile.totalOps())
-            std::fprintf(stderr, "warning: legacy/profile op mismatch\n");
-    });
-    result.profileSpeedup =
-        result.ms["profile_legacy"] / result.ms["profile"];
 
     // The same engine and window on the harness's --jobs workers.
     // profile_par_speedup is one-job/--jobs wall time: > 1 means the
@@ -346,33 +330,26 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
             std::fprintf(stderr, "warning: degenerate prediction\n");
     });
 
-    // The simulator oracle, three engines over the same trace. All must
-    // produce identical cycle counts (the differential test pins the
-    // full results byte-identical; the bench cross-checks the headline
-    // number as a cheap canary). sim_speedup is the columnar rewrite's
-    // sequential win over the legacy AoS engine; sim_par_speedup is the
-    // phased parallel engine's win over sequential columnar on --jobs
-    // workers (expect ~1.0 or slightly below with --jobs 1 or on a
-    // single-core machine — the phases then pay their scatter overhead
-    // with no cores to spend it on).
-    // The three engines are measured interleaved (legacy, columnar,
-    // parallel, repeat) so machine-speed drift cancels out of the
-    // speedup ratios instead of skewing whichever engine ran last.
-    SimResult simRef, simCol, simPar;
+    // The simulator oracle, two engines over the same trace. Both must
+    // produce identical cycle counts (the identity tests pin the full
+    // results to the committed corpus; the bench cross-checks the
+    // headline number as a cheap canary). sim_par_speedup is the phased
+    // parallel engine's win over sequential columnar on --jobs workers
+    // (expect ~1.0 or slightly below with --jobs 1 or on a single-core
+    // machine — the phases then pay their scatter overhead with no cores
+    // to spend it on). The engines are measured interleaved (columnar,
+    // parallel, repeat) so machine-speed drift cancels out of the ratio
+    // instead of skewing whichever engine ran last.
+    SimResult simCol, simPar;
     SimOptions simParOpts;
     simParOpts.jobs = jobs;
     const std::vector<double> simMs = medianOfInterleaved(
-        repeat, {[&] { simRef = simulateLegacy(trace, base); },
-                 [&] { simCol = simulate(cols, base); },
+        repeat, {[&] { simCol = simulate(cols, base); },
                  [&] { simPar = simulate(cols, base, simParOpts); }});
-    result.ms["sim_legacy"] = simMs[0];
-    result.ms["sim"] = simMs[1];
-    result.ms["sim_par"] = simMs[2];
-    if (simCol.totalCycles != simRef.totalCycles)
-        std::fprintf(stderr, "warning: columnar/legacy sim mismatch\n");
-    if (simPar.totalCycles != simRef.totalCycles)
-        std::fprintf(stderr, "warning: parallel/legacy sim mismatch\n");
-    result.simSpeedup = result.ms["sim_legacy"] / result.ms["sim"];
+    result.ms["sim"] = simMs[0];
+    result.ms["sim_par"] = simMs[1];
+    if (simPar.totalCycles != simCol.totalCycles)
+        std::fprintf(stderr, "warning: parallel/columnar sim mismatch\n");
     result.simParSpeedup = result.ms["sim"] / result.ms["sim_par"];
     // What one more predicted design point saves over simulating it
     // (paper Sec. VII): > 1 means predict() is the cheaper answer.
@@ -380,24 +357,18 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
 
     // Full facade path over the standard sweep grid: fresh Study per
     // repeat (profiling included) so the numbers reflect what a cold
-    // grid evaluation actually costs. "grid" forces the naive per-point
-    // predictor; "grid_memo" is the default memoized component engine —
-    // bit-identical predictions, gated as a ratio below.
+    // grid evaluation on the memoized component engine actually costs.
     const std::vector<MulticoreConfig> sweep = sweepConfigs(spec.numThreads());
-    const auto runGrid = [&](bool memoize) {
+    timed("grid_memo", [&] {
         Study study;
         study.addWorkload(trace)
             .addConfigs(sweep)
             .addEvaluator("rppm")
-            .memoization(memoize)
             .jobs(jobs);
         const StudyResult grid = study.run();
         if (grid.cells().empty())
             std::fprintf(stderr, "warning: empty grid\n");
-    };
-    timed("grid", [&] { runGrid(false); });
-    timed("grid_memo", [&] { runGrid(true); });
-    result.gridSpeedup = result.ms["grid"] / result.ms["grid_memo"];
+    });
 
     // Cold end-to-end Study: trace synthesis + (parallel) profiling +
     // the memoized sweep grid, all inside one spec-backed Study with
@@ -517,12 +488,9 @@ resultsToJson(const std::vector<KernelResult> &results, double scale,
             os << "      \"" << metric << "_rss_delta_kb\": " << kb
                << ",\n";
         os << "      \"stream_overhead\": " << r.streamOverhead << ",\n"
-           << "      \"profile_speedup\": " << r.profileSpeedup << ",\n"
            << "      \"profile_par_speedup\": " << r.profileParSpeedup
            << ",\n"
-           << "      \"sim_speedup\": " << r.simSpeedup << ",\n"
            << "      \"sim_par_speedup\": " << r.simParSpeedup << ",\n"
-           << "      \"grid_speedup\": " << r.gridSpeedup << ",\n"
            << "      \"serve_speedup\": " << r.serveSpeedup << ",\n"
            << "      \"rppm_vs_sim\": " << r.rppmVsSim << "\n"
            << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
@@ -532,29 +500,14 @@ resultsToJson(const std::vector<KernelResult> &results, double scale,
     // per-kernel entries.
     os << "  ],\n"
        << "  \"summary\": {\n"
-       << "    \"profile_speedup_geomean\": "
-       << geomean(results, [](const KernelResult &r) {
-              return r.profileSpeedup;
-          })
-       << ",\n"
        << "    \"profile_par_speedup_geomean\": "
        << geomean(results, [](const KernelResult &r) {
               return r.profileParSpeedup;
           })
        << ",\n"
-       << "    \"sim_speedup_geomean\": "
-       << geomean(results, [](const KernelResult &r) {
-              return r.simSpeedup;
-          })
-       << ",\n"
        << "    \"sim_par_speedup_geomean\": "
        << geomean(results, [](const KernelResult &r) {
               return r.simParSpeedup;
-          })
-       << ",\n"
-       << "    \"grid_speedup_geomean\": "
-       << geomean(results, [](const KernelResult &r) {
-              return r.gridSpeedup;
           })
        << ",\n"
        << "    \"stream_overhead_geomean\": "
@@ -728,16 +681,13 @@ class BaselineParser
 const char *kGatedMetrics[] = {"profile_ns_per_op",
                                "profile_par_ns_per_op",
                                "sim_ns_per_op", "sim_par_ns_per_op",
-                               "predict_ns_per_op", "grid_ns_per_op",
-                               "grid_memo_ns_per_op"};
+                               "predict_ns_per_op", "grid_memo_ns_per_op"};
 
 int
 checkRegressions(const std::vector<KernelResult> &results,
                  const std::string &baseline_path, double max_regression,
-                 double min_profile_speedup, double min_profile_par_speedup,
-                 double min_sim_speedup, double min_sim_par_speedup,
-                 double min_grid_speedup, double min_serve_speedup,
-                 double max_stream_overhead)
+                 double min_profile_par_speedup, double min_sim_par_speedup,
+                 double min_serve_speedup, double max_stream_overhead)
 {
     std::ifstream is(baseline_path);
     if (!is) {
@@ -779,14 +729,6 @@ checkRegressions(const std::vector<KernelResult> &results,
             if (bad)
                 ++failures;
         }
-        if (min_profile_speedup > 0.0 &&
-            r.profileSpeedup < min_profile_speedup) {
-            std::printf("  %-16s profile_speedup %.2fx < required %.2fx"
-                        "  REGRESSION\n",
-                        r.name.c_str(), r.profileSpeedup,
-                        min_profile_speedup);
-            ++failures;
-        }
         if (min_profile_par_speedup > 0.0 &&
             r.profileParSpeedup < min_profile_par_speedup) {
             std::printf("  %-16s profile_par_speedup %.2fx < required "
@@ -795,31 +737,14 @@ checkRegressions(const std::vector<KernelResult> &results,
                         min_profile_par_speedup);
             ++failures;
         }
-        if (min_grid_speedup > 0.0 && r.gridSpeedup < min_grid_speedup) {
-            std::printf("  %-16s grid_speedup %.2fx < required %.2fx"
-                        "  REGRESSION\n",
-                        r.name.c_str(), r.gridSpeedup, min_grid_speedup);
-            ++failures;
-        }
     }
-    // The simulator-engine gates apply to the geomean over the kernel
+    // The simulator-engine gate applies to the geomean over the kernel
     // set, not per kernel: at smoke scale the per-kernel sim phases run
     // tens of milliseconds, where scheduler and frequency noise swings
-    // individual legacy/columnar ratios by tens of percent run to run.
-    // The geomean over the whole set is the stable statistic (the
-    // profile gates predate this and keep their per-kernel form — their
-    // margins are several times wider).
-    if (min_sim_speedup > 0.0) {
-        const double g = geomean(results, [](const KernelResult &r) {
-            return r.simSpeedup;
-        });
-        const bool bad = g < min_sim_speedup;
-        std::printf("  %-16s sim_speedup geomean %.2fx (required %.2fx)%s\n",
-                    "(all kernels)", g, min_sim_speedup,
-                    bad ? "  REGRESSION" : "");
-        if (bad)
-            ++failures;
-    }
+    // individual engine ratios by tens of percent run to run. The
+    // geomean over the whole set is the stable statistic (the profile
+    // gate keeps its per-kernel form — its margin is several times
+    // wider).
     if (min_sim_par_speedup > 0.0) {
         const double g = geomean(results, [](const KernelResult &r) {
             return r.simParSpeedup;
@@ -915,11 +840,8 @@ main(int argc, char **argv)
     std::string write_baseline_path;
     double scale = 0.25;
     double max_regression = 0.25;
-    double min_profile_speedup = 0.0;
     double min_profile_par_speedup = 0.0;
-    double min_sim_speedup = 0.0;
     double min_sim_par_speedup = 0.0;
-    double min_grid_speedup = 0.0;
     double min_serve_speedup = 0.0;
     double max_stream_overhead = 0.0;
     uint64_t stream_chunk = 0;
@@ -954,16 +876,10 @@ main(int argc, char **argv)
             baseline_path = next();
         } else if (arg == "--max-regression") {
             max_regression = std::stod(next());
-        } else if (arg == "--min-profile-speedup") {
-            min_profile_speedup = std::stod(next());
         } else if (arg == "--min-profile-par-speedup") {
             min_profile_par_speedup = std::stod(next());
-        } else if (arg == "--min-sim-speedup") {
-            min_sim_speedup = std::stod(next());
         } else if (arg == "--min-sim-par-speedup") {
             min_sim_par_speedup = std::stod(next());
-        } else if (arg == "--min-grid-speedup") {
-            min_grid_speedup = std::stod(next());
         } else if (arg == "--min-serve-speedup") {
             min_serve_speedup = std::stod(next());
         } else if (arg == "--max-stream-overhead") {
@@ -1025,33 +941,24 @@ main(int argc, char **argv)
         KernelResult r =
             measureKernel(entry, scale, repeat, jobs, stream_chunk);
         std::printf("  %-16s ops=%8llu build=%7.1fms profile=%7.1fms "
-                    "(legacy %7.1fms, %.2fx; par %7.1fms, %.2fx; stream "
-                    "%7.1fms, %.2fx) "
-                    "sim=%7.1fms (legacy %7.1fms, %.2fx; par %7.1fms, "
-                    "%.2fx) predict=%6.2fms (rppm_vs_sim %.2fx) "
-                    "grid=%7.1fms (memo %7.1fms, "
-                    "%.2fx) cold=%7.1fms serve=%6.1fms (%.2fx)\n",
+                    "(par %7.1fms, %.2fx; stream %7.1fms, %.2fx) "
+                    "sim=%7.1fms (par %7.1fms, %.2fx) predict=%6.2fms "
+                    "(rppm_vs_sim %.2fx) grid=%7.1fms cold=%7.1fms "
+                    "serve=%6.1fms (%.2fx)\n",
                     r.name.c_str(),
                     static_cast<unsigned long long>(r.ops), r.ms["build"],
-                    r.ms["profile"], r.ms["profile_legacy"],
-                    r.profileSpeedup, r.ms["profile_par"],
+                    r.ms["profile"], r.ms["profile_par"],
                     r.profileParSpeedup, r.ms["profile_stream"],
-                    r.streamOverhead, r.ms["sim"], r.ms["sim_legacy"],
-                    r.simSpeedup, r.ms["sim_par"], r.simParSpeedup,
-                    r.ms["predict"], r.rppmVsSim, r.ms["grid"],
-                    r.ms["grid_memo"], r.gridSpeedup, r.ms["study_cold"],
+                    r.streamOverhead, r.ms["sim"], r.ms["sim_par"],
+                    r.simParSpeedup, r.ms["predict"], r.rppmVsSim,
+                    r.ms["grid_memo"], r.ms["study_cold"],
                     r.ms["serve_warm"], r.serveSpeedup);
         results.push_back(std::move(r));
     }
-    std::printf("bench_perf: geomean profile_speedup %.2fx | "
-                "profile_par_speedup %.2fx (jobs %u) | stream_overhead "
-                "%.2fx | sim_speedup "
-                "%.2fx | sim_par_speedup %.2fx | grid_speedup "
-                "%.2fx | study_cold %.1fms | serve_warm %.1fms "
-                "(%.2fx) | rppm_vs_sim %.2fx\n",
-                geomean(results, [](const KernelResult &r) {
-                    return r.profileSpeedup;
-                }),
+    std::printf("bench_perf: geomean profile_par_speedup %.2fx (jobs %u) | "
+                "stream_overhead %.2fx | sim_par_speedup %.2fx | "
+                "study_cold %.1fms | serve_warm %.1fms (%.2fx) | "
+                "rppm_vs_sim %.2fx\n",
                 geomean(results, [](const KernelResult &r) {
                     return r.profileParSpeedup;
                 }),
@@ -1060,13 +967,7 @@ main(int argc, char **argv)
                     return r.streamOverhead;
                 }),
                 geomean(results, [](const KernelResult &r) {
-                    return r.simSpeedup;
-                }),
-                geomean(results, [](const KernelResult &r) {
                     return r.simParSpeedup;
-                }),
-                geomean(results, [](const KernelResult &r) {
-                    return r.gridSpeedup;
                 }),
                 geomean(results, [](const KernelResult &r) {
                     const auto it = r.ms.find("study_cold");
@@ -1094,10 +995,9 @@ main(int argc, char **argv)
 
     if (!baseline_path.empty()) {
         return checkRegressions(results, baseline_path, max_regression,
-                                min_profile_speedup,
-                                min_profile_par_speedup, min_sim_speedup,
-                                min_sim_par_speedup, min_grid_speedup,
-                                min_serve_speedup, max_stream_overhead);
+                                min_profile_par_speedup,
+                                min_sim_par_speedup, min_serve_speedup,
+                                max_stream_overhead);
     }
     return 0;
 }

@@ -15,10 +15,8 @@
  * either by a resident columnar trace (profileWorkload(), see
  * trace/columnar.hh) or by a trace file that need not fit in memory
  * (profileWorkloadStreamingFile()). Its profile is bit-identical for
- * every job count and chunk size. The original multi-pass AoS
- * implementation is kept as profileWorkloadLegacy()
- * (profiler_legacy.cc), the reference the engine is tested against
- * byte for byte.
+ * every job count and chunk size; the tests pin it byte for byte to the
+ * committed corpus tests/golden/profile.txt.
  *
  * The output is a WorkloadProfile: only microarchitecture-independent
  * statistics, collected once, usable to predict any MulticoreConfig.
@@ -97,7 +95,6 @@ constexpr uint64_t kDefaultStreamChunkRecords = uint64_t{1} << 22;
  * reuse/coherence resolution is sharded by line hash across the worker
  * pool; and the per-thread statistics sweep fans out in segments,
  * consuming the pre-resolved reuse distances (profiler_stream.cc).
- * Bit-identical to profileWorkloadLegacy() by test.
  */
 WorkloadProfile profileWorkload(const ColumnarTrace &trace,
                                 const ProfilerOptions &opts = {});
@@ -116,15 +113,6 @@ WorkloadProfile profileWorkloadStreamingFile(const std::string &path,
 /** AoS convenience overload: converts to columnar form, then profiles. */
 WorkloadProfile profileWorkload(const WorkloadTrace &trace,
                                 const ProfilerOptions &opts = {});
-
-/**
- * Reference implementation: the original multi-pass AoS profiler, kept
- * as the oracle of the engine equivalence tests and as the bench/perf
- * speedup baseline. Produces a profile bit-identical to
- * profileWorkload().
- */
-WorkloadProfile profileWorkloadLegacy(const WorkloadTrace &trace,
-                                      const ProfilerOptions &opts = {});
 
 } // namespace rppm
 

@@ -54,8 +54,8 @@
  *
  * Nothing is sampled or approximated. tests/test_profile_parallel and
  * tests/test_profile_streaming assert byte-identical serialized profiles
- * against profileWorkloadLegacy() on the whole workload suite for
- * several job counts and chunk sizes.
+ * against the committed corpus tests/golden/profile.txt on the whole
+ * workload suite for several job counts and chunk sizes.
  */
 
 #include <algorithm>

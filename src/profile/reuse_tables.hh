@@ -168,7 +168,7 @@ using SeqTable = OpenTable<uint64_t>;
  * every realistic code footprint, so the common case is a flat array
  * indexed by line (0 = never fetched; fetch counters start at 1); lines
  * beyond the flat range fall back to the open-addressing SeqTable.
- * Semantically identical to the legacy unordered_map<line, seq>.
+ * Semantically a map from line to sequence number.
  */
 class InstrLineMap
 {

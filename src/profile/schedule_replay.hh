@@ -4,12 +4,11 @@
  * profiler engine, profiler_stream.cc).
  *
  * Replay the profiler's round-robin quantum scheduler using only the
- * sparse sync columns plus a caller-supplied memory-count oracle. The
- * loop structure mirrors the reference replay of profileWorkloadLegacy()
- * (profiler_legacy.cc) exactly — same quantum accounting, same step
- * clock driving SyncState, same deadlock check — minus all per-record
- * work, so it costs O(#runs + #sync) instead of O(#records). Its output
- * is the exact global interleaving: for every run of micro-ops, the
+ * sparse sync columns plus a caller-supplied memory-count oracle. It
+ * keeps the scheduler's quantum accounting, its step clock driving
+ * SyncState and its deadlock check, and drops all per-record work, so
+ * it costs O(#runs + #sync) instead of O(#records). Its output is the
+ * exact global interleaving: for every run of micro-ops, the
  * global-sequence number its first memory access will receive.
  *
  * The replayer is *pausable*: the engine advances it in chunk-sized

@@ -156,10 +156,9 @@ struct SegmentSweep
 /**
  * One run of pure micro-ops [start, end) of one thread — no sync records
  * inside, so the epoch reference is stable. This is THE per-record
- * statistics loop: a field-for-field port of the legacy per-record
- * process_op, fissioned into tight per-column loops (each statistic is a
- * histogram or counter whose content depends only on per-component
- * order, which each loop preserves).
+ * statistics loop, fissioned into tight per-column loops (each
+ * statistic is a histogram or counter whose content depends only on
+ * per-component order, which each loop preserves).
  *
  * @param cols column bundle: cols.op/pc/dep1/dep2 indexed by absolute
  *             record index, cols.taken by ts.brIdx

@@ -312,16 +312,4 @@ predictGrid(const WorkloadProfile &profile,
     return out;
 }
 
-std::vector<RppmPrediction>
-predictLegacyGrid(const WorkloadProfile &profile,
-                  const std::vector<MulticoreConfig> &configs,
-                  const RppmOptions &opts)
-{
-    std::vector<RppmPrediction> out;
-    out.reserve(configs.size());
-    for (const MulticoreConfig &cfg : configs)
-        out.push_back(predict(profile, cfg, opts));
-    return out;
-}
-
 } // namespace rppm

@@ -3,7 +3,7 @@
  * Memoized component-level prediction engine — the "predict many" half
  * of profile-once-predict-many, made incremental.
  *
- * A naive design-space sweep re-runs the full Eq.-1 pipeline (StatStack
+ * A per-point design-space sweep re-runs the full Eq.-1 pipeline (StatStack
  * miss curves, window replays, branch model, sync model) for every grid
  * point, even when most of the configuration fields a component reads
  * are unchanged from a neighboring point. PredictionMemo caches each
@@ -21,14 +21,14 @@
  *  - per (thread-key vector, time scales, sync cost): the phase-2
  *    symbolic synchronization execution.
  *
- * Every cached value is produced by the same code the naive path runs,
+ * Every cached value is produced by the same code rppm::predict runs,
  * on the same inputs, so memoized predictions are bit-identical to
- * rppm::predict per design point (predictGrid vs predictLegacyGrid below
- * is the differential-testing pair, mirroring the profileWorkload /
- * profileWorkloadLegacy profiler split). All caches are thread-safe: one engine serves every worker of
- * a Study grid. Concurrent misses on one key may both evaluate (the
- * first insert wins), which is harmless — the evaluation is
- * deterministic, so both results are identical.
+ * rppm::predict per design point (tests/test_predict_golden pins both
+ * to the committed corpus tests/golden/predict.txt). All caches are
+ * thread-safe: one engine serves every worker of a Study grid.
+ * Concurrent misses on one key may both evaluate (the first insert
+ * wins), which is harmless — the evaluation is deterministic, so both
+ * results are identical.
  */
 
 #ifndef RPPM_RPPM_MEMO_HH
@@ -167,23 +167,14 @@ class PredictionMemoPool
 
 /**
  * Evaluate every design point of @p configs through one shared
- * PredictionMemo. Bit-identical to predictLegacyGrid; @p stats (when
- * non-null) receives the engine's cache-efficiency counters.
+ * PredictionMemo. Bit-identical to rppm::predict per design point;
+ * @p stats (when non-null) receives the engine's cache-efficiency
+ * counters.
  */
 std::vector<RppmPrediction>
 predictGrid(const WorkloadProfile &profile,
             const std::vector<MulticoreConfig> &configs,
             const RppmOptions &opts = {}, MemoStats *stats = nullptr);
-
-/**
- * The naive per-point reference: rppm::predict once per design point,
- * no cross-point reuse. Kept for differential testing and as the
- * benchmark baseline the memoized engine is gated against.
- */
-std::vector<RppmPrediction>
-predictLegacyGrid(const WorkloadProfile &profile,
-                  const std::vector<MulticoreConfig> &configs,
-                  const RppmOptions &opts = {});
 
 } // namespace rppm
 

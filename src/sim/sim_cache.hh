@@ -1,21 +1,20 @@
 /**
  * @file
- * Compact set-associative cache replica for the simulator's hot engines.
+ * Set-associative true-LRU cache of the simulator's memory hierarchy.
  *
- * Functionally identical to cache/cache.hh's Cache — the same hit/miss
- * outcomes, the same victim selection (first invalid way, else true
- * LRU), the same statistics — restructured for the simulator's access
- * rate:
+ * A functional cache: it tracks tag state exactly (sets, ways, true
+ * LRU) and reports hit or miss, so the hierarchy can charge real
+ * latencies. No data is stored. Coherence state is kept one level up in
+ * SimHierarchy's directory; the cache itself supports targeted
+ * invalidation. Laid out for the simulator's access rate:
  *
- *  - SoA layout: one contiguous tag array and one LRU-stamp array
- *    instead of 24-byte Way structs, so a probe touches one cache line
- *    of tags instead of striding through padding.
- *  - The valid and dirty bits are gone. Validity is encoded as LRU
- *    stamp 0 (the pre-incremented clock never assigns 0 to a live way,
- *    and invalidation resets the stamp), which keeps the probe loop to
- *    two parallel array reads. The dirty bit of the legacy Cache is
- *    write-only state — no writeback is modeled and nothing ever reads
- *    it back — so dropping it changes no observable behavior.
+ *  - SoA layout: one contiguous tag array and one LRU-stamp array, so a
+ *    probe touches one cache line of tags.
+ *  - No valid or dirty bits. Validity is encoded as LRU stamp 0 (the
+ *    pre-incremented clock never assigns 0 to a live way, and
+ *    invalidation resets the stamp), which keeps the probe loop to two
+ *    parallel array reads. No writeback is modeled, so a dirty bit
+ *    would be write-only state.
  *  - Set index and tag use shift/mask when the geometry is a power of
  *    two (the common case) instead of 64-bit division, with an exact
  *    division fallback otherwise. Callers that already know the line
@@ -24,13 +23,13 @@
  *    MulticoreConfig::validate() enforces) use the *Line entry points
  *    and skip the address-to-line division entirely.
  *
- * Equivalence of the victim policy: the legacy loop prefers the first
- * invalid way and otherwise the strictly smallest LRU stamp in way
- * order; here `victim` only ever moves to an invalid way (stamp 0,
- * where it then sticks) or to a strictly smaller stamp, which is the
- * same choice because live stamps are distinct.
- * tests/test_sim_parallel.cc pins the equivalence on the whole workload
- * suite through the byte-identity of the simulator engines.
+ * Victim policy: the first invalid way, otherwise the way with the
+ * strictly smallest LRU stamp in way order. `victim` only ever moves to
+ * an invalid way (stamp 0, where it then sticks) or to a strictly
+ * smaller stamp; live stamps are distinct, so the choice is unique.
+ * tests/test_cache.cc covers the policy directly, and
+ * tests/test_sim_parallel.cc pins the simulator's results on the whole
+ * workload suite to the committed corpus.
  */
 
 #ifndef RPPM_SIM_SIM_CACHE_HH
@@ -42,12 +41,25 @@
 #include <vector>
 
 #include "arch/config.hh"
-#include "cache/cache.hh"
 #include "common/assert.hh"
 
 namespace rppm {
 
-/** Set-associative LRU tag store, decision-identical to Cache. */
+/** Statistics for one cache instance. */
+struct CacheStats
+{
+    uint64_t accesses = 0;
+    uint64_t misses = 0;
+    uint64_t invalidations = 0;   ///< lines invalidated by coherence
+
+    double missRate() const
+    {
+        return accesses ? static_cast<double>(misses) /
+            static_cast<double>(accesses) : 0.0;
+    }
+};
+
+/** Set-associative true-LRU tag store. */
 class SimCache
 {
   public:
@@ -72,11 +84,14 @@ class SimCache
                                         addr / cfg_.lineBytes;
     }
 
-    /** As Cache::access, taking the precomputed line number. */
+    /**
+     * Look up line @p line; on a miss, allocate it (evicting the LRU
+     * way). @return true on a hit.
+     */
     bool
     accessLine(uint64_t line, bool is_write)
     {
-        (void)is_write; // the legacy dirty bit is unobservable state
+        (void)is_write; // no writeback is modeled
         ++stats_.accesses;
         size_t set;
         uint64_t tag;
@@ -100,7 +115,7 @@ class SimCache
         return false;
     }
 
-    /** As Cache::access (by byte address). */
+    /** As accessLine(), by byte address. */
     bool
     access(uint64_t addr, bool is_write)
     {
@@ -123,7 +138,7 @@ class SimCache
         __builtin_prefetch(&lru_[set * assoc_]);
     }
 
-    /** As Cache::invalidate, taking the precomputed line number. */
+    /** Invalidate line @p line if present; @return true if it was. */
     bool
     invalidateLine(uint64_t line)
     {

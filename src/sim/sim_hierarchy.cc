@@ -54,10 +54,10 @@ SimHierarchy::lowerWalk(uint32_t core, uint64_t line, bool is_write,
         result.latency = cc.l1d.latency + cc.l2.latency +
             cfg_.llc.latency + cc.memLatency;
         result.coherenceMiss = remote_written;
-        // Shared memory bus backlog, identical to the legacy hierarchy
-        // (see cache/hierarchy.cc). The parallel engine never reaches
-        // this with memBusCycles > 0 — bus queueing is time-dependent,
-        // so the dispatcher routes such configs to a sequential engine.
+        // Shared memory bus backlog (see the file comment of
+        // sim_hierarchy.hh). The parallel engine never reaches this with
+        // memBusCycles > 0 — bus queueing is time-dependent, so the
+        // dispatcher routes such configs to the sequential engine.
         if (cfg_.memBusCycles > 0) {
             const double scale = cfg_.timeScale(core);
             const double now_ref = now * scale;
@@ -88,8 +88,8 @@ SimHierarchy::dataAccess(uint32_t core, uint64_t addr, bool is_write,
 
     if (!is_write) {
         // Fast path: a read that hits L1D needs no directory work at
-        // all (the legacy hierarchy only consults lastWriter_ after an
-        // L1 miss). The core's sharer bit is necessarily already set:
+        // all (coherence is only classified after an L1 miss). The
+        // core's sharer bit is necessarily already set:
         // it was set when the line was filled, and the only thing that
         // clears it is a remote write — which would also have
         // invalidated this copy and made the hit impossible.
@@ -119,8 +119,8 @@ SimHierarchy::dataAccess(uint32_t core, uint64_t addr, bool is_write,
 
     // A write must invalidate every remote private copy before this core
     // can own the line. The sharer mask is a superset of the cores that
-    // may hold it, so probing only those is exactly equivalent to the
-    // legacy all-core loop (invalidating an absent line is a no-op and
+    // may hold it, so probing only those is exactly equivalent to
+    // probing every core (invalidating an absent line is a no-op and
     // charges no stats); afterwards the writer is the only sharer.
     if (wide_) {
         for (uint32_t c = 0; c < cfg_.numCores(); ++c) {

@@ -1,10 +1,20 @@
 /**
  * @file
- * Flat-table cache hierarchy for the columnar simulator engines.
+ * Multi-level cache hierarchy with a directory for write invalidation.
  *
- * Semantically identical to CacheHierarchy (cache/hierarchy.hh) — same
- * cache walks, same stats, same coherence classification, same shared-bus
- * backlog — but engineered for the simulator's hot loop:
+ * Layout matches the paper's simulated machine: per-core private L1I, L1D
+ * and L2, plus one shared LLC. Private levels are built per core from
+ * that core's CoreConfig, so heterogeneous machines give each core its
+ * own cache geometry. A last-writer directory implements MESI-style
+ * write invalidation: a write by one core removes the line from every
+ * other core's private caches, so the next access by those cores is a
+ * coherence miss — the behaviour RPPM's profiler detects as an infinite
+ * per-thread reuse distance. Returned latencies are in the *accessing
+ * core's* clock cycles; shared-bus queueing state is kept on the
+ * reference (core 0) clock as a backlog that drains with observed time
+ * (robust to the scheduler's slightly out-of-order timestamps across
+ * cores) and converted per access. Engineered for the simulator's hot
+ * loop:
  *
  *  - The last-writer directory lives in an open-addressing lazy-zero
  *    OpenTable (common/open_table.hh, extracted from the profiler's
@@ -14,19 +24,18 @@
  *    directory entirely — its sharer bit is necessarily already set,
  *    because the only event that clears it (a remote write) would also
  *    have invalidated the copy and made the hit impossible.
- *  - The caches are SimCache replicas (sim_cache.hh): SoA tag stores
- *    with shift/mask set indexing, decision-identical to Cache. Every
- *    level shares one line size (MulticoreConfig::validate() enforces
- *    it), so the address-to-line division happens once per access and
- *    the line number feeds every level and the directory.
+ *  - The caches are SimCache tag stores (sim_cache.hh) with shift/mask
+ *    set indexing. Every level shares one line size
+ *    (MulticoreConfig::validate() enforces it), so the address-to-line
+ *    division happens once per access and the line number feeds every
+ *    level and the directory.
  *  - Each directory entry carries a sharer bit mask — a conservative
  *    superset of the cores whose private L1D/L2 may hold the line. A
  *    write only probes the caches of cores in the mask instead of every
  *    core; since invalidating an absent line is a no-op (and charges no
  *    stats), filtering by a superset is exact, and after a write the
  *    writer is the only possible sharer. Machines with more than 64
- *    cores fall back to probing every core, which is what the legacy
- *    hierarchy always does.
+ *    cores fall back to probing every core.
  *
  * The fetch path is split so the parallel engine can replay it in two
  * phases: instrFetch() is the full L1I probe + miss fill (sequential
@@ -46,13 +55,40 @@
 #include <vector>
 
 #include "arch/config.hh"
-#include "cache/hierarchy.hh"
 #include "common/open_table.hh"
 #include "sim/sim_cache.hh"
 
 namespace rppm {
 
-/** Drop-in CacheHierarchy replacement for the columnar simulator. */
+/** Which level serviced an access. */
+enum class HitLevel : uint8_t
+{
+    L1,
+    L2,
+    LLC,
+    Memory,
+};
+
+/** Outcome of a data access through the hierarchy. */
+struct AccessResult
+{
+    HitLevel level = HitLevel::L1;
+    uint32_t latency = 0;        ///< total load-to-use latency in cycles
+    bool coherenceMiss = false;  ///< miss caused by a remote write
+};
+
+/** Per-core, per-level miss statistics. */
+struct CoreMemStats
+{
+    uint64_t l1iAccesses = 0, l1iMisses = 0;
+    uint64_t l1dAccesses = 0, l1dMisses = 0;
+    uint64_t l2Accesses = 0, l2Misses = 0;
+    uint64_t llcAccesses = 0, llcMisses = 0;
+    uint64_t coherenceMisses = 0;
+    uint64_t invalidationsReceived = 0;
+};
+
+/** The full memory hierarchy of one multicore, for the simulator. */
 class SimHierarchy
 {
   public:
@@ -67,7 +103,13 @@ class SimHierarchy
     explicit SimHierarchy(const MulticoreConfig &cfg,
                           uint64_t expected_lines = 0);
 
-    /** Data access; mirrors CacheHierarchy::dataAccess exactly. */
+    /**
+     * Data access by @p core at byte address @p addr; writes invalidate
+     * remote private copies. @p now is the issue time in @p core's
+     * cycles, used for shared-bus queueing when memBusCycles > 0
+     * (accesses must arrive in roughly global time order, which the
+     * simulator's scheduler guarantees).
+     */
     AccessResult dataAccess(uint32_t core, uint64_t addr, bool is_write,
                             double now = 0.0);
 

@@ -2,12 +2,11 @@
  * @file
  * Shared internals of the simulator engines (internal header).
  *
- * simulate() has three engines that must stay byte-identical (see
- * simulator.hh): the legacy AoS reference, the sequential columnar
- * engine and the phased parallel engine. The pieces whose float
- * operation sequences define that identity live here so all engines
- * compile the exact same code: the expanded per-thread hierarchy
- * configuration, the branch-predictor adapter, the columnar micro-op
+ * simulate() has two engines that must stay byte-identical (see
+ * simulator.hh): the sequential columnar engine and the phased parallel
+ * engine. The pieces whose float operation sequences define that
+ * identity live here so both engines compile the exact same code: the
+ * expanded per-thread hierarchy configuration, the columnar micro-op
  * run executor and the result assembly.
  */
 
@@ -18,7 +17,6 @@
 #include <cstdint>
 
 #include "arch/config.hh"
-#include "branch/tournament.hh"
 #include "sim/simulator.hh"
 #include "simcore/core_model.hh"
 #include "trace/columnar.hh"
@@ -55,24 +53,6 @@ expandedHierConfig(const MulticoreConfig &cfg, uint32_t num_threads)
         0.5);
     return hier_cfg;
 }
-
-/** Adapts TournamentPredictor to the CoreModel interface. Marked final
- *  so CoreModelT instantiations holding a BranchAdapter& devirtualize
- *  the per-branch call. */
-class BranchAdapter final : public BranchPredictorIf
-{
-  public:
-    explicit BranchAdapter(TournamentPredictor &pred) : pred_(pred) {}
-
-    bool
-    predictAndUpdate(uint64_t pc, bool taken) override
-    {
-        return pred_.predictAndUpdate(pc, taken);
-    }
-
-  private:
-    TournamentPredictor &pred_;
-};
 
 /**
  * Execute the micro-op records [cur.index(), end) through @p core — any
@@ -132,7 +112,7 @@ finalizeResult(SimResult &result, const MulticoreConfig &cfg,
 }
 
 /** Parallel phased engine (simulator_parallel.cc); requires
- *  memBusCycles == 0 and is byte-identical to the sequential engines. */
+ *  memBusCycles == 0 and is byte-identical to the sequential engine. */
 SimResult simulateParallelImpl(const ColumnarTrace &trace,
                                const MulticoreConfig &cfg,
                                const SimOptions &opts, unsigned jobs);

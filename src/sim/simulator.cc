@@ -1,10 +1,5 @@
 #include "sim/simulator.hh"
 
-#include <algorithm>
-
-#include "common/assert.hh"
-#include "sim/sim_internal.hh"
-
 namespace rppm {
 
 CpiStack
@@ -25,175 +20,6 @@ SimResult::averageCpiStack() const
     if (counted > 0)
         avg.scale(1.0 / static_cast<double>(counted));
     return avg;
-}
-
-namespace {
-
-/** Binds a CacheHierarchy to one core for the CoreModel interface. */
-class CoreMemoryAdapter : public MemorySystemIf
-{
-  public:
-    CoreMemoryAdapter(CacheHierarchy &hier, uint32_t core)
-        : hier_(hier), core_(core)
-    {}
-
-    AccessResult
-    dataAccess(uint64_t addr, bool is_write, double now) override
-    {
-        return hier_.dataAccess(core_, addr, is_write, now);
-    }
-
-    uint32_t
-    instrFetch(uint64_t pc) override
-    {
-        return hier_.instrFetch(core_, pc);
-    }
-
-  private:
-    CacheHierarchy &hier_;
-    uint32_t core_;
-};
-
-/** Per-thread execution cursor. */
-struct ThreadCursor
-{
-    size_t next = 0;           ///< next record index
-    bool done = false;
-    double activeStart = 0.0;  ///< begin of the current active interval
-};
-
-} // namespace
-
-SimResult
-simulateLegacy(const WorkloadTrace &trace, const MulticoreConfig &cfg,
-               const SimOptions &opts)
-{
-    trace.validate();
-    cfg.validate();
-    RPPM_REQUIRE(opts.quantum > 0, "scheduler quantum must be positive");
-    const uint32_t num_threads =
-        static_cast<uint32_t>(trace.numThreads());
-
-    const MulticoreConfig hier_cfg =
-        sim_detail::expandedHierConfig(cfg, num_threads);
-    CacheHierarchy hierarchy(hier_cfg);
-
-    // Per-thread conversion to the common time base (reference cycles,
-    // i.e. cycles of the *original* config's core 0); exactly 1.0
-    // everywhere on a homogeneous machine.
-    std::vector<double> scale(num_threads);
-    for (uint32_t t = 0; t < num_threads; ++t)
-        scale[t] = cfg.threadTimeScale(t);
-
-    std::vector<std::unique_ptr<CoreMemoryAdapter>> mems;
-    std::vector<std::unique_ptr<TournamentPredictor>> preds;
-    std::vector<std::unique_ptr<sim_detail::BranchAdapter>> branch_adapters;
-    std::vector<std::unique_ptr<CoreModel>> cores;
-    for (uint32_t t = 0; t < num_threads; ++t) {
-        const CoreConfig &tc = cfg.threadCore(t);
-        mems.push_back(std::make_unique<CoreMemoryAdapter>(hierarchy, t));
-        preds.push_back(std::make_unique<TournamentPredictor>(tc.branch));
-        branch_adapters.push_back(
-            std::make_unique<sim_detail::BranchAdapter>(*preds[t]));
-        cores.push_back(std::make_unique<CoreModel>(tc, *mems[t],
-                                                    *branch_adapters[t]));
-    }
-
-    SyncState sync(num_threads, barrierPopulations(trace));
-    std::vector<ThreadCursor> cursors(num_threads);
-    SimResult result;
-    result.workload = trace.name;
-    result.config = cfg.name;
-    result.threads.resize(num_threads);
-
-    auto close_activity = [&](uint32_t tid, double at) {
-        ThreadResult &tr = result.threads[tid];
-        ThreadCursor &cur = cursors[tid];
-        if (at > cur.activeStart)
-            tr.activity.push_back({cur.activeStart, at});
-    };
-
-    auto handle_releases = [&](const SyncOutcome &out) {
-        for (const auto &[tid, when] : out.released) {
-            // @p when is reference cycles; the core idles on its own
-            // clock.
-            cores[tid]->idleUntil(when / scale[tid]);
-            cursors[tid].activeStart = when;
-        }
-    };
-
-    // Main loop: the round-robin quantum scheduler (the exact discipline
-    // the profiler uses, so the parallel engine can replay the schedule
-    // from the sync columns alone). Each turn picks the next runnable
-    // thread after the rotating cursor and advances it by up to
-    // opts.quantum records; sync events consume one quantum slot, and a
-    // blocking event ends the turn. Source markers (CondMarker) consume
-    // their slot but have no runtime effect or cost.
-    uint32_t live = num_threads;
-    uint32_t cursor = 0;
-    while (live > 0) {
-        uint32_t pick = UINT32_MAX;
-        for (uint32_t i = 0; i < num_threads; ++i) {
-            const uint32_t t = (cursor + i) % num_threads;
-            if (!cursors[t].done && !sync.blocked(t)) {
-                pick = t;
-                break;
-            }
-        }
-        RPPM_REQUIRE(pick != UINT32_MAX,
-                     "deadlock: no runnable thread (malformed trace)");
-        cursor = (pick + 1) % num_threads;
-
-        ThreadCursor &cur = cursors[pick];
-        const auto &records = trace.threads[pick].records;
-        uint32_t executed = 0;
-        while (cur.next < records.size() && executed < opts.quantum) {
-            const TraceRecord &rec = records[cur.next];
-            if (rec.isSync()) {
-                ++cur.next;
-                ++executed;
-                if (rec.sync == SyncType::CondMarker)
-                    continue;
-                // Sync ops cost real cycles (atomics, futex path) on the
-                // thread's own clock before their semantic effect
-                // happens.
-                cores[pick]->syncOverhead(opts.syncOpCost);
-                const double now = cores[pick]->now() * scale[pick];
-                // Close this thread's activity interval before applying
-                // the event: a release may advance its activeStart (last
-                // arrival at a barrier), which would drop the interval.
-                close_activity(pick, now);
-                cur.activeStart = now;
-                const SyncOutcome out = sync.apply(pick, rec, now);
-                handle_releases(out);
-                if (out.blocks)
-                    break;
-                continue;
-            }
-            cores[pick]->execute(rec);
-            ++cur.next;
-            ++executed;
-        }
-
-        // A thread is only finished once it has exhausted its records AND
-        // is not blocked (its last record may be a blocking sync event;
-        // the release will reschedule it here with an up-to-date clock).
-        if (cur.next >= records.size() && !cur.done && !sync.blocked(pick)) {
-            cur.done = true;
-            --live;
-            const double now = cores[pick]->now() * scale[pick];
-            close_activity(pick, now);
-            result.threads[pick].finishTime = now;
-            handle_releases(sync.finish(pick, now));
-        }
-    }
-
-    sim_detail::finalizeResult(
-        result, cfg, num_threads,
-        [&](uint32_t t) -> CoreModel & { return *cores[t]; },
-        [&](uint32_t t) { return preds[t]->stats(); },
-        [&](uint32_t t) { return hierarchy.coreStats(t); });
-    return result;
 }
 
 SimResult

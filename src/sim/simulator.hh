@@ -5,22 +5,23 @@
  * Interleaves the per-thread traces of a workload with the same
  * deterministic round-robin quantum scheduler the profiler uses: each
  * turn, the next runnable thread (rotating cursor) advances by up to
- * `quantum` records through its CoreModel, and synchronization records
+ * `quantum` records through its core model, and synchronization records
  * go through SyncState, giving them their dynamic
  * (arrival-order-dependent) semantics. Memory accesses therefore hit the
  * shared hierarchy in a deterministic, interleaved global order, which
  * is what makes cache sharing and coherence effects realistic.
  *
- * Three engines produce byte-identical results:
- *  - simulateLegacy(): the AoS reference implementation on the classic
- *    CacheHierarchy — the differential baseline.
- *  - simulate() on a ColumnarTrace with jobs == 1: the columnar engine
- *    on the flat-table SimHierarchy (sim_hierarchy.hh).
+ * Two engines produce byte-identical results, both on the flat-table
+ * SimHierarchy (sim_hierarchy.hh):
+ *  - simulate() with jobs == 1 (or memBusCycles > 0): the sequential
+ *    columnar engine (simulator_columnar.cc).
  *  - simulate() with jobs > 1 (and memBusCycles == 0): the phased
  *    parallel engine (simulator_parallel.cc), which pins the global
  *    interleaving with the same sequential sync-column schedule replay
- *    the parallel profiler uses, then replays core models and cache
- *    shards concurrently.
+ *    the profiler uses, then replays core models and cache shards
+ *    concurrently.
+ * tests/test_sim_parallel.cc pins both to the committed corpus
+ * tests/golden/sim.txt.
  *
  * Plays the role Sniper plays in the paper: its execution times are the
  * golden reference RPPM's predictions are scored against.
@@ -36,7 +37,7 @@
 
 #include "arch/config.hh"
 #include "branch/tournament.hh"
-#include "cache/hierarchy.hh"
+#include "sim/sim_hierarchy.hh"
 #include "sim/sync_state.hh"
 #include "simcore/core_model.hh"
 #include "trace/columnar.hh"
@@ -122,16 +123,6 @@ SimResult simulate(const WorkloadTrace &trace, const MulticoreConfig &cfg,
 /** As above, driving fetch directly from the columnar view. */
 SimResult simulate(const ColumnarTrace &trace, const MulticoreConfig &cfg,
                    const SimOptions &opts = {});
-
-/**
- * The legacy AoS record-by-record implementation on the classic
- * CacheHierarchy. Kept as the differential reference for the columnar
- * engines (tests/test_sim_parallel.cc pins all engines byte-identical);
- * not a performance path.
- */
-SimResult simulateLegacy(const WorkloadTrace &trace,
-                         const MulticoreConfig &cfg,
-                         const SimOptions &opts = {});
 
 } // namespace rppm
 

@@ -2,14 +2,12 @@
  * @file
  * Sequential columnar simulator engine + engine dispatch.
  *
- * Byte-identical to simulateLegacy(): the same round-robin quantum
- * scheduler, the same CoreModel call sequence, the same SyncState
- * machine. What changes is the data plumbing — fetch is driven from the
- * ColumnarTrace columns (runs of micro-ops between sync events execute
- * without per-record sync tests), and cache/coherence state lives on the
- * flat-table SimHierarchy instead of the unordered_map-backed legacy
- * hierarchy. tests/test_sim_parallel.cc pins the identity on the whole
- * workload suite.
+ * Fetch is driven from the ColumnarTrace columns: runs of micro-ops
+ * between sync events execute without per-record sync tests, through a
+ * CoreModelT bound directly to the flat-table SimHierarchy; sync
+ * records go through SyncState. tests/test_sim_parallel.cc pins this
+ * engine and the parallel one to the committed corpus
+ * tests/golden/sim.txt on the whole workload suite.
  */
 
 #include <algorithm>
@@ -34,7 +32,7 @@ namespace {
 constexpr size_t kPrefetchDistance = 8;
 
 /**
- * Binds a SimHierarchy to one core for the CoreModel memory interface.
+ * Binds a SimHierarchy to one core as CoreModelT's memory system.
  * A concrete (non-virtual) type: the engine instantiates CoreModelT on
  * it so every data access and instruction fetch is a direct call.
  */
@@ -71,7 +69,7 @@ class SimMemoryAdapter
 };
 
 /** Statically-dispatched core model used by this engine. */
-using ColumnarCore = CoreModelT<SimMemoryAdapter, sim_detail::BranchAdapter>;
+using ColumnarCore = CoreModelT<SimMemoryAdapter, TournamentPredictor>;
 
 SimResult
 simulateColumnarSequential(const ColumnarTrace &trace,
@@ -91,6 +89,9 @@ simulateColumnarSequential(const ColumnarTrace &trace,
         data_accesses += cols.addr.size();
     SimHierarchy hierarchy(hier_cfg, data_accesses);
 
+    // Per-thread conversion to the common time base (reference cycles,
+    // i.e. cycles of the *original* config's core 0); exactly 1.0
+    // everywhere on a homogeneous machine.
     std::vector<double> scale(num_threads);
     for (uint32_t t = 0; t < num_threads; ++t)
         scale[t] = cfg.threadTimeScale(t);
@@ -108,17 +109,14 @@ simulateColumnarSequential(const ColumnarTrace &trace,
 
     std::vector<std::unique_ptr<SimMemoryAdapter>> mems;
     std::vector<std::unique_ptr<TournamentPredictor>> preds;
-    std::vector<std::unique_ptr<sim_detail::BranchAdapter>> branch_adapters;
     std::vector<std::unique_ptr<ColumnarCore>> cores;
     for (uint32_t t = 0; t < num_threads; ++t) {
         const CoreConfig &tc = cfg.threadCore(t);
         mems.push_back(std::make_unique<SimMemoryAdapter>(
             hierarchy, cursors[t].cur, t));
         preds.push_back(std::make_unique<TournamentPredictor>(tc.branch));
-        branch_adapters.push_back(
-            std::make_unique<sim_detail::BranchAdapter>(*preds[t]));
-        cores.push_back(std::make_unique<ColumnarCore>(tc, *mems[t],
-                                                       *branch_adapters[t]));
+        cores.push_back(
+            std::make_unique<ColumnarCore>(tc, *mems[t], *preds[t]));
     }
 
     SyncState sync(num_threads, trace.validateAndBarrierPopulations());
@@ -136,14 +134,22 @@ simulateColumnarSequential(const ColumnarTrace &trace,
 
     auto handle_releases = [&](const SyncOutcome &out) {
         for (const auto &[tid, when] : out.released) {
+            // @p when is reference cycles; the core idles on its own
+            // clock.
             cores[tid]->idleUntil(when / scale[tid]);
             cursors[tid].activeStart = when;
         }
     };
 
-    // The same round-robin quantum scheduler as simulateLegacy(); runs
-    // of micro-ops between sync events execute as one batch with no
-    // per-record sync test.
+    // Main loop: the round-robin quantum scheduler (the exact discipline
+    // the profiler uses, so the parallel engine can replay the schedule
+    // from the sync columns alone). Each turn picks the next runnable
+    // thread after the rotating cursor and advances it by up to
+    // opts.quantum records; sync events consume one quantum slot, and a
+    // blocking event ends the turn. Source markers (CondMarker) consume
+    // their slot but have no runtime effect or cost. Runs of micro-ops
+    // between sync events execute as one batch with no per-record sync
+    // test.
     uint32_t live = num_threads;
     uint32_t cursor = 0;
     while (live > 0) {
@@ -169,6 +175,12 @@ simulateColumnarSequential(const ColumnarTrace &trace,
                 ++executed;
                 if (type == SyncType::CondMarker)
                     continue;
+                // Sync ops cost real cycles (atomics, futex path) on the
+                // thread's own clock before their semantic effect
+                // happens. Close this thread's activity interval before
+                // applying the event: a release may advance its
+                // activeStart (last arrival at a barrier), which would
+                // drop the interval.
                 cores[pick]->syncOverhead(opts.syncOpCost);
                 const double now = cores[pick]->now() * scale[pick];
                 close_activity(pick, now);
@@ -190,6 +202,10 @@ simulateColumnarSequential(const ColumnarTrace &trace,
                                      [](size_t) {});
         }
 
+        // A thread is only finished once it has exhausted its records
+        // AND is not blocked (its last record may be a blocking sync
+        // event; the release will reschedule it here with an up-to-date
+        // clock).
         if (cur.cur.atEnd() && !cur.done && !sync.blocked(pick)) {
             cur.done = true;
             --live;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel epoch-sharded simulator engine — bit-identical to the
- * sequential engines for every job count.
+ * sequential engine for every job count.
  *
  * The sequential simulator interleaves threads with a round-robin
  * quantum scheduler whose blocking decisions depend only on event
@@ -19,10 +19,10 @@
  *              miss positions: private L1I state depends only on the
  *              thread's own fetch stream (it is never invalidated and
  *              data accesses never touch it), so it replays
- *              thread-locally on a private Cache replica.
+ *              thread-locally on a private SimCache replica.
  *  B. Schedule (sequential, cheap) The sync-column replay of the
  *              round-robin quantum scheduler: the same SyncState
- *              machine as the real engines on a step clock, emitting
+ *              machine as the sequential engine on a step clock, emitting
  *              the global run list (with the global hierarchy-op
  *              sequence number each run starts at), the global event
  *              list, and per-thread pause flags for phase D.
@@ -38,7 +38,7 @@
  *              hierarchy to be time-free, hence the memBusCycles == 0
  *              dispatch gate.) Results scatter into per-thread arrays
  *              by access ordinal; stats sum across shards.
- *  D. Execute  (parallel waves) Each thread's CoreModel consumes its
+ *  D. Execute  (parallel waves) Each thread's core model consumes its
  *              records with memory results served from the phase-C
  *              arrays, running free through every event whose
  *              continuation depends only on its own clock and pausing
@@ -52,7 +52,8 @@
  * replays the exact hierarchy access sequence, and phase D issues the
  * exact per-thread call sequence of the sequential engine — so results
  * are byte-identical, which tests/test_sim_parallel.cc asserts against
- * simulateLegacy() on the whole workload suite for several job counts.
+ * the committed corpus tests/golden/sim.txt on the whole workload suite
+ * for several job counts.
  */
 
 #include <algorithm>
@@ -276,7 +277,7 @@ class ArrayMemory
 };
 
 /** Statically-dispatched core model used by phase D. */
-using ParallelCore = CoreModelT<ArrayMemory, sim_detail::BranchAdapter>;
+using ParallelCore = CoreModelT<ArrayMemory, TournamentPredictor>;
 
 /** Largest power of two dividing @p x (x > 0). */
 uint32_t
@@ -481,7 +482,6 @@ sim_detail::simulateParallelImpl(const ColumnarTrace &trace,
 
         ColumnCursor cur;
         std::unique_ptr<TournamentPredictor> pred;
-        std::unique_ptr<sim_detail::BranchAdapter> ba;
         std::unique_ptr<ArrayMemory> mem;
         std::unique_ptr<ParallelCore> core;
         double activeStart = 0.0;
@@ -496,10 +496,9 @@ sim_detail::simulateParallelImpl(const ColumnarTrace &trace,
         ThreadSim ts(trace.threads[t]);
         const CoreConfig &tc = cfg.threadCore(t);
         ts.pred = std::make_unique<TournamentPredictor>(tc.branch);
-        ts.ba = std::make_unique<sim_detail::BranchAdapter>(*ts.pred);
         ts.mem = std::make_unique<ArrayMemory>(dataRes[t], missRecIdx[t],
                                                missStalls[t]);
-        ts.core = std::make_unique<ParallelCore>(tc, *ts.mem, *ts.ba);
+        ts.core = std::make_unique<ParallelCore>(tc, *ts.mem, *ts.pred);
         sims.push_back(std::move(ts));
     }
 

@@ -1,33 +1,10 @@
 #include "sim/sync_state.hh"
 
 #include <algorithm>
-#include <set>
 
 #include "common/assert.hh"
 
 namespace rppm {
-
-std::unordered_map<uint32_t, uint32_t>
-barrierPopulations(const WorkloadTrace &trace)
-{
-    // Map: barrier id -> set of threads referencing it. Classic barriers
-    // and condvar-implemented barriers share one id space with queues and
-    // mutexes kept separate, so only count the barrier-like types.
-    std::unordered_map<uint32_t, std::set<uint32_t>> users;
-    for (uint32_t tid = 0; tid < trace.numThreads(); ++tid) {
-        for (const auto &rec : trace.threads[tid].records) {
-            if (rec.sync == SyncType::BarrierWait ||
-                rec.sync == SyncType::CondBarrier) {
-                users[rec.syncArg].insert(tid);
-            }
-        }
-    }
-    std::unordered_map<uint32_t, uint32_t> population;
-    // rppm-lint: ordered-ok(distinct key per id; content order-free)
-    for (const auto &[id, tids] : users)
-        population[id] = static_cast<uint32_t>(tids.size());
-    return population;
-}
 
 SyncState::SyncState(uint32_t num_threads,
                      std::unordered_map<uint32_t, uint32_t> barrier_population)

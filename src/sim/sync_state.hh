@@ -103,14 +103,6 @@ class SyncState
     std::unordered_map<uint32_t, std::vector<uint32_t>> joinWaiters_;
 };
 
-/**
- * Scan a trace and count, per barrier-like object id, how many threads
- * reference it. Used to size barrier populations for both the simulator
- * and the model's symbolic execution.
- */
-std::unordered_map<uint32_t, uint32_t>
-barrierPopulations(const WorkloadTrace &trace);
-
 } // namespace rppm
 
 #endif // RPPM_SIM_SYNC_STATE_HH

@@ -28,8 +28,8 @@
 #include <vector>
 
 #include "arch/config.hh"
-#include "cache/hierarchy.hh"
 #include "common/assert.hh"
+#include "sim/sim_hierarchy.hh"
 #include "trace/trace.hh"
 
 namespace rppm {
@@ -80,30 +80,6 @@ struct CpiStack
     void scale(double f);
 };
 
-/** Memory-system interface so cores can be unit-tested with stubs. */
-class MemorySystemIf
-{
-  public:
-    virtual ~MemorySystemIf() = default;
-
-    /** Data access at time @p now; returns level and total latency. */
-    virtual AccessResult dataAccess(uint64_t addr, bool is_write,
-                                    double now) = 0;
-
-    /** Instruction fetch; returns extra front-end stall cycles. */
-    virtual uint32_t instrFetch(uint64_t pc) = 0;
-};
-
-/** Branch predictor interface (stubbed in unit tests). */
-class BranchPredictorIf
-{
-  public:
-    virtual ~BranchPredictorIf() = default;
-
-    /** @return true when the prediction was correct. */
-    virtual bool predictAndUpdate(uint64_t pc, bool taken) = 0;
-};
-
 /**
  * Timing model for a single hardware thread/core.
  *
@@ -115,17 +91,17 @@ class BranchPredictorIf
  * MulticoreConfig::timeScale(); the core model itself is clock-agnostic.
  *
  * The model is a template on its memory-system and branch-predictor
- * types. The default instantiation (the CoreModel alias below) binds the
- * virtual interfaces and behaves exactly as the historical class — this
- * is what simulateLegacy() and unit-test stubs use. The columnar
- * simulator engines instantiate it with their concrete adapter types
- * instead, turning the three per-record indirect calls (instruction
- * fetch, data access, branch prediction) into direct, inlinable ones.
- * Identical source, identical IEEE arithmetic — the engines stay
- * byte-identical (pinned by tests/test_sim_parallel.cc); only the
- * dispatch mechanics change.
+ * types, so the three per-record calls (instruction fetch, data access,
+ * branch prediction) are direct and inlinable. MemT provides
+ * `AccessResult dataAccess(uint64_t addr, bool is_write, double now)`
+ * (level and total latency of a data access at time @p now) and
+ * `uint32_t instrFetch(uint64_t pc)` (extra front-end stall cycles);
+ * BranchT provides `bool predictAndUpdate(uint64_t pc, bool taken)`
+ * (true when the prediction was correct). The simulator engines bind
+ * their hierarchy adapters and TournamentPredictor; unit tests bind
+ * stubs.
  */
-template <typename MemT = MemorySystemIf, typename BranchT = BranchPredictorIf>
+template <typename MemT, typename BranchT>
 class CoreModelT
 {
   public:
@@ -385,9 +361,6 @@ class CoreModelT
 
     std::array<std::vector<double>, kNumOpClasses> fuFree_;
 };
-
-/** The historical dynamic-dispatch instantiation (legacy engine, stubs). */
-using CoreModel = CoreModelT<>;
 
 } // namespace rppm
 

@@ -38,14 +38,9 @@ RppmEvaluator::evaluate(const EvalContext &ctx,
     Evaluation result = makeResult(ctx, cfg);
     const auto profile = ctx.profile(profiler_);
     const RppmOptions &opts = rppm_ ? *rppm_ : ctx.options.rppm;
-    if (ctx.memos) {
-        // Grid mode: share component evaluations with every other design
-        // point of this profile (bit-identical to the per-point path).
-        result.prediction =
-            ctx.memos->forProfile(profile)->predict(cfg, opts);
-    } else {
-        result.prediction = predict(*profile, cfg, opts);
-    }
+    // Share component evaluations with every other design point of this
+    // profile (bit-identical to rppm::predict per point).
+    result.prediction = ctx.memos.forProfile(profile)->predict(cfg, opts);
     result.cycles = result.prediction->totalCycles;
     result.seconds = result.prediction->totalSeconds;
     result.threadSeconds = result.prediction->threadSeconds;
@@ -59,7 +54,7 @@ SimEvaluator::evaluate(const EvalContext &ctx,
     Evaluation result = makeResult(ctx, cfg);
     // The cached columnar view feeds the simulator's hot engines
     // directly (and SimOptions::jobs selects the parallel one); results
-    // are byte-identical to the legacy AoS path.
+    // are byte-identical to the AoS overload.
     result.sim = simulate(ctx.workload.columnar(), cfg, ctx.options.sim);
     result.cycles = result.sim->totalCycles;
     result.seconds = result.sim->totalSeconds;

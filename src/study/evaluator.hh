@@ -56,9 +56,8 @@ struct EvalContext
     const StudyOptions &options;
     ProfileCache &profiles;
 
-    /** Shared memoized prediction engines for the running grid; null
-     *  when the study evaluates points independently (legacy mode). */
-    PredictionMemoPool *memos = nullptr;
+    /** Shared memoized prediction engines for the running grid. */
+    PredictionMemoPool &memos;
 
     /** The workload's profile under the study's (or @p override's)
      *  profiler options, through the cache. */

@@ -334,13 +334,6 @@ Study::simOptions(const SimOptions &opts)
     return *this;
 }
 
-Study &
-Study::memoization(bool on)
-{
-    memoize_ = on;
-    return *this;
-}
-
 const WorkloadSource &
 Study::sourceByName(const std::string &name) const
 {
@@ -444,10 +437,8 @@ Study::run()
     // shard schedule.
     PredictionMemoPool pool;
     const bool anyMemoEvaluator =
-        memoize_ && std::any_of(evaluators_.begin(), evaluators_.end(),
-                                [](const auto &e) {
-                                    return e->usesComponentMemo();
-                                });
+        std::any_of(evaluators_.begin(), evaluators_.end(),
+                    [](const auto &e) { return e->usesComponentMemo(); });
     std::vector<size_t> order(configs_.size());
     std::iota(order.begin(), order.end(), 0);
     std::vector<std::string> cfgKeys;
@@ -465,8 +456,7 @@ Study::run()
     shards.reserve(numCells);
     for (size_t w = 0; w < sources_.size(); ++w) {
         for (size_t e = 0; e < evaluators_.size(); ++e) {
-            const bool sharded =
-                anyMemoEvaluator && evaluators_[e]->usesComponentMemo();
+            const bool sharded = evaluators_[e]->usesComponentMemo();
             if (!sharded) {
                 for (size_t c = 0; c < configs_.size(); ++c)
                     shards.push_back({cellIndex(w, c, e)});
@@ -490,8 +480,7 @@ Study::run()
             const size_t e = idx % evaluators_.size();
             const size_t c = (idx / evaluators_.size()) % configs_.size();
             const size_t w = idx / (evaluators_.size() * configs_.size());
-            const EvalContext ctx{sources_[w], options_, cache_,
-                                  memoize_ ? &pool : nullptr};
+            const EvalContext ctx{sources_[w], options_, cache_, pool};
             cells[idx] = evaluators_[e]->evaluate(ctx, configs_[c]);
         }
     });

@@ -136,23 +136,13 @@ class Study
     Study &rppmOptions(const RppmOptions &opts);
     Study &simOptions(const SimOptions &opts);
 
-    /**
-     * Share component evaluations (StatStack bundles, per-thread Eq.-1
-     * results, sync executions) across the grid's design points through
-     * a PredictionMemoPool, with design points sorted and sharded by
-     * component key. On by default; predictions are bit-identical either
-     * way — disable only to time or differentially test the naive
-     * per-point path.
-     */
-    Study &memoization(bool on);
-
     // --- Introspection.
     const std::vector<WorkloadSource> &sources() const { return sources_; }
     const StudyOptions &options() const { return options_; }
     ProfileCache &profiles() { return cache_; }
 
     /** Cache-efficiency counters of the last run() (empty before the
-     *  first run or when memoization was off / never engaged). */
+     *  first run or when no evaluator used the component memo). */
     const std::optional<MemoStats> &lastMemoStats() const
     {
         return lastMemoStats_;
@@ -180,7 +170,6 @@ class Study
     StudyOptions options_;
     ProfileCache cache_;
     unsigned jobs_ = 1;
-    bool memoize_ = true;
     std::optional<MemoStats> lastMemoStats_;
 };
 

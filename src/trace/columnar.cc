@@ -228,10 +228,10 @@ ColumnarTrace::validateAndBarrierPopulations() const
 std::unordered_map<uint32_t, uint32_t>
 validateSyncAndBarrierPopulations(const std::vector<SyncSpan> &threads)
 {
-    // One sweep over the sparse sync columns replaces what used to be two
-    // full passes over the AoS records (WorkloadTrace::validate() plus
-    // barrierPopulations()): structural invariants and barrier sizing
-    // only ever depended on the sync events.
+    // One sweep over the sparse sync columns replaces two full passes
+    // over the AoS records (validation plus a barrier-population scan):
+    // structural invariants and barrier sizing only ever depend on the
+    // sync events.
     RPPM_REQUIRE(!threads.empty(), "workload has no threads");
 
     std::vector<int> created(threads.size(), 0);

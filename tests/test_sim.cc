@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "sim/bottlegraph.hh"
 #include "sim/simulator.hh"
 #include "sim/sync_state.hh"
+#include "trace/columnar.hh"
 #include "trace/trace_builder.hh"
+#include "workload/workload.hh"
 
 namespace rppm {
 namespace {
@@ -170,18 +174,33 @@ TEST(SyncState, CondMarkerHasNoEffect)
 
 TEST(SyncState, BarrierPopulationsFromTrace)
 {
+    // Barrier sizing reads only the sync columns: classic and
+    // condvar-implemented barriers count their distinct participants.
     WorkloadTrace trace;
     trace.threads.resize(3);
     ThreadTraceBuilder b0(trace.threads[0]);
+    b0.sync(SyncType::ThreadCreate, 1);
+    b0.sync(SyncType::ThreadCreate, 2);
     b0.sync(SyncType::BarrierWait, 5);
     ThreadTraceBuilder b1(trace.threads[1]);
     b1.sync(SyncType::BarrierWait, 5);
     b1.sync(SyncType::CondBarrier, 6);
     ThreadTraceBuilder b2(trace.threads[2]);
     b2.sync(SyncType::CondBarrier, 6);
-    const auto pop = barrierPopulations(trace);
+    const auto pop =
+        ColumnarTrace::fromWorkload(trace).validateAndBarrierPopulations();
+    EXPECT_EQ(pop.size(), 2u);
     EXPECT_EQ(pop.at(5), 2u);
     EXPECT_EQ(pop.at(6), 2u);
+
+    // A synthesized barrier loop: two workers plus the working main
+    // thread meet at the four rotating barrier ids.
+    const ColumnarTrace loop_trace = ColumnarTrace::fromWorkload(
+        generateWorkload(barrierLoopSpec(3, 4, 2500)));
+    const auto loop = loop_trace.validateAndBarrierPopulations();
+    const std::unordered_map<uint32_t, uint32_t> expected = {
+        {0x1000, 3}, {0x1001, 3}, {0x1002, 3}, {0x1003, 3}};
+    EXPECT_EQ(loop, expected);
 }
 
 // ------------------------------------------------------------ Simulator ---

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -208,11 +209,11 @@ matchesSimCorpus(const std::string &key, const SimResult &r)
     return ::testing::AssertionSuccess();
 }
 
-/** One line of tests/golden/sim.txt. */
+/** One line of tests/golden/sim.txt; the trace is built on demand. */
 struct SimCase
 {
     std::string key;
-    WorkloadTrace trace;
+    std::function<WorkloadTrace()> trace;
     MulticoreConfig cfg;
     SimOptions opts;
 };
@@ -224,30 +225,33 @@ simCorpusCases()
     std::vector<SimCase> cases;
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
-        cases.push_back(
-            {simKey(spec.name), generateWorkload(spec), baseConfig(), {}});
+        cases.push_back({simKey(spec.name),
+                         [spec] { return generateWorkload(spec); },
+                         baseConfig(),
+                         {}});
     }
-    const WorkloadTrace rich = generateWorkload(richSpec());
+    const WorkloadSpec rich = richSpec();
+    const auto rich_trace = [rich] { return generateWorkload(rich); };
     for (const Variant &v : customVariants())
-        cases.push_back({simKey(rich.name, v.name), rich, v.cfg, v.opts});
-    cases.push_back({simKey(rich.name, "bus12"), rich, busConfig(), {}});
-    cases.push_back({simKey("solo"), soloTrace(), baseConfig(), {}});
+        cases.push_back(
+            {simKey(rich.name, v.name), rich_trace, v.cfg, v.opts});
+    cases.push_back({simKey(rich.name, "bus12"), rich_trace, busConfig(), {}});
+    cases.push_back({simKey("solo"), soloTrace, baseConfig(), {}});
     return cases;
 }
 
 TEST(SimGolden, CorpusCoversEveryCase)
 {
-    // Records tests/golden/sim.txt from the reference engine when
+    // Records tests/golden/sim.txt from the sequential engine when
     // RPPM_GOLDEN_WRITE names it (golden.hh). Otherwise the corpus must
-    // hold exactly the cases the identity tests look up, and the
-    // reference must reproduce every line.
+    // hold exactly the cases the identity tests look up.
     const std::vector<SimCase> cases = simCorpusCases();
     const std::string target = golden::writePath("sim.txt");
     if (!target.empty()) {
         std::vector<std::string> lines;
         for (const SimCase &c : cases)
             lines.push_back(
-                simLine(c.key, simulateLegacy(c.trace, c.cfg, c.opts)));
+                simLine(c.key, simulate(c.trace(), c.cfg, c.opts)));
         ASSERT_TRUE(golden::write(
             target,
             "# RPPM golden simulation corpus: <workload>|<variant>, the\n"
@@ -259,11 +263,10 @@ TEST(SimGolden, CorpusCoversEveryCase)
             << "cannot write " << target;
         return;
     }
-    EXPECT_EQ(golden::load("sim.txt").size(), cases.size());
-    for (const SimCase &c : cases) {
-        EXPECT_TRUE(matchesSimCorpus(
-            c.key, simulateLegacy(c.trace, c.cfg, c.opts)));
-    }
+    const std::map<std::string, std::string> corpus = golden::load("sim.txt");
+    EXPECT_EQ(corpus.size(), cases.size());
+    for (const SimCase &c : cases)
+        EXPECT_EQ(corpus.count(c.key), 1u) << "no corpus line for " << c.key;
 }
 
 TEST(ParallelSimulator, BitIdenticalOnEveryKernelForEveryJobCount)
@@ -359,13 +362,11 @@ TEST(ParallelSimulator, JobsZeroMeansAllHardwareThreads)
 
 TEST(ParallelSimulator, RejectsZeroQuantum)
 {
-    const WorkloadTrace trace = generateWorkload(richSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
     SimOptions opts;
     opts.quantum = 0;
     EXPECT_THROW(simulate(cols, baseConfig(), opts), std::invalid_argument);
-    EXPECT_THROW(simulateLegacy(trace, baseConfig(), opts),
-                 std::invalid_argument);
 }
 
 } // namespace

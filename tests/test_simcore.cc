@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for src/simcore: the instruction-window-centric core timing
- * model, exercised with stub memory and branch interfaces so every timing
+ * model, instantiated on stub memory and branch types so every timing
  * effect is isolated.
  */
 
@@ -15,7 +15,7 @@ namespace rppm {
 namespace {
 
 /** Fixed-latency memory stub. */
-class StubMemory : public MemorySystemIf
+class StubMemory
 {
   public:
     uint32_t loadLatency = 3;
@@ -23,7 +23,7 @@ class StubMemory : public MemorySystemIf
     uint32_t fetchStall = 0;
 
     AccessResult
-    dataAccess(uint64_t, bool, double) override
+    dataAccess(uint64_t, bool, double)
     {
         AccessResult r;
         r.level = level;
@@ -31,11 +31,11 @@ class StubMemory : public MemorySystemIf
         return r;
     }
 
-    uint32_t instrFetch(uint64_t) override { return fetchStall; }
+    uint32_t instrFetch(uint64_t) { return fetchStall; }
 };
 
 /** Branch stub with a fixed accuracy. */
-class StubBranch : public BranchPredictorIf
+class StubBranch
 {
   public:
     bool alwaysCorrect = true;
@@ -43,7 +43,7 @@ class StubBranch : public BranchPredictorIf
     int count = 0;
 
     bool
-    predictAndUpdate(uint64_t, bool) override
+    predictAndUpdate(uint64_t, bool)
     {
         ++count;
         if (mispredictEvery > 0 && count % mispredictEvery == 0)
@@ -51,6 +51,9 @@ class StubBranch : public BranchPredictorIf
         return alwaysCorrect;
     }
 };
+
+/** The core model bound to the stubs. */
+using StubCore = CoreModelT<StubMemory, StubBranch>;
 
 CoreConfig
 simpleCore(uint32_t width = 4, uint32_t rob = 64)
@@ -78,7 +81,7 @@ TEST(CoreModel, IndependentOpsReachDispatchWidth)
 {
     StubMemory mem;
     StubBranch br;
-    CoreModel core(simpleCore(4), mem, br);
+    StubCore core(simpleCore(4), mem, br);
     const int n = 10000;
     for (int i = 0; i < n; ++i)
         core.execute(alu());
@@ -90,7 +93,7 @@ TEST(CoreModel, SerialChainLimitedToOnePerLatency)
 {
     StubMemory mem;
     StubBranch br;
-    CoreModel core(simpleCore(4), mem, br);
+    StubCore core(simpleCore(4), mem, br);
     const int n = 10000;
     for (int i = 0; i < n; ++i)
         core.execute(alu(1)); // every op depends on the previous one
@@ -103,7 +106,7 @@ TEST(CoreModel, LongLatencyChainScalesWithLatency)
 {
     StubMemory mem;
     StubBranch br;
-    CoreModel core(simpleCore(4), mem, br);
+    StubCore core(simpleCore(4), mem, br);
     TraceRecord mul;
     mul.op = OpClass::IntMul; // latency 3
     mul.dep1 = 1;
@@ -119,7 +122,7 @@ TEST(CoreModel, WidthScalesThroughput)
     for (uint32_t width : {2u, 4u, 6u}) {
         StubMemory mem;
         StubBranch br;
-        CoreModel core(simpleCore(width, 288), mem, br);
+        StubCore core(simpleCore(width, 288), mem, br);
         const int n = 8000;
         for (int i = 0; i < n; ++i)
             core.execute(alu());
@@ -132,7 +135,7 @@ TEST(CoreModel, FuContentionLimitsDivides)
 {
     StubMemory mem;
     StubBranch br;
-    CoreModel core(simpleCore(4), mem, br);
+    StubCore core(simpleCore(4), mem, br);
     TraceRecord div;
     div.op = OpClass::IntDiv; // 1 unit, issue interval 12
     const int n = 2000;
@@ -151,7 +154,7 @@ TEST(CoreModel, RobStallsOnLongLoads)
     mem.level = HitLevel::Memory;
     StubBranch br;
     const uint32_t rob = 32;
-    CoreModel core(simpleCore(4, rob), mem, br);
+    StubCore core(simpleCore(4, rob), mem, br);
     const int loads = 50;
     for (int l = 0; l < loads; ++l) {
         TraceRecord ld;
@@ -177,7 +180,7 @@ TEST(CoreModel, IndependentMissesOverlap)
     mem.loadLatency = 200;
     mem.level = HitLevel::Memory;
     StubBranch br;
-    CoreModel core(simpleCore(4, 256), mem, br);
+    StubCore core(simpleCore(4, 256), mem, br);
     const int n = 256;
     for (int i = 0; i < n; ++i) {
         TraceRecord ld;
@@ -196,7 +199,7 @@ TEST(CoreModel, MshrsBoundOverlap)
     StubBranch br;
     CoreConfig cfg = simpleCore(4, 256);
     cfg.mshrs = 1;
-    CoreModel core(cfg, mem, br);
+    StubCore core(cfg, mem, br);
     const int n = 50;
     for (int i = 0; i < n; ++i) {
         TraceRecord ld;
@@ -211,8 +214,8 @@ TEST(CoreModel, BranchMispredictionAddsPenalty)
     StubMemory mem;
     StubBranch good, bad;
     bad.mispredictEvery = 10;
-    CoreModel core_good(simpleCore(4), mem, good);
-    CoreModel core_bad(simpleCore(4), mem, bad);
+    StubCore core_good(simpleCore(4), mem, good);
+    StubCore core_bad(simpleCore(4), mem, bad);
     const int n = 5000;
     for (int i = 0; i < n; ++i) {
         TraceRecord rec;
@@ -231,7 +234,7 @@ TEST(CoreModel, ICacheStallsAccumulate)
     StubMemory mem;
     mem.fetchStall = 10;
     StubBranch br;
-    CoreModel core(simpleCore(4), mem, br);
+    StubCore core(simpleCore(4), mem, br);
     for (int i = 0; i < 100; ++i)
         core.execute(alu());
     EXPECT_NEAR(core.cpiStack()[CpiComponent::ICache], 1000.0, 1.0);
@@ -242,7 +245,7 @@ TEST(CoreModel, IdleUntilAccountsSync)
 {
     StubMemory mem;
     StubBranch br;
-    CoreModel core(simpleCore(4), mem, br);
+    StubCore core(simpleCore(4), mem, br);
     for (int i = 0; i < 100; ++i)
         core.execute(alu());
     const double before = core.now();
@@ -256,7 +259,7 @@ TEST(CoreModel, IdleUntilPastIsNoOp)
 {
     StubMemory mem;
     StubBranch br;
-    CoreModel core(simpleCore(4), mem, br);
+    StubCore core(simpleCore(4), mem, br);
     for (int i = 0; i < 100; ++i)
         core.execute(alu());
     const double before = core.now();
@@ -268,7 +271,7 @@ TEST(CoreModel, SyncOverheadAdvancesTime)
 {
     StubMemory mem;
     StubBranch br;
-    CoreModel core(simpleCore(4), mem, br);
+    StubCore core(simpleCore(4), mem, br);
     core.syncOverhead(40.0);
     EXPECT_DOUBLE_EQ(core.now(), 40.0);
     EXPECT_DOUBLE_EQ(core.cpiStack()[CpiComponent::Base], 40.0);
@@ -284,7 +287,7 @@ TEST(CoreModel, CpiStackSumsToTotalTime)
     mem.level = HitLevel::L2;
     StubBranch br;
     br.mispredictEvery = 20;
-    CoreModel core(simpleCore(4), mem, br);
+    StubCore core(simpleCore(4), mem, br);
     for (int i = 0; i < 5000; ++i) {
         TraceRecord rec;
         if (i % 5 == 0) {
@@ -309,7 +312,7 @@ TEST(CoreModel, InstructionsCounted)
 {
     StubMemory mem;
     StubBranch br;
-    CoreModel core(simpleCore(4), mem, br);
+    StubCore core(simpleCore(4), mem, br);
     for (int i = 0; i < 123; ++i)
         core.execute(alu());
     EXPECT_EQ(core.instructions(), 123u);
@@ -320,7 +323,7 @@ TEST(CoreModel, RobLargerThanHistoryRejected)
     StubMemory mem;
     StubBranch br;
     CoreConfig cfg = simpleCore(4, 4096);
-    EXPECT_THROW(CoreModel core(cfg, mem, br), std::invalid_argument);
+    EXPECT_THROW(StubCore core(cfg, mem, br), std::invalid_argument);
 }
 
 /** Property sweep: IPC never exceeds dispatch width for any mix. */
@@ -334,7 +337,7 @@ TEST_P(CoreIpcBoundTest, IpcBoundedByWidth)
     const auto [width, rob] = GetParam();
     StubMemory mem;
     StubBranch br;
-    CoreModel core(simpleCore(width, rob), mem, br);
+    StubCore core(simpleCore(width, rob), mem, br);
     uint64_t seed = width * 1000 + rob;
     for (int i = 0; i < 5000; ++i) {
         seed = seed * 2862933555777941757ULL + 3037000493ULL;

@@ -24,7 +24,6 @@
 #include "profile/serialize.hh"
 #include "profile_reference.hh"
 #include "rppm/predictor.hh"
-#include "sim/sync_state.hh"
 #include "study/profile_cache.hh"
 #include "trace/columnar.hh"
 #include "trace/trace_builder.hh"
@@ -120,15 +119,6 @@ TEST(Columnar, ValidateMatchesAoSValidate)
     EXPECT_THROW(
         ColumnarTrace::fromWorkload(bad).validateAndBarrierPopulations(),
         std::invalid_argument);
-}
-
-TEST(Columnar, BarrierPopulationsMatchLegacyScan)
-{
-    const WorkloadTrace trace = generateWorkload(columnarRichSpec());
-    const auto legacy = barrierPopulations(trace);
-    const auto columnar = ColumnarTrace::fromWorkload(trace)
-                              .validateAndBarrierPopulations();
-    EXPECT_EQ(columnar, legacy);
 }
 
 // ------------------------------------------------- binary trace I/O ---
