@@ -81,6 +81,19 @@ columnarRichSpec(const char *name = "columnar-test")
     return spec;
 }
 
+/** The rich workload with a small, hot, written shared region: threads
+ *  often re-touch a shared line another thread has just written, so
+ *  coherence invalidation (ProfilerOptions::detectInvalidation) shapes
+ *  the profile. */
+inline WorkloadSpec
+hotSharedSpec()
+{
+    WorkloadSpec spec = richSpec("hot-shared");
+    spec.kernel.sharedBytes = 4096;
+    spec.kernel.sharedFrac = 0.5;
+    return spec;
+}
+
 /** Degenerate shape: one thread, no synchronization beyond the
  *  create/join scaffolding. */
 inline WorkloadSpec
@@ -113,6 +126,16 @@ customProfilerOptions()
     bigLines.lineBytes = 256;
 
     return {{"q17", q17}, {"noinval", noInval}, {"line256", bigLines}};
+}
+
+/** Option sets the hot-shared workload runs under, by corpus name:
+ *  the defaults, and q17 with and without coherence detection (the
+ *  last two differ in detectInvalidation alone). */
+inline std::vector<std::pair<const char *, ProfilerOptions>>
+hotSharedOptions()
+{
+    const auto custom = customProfilerOptions();
+    return {{"default", {}}, custom[0], custom[1]};
 }
 
 /** Corpus key of workload @p workload under option set @p options. */
@@ -151,6 +174,9 @@ profileCorpusCases()
     cases.push_back({profileKey("columnar-test", "noinval"),
                      columnarRichSpec(),
                      customProfilerOptions()[1].second});
+    for (const auto &[opts_name, opts] : hotSharedOptions())
+        cases.push_back({profileKey("hot-shared", opts_name),
+                         hotSharedSpec(), opts});
     return cases;
 }
 

@@ -225,6 +225,32 @@ TEST(ParallelProfiler, SingleThreadedWorkload)
     }
 }
 
+TEST(ParallelProfiler, HotSharedRegionMatchesCorpusForEveryJobCount)
+{
+    // A small, hot, written shared region makes coherence detection
+    // change the profile, so the noinval case checks something the q17
+    // case does not: the sharded resolution must honor
+    // detectInvalidation for every job count.
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(hotSharedSpec()));
+    for (const auto &[name, proto] : hotSharedOptions()) {
+        for (const unsigned jobs : kJobCounts) {
+            ProfilerOptions opts = proto;
+            opts.jobs = jobs;
+            EXPECT_TRUE(matchesProfileCorpus(profileKey("hot-shared", name),
+                                             profileWorkload(cols, opts)))
+                << name << " jobs=" << jobs;
+        }
+    }
+    const std::map<std::string, std::string> corpus =
+        golden::load("profile.txt");
+    const auto inval = corpus.find(profileKey("hot-shared", "q17"));
+    const auto noinval = corpus.find(profileKey("hot-shared", "noinval"));
+    ASSERT_TRUE(inval != corpus.end() && noinval != corpus.end());
+    EXPECT_NE(inval->second.substr(inval->second.find(' ')),
+              noinval->second.substr(noinval->second.find(' ')));
+}
+
 TEST(ParallelTraceSynthesis, JobCountDoesNotChangeTheTrace)
 {
     // generateWorkload(spec, jobs) parallelizes per-thread stream

@@ -131,6 +131,29 @@ TEST(StreamingProfiler, BitIdenticalUnderCustomOptions)
     }
 }
 
+TEST(StreamingProfiler, HotSharedRegionOnEveryChunkSizeAndJobCount)
+{
+    // The coherence-sensitive workload (a small, hot, written shared
+    // region) under the default options and with coherence detection
+    // on and off: invalidation state carried across chunk edges must
+    // reproduce the corpus for every chunk size and job count.
+    const ColumnarTrace cols =
+        ColumnarTrace::fromWorkload(generateWorkload(hotSharedSpec()));
+    for (const auto &[name, proto] : hotSharedOptions()) {
+        for (const uint64_t chunk : kChunkSizes) {
+            for (const unsigned jobs : kJobCounts) {
+                ProfilerOptions opts = proto;
+                opts.streamChunkRecords = chunk;
+                opts.jobs = jobs;
+                EXPECT_TRUE(matchesProfileCorpus(
+                    profileKey("hot-shared", name),
+                    profileWorkload(cols, opts)))
+                    << name << " chunk=" << chunk << " jobs=" << jobs;
+            }
+        }
+    }
+}
+
 TEST(StreamingProfiler, SingleThreadedWorkload)
 {
     // Degenerate shape: one thread, no synchronization beyond the
