@@ -4,7 +4,9 @@
  *
  * Performs a functional concurrent replay of a workload trace: threads
  * advance in round-robin quanta (an arbitrary but fixed interleaving, just
- * like profiling on a real host machine), synchronization is honored
+ * like profiling on a real host machine) — the simulator's own schedule
+ * (sim/round_robin.hh), so global reuse distances describe the
+ * interleaving the simulator executes — synchronization is honored
  * functionally, and every access updates per-thread and global reuse-
  * distance state (the multi-threaded StatStack extension, paper Sec.
  * III-A and Fig. 2). Write invalidation is detected by checking whether
@@ -90,8 +92,9 @@ constexpr uint64_t kDefaultStreamChunkRecords = uint64_t{1} << 22;
  * window over the whole trace, or in chunks of opts.streamChunkRecords
  * records when that is > 0 (peak working memory bounded by the chunk).
  *
- * A cheap sequential replay of the round-robin schedule over the sparse
- * sync columns pins down the exact global interleaving; the interleaved
+ * A cheap sequential walk of the round-robin schedule over the sparse
+ * sync columns pins down the exact global interleaving (a trace whose
+ * schedule deadlocks throws std::invalid_argument); the interleaved
  * reuse/coherence resolution is sharded by line hash across the worker
  * pool; and the per-thread statistics sweep fans out in segments,
  * consuming the pre-resolved reuse distances (profiler_stream.cc).

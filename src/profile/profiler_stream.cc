@@ -16,13 +16,13 @@
  *               resident trace builds per-thread prefix counts on the
  *               worker pool (O(1) per run); a file scans its op column
  *               in a rolling window (no O(records) index out of core).
- *  B. Schedule  (sequential) The pausable replay of the round-robin
- *               quantum scheduler over the sparse sync columns only
- *               (profile/schedule_replay.hh), advanced until every live
- *               thread reaches the next chunk target. It pauses only
- *               between quantum slices, so chunk edges are run
+ *  B. Schedule  (sequential) The simulator's round-robin quantum
+ *               schedule (sim/round_robin.hh) over the sparse sync
+ *               columns only, on its step clock, advanced until every
+ *               live thread reaches the next chunk target. It pauses
+ *               only between quantum slices, so chunk edges are run
  *               boundaries and every access gets the global sequence
- *               number of the unpaused replay.
+ *               number of the unpaused walk.
  *  C. Emit      (one task per thread) Each thread turns its runs into
  *               (line, global seq, ordinal) entries, bucketed by
  *               line-hash shard; a line lives in exactly one shard.
@@ -73,8 +73,9 @@
 #include "common/parallel.hh"
 #include "profile/profiler.hh"
 #include "profile/reuse_tables.hh"
-#include "profile/schedule_replay.hh"
 #include "profile/stat_sweep.hh"
+#include "sim/round_robin.hh"
+#include "sim/sync_state.hh"
 #include "trace/columnar.hh"
 #include "trace/trace_stream.hh"
 
@@ -114,14 +115,14 @@ class StreamSource
     /**
      * Count memory and branch records in records [lo, hi) of thread
      * @p t, adding into @p mems / @p branches (phase A). Called with
-     * ascending, non-overlapping ranges per thread (the replayer's
+     * ascending, non-overlapping ranges per thread (the schedule's
      * runs), so a rolling window suffices. File sources validate op
      * classes here; the sweep checks the sync slots in between.
      */
     virtual void countRange(uint32_t t, size_t lo, size_t hi,
                             uint64_t &mems, uint64_t &branches) = 0;
 
-    /** The schedule replay is spent: no countRange call follows. */
+    /** The schedule is spent: no countRange call follows. */
     virtual void releaseIndex() {}
 
     /** Materialize one chunk's column windows (see TraceChunk). */
@@ -255,15 +256,11 @@ class FileSource final : public StreamSource
     std::unordered_map<uint32_t, uint32_t>
     validateAndBarriers() const override
     {
-        std::vector<SyncSpan> spans;
-        spans.reserve(sync_.size());
-        for (size_t t = 0; t < sync_.size(); ++t) {
-            spans.push_back(SyncSpan{sync_[t].type.data(),
-                                     sync_[t].arg.data(),
-                                     sync_[t].pos.size(),
-                                     layout_.threads[t].records});
-        }
-        return validateSyncAndBarrierPopulations(spans);
+        std::vector<SyncView> views;
+        views.reserve(threads.size());
+        for (const SourceThread &th : threads)
+            views.push_back(th.sync);
+        return validateSyncAndBarrierPopulations(views);
     }
 
     void
@@ -561,23 +558,20 @@ streamProfile(StreamSource &src, WorkDeque &deque,
         std::min(total_mems, 2 * chunk_records * num_threads) / numShards;
     std::vector<std::unique_ptr<LineTable>> shardLines(numShards);
 
-    // The replayer's memory oracle counts each run and tracks the
-    // absolute sparse offsets reached so far. Records between runs are
-    // sync slots (neutral: no mems, no branches), so the totals are
-    // exact at every chunk edge.
-    ScheduleReplayer replayer(opts, sync_views, profile.barrierPopulation);
+    // The schedule (sim/round_robin.hh) on its step clock, which is
+    // sound because SyncState's blocking decisions are order-only. Each
+    // run's count tracks the absolute sparse offsets reached so far;
+    // records between runs are sync slots (neutral: no mems, no
+    // branches), so the totals are exact at every chunk edge.
+    SyncState syncState(num_threads, profile.barrierPopulation);
+    RoundRobin schedule(sync_views, syncState, opts.quantum);
+    uint64_t globalSeq = 0;
     std::vector<uint64_t> memSoFar(num_threads, 0);
     std::vector<uint64_t> brSoFar(num_threads, 0);
     std::vector<size_t> prevCursor(num_threads, 0);
     std::vector<uint64_t> prevMemHi(num_threads, 0);
     std::vector<uint64_t> prevBrHi(num_threads, 0);
-    bool replayDone = false;
-
-    auto memCount = [&](uint32_t t, size_t lo, size_t hi) -> uint64_t {
-        const uint64_t before = memSoFar[t];
-        src.countRange(t, lo, hi, memSoFar[t], brSoFar[t]);
-        return memSoFar[t] - before;
-    };
+    bool scheduleDone = false;
 
     // Carried phase-E state, one per thread: the sweep cursor, and the
     // instruction-line map the stitches resolve against.
@@ -589,11 +583,11 @@ streamProfile(StreamSource &src, WorkDeque &deque,
     WorkDeque::Group dGroup;
     WorkDeque::Group eGroup;
 
-    // Advance the replayer one chunk and materialize its windows.
+    // Advance the schedule one chunk and materialize its windows.
     // Returns false (st.valid == false) once the schedule is spent.
     auto advanceChunk = [&](ChunkState &st) -> bool {
         st.valid = false;
-        if (replayDone)
+        if (scheduleDone)
             return false;
         st.threads = std::vector<ThreadChunk>(num_threads);
 
@@ -605,37 +599,46 @@ streamProfile(StreamSource &src, WorkDeque &deque,
         }
         // Never pause before the first slice: when every target is
         // already met (e.g. all remaining threads are recordless), the
-        // replayer still has thread-finish bookkeeping to run, and one
+        // schedule still has thread-finish bookkeeping to run, and one
         // slice guarantees forward progress.
         size_t checks = 0;
         auto pause = [&] {
             if (checks++ == 0)
                 return false;
             for (uint32_t t = 0; t < num_threads; ++t) {
-                if (replayer.recordCursor(t) < target[t])
+                if (schedule.cursor(t) < target[t])
                     return false;
             }
             return true;
         };
-        replayDone = replayer.advance(
-            memCount,
-            [&](uint32_t t, size_t lo, size_t hi, uint64_t gseqBase,
-                uint64_t mem) {
-                if (mem > 0) {
+        scheduleDone = schedule.advance(
+            [&](uint32_t t, size_t lo, size_t hi) {
+                const uint64_t memLo = memSoFar[t];
+                src.countRange(t, lo, hi, memSoFar[t], brSoFar[t]);
+                // The run's accesses get globalSeq+1 .. globalSeq+mems.
+                if (memSoFar[t] > memLo) {
                     st.threads[t].runs.push_back(
-                        Run{lo, hi, gseqBase, memSoFar[t] - mem});
+                        Run{lo, hi, globalSeq, memLo});
+                    globalSeq += memSoFar[t] - memLo;
                 }
             },
+            [&](uint32_t t, SyncType type, uint32_t arg) {
+                const double now = static_cast<double>(schedule.step());
+                return syncState.apply(t, type, arg, now).blocks;
+            },
+            [&](uint32_t t) {
+                syncState.finish(t, static_cast<double>(schedule.step()));
+            },
             pause);
-        if (replayDone)
+        if (scheduleDone)
             src.releaseIndex();
-        st.last = replayDone;
+        st.last = scheduleDone;
 
         bool any = false;
         for (uint32_t t = 0; t < num_threads; ++t) {
             ThreadChunk &tc = st.threads[t];
             tc.recLo = prevCursor[t];
-            tc.recHi = replayer.recordCursor(t);
+            tc.recHi = schedule.cursor(t);
             prevCursor[t] = tc.recHi;
             tc.memLo = prevMemHi[t];
             tc.brLo = prevBrHi[t];
@@ -758,7 +761,7 @@ streamProfile(StreamSource &src, WorkDeque &deque,
         while (chunks[k & 1].valid) {
             ChunkState &cur = chunks[k & 1];
             ChunkState &nxt = chunks[(k + 1) & 1];
-            // The replay/scan of chunk k+1 touches only main-thread
+            // The schedule/scan of chunk k+1 touches only main-thread
             // state, so it runs under C(k)'s bucketing on the workers.
             const bool more = advanceChunk(nxt);
             deque.wait(cGroup[k & 1]);

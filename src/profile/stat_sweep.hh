@@ -69,31 +69,6 @@ struct SweepState
     std::array<OpClass, kSweepRecentOps> recentOps{};
 };
 
-/** Read-only view of one thread's sparse sync columns. */
-struct SyncView
-{
-    const uint64_t *pos = nullptr;
-    const SyncType *type = nullptr;
-    const uint32_t *arg = nullptr;
-    size_t count = 0;
-    size_t numRecords = 0; ///< sentinel when no sync events remain
-
-    size_t
-    next(size_t syncIdx) const
-    {
-        return syncIdx < count ? static_cast<size_t>(pos[syncIdx]) :
-                                 numRecords;
-    }
-};
-
-inline SyncView
-syncView(const ThreadColumns &cols)
-{
-    return SyncView{cols.syncPos.data(), cols.syncType.data(),
-                    cols.syncArg.data(), cols.syncPos.size(),
-                    cols.numRecords()};
-}
-
 /**
  * A pointer that answers absolute record indices for a mapped window:
  * span[i] reads element i - base of the underlying slice. Lets chunk

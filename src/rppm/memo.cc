@@ -5,20 +5,11 @@
 
 #include "arch/component_key.hh"
 #include "common/assert.hh"
+#include "rppm/thread_model.hh"
 
 namespace rppm {
 
 namespace {
-
-/** Eq1Options ablation switches, packed for the cache key. */
-char
-eq1OptionsBits(const Eq1Options &opts)
-{
-    return static_cast<char>(
-        (opts.ilpReplay ? 1 : 0) | (opts.llcUsesGlobalRd ? 2 : 0) |
-        (opts.mlpOverlap ? 4 : 0) | (opts.branch ? 8 : 0) |
-        (opts.decompose ? 16 : 0));
-}
 
 void
 appendU32(std::string &buf, uint32_t v)

@@ -136,10 +136,8 @@ runSyncModelScaled(const WorkloadProfile &profile,
             result.activity[pick].push_back({cur.activeStart, cur.time});
         cur.activeStart = cur.time;
 
-        TraceRecord rec;
-        rec.sync = epoch.endType;
-        rec.syncArg = epoch.endArg;
-        const SyncOutcome out = sync.apply(pick, rec, cur.time);
+        const SyncOutcome out =
+            sync.apply(pick, epoch.endType, epoch.endArg, cur.time);
         handle_releases(out);
         // If blocked, idle runs until a release advances cur.time.
     }

@@ -59,6 +59,22 @@ struct Eq1Options
     bool decompose = true;
 };
 
+// A new switch must also enter eq1OptionsBits, or memo and batch keys
+// would alias configurations that predict differently.
+static_assert(sizeof(Eq1Options) == 5,
+              "extend eq1OptionsBits with the new Eq1Options switch");
+
+/** The Eq1Options switches packed into one byte: the fingerprint that
+ *  PredictionMemo's phase-1 keys and rppmd's batch keys fold in. */
+inline char
+eq1OptionsBits(const Eq1Options &opts)
+{
+    return static_cast<char>(
+        (opts.ilpReplay ? 1 : 0) | (opts.llcUsesGlobalRd ? 2 : 0) |
+        (opts.mlpOverlap ? 4 : 0) | (opts.branch ? 8 : 0) |
+        (opts.decompose ? 16 : 0));
+}
+
 /** Predicted timing of one epoch. */
 struct EpochPrediction
 {

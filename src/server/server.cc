@@ -13,6 +13,7 @@
 
 #include "arch/component_key.hh"
 #include "common/assert.hh"
+#include "rppm/thread_model.hh"
 #include "workload/suite.hh"
 
 namespace rppm {
@@ -77,17 +78,6 @@ struct RppmServer::RequestState
 };
 
 namespace {
-
-/** Eq1Options ablation switches, packed for the batch key (mirrors the
- *  fingerprint PredictionMemo folds into its phase-1 keys). */
-char
-eq1OptionsBits(const Eq1Options &opts)
-{
-    return static_cast<char>(
-        (opts.ilpReplay ? 1 : 0) | (opts.llcUsesGlobalRd ? 2 : 0) |
-        (opts.mlpOverlap ? 4 : 0) | (opts.branch ? 8 : 0) |
-        (opts.decompose ? 16 : 0));
-}
 
 /** Cells coalesce across requests (and clients) when they share the
  *  engine, the component key of their design point and the rppm-option

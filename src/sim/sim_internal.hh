@@ -4,10 +4,11 @@
  *
  * simulate() has two engines that must stay byte-identical (see
  * simulator.hh): the sequential columnar engine and the phased parallel
- * engine. The pieces whose float operation sequences define that
- * identity live here so both engines compile the exact same code: the
- * expanded per-thread hierarchy configuration, the columnar micro-op
- * run executor and the result assembly.
+ * engine. Both walk one schedule (sim/round_robin.hh); the pieces whose
+ * float operation sequences define their identity live here so both
+ * engines compile the exact same code: the expanded per-thread
+ * hierarchy configuration, the columnar micro-op run executor and the
+ * result assembly.
  */
 
 #ifndef RPPM_SIM_SIM_INTERNAL_HH

@@ -2,8 +2,8 @@
  * @file
  * Multicore golden-reference simulator.
  *
- * Interleaves the per-thread traces of a workload with the same
- * deterministic round-robin quantum scheduler the profiler uses: each
+ * Interleaves the per-thread traces of a workload with the round-robin
+ * quantum schedule the profiler walks too (sim/round_robin.hh): each
  * turn, the next runnable thread (rotating cursor) advances by up to
  * `quantum` records through its core model, and synchronization records
  * go through SyncState, giving them their dynamic
@@ -11,14 +11,17 @@
  * shared hierarchy in a deterministic, interleaved global order, which
  * is what makes cache sharing and coherence effects realistic.
  *
- * Two engines produce byte-identical results, both on the flat-table
- * SimHierarchy (sim_hierarchy.hh):
+ * Two engines walk that one schedule and produce byte-identical
+ * results, both on the flat-table SimHierarchy (sim_hierarchy.hh):
  *  - simulate() with jobs == 1 (or memBusCycles > 0): the sequential
- *    columnar engine (simulator_columnar.cc).
+ *    columnar engine (simulator_columnar.cc), which executes each run
+ *    and applies each event in core time as the walk reaches it. Bus
+ *    queueing (memBusCycles > 0) needs that global time order, so this
+ *    engine stays.
  *  - simulate() with jobs > 1 (and memBusCycles == 0): the phased
- *    parallel engine (simulator_parallel.cc), which pins the global
- *    interleaving with the same sequential sync-column schedule replay
- *    the profiler uses, then replays core models and cache shards
+ *    parallel engine (simulator_parallel.cc), which walks the schedule
+ *    on the step clock first, as the profiler does, to pin the global
+ *    interleaving, then replays core models and cache shards
  *    concurrently.
  * tests/test_sim_parallel.cc pins both to the committed corpus
  * tests/golden/sim.txt.

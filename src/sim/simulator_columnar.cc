@@ -2,18 +2,22 @@
  * @file
  * Sequential columnar simulator engine + engine dispatch.
  *
- * Fetch is driven from the ColumnarTrace columns: runs of micro-ops
- * between sync events execute without per-record sync tests, through a
- * CoreModelT bound directly to the flat-table SimHierarchy; sync
- * records go through SyncState. tests/test_sim_parallel.cc pins this
+ * The engine walks the round-robin schedule (sim/round_robin.hh) in
+ * core time. Fetch is driven from the ColumnarTrace columns: each
+ * scheduled run of micro-ops executes without per-record sync tests,
+ * through a CoreModelT bound directly to the flat-table SimHierarchy;
+ * each sync event pays its overhead on the thread's clock, closes the
+ * activity interval and goes through SyncState, whose releases idle
+ * the released cores. tests/test_sim_parallel.cc pins this
  * engine and the parallel one to the committed corpus
  * tests/golden/sim.txt on the whole workload suite.
  */
 
-#include <algorithm>
+#include <memory>
+#include <vector>
 
-#include "common/assert.hh"
 #include "common/parallel.hh"
+#include "sim/round_robin.hh"
 #include "sim/sim_hierarchy.hh"
 #include "sim/sim_internal.hh"
 #include "sim/simulator.hh"
@@ -96,16 +100,10 @@ simulateColumnarSequential(const ColumnarTrace &trace,
     for (uint32_t t = 0; t < num_threads; ++t)
         scale[t] = cfg.threadTimeScale(t);
 
-    struct Cursor
-    {
-        ColumnCursor cur;
-        bool done = false;
-        double activeStart = 0.0;
-    };
-    std::vector<Cursor> cursors;
+    std::vector<ColumnCursor> cursors;
     cursors.reserve(num_threads);
-    for (uint32_t t = 0; t < num_threads; ++t)
-        cursors.push_back({ColumnCursor(trace.threads[t]), false, 0.0});
+    for (const ThreadColumns &cols : trace.threads)
+        cursors.emplace_back(cols);
 
     std::vector<std::unique_ptr<SimMemoryAdapter>> mems;
     std::vector<std::unique_ptr<TournamentPredictor>> preds;
@@ -113,7 +111,7 @@ simulateColumnarSequential(const ColumnarTrace &trace,
     for (uint32_t t = 0; t < num_threads; ++t) {
         const CoreConfig &tc = cfg.threadCore(t);
         mems.push_back(std::make_unique<SimMemoryAdapter>(
-            hierarchy, cursors[t].cur, t));
+            hierarchy, cursors[t], t));
         preds.push_back(std::make_unique<TournamentPredictor>(tc.branch));
         cores.push_back(
             std::make_unique<ColumnarCore>(tc, *mems[t], *preds[t]));
@@ -125,11 +123,11 @@ simulateColumnarSequential(const ColumnarTrace &trace,
     result.workload = trace.name;
     result.config = cfg.name;
     result.threads.resize(num_threads);
+    std::vector<double> activeStart(num_threads, 0.0);
 
     auto close_activity = [&](uint32_t tid, double at) {
-        if (at > cursors[tid].activeStart)
-            result.threads[tid].activity.push_back(
-                {cursors[tid].activeStart, at});
+        if (at > activeStart[tid])
+            result.threads[tid].activity.push_back({activeStart[tid], at});
     };
 
     auto handle_releases = [&](const SyncOutcome &out) {
@@ -137,84 +135,42 @@ simulateColumnarSequential(const ColumnarTrace &trace,
             // @p when is reference cycles; the core idles on its own
             // clock.
             cores[tid]->idleUntil(when / scale[tid]);
-            cursors[tid].activeStart = when;
+            activeStart[tid] = when;
         }
     };
 
-    // Main loop: the round-robin quantum scheduler (the exact discipline
-    // the profiler uses, so the parallel engine can replay the schedule
-    // from the sync columns alone). Each turn picks the next runnable
-    // thread after the rotating cursor and advances it by up to
-    // opts.quantum records; sync events consume one quantum slot, and a
-    // blocking event ends the turn. Source markers (CondMarker) consume
-    // their slot but have no runtime effect or cost. Runs of micro-ops
-    // between sync events execute as one batch with no per-record sync
-    // test.
-    uint32_t live = num_threads;
-    uint32_t cursor = 0;
-    while (live > 0) {
-        uint32_t pick = UINT32_MAX;
-        for (uint32_t i = 0; i < num_threads; ++i) {
-            const uint32_t t = (cursor + i) % num_threads;
-            if (!cursors[t].done && !sync.blocked(t)) {
-                pick = t;
-                break;
-            }
-        }
-        RPPM_REQUIRE(pick != UINT32_MAX,
-                     "deadlock: no runnable thread (malformed trace)");
-        cursor = (pick + 1) % num_threads;
-
-        Cursor &cur = cursors[pick];
-        uint32_t executed = 0;
-        while (!cur.cur.atEnd() && executed < opts.quantum) {
-            if (cur.cur.atSync()) {
-                const SyncType type = cur.cur.syncType();
-                const uint32_t arg = cur.cur.syncArg();
-                cur.cur.advance();
-                ++executed;
-                if (type == SyncType::CondMarker)
-                    continue;
-                // Sync ops cost real cycles (atomics, futex path) on the
-                // thread's own clock before their semantic effect
-                // happens. Close this thread's activity interval before
-                // applying the event: a release may advance its
-                // activeStart (last arrival at a barrier), which would
-                // drop the interval.
-                cores[pick]->syncOverhead(opts.syncOpCost);
-                const double now = cores[pick]->now() * scale[pick];
-                close_activity(pick, now);
-                cur.activeStart = now;
-                TraceRecord rec;
-                rec.sync = type;
-                rec.syncArg = arg;
-                const SyncOutcome out = sync.apply(pick, rec, now);
-                handle_releases(out);
-                if (out.blocks)
-                    break;
-                continue;
-            }
-            const size_t run_end =
-                std::min(cur.cur.nextSyncPos(),
-                         cur.cur.index() + (opts.quantum - executed));
-            executed += static_cast<uint32_t>(run_end - cur.cur.index());
-            sim_detail::executeRange(cur.cur, *cores[pick], run_end,
-                                     [](size_t) {});
-        }
-
-        // A thread is only finished once it has exhausted its records
-        // AND is not blocked (its last record may be a blocking sync
-        // event; the release will reschedule it here with an up-to-date
-        // clock).
-        if (cur.cur.atEnd() && !cur.done && !sync.blocked(pick)) {
-            cur.done = true;
-            --live;
-            const double now = cores[pick]->now() * scale[pick];
-            close_activity(pick, now);
-            result.threads[pick].finishTime = now;
-            handle_releases(sync.finish(pick, now));
-        }
-    }
+    // Walk the round-robin schedule (sim/round_robin.hh) in core time.
+    // Runs of micro-ops execute as one batch with no per-record sync
+    // test; each thread's cursor first steps over the sync records
+    // (markers included) the schedule consumed since its last run.
+    RoundRobin schedule(syncViews(trace), sync, opts.quantum);
+    schedule.walk(
+        [&](uint32_t tid, size_t lo, size_t hi) {
+            ColumnCursor &cur = cursors[tid];
+            while (cur.index() < lo)
+                cur.advance();
+            sim_detail::executeRange(cur, *cores[tid], hi, [](size_t) {});
+        },
+        [&](uint32_t tid, SyncType type, uint32_t arg) {
+            // Sync ops cost real cycles (atomics, futex path) on the
+            // thread's own clock before their semantic effect happens.
+            // Close this thread's activity interval before applying the
+            // event: a release may advance its activeStart (last arrival
+            // at a barrier), which would drop the interval.
+            cores[tid]->syncOverhead(opts.syncOpCost);
+            const double now = cores[tid]->now() * scale[tid];
+            close_activity(tid, now);
+            activeStart[tid] = now;
+            const SyncOutcome out = sync.apply(tid, type, arg, now);
+            handle_releases(out);
+            return out.blocks;
+        },
+        [&](uint32_t tid) {
+            const double now = cores[tid]->now() * scale[tid];
+            close_activity(tid, now);
+            result.threads[tid].finishTime = now;
+            handle_releases(sync.finish(tid, now));
+        });
 
     sim_detail::finalizeResult(
         result, cfg, num_threads,
@@ -232,7 +188,6 @@ simulate(const ColumnarTrace &trace, const MulticoreConfig &cfg,
 {
     trace.validateColumnConsistency();
     cfg.validate();
-    RPPM_REQUIRE(opts.quantum > 0, "scheduler quantum must be positive");
     const unsigned jobs = resolveJobs(opts.jobs);
     // The parallel engine shards cache replay by line, which requires
     // the hierarchy to be time-free: bus queueing (memBusCycles > 0)

@@ -3,16 +3,16 @@
  * Parallel epoch-sharded simulator engine — bit-identical to the
  * sequential engine for every job count.
  *
- * The sequential simulator interleaves threads with a round-robin
- * quantum scheduler whose blocking decisions depend only on event
+ * Both simulator engines walk one round-robin quantum schedule
+ * (sim/round_robin.hh) whose blocking decisions depend only on event
  * *order*, never on event times (SyncState blocks on "is the child
  * finished", "have all barrier participants arrived", "is the mutex
  * held", "is the queue empty" — all order-determined); only release
  * *times* carry clock values. That makes the whole global interleaving
- * replayable from the sparse sync columns alone, exactly like the
- * profiler engine (profile/profiler_stream.cc), and the engine
- * decomposes into phases whose parallel grains are independent by
- * construction:
+ * computable from the sparse sync columns alone on the walk's step
+ * clock, exactly as the profiler engine (profile/profiler_stream.cc)
+ * does, and the engine decomposes into phases whose parallel grains are
+ * independent by construction:
  *
  *  A. Index    (parallel, one task per thread) Memory and L1I-miss
  *              prefix counts per record, plus the exact list of L1I
@@ -20,12 +20,13 @@
  *              thread's own fetch stream (it is never invalidated and
  *              data accesses never touch it), so it replays
  *              thread-locally on a private SimCache replica.
- *  B. Schedule (sequential, cheap) The sync-column replay of the
- *              round-robin quantum scheduler: the same SyncState
- *              machine as the sequential engine on a step clock, emitting
- *              the global run list (with the global hierarchy-op
- *              sequence number each run starts at), the global event
- *              list, and per-thread pause flags for phase D.
+ *  B. Schedule (sequential, cheap) The walk of the round-robin
+ *              schedule over the sync columns: the same SyncState
+ *              machine as the sequential engine on the step clock,
+ *              emitting the global run list (with the global
+ *              hierarchy-op sequence number each run starts at), the
+ *              global event list, and per-thread pause flags for
+ *              phase D.
  *  C. Resolve  (parallel) Each thread converts its runs into entries
  *              (data access or L1I miss fill) bucketed by cache-set
  *              shard; each shard then merges its entries by global
@@ -65,6 +66,7 @@
 
 #include "common/assert.hh"
 #include "common/parallel.hh"
+#include "sim/round_robin.hh"
 #include "sim/sim_hierarchy.hh"
 #include "sim/sim_internal.hh"
 #include "sim/simulator.hh"
@@ -130,103 +132,49 @@ constexpr uint8_t kStore = 1;
 constexpr uint8_t kFetchFill = 2;
 
 /**
- * Phase B: replay the engines' round-robin quantum scheduler from the
- * sync columns and the phase-A prefix counts. Mirrors the sequential
- * loop exactly (same pick rotation, same quantum accounting, same
- * blocking machine, same finish rule) minus all per-record work; the
- * step clock stands in for real time, which is sound because SyncState's
- * blocking decisions are order-only.
+ * Phase B: walk the round-robin schedule (sim/round_robin.hh) from the
+ * sync columns and the phase-A prefix counts, with none of the
+ * per-record work. The step clock stands in for real time, which is
+ * sound because SyncState's blocking decisions are order-only.
  */
 Schedule
-replaySchedule(const ColumnarTrace &trace, const SimOptions &opts,
-               const std::vector<std::vector<uint32_t>> &memPrefix,
-               const std::vector<std::vector<uint32_t>> &missPrefix,
-               const std::unordered_map<uint32_t, uint32_t> &barriers)
+scheduleRuns(const ColumnarTrace &trace, const SimOptions &opts,
+             const std::vector<std::vector<uint32_t>> &memPrefix,
+             const std::vector<std::vector<uint32_t>> &missPrefix,
+             const std::unordered_map<uint32_t, uint32_t> &barriers)
 {
     const uint32_t num_threads = static_cast<uint32_t>(trace.numThreads());
     SyncState sync(num_threads, barriers);
 
-    struct Cur
-    {
-        size_t next = 0;
-        size_t syncIdx = 0;
-        bool done = false;
-    };
-    std::vector<Cur> cur(num_threads);
     Schedule sched;
     sched.runs.resize(num_threads);
     sched.pause.resize(num_threads);
-
     uint64_t op_seq = 0;
-    uint64_t step = 0;
-    uint32_t live = num_threads;
-    uint32_t cursor = 0;
-    while (live > 0) {
-        uint32_t pick = UINT32_MAX;
-        for (uint32_t i = 0; i < num_threads; ++i) {
-            const uint32_t t = (cursor + i) % num_threads;
-            if (!cur[t].done && !sync.blocked(t)) {
-                pick = t;
-                break;
-            }
-        }
-        RPPM_REQUIRE(pick != UINT32_MAX,
-                     "deadlock: no runnable thread (malformed trace)");
-        cursor = (pick + 1) % num_threads;
-
-        Cur &ts = cur[pick];
-        const ThreadColumns &cols = trace.threads[pick];
-        const size_t num_records = cols.numRecords();
-        uint32_t executed = 0;
-        while (ts.next < num_records && executed < opts.quantum) {
-            const size_t next_sync = ts.syncIdx < cols.syncPos.size() ?
-                static_cast<size_t>(cols.syncPos[ts.syncIdx]) : num_records;
-            if (ts.next == next_sync) {
-                const SyncType type = cols.syncType[ts.syncIdx];
-                const uint32_t arg = cols.syncArg[ts.syncIdx];
-                ++ts.syncIdx;
-                ++ts.next;
-                ++executed;
-                ++step;
-                if (type == SyncType::CondMarker)
-                    continue;
-                TraceRecord rec;
-                rec.sync = type;
-                rec.syncArg = arg;
-                const SyncOutcome out =
-                    sync.apply(pick, rec, static_cast<double>(step));
-                sched.events.push_back(SchedEvent{
-                    pick, arg, type, 0,
-                    static_cast<uint8_t>(out.blocks ? 1 : 0)});
-                sched.pause[pick].push_back(
-                    out.blocks || mayPauseType(type) ? 1 : 0);
-                if (out.blocks)
-                    break;
-                continue;
-            }
-            const size_t run_end = std::min(
-                next_sync, ts.next + (opts.quantum - executed));
-            const size_t run = run_end - ts.next;
+    RoundRobin schedule(syncViews(trace), sync, opts.quantum);
+    schedule.walk(
+        [&](uint32_t tid, size_t lo, size_t hi) {
             const uint64_t ops =
-                (memPrefix[pick][run_end] - memPrefix[pick][ts.next]) +
-                (missPrefix[pick][run_end] - missPrefix[pick][ts.next]);
+                (memPrefix[tid][hi] - memPrefix[tid][lo]) +
+                (missPrefix[tid][hi] - missPrefix[tid][lo]);
             if (ops > 0) {
-                sched.runs[pick].push_back(
-                    SchedRun{ts.next, run_end, op_seq});
+                sched.runs[tid].push_back(SchedRun{lo, hi, op_seq});
                 op_seq += ops;
             }
-            ts.next = run_end;
-            step += run;
-            executed += static_cast<uint32_t>(run);
-        }
-        if (ts.next >= num_records && !ts.done && !sync.blocked(pick)) {
-            ts.done = true;
-            --live;
+        },
+        [&](uint32_t tid, SyncType type, uint32_t arg) {
+            const SyncOutcome out = sync.apply(
+                tid, type, arg, static_cast<double>(schedule.step()));
+            sched.events.push_back(SchedEvent{
+                tid, arg, type, 0, static_cast<uint8_t>(out.blocks)});
+            sched.pause[tid].push_back(
+                out.blocks || mayPauseType(type) ? 1 : 0);
+            return out.blocks;
+        },
+        [&](uint32_t tid) {
             sched.events.push_back(
-                SchedEvent{pick, 0, SyncType::None, 1, 0});
-            sync.finish(pick, static_cast<double>(step));
-        }
-    }
+                SchedEvent{tid, 0, SyncType::None, 1, 0});
+            sync.finish(tid, static_cast<double>(schedule.step()));
+        });
     return sched;
 }
 
@@ -357,9 +305,9 @@ sim_detail::simulateParallelImpl(const ColumnarTrace &trace,
         miss[num_records] = miss_count;
     });
 
-    // --- Phase B: schedule replay (sequential, O(#runs + #sync)).
+    // --- Phase B: the schedule (sequential, O(#runs + #sync)).
     const Schedule sched =
-        replaySchedule(trace, opts, memPrefix, missPrefix, barriers);
+        scheduleRuns(trace, opts, memPrefix, missPrefix, barriers);
 
     // --- Phase C: shard-bucketed hierarchy replay.
     // The shard count must divide every cache's set count so that lines
@@ -575,10 +523,7 @@ sim_detail::simulateParallelImpl(const ColumnarTrace &trace,
             if (e.isFinish != 0) {
                 out = syncD.finish(e.tid, now);
             } else {
-                TraceRecord rec;
-                rec.sync = e.type;
-                rec.syncArg = e.arg;
-                out = syncD.apply(e.tid, rec, now);
+                out = syncD.apply(e.tid, e.type, e.arg, now);
                 RPPM_ASSERT(out.blocks == (e.blocks != 0));
             }
             bool self_released = false;

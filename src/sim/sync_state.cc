@@ -28,14 +28,14 @@ SyncState::barrierPopulation(uint32_t id) const
 }
 
 SyncOutcome
-SyncState::apply(uint32_t tid, const TraceRecord &rec, double now)
+SyncState::apply(uint32_t tid, SyncType type, uint32_t arg, double now)
 {
     RPPM_ASSERT(tid < numThreads_);
     SyncOutcome out;
 
-    switch (rec.sync) {
+    switch (type) {
       case SyncType::ThreadCreate: {
-        const uint32_t child = rec.syncArg;
+        const uint32_t child = arg;
         RPPM_ASSERT(child < numThreads_ && blocked_[child]);
         blocked_[child] = false;
         out.released.emplace_back(child, now);
@@ -43,7 +43,7 @@ SyncState::apply(uint32_t tid, const TraceRecord &rec, double now)
       }
 
       case SyncType::ThreadJoin: {
-        const uint32_t child = rec.syncArg;
+        const uint32_t child = arg;
         RPPM_ASSERT(child < numThreads_);
         if (!finished_[child]) {
             out.blocks = true;
@@ -61,10 +61,10 @@ SyncState::apply(uint32_t tid, const TraceRecord &rec, double now)
 
       case SyncType::BarrierWait:
       case SyncType::CondBarrier: {
-        auto &table = rec.sync == SyncType::BarrierWait ?
+        auto &table = type == SyncType::BarrierWait ?
             barriers_ : condBarriers_;
-        Barrier &bar = table[rec.syncArg];
-        const uint32_t population = barrierPopulation(rec.syncArg);
+        Barrier &bar = table[arg];
+        const uint32_t population = barrierPopulation(arg);
         ++bar.arrived;
         bar.maxArrival = std::max(bar.maxArrival, now);
         if (bar.arrived < population) {
@@ -91,7 +91,7 @@ SyncState::apply(uint32_t tid, const TraceRecord &rec, double now)
       }
 
       case SyncType::MutexLock: {
-        Mutex &mtx = mutexes_[rec.syncArg];
+        Mutex &mtx = mutexes_[arg];
         if (mtx.held) {
             out.blocks = true;
             blocked_[tid] = true;
@@ -104,7 +104,7 @@ SyncState::apply(uint32_t tid, const TraceRecord &rec, double now)
       }
 
       case SyncType::MutexUnlock: {
-        Mutex &mtx = mutexes_[rec.syncArg];
+        Mutex &mtx = mutexes_[arg];
         RPPM_ASSERT(mtx.held && mtx.owner == tid);
         if (mtx.waiters.empty()) {
             mtx.held = false;
@@ -120,7 +120,7 @@ SyncState::apply(uint32_t tid, const TraceRecord &rec, double now)
       }
 
       case SyncType::QueuePush: {
-        Queue &q = queues_[rec.syncArg];
+        Queue &q = queues_[arg];
         if (!q.waiters.empty()) {
             const uint32_t consumer = q.waiters.front();
             q.waiters.pop_front();
@@ -133,7 +133,7 @@ SyncState::apply(uint32_t tid, const TraceRecord &rec, double now)
       }
 
       case SyncType::QueuePop: {
-        Queue &q = queues_[rec.syncArg];
+        Queue &q = queues_[arg];
         if (q.itemTimes.empty()) {
             out.blocks = true;
             blocked_[tid] = true;

@@ -49,10 +49,12 @@ class SyncState
               std::unordered_map<uint32_t, uint32_t> barrier_population);
 
     /**
-     * Present sync event @p rec by thread @p tid at time @p now.
-     * The outcome lists any threads released at their release times.
+     * Present sync event (@p type, @p arg) by thread @p tid at time
+     * @p now. The outcome lists any threads released at their release
+     * times.
      */
-    SyncOutcome apply(uint32_t tid, const TraceRecord &rec, double now);
+    SyncOutcome apply(uint32_t tid, SyncType type, uint32_t arg,
+                      double now);
 
     /** Mark thread @p tid finished at @p now; may release joiners. */
     SyncOutcome finish(uint32_t tid, double now);

@@ -216,17 +216,11 @@ ColumnarTrace::validateColumnConsistency() const
 std::unordered_map<uint32_t, uint32_t>
 ColumnarTrace::validateAndBarrierPopulations() const
 {
-    std::vector<SyncSpan> spans;
-    spans.reserve(threads.size());
-    for (const ThreadColumns &cols : threads) {
-        spans.push_back(SyncSpan{cols.syncType.data(), cols.syncArg.data(),
-                                 cols.syncType.size(), cols.numRecords()});
-    }
-    return validateSyncAndBarrierPopulations(spans);
+    return validateSyncAndBarrierPopulations(syncViews(*this));
 }
 
 std::unordered_map<uint32_t, uint32_t>
-validateSyncAndBarrierPopulations(const std::vector<SyncSpan> &threads)
+validateSyncAndBarrierPopulations(const std::vector<SyncView> &threads)
 {
     // One sweep over the sparse sync columns replaces two full passes
     // over the AoS records (validation plus a barrier-population scan):
@@ -243,7 +237,7 @@ validateSyncAndBarrierPopulations(const std::vector<SyncSpan> &threads)
     std::unordered_map<uint32_t, std::vector<bool>> users;
 
     for (size_t tid = 0; tid < threads.size(); ++tid) {
-        const SyncSpan &cols = threads[tid];
+        const SyncView &cols = threads[tid];
         std::map<uint32_t, int> lock_depth;
         for (size_t k = 0; k < cols.count; ++k) {
             const SyncType type = cols.type[k];

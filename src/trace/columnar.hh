@@ -246,25 +246,60 @@ struct ColumnarTrace
         std::make_shared<std::atomic<bool>>(false);
 };
 
-/** One thread's sync columns plus its record count — the entire input of
- *  structural workload validation (see validateSyncAndBarrierPopulations). */
-struct SyncSpan
+/**
+ * Read-only view of one thread's sparse sync columns plus its record
+ * count: everything the schedule (sim/round_robin.hh), the structural
+ * validation and the profiler's sweeps read of the sync events. A file
+ * source builds one over its resident sync columns without
+ * materializing a ColumnarTrace.
+ */
+struct SyncView
 {
+    const uint64_t *pos = nullptr;
     const SyncType *type = nullptr;
     const uint32_t *arg = nullptr;
     size_t count = 0;
-    uint64_t numRecords = 0;
+    size_t numRecords = 0; ///< sentinel when no sync events remain
+
+    /** Record index of sync event @p syncIdx, or numRecords past the
+     *  last one. */
+    size_t
+    next(size_t syncIdx) const
+    {
+        return syncIdx < count ? static_cast<size_t>(pos[syncIdx]) :
+                                 numRecords;
+    }
 };
 
+/** The sync view of @p cols. */
+inline SyncView
+syncView(const ThreadColumns &cols)
+{
+    return SyncView{cols.syncPos.data(), cols.syncType.data(),
+                    cols.syncArg.data(), cols.syncPos.size(),
+                    cols.numRecords()};
+}
+
+/** One sync view per thread of @p trace. */
+inline std::vector<SyncView>
+syncViews(const ColumnarTrace &trace)
+{
+    std::vector<SyncView> views;
+    views.reserve(trace.numThreads());
+    for (const ThreadColumns &cols : trace.threads)
+        views.push_back(syncView(cols));
+    return views;
+}
+
 /**
- * The body of ColumnarTrace::validateAndBarrierPopulations() over raw
- * sync-column spans: lets the out-of-core streaming profiler validate a
+ * The body of ColumnarTrace::validateAndBarrierPopulations() over sync
+ * views: lets the out-of-core streaming profiler validate a
  * trace file and size its barriers from the resident sync columns alone,
  * without materializing a ColumnarTrace. Throws std::invalid_argument on
  * violation.
  */
 std::unordered_map<uint32_t, uint32_t>
-validateSyncAndBarrierPopulations(const std::vector<SyncSpan> &threads);
+validateSyncAndBarrierPopulations(const std::vector<SyncView> &threads);
 
 } // namespace rppm
 

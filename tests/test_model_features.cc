@@ -22,15 +22,6 @@
 namespace rppm {
 namespace {
 
-TraceRecord
-syncRec(SyncType type, uint32_t arg)
-{
-    TraceRecord rec;
-    rec.sync = type;
-    rec.syncArg = arg;
-    return rec;
-}
-
 // ------------------------------------------------- flush-emulated replay ---
 
 MicroTrace
@@ -248,11 +239,11 @@ TEST_F(AblationTest, ProfilerInvalidationSwitch)
 TEST(SyncCausality, JoinReturnsAtChildFinishTime)
 {
     SyncState s(2, {});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
     // Child's symbolic timeline completes at t=500 before the parent
     // even arrives at the join (coarse epoch jumps).
     s.finish(1, 500.0);
-    const auto out = s.apply(0, syncRec(SyncType::ThreadJoin, 1), 100.0);
+    const auto out = s.apply(0, SyncType::ThreadJoin, 1, 100.0);
     EXPECT_FALSE(out.blocks);
     ASSERT_EQ(out.released.size(), 1u);
     EXPECT_EQ(out.released[0].first, 0u);
@@ -262,9 +253,9 @@ TEST(SyncCausality, JoinReturnsAtChildFinishTime)
 TEST(SyncCausality, JoinAfterChildFinishNoAdjustment)
 {
     SyncState s(2, {});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
     s.finish(1, 50.0);
-    const auto out = s.apply(0, syncRec(SyncType::ThreadJoin, 1), 100.0);
+    const auto out = s.apply(0, SyncType::ThreadJoin, 1, 100.0);
     EXPECT_FALSE(out.blocks);
     EXPECT_TRUE(out.released.empty());
 }
@@ -272,11 +263,11 @@ TEST(SyncCausality, JoinAfterChildFinishNoAdjustment)
 TEST(SyncCausality, QueueItemCannotBeConsumedBeforeProduced)
 {
     SyncState s(2, {});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
     // Producer pushes at t=300 (its coarse timeline ran ahead).
-    s.apply(0, syncRec(SyncType::QueuePush, 7), 300.0);
+    s.apply(0, SyncType::QueuePush, 7, 300.0);
     // Consumer pops at its local t=10: it must be advanced to t=300.
-    const auto out = s.apply(1, syncRec(SyncType::QueuePop, 7), 10.0);
+    const auto out = s.apply(1, SyncType::QueuePop, 7, 10.0);
     EXPECT_FALSE(out.blocks);
     ASSERT_EQ(out.released.size(), 1u);
     EXPECT_DOUBLE_EQ(out.released[0].second, 300.0);
@@ -285,9 +276,9 @@ TEST(SyncCausality, QueueItemCannotBeConsumedBeforeProduced)
 TEST(SyncCausality, QueueItemInPastNeedsNoAdjustment)
 {
     SyncState s(2, {});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
-    s.apply(0, syncRec(SyncType::QueuePush, 7), 5.0);
-    const auto out = s.apply(1, syncRec(SyncType::QueuePop, 7), 10.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
+    s.apply(0, SyncType::QueuePush, 7, 5.0);
+    const auto out = s.apply(1, SyncType::QueuePop, 7, 10.0);
     EXPECT_FALSE(out.blocks);
     EXPECT_TRUE(out.released.empty());
 }
@@ -295,13 +286,13 @@ TEST(SyncCausality, QueueItemInPastNeedsNoAdjustment)
 TEST(SyncCausality, QueueItemsConsumedInFifoOrder)
 {
     SyncState s(2, {});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
-    s.apply(0, syncRec(SyncType::QueuePush, 7), 100.0);
-    s.apply(0, syncRec(SyncType::QueuePush, 7), 200.0);
-    auto out = s.apply(1, syncRec(SyncType::QueuePop, 7), 0.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
+    s.apply(0, SyncType::QueuePush, 7, 100.0);
+    s.apply(0, SyncType::QueuePush, 7, 200.0);
+    auto out = s.apply(1, SyncType::QueuePop, 7, 0.0);
     ASSERT_EQ(out.released.size(), 1u);
     EXPECT_DOUBLE_EQ(out.released[0].second, 100.0);
-    out = s.apply(1, syncRec(SyncType::QueuePop, 7), 150.0);
+    out = s.apply(1, SyncType::QueuePop, 7, 150.0);
     ASSERT_EQ(out.released.size(), 1u);
     EXPECT_DOUBLE_EQ(out.released[0].second, 200.0);
 }
@@ -309,13 +300,13 @@ TEST(SyncCausality, QueueItemsConsumedInFifoOrder)
 TEST(SyncCausality, BarrierLastApplierAdvancedToMaxArrival)
 {
     SyncState s(2, {{3, 2}});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
     // Thread 1's coarse timeline arrives at 900, applies first, blocks.
-    EXPECT_TRUE(s.apply(1, syncRec(SyncType::BarrierWait, 3), 900.0)
+    EXPECT_TRUE(s.apply(1, SyncType::BarrierWait, 3, 900.0)
                 .blocks);
     // Thread 0 arrives "later" in apply order but earlier in time: the
     // barrier opens at 900 for both.
-    const auto out = s.apply(0, syncRec(SyncType::BarrierWait, 3), 100.0);
+    const auto out = s.apply(0, SyncType::BarrierWait, 3, 100.0);
     EXPECT_FALSE(out.blocks);
     ASSERT_EQ(out.released.size(), 2u);
     for (const auto &[tid, when] : out.released)

@@ -102,7 +102,7 @@ TEST(ParallelProfiler, BitIdenticalUnderCustomOptions)
 {
     // Options that change profile *content* (sampling policy, quantum,
     // coherence detection, line size) must keep every job count on the
-    // corpus: the schedule replay honors the quantum, the sharded
+    // corpus: the schedule honors the quantum, the sharded
     // resolution honors detectInvalidation, the sweep honors the
     // sampling windows.
     const ColumnarTrace cols =
@@ -212,7 +212,7 @@ TEST(ParallelProfiler, CacheArtifactsIdenticalForAnyJobCount)
 TEST(ParallelProfiler, SingleThreadedWorkload)
 {
     // Degenerate shape: one thread, no synchronization except the built-in
-    // create/join scaffolding; the schedule replay and sharded resolution
+    // create/join scaffolding; the schedule and sharded resolution
     // must still reproduce the corpus exactly.
     const ColumnarTrace cols =
         ColumnarTrace::fromWorkload(generateWorkload(singleThreadSpec()));

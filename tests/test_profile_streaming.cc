@@ -26,9 +26,11 @@
 
 #include "profile/profiler.hh"
 #include "profile_reference.hh"
+#include "sim/simulator.hh"
 #include "study/profile_cache.hh"
 #include "study/source.hh"
 #include "trace/columnar.hh"
+#include "trace/trace_builder.hh"
 #include "trace/trace_io.hh"
 #include "workload/suite.hh"
 #include "workload/workload.hh"
@@ -168,6 +170,45 @@ TEST(StreamingProfiler, SingleThreadedWorkload)
         EXPECT_TRUE(matchesProfileCorpus(profileKey("single"),
                                          profileWorkload(cols, opts)))
             << "chunk=" << chunk;
+    }
+}
+
+TEST(StreamingProfiler, DeadlockRejectedLikeTheSimulator)
+{
+    // The worker ends blocked in a pop from a queue nobody pushes, so
+    // main's join never returns. The profiler walks the simulator's
+    // schedule, so both must reject the trace: a profile of a schedule
+    // that cannot complete would only fail later, inside predict().
+    WorkloadTrace trace;
+    trace.name = "deadlock";
+    trace.threads.resize(2);
+    ThreadTraceBuilder main(trace.threads[0]);
+    main.sync(SyncType::ThreadCreate, 1);
+    main.sync(SyncType::ThreadJoin, 1);
+    ThreadTraceBuilder worker(trace.threads[1]);
+    for (uint32_t i = 0; i < 50; ++i)
+        worker.load(0x1000 + 64 * i, 4 * i);
+    worker.sync(SyncType::QueuePop, 9);
+    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+
+    for (const unsigned jobs : {1u, 4u}) {
+        ProfilerOptions opts;
+        opts.jobs = jobs;
+        EXPECT_THROW(profileWorkload(cols, opts), std::invalid_argument)
+            << "jobs=" << jobs;
+    }
+    const TempTraceFile file(cols);
+    ProfilerOptions chunked;
+    chunked.streamChunkRecords = 16;
+    EXPECT_THROW(profileWorkloadStreamingFile(file.path(), chunked),
+                 std::invalid_argument);
+
+    for (const unsigned jobs : {1u, 2u}) {
+        SimOptions opts;
+        opts.jobs = jobs;
+        EXPECT_THROW(simulate(cols, baseConfig(), opts),
+                     std::invalid_argument)
+            << "jobs=" << jobs;
     }
 }
 

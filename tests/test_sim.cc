@@ -18,15 +18,6 @@
 namespace rppm {
 namespace {
 
-TraceRecord
-syncRec(SyncType type, uint32_t arg)
-{
-    TraceRecord rec;
-    rec.sync = type;
-    rec.syncArg = arg;
-    return rec;
-}
-
 // ------------------------------------------------------------ SyncState ---
 
 TEST(SyncState, WorkersStartBlocked)
@@ -40,7 +31,7 @@ TEST(SyncState, WorkersStartBlocked)
 TEST(SyncState, CreateUnblocks)
 {
     SyncState s(2, {});
-    const auto out = s.apply(0, syncRec(SyncType::ThreadCreate, 1), 10.0);
+    const auto out = s.apply(0, SyncType::ThreadCreate, 1, 10.0);
     EXPECT_FALSE(out.blocks);
     ASSERT_EQ(out.released.size(), 1u);
     EXPECT_EQ(out.released[0].first, 1u);
@@ -51,8 +42,8 @@ TEST(SyncState, CreateUnblocks)
 TEST(SyncState, JoinBlocksUntilChildFinishes)
 {
     SyncState s(2, {});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
-    const auto join = s.apply(0, syncRec(SyncType::ThreadJoin, 1), 5.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
+    const auto join = s.apply(0, SyncType::ThreadJoin, 1, 5.0);
     EXPECT_TRUE(join.blocks);
     EXPECT_TRUE(s.blocked(0));
     const auto fin = s.finish(1, 42.0);
@@ -65,9 +56,9 @@ TEST(SyncState, JoinBlocksUntilChildFinishes)
 TEST(SyncState, JoinOfFinishedThreadReturnsImmediately)
 {
     SyncState s(2, {});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
     s.finish(1, 3.0);
-    const auto join = s.apply(0, syncRec(SyncType::ThreadJoin, 1), 9.0);
+    const auto join = s.apply(0, SyncType::ThreadJoin, 1, 9.0);
     EXPECT_FALSE(join.blocks);
 }
 
@@ -75,10 +66,10 @@ TEST(SyncState, BarrierReleasesAtMaxArrival)
 {
     SyncState s(3, {{7, 3}});
     for (uint32_t t = 1; t < 3; ++t)
-        s.apply(0, syncRec(SyncType::ThreadCreate, t), 0.0);
-    EXPECT_TRUE(s.apply(0, syncRec(SyncType::BarrierWait, 7), 50.0).blocks);
-    EXPECT_TRUE(s.apply(1, syncRec(SyncType::BarrierWait, 7), 30.0).blocks);
-    const auto out = s.apply(2, syncRec(SyncType::BarrierWait, 7), 20.0);
+        s.apply(0, SyncType::ThreadCreate, t, 0.0);
+    EXPECT_TRUE(s.apply(0, SyncType::BarrierWait, 7, 50.0).blocks);
+    EXPECT_TRUE(s.apply(1, SyncType::BarrierWait, 7, 30.0).blocks);
+    const auto out = s.apply(2, SyncType::BarrierWait, 7, 20.0);
     EXPECT_FALSE(out.blocks);
     // Everyone (including the last arriver) is released at the *latest*
     // arrival time, 50.
@@ -90,12 +81,12 @@ TEST(SyncState, BarrierReleasesAtMaxArrival)
 TEST(SyncState, BarrierResetsForNextGeneration)
 {
     SyncState s(2, {{7, 2}});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
-    EXPECT_TRUE(s.apply(0, syncRec(SyncType::BarrierWait, 7), 1.0).blocks);
-    EXPECT_FALSE(s.apply(1, syncRec(SyncType::BarrierWait, 7), 2.0).blocks);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
+    EXPECT_TRUE(s.apply(0, SyncType::BarrierWait, 7, 1.0).blocks);
+    EXPECT_FALSE(s.apply(1, SyncType::BarrierWait, 7, 2.0).blocks);
     // Second generation works the same way.
-    EXPECT_TRUE(s.apply(1, syncRec(SyncType::BarrierWait, 7), 3.0).blocks);
-    const auto out = s.apply(0, syncRec(SyncType::BarrierWait, 7), 9.0);
+    EXPECT_TRUE(s.apply(1, SyncType::BarrierWait, 7, 3.0).blocks);
+    const auto out = s.apply(0, SyncType::BarrierWait, 7, 9.0);
     EXPECT_FALSE(out.blocks);
     for (const auto &[tid, when] : out.released)
         EXPECT_DOUBLE_EQ(when, 9.0);
@@ -104,9 +95,9 @@ TEST(SyncState, BarrierResetsForNextGeneration)
 TEST(SyncState, CondBarrierBehavesLikeBarrier)
 {
     SyncState s(2, {{9, 2}});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
-    EXPECT_TRUE(s.apply(0, syncRec(SyncType::CondBarrier, 9), 5.0).blocks);
-    const auto out = s.apply(1, syncRec(SyncType::CondBarrier, 9), 8.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
+    EXPECT_TRUE(s.apply(0, SyncType::CondBarrier, 9, 5.0).blocks);
+    const auto out = s.apply(1, SyncType::CondBarrier, 9, 8.0);
     EXPECT_FALSE(out.blocks);
     EXPECT_EQ(out.released.size(), 2u);
 }
@@ -114,21 +105,21 @@ TEST(SyncState, CondBarrierBehavesLikeBarrier)
 TEST(SyncState, MutexExclusionAndFifoHandoff)
 {
     SyncState s(3, {});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
-    s.apply(0, syncRec(SyncType::ThreadCreate, 2), 0.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
+    s.apply(0, SyncType::ThreadCreate, 2, 0.0);
 
-    EXPECT_FALSE(s.apply(0, syncRec(SyncType::MutexLock, 4), 1.0).blocks);
-    EXPECT_TRUE(s.apply(1, syncRec(SyncType::MutexLock, 4), 2.0).blocks);
-    EXPECT_TRUE(s.apply(2, syncRec(SyncType::MutexLock, 4), 3.0).blocks);
+    EXPECT_FALSE(s.apply(0, SyncType::MutexLock, 4, 1.0).blocks);
+    EXPECT_TRUE(s.apply(1, SyncType::MutexLock, 4, 2.0).blocks);
+    EXPECT_TRUE(s.apply(2, SyncType::MutexLock, 4, 3.0).blocks);
 
     // Unlock hands the mutex to the first waiter.
-    auto out = s.apply(0, syncRec(SyncType::MutexUnlock, 4), 10.0);
+    auto out = s.apply(0, SyncType::MutexUnlock, 4, 10.0);
     ASSERT_EQ(out.released.size(), 1u);
     EXPECT_EQ(out.released[0].first, 1u);
     EXPECT_DOUBLE_EQ(out.released[0].second, 10.0);
     EXPECT_TRUE(s.blocked(2));
 
-    out = s.apply(1, syncRec(SyncType::MutexUnlock, 4), 20.0);
+    out = s.apply(1, SyncType::MutexUnlock, 4, 20.0);
     ASSERT_EQ(out.released.size(), 1u);
     EXPECT_EQ(out.released[0].first, 2u);
 }
@@ -136,18 +127,18 @@ TEST(SyncState, MutexExclusionAndFifoHandoff)
 TEST(SyncState, UncontendedMutexFree)
 {
     SyncState s(1, {});
-    EXPECT_FALSE(s.apply(0, syncRec(SyncType::MutexLock, 4), 1.0).blocks);
-    EXPECT_TRUE(s.apply(0, syncRec(SyncType::MutexUnlock, 4), 2.0)
+    EXPECT_FALSE(s.apply(0, SyncType::MutexLock, 4, 1.0).blocks);
+    EXPECT_TRUE(s.apply(0, SyncType::MutexUnlock, 4, 2.0)
                 .released.empty());
-    EXPECT_FALSE(s.apply(0, syncRec(SyncType::MutexLock, 4), 3.0).blocks);
+    EXPECT_FALSE(s.apply(0, SyncType::MutexLock, 4, 3.0).blocks);
 }
 
 TEST(SyncState, QueuePopBlocksWhenEmpty)
 {
     SyncState s(2, {});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
-    EXPECT_TRUE(s.apply(1, syncRec(SyncType::QueuePop, 3), 2.0).blocks);
-    const auto out = s.apply(0, syncRec(SyncType::QueuePush, 3), 7.0);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
+    EXPECT_TRUE(s.apply(1, SyncType::QueuePop, 3, 2.0).blocks);
+    const auto out = s.apply(0, SyncType::QueuePush, 3, 7.0);
     ASSERT_EQ(out.released.size(), 1u);
     EXPECT_EQ(out.released[0].first, 1u);
     EXPECT_DOUBLE_EQ(out.released[0].second, 7.0);
@@ -156,18 +147,18 @@ TEST(SyncState, QueuePopBlocksWhenEmpty)
 TEST(SyncState, QueuePopConsumesBufferedItem)
 {
     SyncState s(2, {});
-    s.apply(0, syncRec(SyncType::ThreadCreate, 1), 0.0);
-    s.apply(0, syncRec(SyncType::QueuePush, 3), 1.0);
-    s.apply(0, syncRec(SyncType::QueuePush, 3), 2.0);
-    EXPECT_FALSE(s.apply(1, syncRec(SyncType::QueuePop, 3), 5.0).blocks);
-    EXPECT_FALSE(s.apply(1, syncRec(SyncType::QueuePop, 3), 6.0).blocks);
-    EXPECT_TRUE(s.apply(1, syncRec(SyncType::QueuePop, 3), 7.0).blocks);
+    s.apply(0, SyncType::ThreadCreate, 1, 0.0);
+    s.apply(0, SyncType::QueuePush, 3, 1.0);
+    s.apply(0, SyncType::QueuePush, 3, 2.0);
+    EXPECT_FALSE(s.apply(1, SyncType::QueuePop, 3, 5.0).blocks);
+    EXPECT_FALSE(s.apply(1, SyncType::QueuePop, 3, 6.0).blocks);
+    EXPECT_TRUE(s.apply(1, SyncType::QueuePop, 3, 7.0).blocks);
 }
 
 TEST(SyncState, CondMarkerHasNoEffect)
 {
     SyncState s(1, {});
-    const auto out = s.apply(0, syncRec(SyncType::CondMarker, 1), 1.0);
+    const auto out = s.apply(0, SyncType::CondMarker, 1, 1.0);
     EXPECT_FALSE(out.blocks);
     EXPECT_TRUE(out.released.empty());
 }

@@ -108,7 +108,7 @@ struct Variant
 
 /**
  * Options and architectures that change the simulated interleaving or
- * the sharding geometry: the schedule replay honors the quantum and the
+ * the sharding geometry: the schedule honors the quantum and the
  * sync cost, the shard partition honors non-default line sizes, and
  * heterogeneous machines exercise per-thread time scales and per-slot
  * cache parameters.
