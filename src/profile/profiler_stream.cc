@@ -83,11 +83,11 @@ namespace rppm {
 
 namespace {
 
-/** One thread of a source: its record count, declared sparse column
- *  lengths (cross-checked against the run counts) and sync columns. */
+/** One thread of a source: its declared sparse column lengths
+ *  (cross-checked against the run counts) and its sync columns, which
+ *  carry its record count. */
 struct SourceThread
 {
-    uint64_t records;
     uint64_t mems;
     uint64_t branches;
     SyncView sync;
@@ -146,8 +146,7 @@ class MemorySource final : public StreamSource
         WorkDeque::Group group;
         for (size_t t = 0; t < trace.numThreads(); ++t) {
             const ThreadColumns &cols = trace.threads[t];
-            threads.push_back(SourceThread{cols.numRecords(),
-                                           cols.addr.size(),
+            threads.push_back(SourceThread{cols.addr.size(),
                                            cols.taken.size(),
                                            syncView(cols)});
             deque.post(group, [this, &cols, t] {
@@ -246,7 +245,7 @@ class FileSource final : public StreamSource
             const ThreadLayout &th = layout_.threads[t];
             const ResidentSync &s = sync_[t];
             threads.push_back(SourceThread{
-                th.records, th.addr.count, th.taken.count,
+                th.addr.count, th.taken.count,
                 SyncView{s.pos.data(), s.type.data(), s.arg.data(),
                          s.pos.size(), static_cast<size_t>(th.records)}});
             scanners_.emplace_back(file_, th);
@@ -535,7 +534,7 @@ streamProfile(StreamSource &src, WorkDeque &deque,
         RPPM_REQUIRE(th.mems < UINT32_MAX,
                      "trace thread exceeds 2^32 memory accesses");
         total_mems += th.mems;
-        longest = std::max(longest, th.records);
+        longest = std::max<uint64_t>(longest, th.sync.numRecords);
     }
     // No window needs to exceed the longest thread; the clamp also keeps
     // prevCursor + chunk_records and the table presize below in range.
@@ -595,7 +594,7 @@ streamProfile(StreamSource &src, WorkDeque &deque,
         for (uint32_t t = 0; t < num_threads; ++t) {
             target[t] = static_cast<size_t>(
                 std::min<uint64_t>(prevCursor[t] + chunk_records,
-                                   src.threads[t].records));
+                                   src.threads[t].sync.numRecords));
         }
         // Never pause before the first slice: when every target is
         // already met (e.g. all remaining threads are recordless), the

@@ -1,39 +1,25 @@
 /**
  * @file
  * The round-robin quantum schedule (internal): the one interleaving of
- * a workload's threads that the profiler measures and the simulator
- * executes.
+ * a workload's threads that the profiler measures and both simulator
+ * engines execute. Global reuse distances mean something only if the
+ * profiler interleaves threads exactly as the simulator does, so the
+ * policy lives here once:
  *
- * RPPM's global reuse distances describe one interleaving of the
- * threads, so they mean something only if the profiler interleaves
- * exactly as the simulator does. Both therefore walk this scheduler:
- * each turn the next runnable thread after a rotating cursor advances by
- * up to `quantum` records. Every sync record, CondMarker included, uses
- * one quantum slot; a blocking event ends the turn. Markers never reach
- * SyncState. A thread finishes once its records are exhausted and it is
- * not blocked (a last record that blocks finishes the thread only when
- * a release reschedules it), and no runnable thread while some are
- * unfinished is a deadlock.
+ *  - each turn, the next runnable thread after a rotating cursor
+ *    advances by up to `quantum` records; a blocking event ends it;
+ *  - every sync record, CondMarker included, uses one quantum slot, and
+ *    markers never reach SyncState;
+ *  - a thread finishes once its records are exhausted and it is not
+ *    blocked; no runnable thread while some are unfinished is a
+ *    deadlock (std::invalid_argument).
  *
- * The walker reads only the sparse sync columns (SyncView), so a turn
- * costs one step per micro-op run, not per record. What a run or an
- * event *does* belongs to the caller, through three inlined hooks:
- *
- *   run(tid, lo, hi)            records [lo, hi) of tid, all micro-ops
- *   event(tid, type, arg)       a non-marker sync record; presents it to
- *       -> bool blocks          the caller's SyncState, returns blocks
- *   finish(tid)                 tid finished; the caller tells SyncState
- *
- * The caller owns the SyncState (it applies events on its own clock)
- * and the walker asks it who is blocked. The walker keeps the step
- * clock: the count of quantum slots consumed, already including the
- * current event's slot inside event() — engines whose blocking
- * decisions are order-only (the profiler, the parallel simulator's
- * schedule phase) apply events on it.
- *
- * The walk is pausable between quantum slices (never inside a run), so
- * the profiler can replay the schedule one chunk at a time and still get
- * the unpaused interleaving.
+ * The walker reads only the sparse sync columns, so a turn costs one
+ * step per micro-op run, not per record. Callers own the SyncState and
+ * their clock and supply the per-run and per-event work as inlined
+ * hooks (see advance()). The step clock counts quantum slots consumed;
+ * engines whose blocking decisions are order-only (the profiler, the
+ * parallel simulator's schedule phase) apply events on it.
  */
 
 #ifndef RPPM_SIM_ROUND_ROBIN_HH
@@ -71,7 +57,14 @@ class RoundRobin
 
     /**
      * Walk the schedule until @p pause returns true (checked before each
-     * pick) or every thread has finished.
+     * pick, so only between quantum slices) or every thread has
+     * finished; the next call resumes exactly where this one paused.
+     *
+     * @param run run(tid, lo, hi): records [lo, hi) of tid, all micro-ops
+     * @param event event(tid, type, arg) -> bool: a non-marker sync
+     *        record; present it to the SyncState and return whether it
+     *        blocks. step() already includes its slot.
+     * @param finish finish(tid): tid finished; tell the SyncState
      * @return true when the whole schedule has been walked.
      */
     template <typename Run, typename Event, typename Finish, typename Pause>

@@ -59,9 +59,6 @@ class SyncState
     /** Mark thread @p tid finished at @p now; may release joiners. */
     SyncOutcome finish(uint32_t tid, double now);
 
-    /** True if @p tid has finished its trace. */
-    bool finished(uint32_t tid) const { return finished_[tid]; }
-
     /** True if @p tid currently blocked. */
     bool blocked(uint32_t tid) const { return blocked_[tid]; }
 
