@@ -302,8 +302,7 @@ TEST(SyncCausality, BarrierLastApplierAdvancedToMaxArrival)
     SyncState s(2, {{3, 2}});
     s.apply(0, SyncType::ThreadCreate, 1, 0.0);
     // Thread 1's coarse timeline arrives at 900, applies first, blocks.
-    EXPECT_TRUE(s.apply(1, SyncType::BarrierWait, 3, 900.0)
-                .blocks);
+    EXPECT_TRUE(s.apply(1, SyncType::BarrierWait, 3, 900.0).blocks);
     // Thread 0 arrives "later" in apply order but earlier in time: the
     // barrier opens at 900 for both.
     const auto out = s.apply(0, SyncType::BarrierWait, 3, 100.0);

@@ -128,8 +128,7 @@ TEST(SyncState, UncontendedMutexFree)
 {
     SyncState s(1, {});
     EXPECT_FALSE(s.apply(0, SyncType::MutexLock, 4, 1.0).blocks);
-    EXPECT_TRUE(s.apply(0, SyncType::MutexUnlock, 4, 2.0)
-                .released.empty());
+    EXPECT_TRUE(s.apply(0, SyncType::MutexUnlock, 4, 2.0).released.empty());
     EXPECT_FALSE(s.apply(0, SyncType::MutexLock, 4, 3.0).blocks);
 }
 
