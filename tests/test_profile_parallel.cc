@@ -37,14 +37,6 @@
 namespace rppm {
 namespace {
 
-std::string
-serializeProfileBinary(const WorkloadProfile &profile)
-{
-    std::stringstream ss;
-    saveProfileBinary(profile, ss);
-    return ss.str();
-}
-
 const unsigned kJobCounts[] = {1, 2, 4, 7};
 
 TEST(ProfileGolden, CorpusCoversEveryCase)
@@ -59,13 +51,16 @@ TEST(ProfileGolden, CorpusCoversEveryCase)
         for (const ProfileCase &c : cases) {
             const WorkloadProfile profile =
                 profileWorkload(generateWorkload(c.spec), c.opts);
-            lines.push_back(
-                golden::digest(c.key, serializeProfileText(profile)));
+            const auto [text, binary] = profileDigests(c.key, profile);
+            lines.push_back(text);
+            lines.push_back(binary);
         }
         ASSERT_TRUE(golden::write(
             target,
             "# RPPM golden profile corpus: <workload>|<options> then the\n"
-            "# byte length and CRC32C of the text-serialized profile.\n"
+            "# byte length and CRC32C of the text-serialized profile;\n"
+            "# <workload>|<options>|rppmprf then the same of its binary\n"
+            "# (RPPMPRF) serialization.\n"
             "# Written by tests/test_profile_parallel.cc; see "
             "tests/golden.hh before regenerating.\n",
             lines))
@@ -74,9 +69,12 @@ TEST(ProfileGolden, CorpusCoversEveryCase)
     }
     const std::map<std::string, std::string> corpus =
         golden::load("profile.txt");
-    EXPECT_EQ(corpus.size(), cases.size());
-    for (const ProfileCase &c : cases)
+    EXPECT_EQ(corpus.size(), 2 * cases.size());
+    for (const ProfileCase &c : cases) {
         EXPECT_EQ(corpus.count(c.key), 1u) << "no corpus line for " << c.key;
+        EXPECT_EQ(corpus.count(binaryProfileKey(c.key)), 1u)
+            << "no binary corpus line for " << c.key;
+    }
 }
 
 TEST(ParallelProfiler, BitIdenticalOnEveryKernelForEveryJobCount)
