@@ -1,5 +1,7 @@
 #include "common/histogram.hh"
 
+#include <algorithm>
+
 #include "common/assert.hh"
 
 namespace rppm {
@@ -7,7 +9,7 @@ namespace rppm {
 LogHistogram::LogHistogram() : infinite_(0), totalFinite_(0)
 {
     // counts_ is allocated lazily on the first finite sample: profiles
-    // hold many per-epoch histograms and most of them stay empty.
+    // hold many per-epoch histograms and many of them stay empty.
 }
 
 uint64_t
@@ -41,16 +43,77 @@ LogHistogram::bucketMid(size_t index)
 }
 
 void
+LogHistogram::addSlow(size_t idx, uint64_t count)
+{
+    if (!frozen_) {
+        counts_.assign(kTotalBuckets, 0);
+        counts_[idx] = count;
+        return;
+    }
+    const uint8_t bucket = static_cast<uint8_t>(idx);
+    const auto it = std::lower_bound(buckets_.begin(), buckets_.end(), bucket);
+    const size_t k = static_cast<size_t>(it - buckets_.begin());
+    if (it != buckets_.end() && *it == bucket) {
+        counts_[k] += count;
+        return;
+    }
+    buckets_.insert(it, bucket);
+    counts_.insert(counts_.begin() + static_cast<std::ptrdiff_t>(k), count);
+}
+
+void
 LogHistogram::merge(const LogHistogram &other)
 {
-    if (!other.counts_.empty()) {
-        if (counts_.empty())
-            counts_.assign(kTotalBuckets, 0);
-        for (size_t i = 0; i < counts_.size(); ++i)
-            counts_[i] += other.counts_[i];
-    }
+    other.forEachBucket([this](size_t idx, uint64_t count) {
+        if (counts_.size() == kTotalBuckets)
+            counts_[idx] += count;
+        else
+            addSlow(idx, count);
+    });
     infinite_ += other.infinite_;
     totalFinite_ += other.totalFinite_;
+}
+
+void
+LogHistogram::freeze()
+{
+    if (frozen_) {
+        counts_.shrink_to_fit();
+        buckets_.shrink_to_fit();
+        return;
+    }
+    const size_t n = nonEmptyBuckets();
+    frozen_ = true;
+    if (counts_.empty())
+        return;
+    std::vector<uint64_t> counts;
+    counts.reserve(n);
+    buckets_.reserve(n);
+    for (size_t i = 0; i < kTotalBuckets; ++i) {
+        if (counts_[i]) {
+            counts.push_back(counts_[i]);
+            buckets_.push_back(static_cast<uint8_t>(i));
+        }
+    }
+    counts_ = std::move(counts);
+}
+
+void
+LogHistogram::reserve(size_t buckets)
+{
+    if (!frozen_)
+        return;
+    counts_.reserve(buckets);
+    buckets_.reserve(buckets);
+}
+
+size_t
+LogHistogram::nonEmptyBuckets() const
+{
+    if (frozen_)
+        return counts_.size();
+    return static_cast<size_t>(std::count_if(
+        counts_.begin(), counts_.end(), [](uint64_t c) { return c != 0; }));
 }
 
 double
@@ -67,8 +130,13 @@ LogHistogram::survival(uint64_t value) const
 
     const size_t idx = bucketIndex(value);
     uint64_t above = infinite_;
-    for (size_t i = idx + 1; i < counts_.size(); ++i)
-        above += counts_[i];
+    uint64_t at = 0;
+    forEachBucket([&](size_t i, uint64_t count) {
+        if (i > idx)
+            above += count;
+        else if (i == idx)
+            at = count;
+    });
     // Within the containing bucket, interpolate linearly: assume samples
     // are spread uniformly across the bucket's value range.
     const uint64_t lo = bucketLo(idx);
@@ -76,7 +144,7 @@ LogHistogram::survival(uint64_t value) const
     const double width = static_cast<double>(hi - lo) + 1.0;
     const double frac_above =
         static_cast<double>(hi - value) / width;
-    const double partial = static_cast<double>(counts_[idx]) * frac_above;
+    const double partial = static_cast<double>(at) * frac_above;
     return (static_cast<double>(above) + partial) / static_cast<double>(tot);
 }
 
@@ -86,10 +154,10 @@ LogHistogram::meanFinite() const
     if (totalFinite_ == 0)
         return 0.0;
     double sum = 0.0;
-    for (size_t i = 0; i < counts_.size(); ++i) {
-        if (counts_[i])
-            sum += static_cast<double>(counts_[i]) *
-                static_cast<double>(bucketMid(i));
+    for (size_t k = 0; k < counts_.size(); ++k) {
+        if (counts_[k])
+            sum += static_cast<double>(counts_[k]) *
+                static_cast<double>(bucketMid(bucketOfEntry(k)));
     }
     return sum / static_cast<double>(totalFinite_);
 }
@@ -102,11 +170,13 @@ LogHistogram::quantile(double q) const
         return 0;
     q = std::clamp(q, 0.0, 1.0);
     const double target = q * static_cast<double>(tot);
+    // Empty buckets add +0.0 to the running sum and cannot be returned,
+    // so the frozen form's non-empty entries alone give the same answer.
     double running = 0.0;
-    for (size_t i = 0; i < counts_.size(); ++i) {
-        running += static_cast<double>(counts_[i]);
-        if (running >= target && counts_[i] > 0)
-            return bucketMid(i);
+    for (size_t k = 0; k < counts_.size(); ++k) {
+        running += static_cast<double>(counts_[k]);
+        if (running >= target && counts_[k] > 0)
+            return bucketMid(bucketOfEntry(k));
     }
     return kInfinity;
 }

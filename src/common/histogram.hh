@@ -5,8 +5,16 @@
  * Reuse-distance and dependence-distance distributions span many orders of
  * magnitude, so the profiler stores them in logarithmically spaced buckets:
  * a handful of linear buckets for small values followed by sub-divided
- * power-of-two buckets. This keeps each per-epoch profile to a few hundred
- * bytes while retaining enough resolution for StatStack's conversion.
+ * power-of-two buckets, enough resolution for StatStack's conversion.
+ *
+ * A histogram lives in one of two forms. While the profiler accumulates
+ * an epoch it is dense: one counter per bucket, so add() is an indexed
+ * increment. Once the epoch is closed the profiler freezes it: only the
+ * non-empty (bucket, count) entries remain, in bucket order. A profile
+ * epoch's distributions fill a handful of the 160 buckets, so a frozen
+ * epoch costs a few hundred bytes of histogram storage instead of ~9 KB.
+ * Both forms answer every query with the same values in the same order;
+ * a frozen histogram still accepts add() and merge() (an ordered insert).
  */
 
 #ifndef RPPM_COMMON_HISTOGRAM_HH
@@ -17,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <vector>
 
 namespace rppm {
@@ -47,14 +54,41 @@ class LogHistogram
             infinite_ += count;
             return;
         }
-        if (counts_.empty())
-            counts_.resize(kTotalBuckets);
-        counts_[bucketIndex(value)] += count;
+        // Dense with its counters allocated, or frozen with every bucket
+        // non-empty: either way entry i is bucket i.
+        const size_t idx = bucketIndex(value);
+        if (counts_.size() == kTotalBuckets)
+            counts_[idx] += count;
+        else
+            addSlow(idx, count);
         totalFinite_ += count;
     }
 
-    /** Merge another histogram into this one. */
+    /** Merge another histogram (either form) into this one; the result
+     *  keeps this histogram's form. */
     void merge(const LogHistogram &other);
+
+    /** Switch to the frozen form: keep only the non-empty buckets, in
+     *  exactly-sized storage (on a frozen histogram: trim the storage
+     *  that inserts grew). Idempotent; values are unchanged. */
+    void freeze();
+
+    /** True once freeze() has run. */
+    bool frozen() const { return frozen_; }
+
+    /** Frozen form: make room for @p buckets non-empty buckets, so that
+     *  adding them in bucket order allocates once (the deserializers
+     *  know the count up front). No effect on a dense histogram. */
+    void reserve(size_t buckets);
+
+    /** Number of non-empty finite buckets. */
+    size_t nonEmptyBuckets() const;
+
+    /** Heap bytes held by the bucket storage (allocated capacity). */
+    uint64_t heapBytes() const
+    {
+        return counts_.capacity() * sizeof(uint64_t) + buckets_.capacity();
+    }
 
     /** Total number of finite samples. */
     uint64_t totalFinite() const { return totalFinite_; }
@@ -95,17 +129,24 @@ class LogHistogram
     void
     forEach(Fn &&fn) const
     {
-        for (size_t i = 0; i < counts_.size(); ++i) {
-            if (counts_[i])
-                fn(bucketMid(i), counts_[i]);
-        }
+        forEachBucket([&fn](size_t index, uint64_t count) {
+            fn(bucketMid(index), count);
+        });
         if (infinite_)
             fn(kInfinity, infinite_);
     }
 
-    /** Per-bucket finite sample counts, indexed like bucketIndex();
-     *  empty until the first finite sample is recorded. */
-    std::span<const uint64_t> bucketCounts() const { return counts_; }
+    /** Visit every non-empty finite bucket as (bucket index, count), in
+     *  ascending bucket order. */
+    template <typename Fn>
+    void
+    forEachBucket(Fn &&fn) const
+    {
+        for (size_t k = 0; k < counts_.size(); ++k) {
+            if (counts_[k])
+                fn(bucketOfEntry(k), counts_[k]);
+        }
+    }
 
     /** Number of buckets (excluding the infinity bucket). */
     static constexpr size_t numBuckets() { return kTotalBuckets; }
@@ -144,9 +185,28 @@ class LogHistogram
     static constexpr size_t kTotalBuckets =
         kLinearMax + static_cast<size_t>(kMaxLog2 - 4) * kSubBuckets;
 
+    static_assert(kTotalBuckets <= 256, "bucket ids are stored in bytes");
+
+    /** Bucket index of counts_[k] (entries of a frozen histogram are
+     *  never zero; a dense one's zeros are empty buckets). */
+    size_t bucketOfEntry(size_t k) const
+    {
+        return frozen_ ? static_cast<size_t>(buckets_[k]) : k;
+    }
+
+    /** add() of a finite sample to bucket @p idx when counts_ is not the
+     *  full dense array: the first sample of a dense histogram, or an
+     *  ordered insert into a frozen one. */
+    void addSlow(size_t idx, uint64_t count);
+
+    /** Dense: one counter per bucket (empty until the first finite
+     *  sample). Frozen: one counter per non-empty bucket. */
     std::vector<uint64_t> counts_;
+    /** Frozen only: bucket index of each counts_ entry, ascending. */
+    std::vector<uint8_t> buckets_;
     uint64_t infinite_;
     uint64_t totalFinite_;
+    bool frozen_ = false;
 };
 
 } // namespace rppm

@@ -10,6 +10,14 @@ EpochProfile::meanLoadGap() const
     return loadGap.meanFinite();
 }
 
+void
+EpochProfile::freeze()
+{
+    for (LogHistogram *h : {&depDist, &localRd, &globalRd, &loadLocalRd,
+                            &loadGlobalRd, &instrRd, &loadGap})
+        h->freeze();
+}
+
 uint64_t
 ThreadProfile::totalOps() const
 {
@@ -28,40 +36,25 @@ WorkloadProfile::totalOps() const
     return n;
 }
 
-namespace {
-
-uint64_t
-approxHistogramBytes(const LogHistogram &h)
-{
-    // The bucket vector is either unallocated or full-size (see
-    // LogHistogram::add); the infinity bucket and totals are scalars.
-    return h.totalFinite() == 0 ?
-        0 :
-        static_cast<uint64_t>(LogHistogram::numBuckets()) * sizeof(uint64_t);
-}
-
-} // namespace
-
 uint64_t
 WorkloadProfile::approxResidentBytes() const
 {
     uint64_t bytes = sizeof(WorkloadProfile);
     for (const auto &thread : threads) {
+        bytes += thread.epochs.capacity() * sizeof(EpochProfile);
         for (const auto &epoch : thread.epochs) {
-            bytes += sizeof(EpochProfile);
-            bytes += approxHistogramBytes(epoch.depDist);
-            bytes += approxHistogramBytes(epoch.localRd);
-            bytes += approxHistogramBytes(epoch.globalRd);
-            bytes += approxHistogramBytes(epoch.loadLocalRd);
-            bytes += approxHistogramBytes(epoch.loadGlobalRd);
-            bytes += approxHistogramBytes(epoch.instrRd);
-            bytes += approxHistogramBytes(epoch.loadGap);
+            for (const LogHistogram *h :
+                 {&epoch.depDist, &epoch.localRd, &epoch.globalRd,
+                  &epoch.loadLocalRd, &epoch.loadGlobalRd, &epoch.instrRd,
+                  &epoch.loadGap})
+                bytes += h->heapBytes();
             // Open-addressing branch table: slots are ~70% occupied at
             // the growth threshold; charge per-slot payload (used byte,
             // pc, taken/total counts) at that density.
             bytes += epoch.branches.staticBranches() * 25 * 10 / 7;
+            bytes += epoch.microTraces.capacity() * sizeof(MicroTrace);
             for (const auto &mt : epoch.microTraces)
-                bytes += mt.ops.size() * sizeof(MicroTraceOp);
+                bytes += mt.ops.capacity() * sizeof(MicroTraceOp);
         }
     }
     bytes += barrierPopulation.size() * 2 * sizeof(uint64_t);

@@ -75,6 +75,10 @@ struct EpochProfile
 
     /** Mean micro-ops between loads (numOps when the epoch has <2 loads). */
     double meanLoadGap() const;
+
+    /** Freeze every distribution (LogHistogram::freeze): the profiler
+     *  calls this once the epoch is closed. */
+    void freeze();
 };
 
 /** All epochs of one thread, in execution order. */
@@ -122,8 +126,9 @@ struct WorkloadProfile
      * Approximate resident heap footprint in bytes. Used by byte-budgeted
      * cache eviction (common/lru.hh) — accuracy within a small constant
      * factor is all the budget math needs, so this counts the dominant
-     * payloads (histogram buckets, micro-trace ops, branch tables) and
-     * ignores allocator overhead.
+     * payloads at their allocated capacities (epochs, histogram
+     * buckets, micro-trace ops, branch tables) and ignores allocator
+     * overhead.
      */
     uint64_t approxResidentBytes() const;
 };

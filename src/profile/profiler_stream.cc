@@ -794,9 +794,11 @@ streamProfile(StreamSource &src, WorkDeque &deque,
                      "addr column length does not match memory op count");
         RPPM_REQUIRE(brSoFar[t] == src.threads[t].branches,
                      "taken column length does not match branch count");
-        // A thread with no records still owns one (empty) epoch.
+        // A thread with no records still owns one (empty) epoch. Its
+        // last epoch closes with the thread.
         if (profile.threads[t].epochs.empty())
             profile.threads[t].epochs.emplace_back();
+        profile.threads[t].epochs.back().freeze();
     }
 
     // --- Phase F: synchronization aggregates (order-independent).

@@ -40,7 +40,11 @@ readHistogram(std::istream &is, const char *tag)
     is >> seen >> buckets;
     RPPM_REQUIRE(is && seen == tag,
                  std::string("expected histogram tag ") + tag);
+    // Entries arrive in bucket order, so the frozen form is built in
+    // place: no dense bucket array ever exists.
     LogHistogram hist;
+    hist.freeze();
+    hist.reserve(buckets);
     for (size_t i = 0; i < buckets; ++i) {
         std::string value;
         uint64_t count = 0;

@@ -76,8 +76,13 @@ writeHistogram(BinWriter &out, const LogHistogram &hist)
 LogHistogram
 readHistogram(BinReader &in)
 {
+    // Entries arrive in bucket order, so the frozen form is built in
+    // place: no dense bucket array ever exists.
+    const auto entries = in.column<HistEntry>(kTagHist, "histogram");
     LogHistogram hist;
-    for (const HistEntry &e : in.column<HistEntry>(kTagHist, "histogram"))
+    hist.freeze();
+    hist.reserve(entries.size());
+    for (const HistEntry &e : entries)
         hist.add(e.value, e.count);
     return hist;
 }

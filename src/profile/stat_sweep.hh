@@ -371,8 +371,12 @@ runSweepSegment(const WindowCols &cols, const SyncView &sync,
             ++i;
             if (type == SyncType::CondMarker)
                 continue; // markers do not delineate epochs
+            // The epoch is closed: only the stitch's instruction-reuse
+            // pendings can still add to it (an ordered insert into the
+            // frozen instrRd).
             seg.epochs.back().endType = type;
             seg.epochs.back().endArg = arg;
+            seg.epochs.back().freeze();
             seg.epochs.emplace_back();
             ts.opsInEpoch = 0;
             ts.nextMicroTraceAt = 0;
@@ -392,7 +396,8 @@ runSweepSegment(const WindowCols &cols, const SyncView &sync,
 
 /** Merge a segment's first (partial) epoch into the thread's currently
  *  open epoch. Every constituent merge is exact: counters add,
- *  histograms add bucket-wise, branch tables add per-PC counts. */
+ *  histograms add bucket-wise (from either form), branch tables add
+ *  per-PC counts. */
 inline void
 mergeEpochInto(EpochProfile &open, EpochProfile &first,
                bool firstTraceContinues)
@@ -434,8 +439,10 @@ mergeEpochInto(EpochProfile &open, EpochProfile &first,
  * Stitch one segment into the thread's profile, in segment order:
  * resolve the deferred instruction first touches against the thread's
  * carried map, roll the segment's fetches into it, then splice the
- * partial epochs. Sequential per thread (different threads stitch
- * concurrently); cost is O(pendings + epochs), not O(records).
+ * partial epochs. Every epoch the segment closed leaves frozen; the
+ * last one stays open (dense) for the next segment. Sequential per
+ * thread (different threads stitch concurrently); cost is
+ * O(pendings + epochs), not O(records).
  */
 inline void
 stitchSweepSegment(ThreadProfile &tp, InstrLineMap &carried,
@@ -453,6 +460,10 @@ stitchSweepSegment(ThreadProfile &tp, InstrLineMap &carried,
             ep.instrRd.add(LogHistogram::kInfinity);
         }
     }
+    // Inserts may have grown a closed epoch's frozen storage; refreezing
+    // trims it to size.
+    for (size_t e = 1; e + 1 < seg.epochs.size(); ++e)
+        seg.epochs[e].instrRd.freeze();
     // Export the segment's final fetch sequence per line. Every line the
     // segment touched appears in pendings exactly once (its first
     // touch), so pendings double as the export's key list — including
@@ -467,6 +478,8 @@ stitchSweepSegment(ThreadProfile &tp, InstrLineMap &carried,
         tp.epochs.emplace_back();
     mergeEpochInto(tp.epochs.back(), seg.epochs[0],
                    seg.firstTraceContinues);
+    if (seg.epochs.size() > 1)
+        tp.epochs.back().freeze();
     for (size_t e = 1; e < seg.epochs.size(); ++e)
         tp.epochs.push_back(std::move(seg.epochs[e]));
 }

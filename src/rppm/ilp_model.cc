@@ -376,25 +376,26 @@ epochIlp(const EpochProfile &epoch, const CoreConfig &core,
          const std::array<ReplayLane, Lanes> &lanes)
 {
     const double store = mem.storeLatency();
-    const auto &micro_sd = mem.microSd();
-    RPPM_ASSERT(micro_sd.size() == epoch.microTraces.size());
+    // The loads' stack distances, consumed in trace and op order: the
+    // replay asks for each memory op's latency once, in op order.
+    const std::vector<EpochStacks::OpSd> &micro_sd = mem.microSd();
+    const EpochStacks::OpSd *sd = micro_sd.data();
 
     LaneScratch<Lanes> scratch(core, maxTraceOps(epoch));
     EpochFold<Lanes> fold;
     std::array<IlpResult, Lanes> r;
-    for (size_t t = 0; t < epoch.microTraces.size(); ++t) {
-        const MicroTrace &mt = epoch.microTraces[t];
+    for (const MicroTrace &mt : epoch.microTraces) {
         if (mt.ops.empty())
             continue;
-        const EpochStacks::OpSd *sd = micro_sd[t].data();
         replayLanes(
             mt, core, lanes,
-            [&](size_t i, const MicroTraceOp &op, double *lat) {
+            [&](size_t, const MicroTraceOp &op, double *lat) {
                 if (op.op == OpClass::Store) {
                     std::fill(lat, lat + Lanes, store);
                     return;
                 }
-                const EpochMemoryModel::LoadPrices p = mem.loadPrices(sd[i]);
+                const EpochMemoryModel::LoadPrices p =
+                    mem.loadPrices(*sd++);
                 for (size_t k = 0; k < Lanes; ++k) {
                     switch (lanes[k].pricing) {
                     case LoadPricing::L1Only: lat[k] = p.l1Only; break;
@@ -406,6 +407,7 @@ epochIlp(const EpochProfile &epoch, const CoreConfig &core,
             scratch, r);
         fold.add(mt.ops.size(), r);
     }
+    RPPM_ASSERT(sd == micro_sd.data() + micro_sd.size());
     return fold.result(core);
 }
 

@@ -181,18 +181,8 @@ PredictionMemo::approxResidentBytes() const
     // The engine pins its profile; charge it here so the pool budget
     // sees the real cost of keeping the engine around.
     uint64_t bytes = profile_->approxResidentBytes();
-    // One EpochStacks bundle: the bundle itself (five StatStacks whose
-    // tables are inline), one map node per memoized miss-rate curve
-    // point, and the lazily built per-op stack distances of the epoch's
-    // micro-trace loads.
-    constexpr uint64_t kCurveNodeBytes = 4 * sizeof(void *) +
-        sizeof(std::pair<const std::pair<uint8_t, uint64_t>, double>);
-    for (const auto &[key, stacks] : stacks_) {
-        bytes += sizeof(EpochStacks) +
-            stacks->curvePoints() * kCurveNodeBytes;
-        for (const auto &mt : stacks->epoch().microTraces)
-            bytes += mt.ops.size() * sizeof(EpochStacks::OpSd);
-    }
+    for (const auto &[key, stacks] : stacks_)
+        bytes += stacks->approxResidentBytes();
     // Phase-1/2 entries are small next to the bundles; charge key +
     // payload envelopes.
     for (const auto &[key, pred] : threads_)

@@ -146,9 +146,10 @@ struct EpochMemoryModel
             core_.fus[static_cast<size_t>(OpClass::Store)].latency);
     }
 
-    /** Per-op expected stack distances of the epoch's micro-trace loads
-     *  (built by the stack bundle on first use). */
-    const std::vector<std::vector<EpochStacks::OpSd>> &microSd() const
+    /** Expected stack distances of the epoch's micro-trace loads, one
+     *  per load in trace order (built by the stack bundle on first
+     *  use). */
+    const std::vector<EpochStacks::OpSd> &microSd() const
     {
         return stacks_->microSd();
     }

@@ -47,7 +47,7 @@ EpochStacks::missRate(Which w, uint64_t cache_lines) const
     return rate;
 }
 
-const std::vector<std::vector<EpochStacks::OpSd>> &
+const std::vector<EpochStacks::OpSd> &
 EpochStacks::microSd() const
 {
     std::call_once(microOnce_, [this] {
@@ -55,21 +55,39 @@ EpochStacks::microSd() const
         // (stores take the FU latency, non-memory ops never reach it),
         // with the LLC decision driven by the interleaved distance when
         // interference modeling is on — mirror both choices exactly.
-        microSd_.resize(epoch_.microTraces.size());
-        for (size_t t = 0; t < epoch_.microTraces.size(); ++t) {
-            const MicroTrace &mt = epoch_.microTraces[t];
-            microSd_[t].resize(mt.ops.size());
-            for (size_t i = 0; i < mt.ops.size(); ++i) {
-                const MicroTraceOp &op = mt.ops[i];
+        size_t loads = 0;
+        for (const MicroTrace &mt : epoch_.microTraces) {
+            for (const MicroTraceOp &op : mt.ops)
+                loads += op.op == OpClass::Load;
+        }
+        microSd_.reserve(loads);
+        for (const MicroTrace &mt : epoch_.microTraces) {
+            for (const MicroTraceOp &op : mt.ops) {
                 if (op.op != OpClass::Load)
                     continue;
-                microSd_[t][i].local = local_.stackDistance(op.localRd);
-                microSd_[t][i].llc = global_.stackDistance(
-                    llcGlobal_ ? op.globalRd : op.localRd);
+                microSd_.push_back(
+                    {local_.stackDistance(op.localRd),
+                     global_.stackDistance(llcGlobal_ ? op.globalRd
+                                                      : op.localRd)});
             }
         }
+        microSdBytes_.store(microSd_.capacity() * sizeof(OpSd),
+                            std::memory_order_release);
     });
     return microSd_;
+}
+
+uint64_t
+EpochStacks::approxResidentBytes() const
+{
+    constexpr uint64_t kCurveNodeBytes = 4 * sizeof(void *) +
+        sizeof(std::pair<const std::pair<uint8_t, uint64_t>, double>);
+    uint64_t bytes = sizeof(EpochStacks) + curvePoints() * kCurveNodeBytes +
+        microSdBytes_.load(std::memory_order_acquire);
+    for (const StatStack *s : {&local_, &global_, &loadLocal_, &loadGlobal_,
+                               &instr_})
+        bytes += s->heapBytes();
+    return bytes;
 }
 
 } // namespace rppm

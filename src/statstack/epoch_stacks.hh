@@ -14,13 +14,14 @@
  *
  *  - the four data stacks (per-thread / interleaved, all-accesses /
  *    loads-only) and the instruction stack are built exactly once per
- *    (epoch, llcUsesGlobalRd flavour). Each StatStack holds its tables
- *    inline, so a bundle is one allocation of sizeof(EpochStacks) plus
- *    its memo tables, and it does not copy the epoch's histograms;
- *  - per-op expected stack distances of the micro-trace loads are
- *    precomputed lazily on first replay, so the lockstep five-lane
- *    Eq.-1 window replay reads two doubles per load instead of
- *    re-walking the survival sums;
+ *    (epoch, llcUsesGlobalRd flavour). Each StatStack keeps one slot
+ *    per non-empty bucket of its histogram, so a bundle is
+ *    sizeof(EpochStacks) plus a few hundred bytes of slots and its memo
+ *    tables, and it does not copy the epoch's histograms;
+ *  - the expected stack distances of the micro-trace loads are
+ *    precomputed lazily on first replay, one entry per sampled load, so
+ *    the lockstep five-lane Eq.-1 window replay reads two doubles per
+ *    load instead of re-walking the survival sums;
  *  - missRate() is memoized per (stack, line count): a grid axis with
  *    ten cache sizes evaluates each CDF ten times total, not once per
  *    grid point.
@@ -96,17 +97,26 @@ class EpochStacks
     };
 
     /**
-     * Per-op expected stack distances of every micro-trace load,
-     * parallel to epoch().microTraces (non-loads hold zeros — the
-     * latency model never reads them). Built on first call; subsequent
-     * calls are a fenced pointer read. Thread-safe.
+     * Expected stack distances of the micro-trace loads, one entry per
+     * load in epoch().microTraces order (trace by trace, op by op); the
+     * replay walks it by load ordinal. Stores and non-memory ops have no
+     * entry: the latency model never prices them from stack distances.
+     * Built on first call; subsequent calls are a fenced pointer read.
+     * Thread-safe.
      */
-    const std::vector<std::vector<OpSd>> &microSd() const;
+    const std::vector<OpSd> &microSd() const;
 
     /** Distinct (stack, line count) CDF evaluations performed. */
     uint64_t curvePoints() const { return curvePoints_.load(); }
     /** missRate() calls served from the curve table. */
     uint64_t curveHits() const { return curveHits_.load(); }
+
+    /**
+     * Approximate heap footprint: the bundle, its stacks' slots, one
+     * map node per memoized curve point and, once built, microSd().
+     * Thread-safe.
+     */
+    uint64_t approxResidentBytes() const;
 
   private:
     const EpochProfile &epoch_;
@@ -115,7 +125,9 @@ class EpochStacks
     StatStack local_, global_, loadLocal_, loadGlobal_, instr_;
 
     mutable std::once_flag microOnce_;
-    mutable std::vector<std::vector<OpSd>> microSd_;
+    mutable std::vector<OpSd> microSd_;
+    /** microSd_'s allocated bytes, published once it is built. */
+    mutable std::atomic<uint64_t> microSdBytes_{0};
 
     mutable Mutex curveMutex_;
     mutable std::map<std::pair<uint8_t, uint64_t>, double> curve_

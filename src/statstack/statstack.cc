@@ -1,7 +1,9 @@
 #include "statstack/statstack.hh"
 
 #include <algorithm>
-#include <span>
+#include <bit>
+
+#include "common/assert.hh"
 
 namespace rppm {
 
@@ -44,33 +46,29 @@ bucketTable()
 
 } // namespace
 
-StatStack::StatStack()
-{
-    suffixCounts_.fill(0);
-    survivalPrefix_.fill(0.0);
-}
-
 StatStack::StatStack(const LogHistogram &reuse_distances)
     : total_(reuse_distances.total()),
       infinite_(reuse_distances.totalInfinite())
 {
     const BucketTable &table = bucketTable();
-    const std::span<const uint64_t> counts = reuse_distances.bucketCounts();
 
-    // Suffix counts first: suffixCounts_[i] holds the infinite samples
-    // plus every finite sample in buckets > i. This is the "samples
-    // whose reuse extends past here" count that survival() would
-    // otherwise re-accumulate per query. Integer sums are exact, so the
-    // survival values derived from them are bit-identical to
-    // LogHistogram::survival().
+    // Suffix counts first: a slot's suffix is the infinite samples plus
+    // every finite sample in later buckets. This is the "samples whose
+    // reuse extends past here" count that survival() would otherwise
+    // re-accumulate per query. Integer sums are exact, so the survival
+    // values derived from them are bit-identical to
+    // LogHistogram::survival(). The counts park in the suffix field
+    // until the backward pass turns them into suffixes.
+    slots_.reserve(reuse_distances.nonEmptyBuckets());
+    reuse_distances.forEachBucket([this](size_t idx, uint64_t count) {
+        mask_[idx / 64] |= uint64_t{1} << (idx % 64);
+        slots_.push_back(Slot{count, 0.0, 0.0});
+    });
     uint64_t above = infinite_;
-    if (counts.empty()) {
-        suffixCounts_.fill(above);
-    } else {
-        for (size_t i = kBuckets; i-- > 0;) {
-            suffixCounts_[i] = above;
-            above += counts[i];
-        }
+    for (size_t k = slots_.size(); k-- > 0;) {
+        const uint64_t count = slots_[k].suffix;
+        slots_[k].suffix = above;
+        above += count;
     }
 
     // Precompute expected stack distance at each bucket boundary:
@@ -78,44 +76,100 @@ StatStack::StatStack(const LogHistogram &reuse_distances)
     // Within a bucket the survival function is (piecewise) constant in
     // our representation, so the prefix sum advances linearly and can be
     // interpolated exactly on query. The representative survival of a
-    // bucket is survival(bucketMid(i)).
-    double prefix = 0.0;
-    if (empty()) {
-        // No finite samples: survival is the cold fraction everywhere
-        // (zero for an empty histogram).
-        const double surv = total_ == 0 ? 0.0 :
-            static_cast<double>(infinite_) / static_cast<double>(total_);
-        for (size_t i = 0; i < kBuckets; ++i) {
-            prefix += surv * table.span[i];
-            survivalPrefix_[i] = prefix;
-        }
-        return;
-    }
-
-    // An empty bucket adds +0.0 to its suffix count, which leaves the
-    // quotient unchanged, and a run of empty buckets shares one suffix
-    // count: one division per non-empty bucket and one per run of empty
-    // ones. The prefix still accumulates bucket by bucket, in order.
+    // bucket is survival(bucketMid(i)). An empty bucket adds +0.0 to
+    // its suffix count, which leaves the quotient unchanged, and a run
+    // of empty buckets shares one suffix count: one division per
+    // non-empty bucket and one per run of empty ones. The prefix still
+    // accumulates bucket by bucket, in order; only the slots keep it.
+    // The run after the last non-empty bucket is re-added on query.
     const double tot = static_cast<double>(total_);
-    double run_surv = 0.0;
-    bool in_run = false;
-    for (size_t i = 0; i < kBuckets; ++i) {
-        double surv;
-        if (counts[i] != 0) {
-            surv = (static_cast<double>(suffixCounts_[i]) +
-                    static_cast<double>(counts[i]) * table.fracMid[i]) /
-                tot;
-            in_run = false;
-        } else {
-            if (!in_run) {
-                run_surv = static_cast<double>(suffixCounts_[i]) / tot;
-                in_run = true;
-            }
-            surv = run_surv;
+    double prefix = 0.0;
+    size_t next = 0; // first bucket not yet added
+    for (size_t k = 0; k < slots_.size(); ++k) {
+        const size_t idx = bucketOf(k);
+        if (next < idx) {
+            const double run_surv = runSurvival(k);
+            for (; next < idx; ++next)
+                prefix += run_surv * table.span[next];
         }
-        prefix += surv * table.span[i];
-        survivalPrefix_[i] = prefix;
+        Slot &slot = slots_[k];
+        slot.before = prefix;
+        const uint64_t count = suffixBefore(k) - slot.suffix;
+        const double surv = (static_cast<double>(slot.suffix) +
+                             static_cast<double>(count) * table.fracMid[idx]) /
+            tot;
+        prefix += surv * table.span[idx];
+        slot.after = prefix;
+        next = idx + 1;
     }
+}
+
+size_t
+StatStack::rank(size_t bucket) const
+{
+    size_t r = 0;
+    for (size_t w = 0; w < bucket / 64; ++w)
+        r += static_cast<size_t>(std::popcount(mask_[w]));
+    const uint64_t below = (uint64_t{1} << (bucket % 64)) - 1;
+    return r +
+        static_cast<size_t>(std::popcount(mask_[bucket / 64] & below));
+}
+
+size_t
+StatStack::bucketOf(size_t k) const
+{
+    for (size_t w = 0; w < mask_.size(); ++w) {
+        uint64_t bits = mask_[w];
+        const size_t n = static_cast<size_t>(std::popcount(bits));
+        if (k >= n) {
+            k -= n;
+            continue;
+        }
+        for (; k > 0; --k)
+            bits &= bits - 1;
+        return w * 64 + static_cast<size_t>(std::countr_zero(bits));
+    }
+    RPPM_ASSERT(false);
+    return kBuckets;
+}
+
+uint64_t
+StatStack::suffixAt(size_t idx) const
+{
+    const size_t k = rank(idx);
+    return present(idx) ? slots_[k].suffix : suffixBefore(k);
+}
+
+uint64_t
+StatStack::countAt(size_t idx) const
+{
+    if (!present(idx))
+        return 0;
+    const size_t k = rank(idx);
+    return suffixBefore(k) - slots_[k].suffix;
+}
+
+double
+StatStack::runSurvival(size_t k) const
+{
+    // An all-empty histogram has survival zero everywhere.
+    return total_ == 0 ? 0.0 :
+        static_cast<double>(suffixBefore(k)) / static_cast<double>(total_);
+}
+
+double
+StatStack::prefixThrough(size_t idx) const
+{
+    const size_t k = rank(idx);
+    if (present(idx))
+        return slots_[k].after;
+    // Re-add the run of empty buckets from its start, in order.
+    const BucketTable &table = bucketTable();
+    double prefix = k == 0 ? 0.0 : slots_[k - 1].after;
+    const double run_surv = runSurvival(k);
+    for (size_t j = k == 0 ? 0 : bucketOf(k - 1) + 1; j <= idx; ++j)
+        prefix += run_surv * table.span[j];
+    return prefix;
 }
 
 double
@@ -130,7 +184,7 @@ StatStack::survivalAtBucketMid(size_t idx) const
             static_cast<double>(total_);
     const double partial = static_cast<double>(countAt(idx)) *
         bucketTable().fracMid[idx];
-    return (static_cast<double>(suffixCounts_[idx]) + partial) /
+    return (static_cast<double>(suffixAt(idx)) + partial) /
         static_cast<double>(total_);
 }
 
@@ -143,32 +197,64 @@ StatStack::stackDistance(uint64_t rd) const
         return static_cast<double>(rd);
     const size_t idx = LogHistogram::bucketIndex(rd);
     const uint64_t lo = bucketTable().lo[idx];
-    const double below = idx > 0 ? survivalPrefix_[idx - 1] : 0.0;
-    const double surv = survivalAtBucketMid(idx);
+    double below, surv;
+    if (present(idx)) {
+        // The common case: the same arithmetic as survivalAtBucketMid
+        // and prefixThrough(idx - 1), from one slot.
+        const size_t k = rank(idx);
+        const Slot &slot = slots_[k];
+        below = slot.before;
+        const double partial =
+            static_cast<double>(suffixBefore(k) - slot.suffix) *
+            bucketTable().fracMid[idx];
+        surv = (static_cast<double>(slot.suffix) + partial) /
+            static_cast<double>(total_);
+    } else {
+        below = idx > 0 ? prefixThrough(idx - 1) : 0.0;
+        surv = survivalAtBucketMid(idx);
+    }
     return below + surv * static_cast<double>(rd - lo + 1);
 }
 
 uint64_t
 StatStack::criticalReuseDistance(uint64_t cache_lines) const
 {
-    // Binary search over bucket boundaries for the first reuse distance
-    // whose expected stack distance reaches cache_lines.
+    // The first bucket whose survival prefix reaches cache_lines. The
+    // prefix never decreases, so it is the bucket of the first slot
+    // that reaches it, unless a bucket of the empty run before that
+    // slot (or after the last slot) reaches it first.
     const double target = static_cast<double>(cache_lines);
-    size_t lo = 0, hi = kBuckets;
-    while (lo < hi) {
-        const size_t mid = (lo + hi) / 2;
-        if (survivalPrefix_[mid] < target)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    if (lo >= kBuckets)
-        return LogHistogram::kInfinity;
-    // Interpolate within the bucket.
     const BucketTable &table = bucketTable();
+    const size_t k = static_cast<size_t>(
+        std::partition_point(slots_.begin(), slots_.end(),
+                             [target](const Slot &s) {
+                                 return s.after < target;
+                             }) -
+        slots_.begin());
+    size_t lo = kBuckets;
+    double below = 0.0;
+    if (k == slots_.size() || slots_[k].before >= target) {
+        double prefix = k == 0 ? 0.0 : slots_[k - 1].after;
+        const double run_surv = runSurvival(k);
+        const size_t end = k == slots_.size() ? kBuckets : bucketOf(k);
+        for (size_t j = k == 0 ? 0 : bucketOf(k - 1) + 1; j < end; ++j) {
+            below = prefix;
+            prefix += run_surv * table.span[j];
+            if (prefix >= target) {
+                lo = j;
+                break;
+            }
+        }
+    }
+    if (lo == kBuckets) {
+        if (k == slots_.size())
+            return LogHistogram::kInfinity;
+        lo = bucketOf(k);
+        below = slots_[k].before;
+    }
+    // Interpolate within the bucket.
     const uint64_t blo = table.lo[lo];
     const uint64_t bhi = table.hi[lo];
-    const double below = lo > 0 ? survivalPrefix_[lo - 1] : 0.0;
     const double surv = survivalAtBucketMid(lo);
     if (surv <= 0.0)
         return bhi;
@@ -197,7 +283,7 @@ StatStack::missRate(uint64_t cache_lines) const
     const double frac_above =
         static_cast<double>(table.hi[idx] - critical) / table.width[idx];
     const double partial = static_cast<double>(countAt(idx)) * frac_above;
-    return (static_cast<double>(suffixCounts_[idx]) + partial) /
+    return (static_cast<double>(suffixAt(idx)) + partial) /
         static_cast<double>(total_);
 }
 

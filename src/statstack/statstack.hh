@@ -27,10 +27,10 @@
  *
  * A prediction builds five stacks per epoch, and sync-dense workloads
  * have tens of thousands of short epochs, so construction is table
- * driven: the bucket geometry lives in one static immutable table, the
- * model keeps only two inline arrays (no heap, no histogram copy), and
- * runs of empty buckets share one division. Results are bit-identical
- * to evaluating LogHistogram::survival() bucket by bucket.
+ * driven and sparse: the bucket geometry lives in one static immutable
+ * table, and a stack keeps one slot per non-empty bucket of its
+ * histogram (no histogram copy). Results are bit-identical to evaluating
+ * LogHistogram::survival() bucket by bucket.
  */
 
 #ifndef RPPM_STATSTACK_STATSTACK_HH
@@ -38,6 +38,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "common/histogram.hh"
 
@@ -46,14 +47,19 @@ namespace rppm {
 /**
  * StatStack model built from one reuse-distance distribution.
  *
- * Construction turns the histogram into two inline tables over its log
- * buckets, the suffix counts and the survival prefix sums, so
- * stackDistance() and missRate() need neither the histogram nor a heap
- * allocation. The per-bucket geometry (bounds, widths, midpoint
- * fractions) comes from one static immutable table shared by every
- * stack. Every value is bit-identical to evaluating
+ * Construction turns the histogram into one slot per non-empty bucket:
+ * the suffix count after the bucket and the survival prefix sums just
+ * before and through it. A 160-bit occupancy mask maps a bucket to its
+ * slot in O(1). Between two non-empty buckets lies a run of empty ones
+ * whose survival is one constant; the prefix through such a bucket is
+ * re-added from the run's start, one bucket at a time in the original
+ * order, so every value is bit-identical to the dense tables of
  * LogHistogram::survival() at the bucket midpoints: the suffix sums are
  * exact integers and each floating-point expression keeps its order.
+ *
+ * A query at a non-empty bucket (every micro-trace access, whose reuse
+ * distance was sampled into the same histogram) is O(1); one that lands
+ * in a run of empty buckets costs the run's length.
  */
 class StatStack
 {
@@ -61,10 +67,10 @@ class StatStack
     static constexpr size_t kBuckets = LogHistogram::numBuckets();
 
     /** Empty model: no samples, stack distance equals reuse distance. */
-    StatStack();
+    StatStack() = default;
 
-    /** Build from a reuse-distance histogram (may be empty). The
-     *  histogram is not retained. */
+    /** Build from a reuse-distance histogram in either form (may be
+     *  empty). The histogram is not retained. */
     explicit StatStack(const LogHistogram &reuse_distances);
 
     /** Expected stack distance for an access with reuse distance @p rd. */
@@ -85,14 +91,54 @@ class StatStack
     /** True when no finite samples were available. */
     bool empty() const { return total_ == infinite_; }
 
+    /** Heap bytes held by the slots (allocated capacity). */
+    uint64_t heapBytes() const { return slots_.capacity() * sizeof(Slot); }
+
   private:
-    /** Finite samples in bucket @p idx, recovered from the suffix
-     *  counts (exact integer arithmetic). */
-    uint64_t countAt(size_t idx) const
+    /** One non-empty bucket. */
+    struct Slot
     {
-        return idx == 0 ? total_ - suffixCounts_[0]
-                        : suffixCounts_[idx - 1] - suffixCounts_[idx];
+        /** Infinite samples plus finite samples in later buckets. */
+        uint64_t suffix;
+        /** Survival prefix through the previous bucket: the expected
+         *  stack distance of a reuse distance just below this bucket. */
+        double before;
+        /** Survival prefix through this bucket. */
+        double after;
+    };
+
+    bool present(size_t bucket) const
+    {
+        return (mask_[bucket / 64] >> (bucket % 64)) & 1;
     }
+
+    /** Number of non-empty buckets below @p bucket: the slot of
+     *  @p bucket when it is present, else of the next non-empty one. */
+    size_t rank(size_t bucket) const;
+
+    /** Bucket of slot @p k. */
+    size_t bucketOf(size_t k) const;
+
+    /** Infinite samples plus finite samples in buckets >= the bucket of
+     *  slot @p k (every sample when k == 0): the suffix count of each
+     *  empty bucket just before slot k. */
+    uint64_t suffixBefore(size_t k) const
+    {
+        return k == 0 ? total_ : slots_[k - 1].suffix;
+    }
+
+    /** Suffix count of bucket @p idx (LogHistogram::survival's "above"). */
+    uint64_t suffixAt(size_t idx) const;
+
+    /** Finite samples in bucket @p idx (exact integer arithmetic). */
+    uint64_t countAt(size_t idx) const;
+
+    /** Survival of every bucket of the empty run before slot @p k (the
+     *  run after the last slot when k == number of slots). */
+    double runSurvival(size_t k) const;
+
+    /** Survival prefix through bucket @p idx. */
+    double prefixThrough(size_t idx) const;
 
     /**
      * LogHistogram::survival(bucketMid(idx)), evaluated from the suffix
@@ -102,13 +148,10 @@ class StatStack
 
     uint64_t total_ = 0;    ///< finite + infinite samples
     uint64_t infinite_ = 0; ///< infinite samples
-    // suffixCounts_[i]: infinite samples plus all finite samples in
-    // buckets strictly after i.
-    std::array<uint64_t, kBuckets> suffixCounts_;
-    // survivalPrefix_[i]: sum over j in [0, bucketHi(i)] of survival(j),
-    // i.e. the expected stack distance of a reuse distance at the end of
-    // bucket i. Interpolated within buckets on query.
-    std::array<double, kBuckets> survivalPrefix_;
+    /** Bit i set when bucket i holds finite samples. */
+    std::array<uint64_t, (kBuckets + 63) / 64> mask_{};
+    /** One slot per non-empty bucket, in bucket order. */
+    std::vector<Slot> slots_;
 };
 
 } // namespace rppm
