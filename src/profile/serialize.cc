@@ -56,6 +56,7 @@ readHistogram(std::istream &is, const char *tag)
             hist.add(std::stoull(value), count);
         }
     }
+    hist.freeze(); // trims the room reserved for an "inf" entry
     return hist;
 }
 

@@ -79,9 +79,11 @@ readHistogram(BinReader &in)
     // Entries arrive in bucket order, so the frozen form is built in
     // place: no dense bucket array ever exists.
     const auto entries = in.column<HistEntry>(kTagHist, "histogram");
+    const bool has_inf = !entries.empty() &&
+        entries.back().value == LogHistogram::kInfinity;
     LogHistogram hist;
     hist.freeze();
-    hist.reserve(entries.size());
+    hist.reserve(entries.size() - (has_inf ? 1 : 0));
     for (const HistEntry &e : entries)
         hist.add(e.value, e.count);
     return hist;

@@ -61,19 +61,10 @@ PredictionMemo::stacksFor(uint32_t thread, size_t epoch, bool llc_global)
     const uint64_t key = ((static_cast<uint64_t>(thread) << 32 |
                           static_cast<uint64_t>(epoch)) << 1) |
         (llc_global ? 1 : 0);
-    {
-        MutexLock lock(mutex_);
-        const auto it = stacks_.find(key);
-        if (it != stacks_.end())
-            return it->second;
-    }
-    auto built = std::make_shared<const EpochStacks>(
-        profile_->threads[thread].epochs[epoch], llc_global);
-    MutexLock lock(mutex_);
-    const auto [it, inserted] = stacks_.emplace(key, std::move(built));
-    if (inserted)
-        ++stats_.stacksBuilt;
-    return it->second;
+    return stacks_.get(key, [&] {
+        return std::make_shared<const EpochStacks>(
+            profile_->threads[thread].epochs[epoch], llc_global);
+    });
 }
 
 std::shared_ptr<const ThreadPrediction>
@@ -81,23 +72,13 @@ PredictionMemo::threadFor(uint32_t thread, const std::string &key,
                           const MulticoreConfig &cfg,
                           const CoreConfig &core, const Eq1Options &opts)
 {
-    {
-        MutexLock lock(mutex_);
-        const auto it = threads_.find(key);
-        if (it != threads_.end()) {
-            ++stats_.threadHits;
-            return it->second;
-        }
-    }
-    auto pred = std::make_shared<const ThreadPrediction>(predictThread(
-        profile_->threads[thread], cfg, core, opts,
-        [this, thread, &opts](size_t epoch) {
-            return stacksFor(thread, epoch, opts.llcUsesGlobalRd);
-        }));
-    MutexLock lock(mutex_);
-    const auto [it, inserted] = threads_.emplace(key, std::move(pred));
-    ++stats_.threadEvals;
-    return it->second;
+    return threads_.get(key, [&] {
+        return std::make_shared<const ThreadPrediction>(predictThread(
+            profile_->threads[thread], cfg, core, opts,
+            [this, thread, &opts](size_t epoch) {
+                return stacksFor(thread, epoch, opts.llcUsesGlobalRd);
+            }));
+    });
 }
 
 RppmPrediction
@@ -130,23 +111,11 @@ PredictionMemo::predict(const MulticoreConfig &cfg, const RppmOptions &opts)
     // Phase 2: reused only when every input that feeds the symbolic
     // execution matches — the per-thread predictions (via their keys),
     // the per-thread reference time scales and the sync-op cost.
-    std::shared_ptr<const SyncModelResult> sync;
-    {
-        MutexLock lock(mutex_);
-        const auto it = sync_.find(sync_key);
-        if (it != sync_.end()) {
-            ++stats_.syncHits;
-            sync = it->second;
-        }
-    }
-    if (!sync) {
-        auto run = std::make_shared<const SyncModelResult>(
-            runSyncModel(*profile_, pred.threads, cfg, opts.sync));
-        MutexLock lock(mutex_);
-        const auto [it, inserted] = sync_.emplace(sync_key, std::move(run));
-        ++stats_.syncRuns;
-        sync = it->second;
-    }
+    const std::shared_ptr<const SyncModelResult> sync =
+        sync_.get(sync_key, [&] {
+            return std::make_shared<const SyncModelResult>(
+                runSyncModel(*profile_, pred.threads, cfg, opts.sync));
+        });
 
     pred.totalCycles = sync->totalCycles;
     pred.totalSeconds = cfg.refCyclesToSeconds(sync->totalCycles);
@@ -157,38 +126,47 @@ PredictionMemo::predict(const MulticoreConfig &cfg, const RppmOptions &opts)
         pred.threadSeconds.push_back(
             cfg.refCyclesToSeconds(sync->threadFinish[t]));
 
-    MutexLock lock(mutex_);
-    ++stats_.predictions;
+    predictions_.fetch_add(1, std::memory_order_relaxed);
     return pred;
 }
 
 MemoStats
 PredictionMemo::stats() const
 {
-    MutexLock lock(mutex_);
-    MemoStats out = stats_;
-    for (const auto &[key, stacks] : stacks_) {
-        out.curvePoints += stacks->curvePoints();
-        out.curveHits += stacks->curveHits();
-    }
+    MemoStats out;
+    out.predictions = predictions_.load(std::memory_order_relaxed);
+    out.threadEvals = threads_.evaluations();
+    out.threadHits = threads_.hits();
+    out.syncRuns = sync_.evaluations();
+    out.syncHits = sync_.hits();
+    out.stacksBuilt = stacks_.evaluations();
+    stacks_.forEachReady([&out](uint64_t, const EpochStacks &stacks) {
+        out.curvePoints += stacks.curvePoints();
+        out.curveHits += stacks.curveHits();
+    });
     return out;
 }
 
 uint64_t
 PredictionMemo::approxResidentBytes() const
 {
-    MutexLock lock(mutex_);
     // The engine pins its profile; charge it here so the pool budget
-    // sees the real cost of keeping the engine around.
+    // sees the real cost of keeping the engine around. Each stack
+    // bundle charges its slots, curve nodes and per-load distances.
     uint64_t bytes = profile_->approxResidentBytes();
-    for (const auto &[key, stacks] : stacks_)
-        bytes += stacks->approxResidentBytes();
+    stacks_.forEachReady([&bytes](uint64_t, const EpochStacks &stacks) {
+        bytes += stacks.approxResidentBytes();
+    });
     // Phase-1/2 entries are small next to the bundles; charge key +
     // payload envelopes.
-    for (const auto &[key, pred] : threads_)
-        bytes += key.size() + sizeof(ThreadPrediction) + 64;
-    for (const auto &[key, sync] : sync_)
-        bytes += key.size() + sizeof(SyncModelResult) + 64;
+    threads_.forEachReady(
+        [&bytes](const std::string &key, const ThreadPrediction &) {
+            bytes += key.size() + sizeof(ThreadPrediction) + 64;
+        });
+    sync_.forEachReady(
+        [&bytes](const std::string &key, const SyncModelResult &) {
+            bytes += key.size() + sizeof(SyncModelResult) + 64;
+        });
     return bytes;
 }
 

@@ -25,16 +25,19 @@
  * on the same inputs, so memoized predictions are bit-identical to
  * rppm::predict per design point (tests/test_predict_golden pins both
  * to the committed corpus tests/golden/predict.txt). All caches are
- * thread-safe: one engine serves every worker of a Study grid.
- * Concurrent misses on one key may both evaluate (the first insert
- * wins), which is harmless — the evaluation is deterministic, so both
- * results are identical.
+ * thread-safe and single-flight: one engine serves every worker of a
+ * Study grid, and each key is evaluated exactly once — concurrent
+ * misses on a key wait for the first caller's evaluation — so the
+ * engine's counters do not depend on thread timing.
  */
 
 #ifndef RPPM_RPPM_MEMO_HH
 #define RPPM_RPPM_MEMO_HH
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -64,6 +67,96 @@ struct MemoStats
     std::string summary() const;
 };
 
+/**
+ * Single-flight cache of shared immutable values: the first caller of a
+ * key publishes an in-flight slot under the lock and evaluates outside
+ * it; concurrent callers of that key wait on the slot instead of
+ * evaluating again. A throwing evaluation wakes its waiters with the
+ * exception and leaves no entry behind, so a later call evaluates
+ * afresh. Thread-safe.
+ */
+template <typename K, typename T>
+class OnceCache
+{
+  public:
+    using Ptr = std::shared_ptr<const T>;
+
+    /** The value of @p key, from @p eval() on the key's first call. */
+    template <typename Eval>
+    Ptr
+    get(const K &key, Eval &&eval) RPPM_EXCLUDES(mutex_)
+    {
+        std::promise<Ptr> promise;
+        std::shared_future<Ptr> slot;
+        bool evaluate = false;
+        {
+            MutexLock lock(mutex_);
+            const auto it = slots_.find(key);
+            if (it != slots_.end()) {
+                ++hits_;
+                slot = it->second;
+            } else {
+                slot = promise.get_future().share();
+                slots_.emplace(key, slot);
+                evaluate = true;
+            }
+        }
+        if (!evaluate)
+            return slot.get(); // waits; rethrows the evaluation's error
+        try {
+            Ptr value = eval();
+            {
+                MutexLock lock(mutex_);
+                ++evaluations_;
+            }
+            promise.set_value(std::move(value));
+        } catch (...) {
+            {
+                MutexLock lock(mutex_);
+                slots_.erase(key);
+            }
+            promise.set_exception(std::current_exception());
+            throw;
+        }
+        return slot.get();
+    }
+
+    /** Evaluations performed (each key once, failures excluded). */
+    uint64_t evaluations() const RPPM_EXCLUDES(mutex_)
+    {
+        MutexLock lock(mutex_);
+        return evaluations_;
+    }
+
+    /** Calls served by an earlier or in-flight evaluation. */
+    uint64_t hits() const RPPM_EXCLUDES(mutex_)
+    {
+        MutexLock lock(mutex_);
+        return hits_;
+    }
+
+    /** Visit (key, value) of every finished evaluation. */
+    template <typename Fn>
+    void
+    forEachReady(Fn &&fn) const RPPM_EXCLUDES(mutex_)
+    {
+        MutexLock lock(mutex_);
+        // rppm-lint: ordered-ok(callers only sum over the entries)
+        for (const auto &[key, slot] : slots_) {
+            if (slot.wait_for(std::chrono::seconds(0)) ==
+                std::future_status::ready)
+                fn(key, *slot.get());
+        }
+    }
+
+  private:
+    mutable Mutex mutex_;
+    std::unordered_map<K, std::shared_future<Ptr>> slots_
+        RPPM_GUARDED_BY(mutex_);
+    uint64_t evaluations_ RPPM_GUARDED_BY(mutex_) = 0;
+    uint64_t hits_ RPPM_GUARDED_BY(mutex_) = 0;
+};
+
 /** Memoized prediction engine for one profile (see file comment). */
 class PredictionMemo
 {
@@ -75,35 +168,29 @@ class PredictionMemo
     /** Memoized equivalent of rppm::predict(profile, cfg, opts):
      *  bit-identical per design point, thread-safe. */
     RppmPrediction predict(const MulticoreConfig &cfg,
-                           const RppmOptions &opts = {})
-        RPPM_EXCLUDES(mutex_);
+                           const RppmOptions &opts = {});
 
-    MemoStats stats() const RPPM_EXCLUDES(mutex_);
+    MemoStats stats() const;
 
     /** Approximate heap footprint of the engine *including* the profile
      *  it keeps alive — the unit the pool's byte budget evicts in. */
-    uint64_t approxResidentBytes() const RPPM_EXCLUDES(mutex_);
+    uint64_t approxResidentBytes() const;
 
   private:
     std::shared_ptr<const EpochStacks>
-    stacksFor(uint32_t thread, size_t epoch, bool llc_global)
-        RPPM_EXCLUDES(mutex_);
+    stacksFor(uint32_t thread, size_t epoch, bool llc_global);
 
     std::shared_ptr<const ThreadPrediction>
     threadFor(uint32_t thread, const std::string &key,
               const MulticoreConfig &cfg, const CoreConfig &core,
-              const Eq1Options &opts) RPPM_EXCLUDES(mutex_);
+              const Eq1Options &opts);
 
     std::shared_ptr<const WorkloadProfile> profile_;
 
-    mutable Mutex mutex_;
-    std::unordered_map<uint64_t, std::shared_ptr<const EpochStacks>>
-        stacks_ RPPM_GUARDED_BY(mutex_);
-    std::unordered_map<std::string, std::shared_ptr<const ThreadPrediction>>
-        threads_ RPPM_GUARDED_BY(mutex_);
-    std::unordered_map<std::string, std::shared_ptr<const SyncModelResult>>
-        sync_ RPPM_GUARDED_BY(mutex_);
-    MemoStats stats_ RPPM_GUARDED_BY(mutex_);
+    OnceCache<uint64_t, EpochStacks> stacks_;
+    OnceCache<std::string, ThreadPrediction> threads_;
+    OnceCache<std::string, SyncModelResult> sync_;
+    std::atomic<uint64_t> predictions_{0};
 };
 
 /**

@@ -14,11 +14,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "arch/component_key.hh"
 #include "arch/config.hh"
@@ -388,6 +391,80 @@ TEST(PredictMemo, StudyReportsCacheEfficiency)
     EXPECT_EQ(stats.predictions, result.cells().size());
     EXPECT_GT(stats.threadHits, 0u);
     EXPECT_FALSE(stats.summary().empty());
+}
+
+TEST(PredictMemo, StudyEvaluatesEachKeyExactlyOnce)
+{
+    // The caches are single-flight: concurrent grid workers that miss
+    // on one key wait for the first evaluation instead of repeating it,
+    // so the counters are the serial engine's at every worker count.
+    const WorkloadSpec spec = shrink(fullSuite()[1].spec);
+    const WorkloadTrace trace = generateWorkload(spec);
+    std::vector<MulticoreConfig> grid = tableIvConfigs();
+    for (const MulticoreConfig &m :
+         mappingSweep(bigLittleConfig(2, 2), spec.numThreads()))
+        grid.push_back(m);
+
+    const WorkloadProfile prof = profileWorkload(trace);
+    MemoStats serial;
+    predictGrid(prof, grid, {}, &serial);
+    size_t epochs = 0;
+    for (const ThreadProfile &t : prof.threads)
+        epochs += t.epochs.size();
+    EXPECT_EQ(serial.stacksBuilt, epochs);
+    EXPECT_EQ(serial.threadEvals + serial.threadHits,
+              grid.size() * prof.numThreads);
+    EXPECT_EQ(serial.syncRuns + serial.syncHits, grid.size());
+
+    for (const unsigned jobs : {1u, 4u, 4u, 4u}) {
+        Study study;
+        study.addWorkload(trace).addConfigs(grid).addEvaluator("rppm").jobs(
+            jobs);
+        study.run();
+        ASSERT_TRUE(study.lastMemoStats().has_value());
+        const MemoStats &stats = *study.lastMemoStats();
+        EXPECT_EQ(stats.predictions, grid.size()) << "jobs " << jobs;
+        EXPECT_EQ(stats.threadEvals, serial.threadEvals) << "jobs " << jobs;
+        EXPECT_EQ(stats.threadHits, serial.threadHits) << "jobs " << jobs;
+        EXPECT_EQ(stats.syncRuns, serial.syncRuns) << "jobs " << jobs;
+        EXPECT_EQ(stats.syncHits, serial.syncHits) << "jobs " << jobs;
+        EXPECT_EQ(stats.stacksBuilt, serial.stacksBuilt) << "jobs " << jobs;
+        EXPECT_EQ(stats.curvePoints, serial.curvePoints) << "jobs " << jobs;
+    }
+}
+
+TEST(OnceCache, FailedEvaluationWakesWaitersAndIsRetried)
+{
+    OnceCache<int, int> cache;
+    std::atomic<bool> waiter_evaluated{false};
+    std::thread waiter;
+    const auto waitOnKey = [&] {
+        EXPECT_THROW(cache.get(1,
+                               [&] {
+                                   waiter_evaluated = true;
+                                   return std::make_shared<const int>(0);
+                               }),
+                     std::runtime_error);
+    };
+    const auto failingEval = [&]() -> std::shared_ptr<const int> {
+        // Hold the key in flight until a second caller waits on it.
+        waiter = std::thread(waitOnKey);
+        while (cache.hits() == 0)
+            std::this_thread::yield();
+        throw std::runtime_error("evaluation failed");
+    };
+    EXPECT_THROW(cache.get(1, failingEval), std::runtime_error);
+    waiter.join();
+    EXPECT_FALSE(waiter_evaluated);
+    EXPECT_EQ(cache.evaluations(), 0u);
+
+    // The failure left no entry: the next call evaluates afresh, once.
+    EXPECT_EQ(*cache.get(1, [] { return std::make_shared<const int>(7); }),
+              7);
+    EXPECT_EQ(*cache.get(1, [] { return std::make_shared<const int>(8); }),
+              7);
+    EXPECT_EQ(cache.evaluations(), 1u);
+    EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST(PredictMemo, MixedEvaluatorsShareOneGrid)

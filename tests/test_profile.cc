@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <vector>
+
 #include "profile/profiler.hh"
+#include "profile/serialize.hh"
 #include "trace/trace_builder.hh"
 #include "workload/suite.hh"
 #include "workload/workload.hh"
@@ -339,6 +344,65 @@ TEST(Profiler, DeterministicAcrossRuns)
                       b.threads[t].epochs[e].localRd.totalInfinite());
         }
     }
+}
+
+/** Every histogram of @p ep. */
+std::vector<const LogHistogram *>
+histograms(const EpochProfile &ep)
+{
+    return {&ep.depDist,     &ep.localRd, &ep.globalRd, &ep.loadLocalRd,
+            &ep.loadGlobalRd, &ep.instrRd, &ep.loadGap};
+}
+
+/** Checks that every histogram of @p prof is frozen and holds only its
+ *  non-empty buckets; returns the histogram heap bytes. */
+uint64_t
+expectFrozenHistograms(const WorkloadProfile &prof, const char *what)
+{
+    uint64_t heap = 0;
+    uint64_t histograms_seen = 0;
+    for (const ThreadProfile &thread : prof.threads) {
+        for (const EpochProfile &ep : thread.epochs) {
+            for (const LogHistogram *h : histograms(ep)) {
+                EXPECT_TRUE(h->frozen()) << what;
+                EXPECT_LE(h->heapBytes(),
+                          h->nonEmptyBuckets() * (sizeof(uint64_t) + 1))
+                    << what;
+                heap += h->heapBytes();
+                ++histograms_seen;
+            }
+        }
+    }
+    // A dense histogram would hold 160 eight-byte counters.
+    EXPECT_LT(heap, histograms_seen * LogHistogram::numBuckets() *
+                  sizeof(uint64_t) / 8)
+        << what;
+    return heap;
+}
+
+TEST(Profiler, ClosedEpochsHoldOnlyNonEmptyBuckets)
+{
+    // A sync-heavy suite kernel at test scale: thousands of short
+    // epochs, each histogram filling a handful of the 160 buckets. The
+    // profile keeps only those, and so does every deserialized copy.
+    WorkloadSpec spec = findBenchmark("Fluidanimate")->spec;
+    spec.opsPerEpoch = std::max<uint64_t>(1, spec.opsPerEpoch / 20);
+    spec.initOps = std::max<uint64_t>(1, spec.initOps / 20);
+    spec.finalOps = std::max<uint64_t>(1, spec.finalOps / 20);
+    spec.itemOps = std::max<uint64_t>(1, spec.itemOps / 20);
+    const WorkloadProfile prof = profileWorkload(generateWorkload(spec));
+    size_t epochs = 0;
+    for (const ThreadProfile &thread : prof.threads)
+        epochs += thread.epochs.size();
+    EXPECT_GT(epochs, 1000u);
+    const uint64_t heap = expectFrozenHistograms(prof, "profiled");
+
+    std::stringstream text, binary;
+    saveProfile(prof, text);
+    saveProfileBinary(prof, binary);
+    EXPECT_EQ(expectFrozenHistograms(loadProfile(text), "text"), heap);
+    EXPECT_EQ(expectFrozenHistograms(loadProfileBinary(binary), "binary"),
+              heap);
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <bit>
 #include <list>
+#include <string>
+#include <utility>
 #include <unordered_map>
 #include <vector>
 
@@ -299,6 +301,169 @@ TEST(StatStack, TablesMatchHistogramSurvivalBitForBit)
               uint64_t{1} << 20, uint64_t{1} << 30, uint64_t{1} << 45,
               1 + rng.nextBounded(1u << 24)}) {
             const uint64_t critical = ss.criticalReuseDistance(lines);
+            const double expected = critical == LogHistogram::kInfinity ?
+                (hist.total() == 0 ? 0.0 :
+                     static_cast<double>(hist.totalInfinite()) /
+                         static_cast<double>(hist.total())) :
+                hist.survival(critical);
+            EXPECT_EQ(std::bit_cast<uint64_t>(ss.missRate(lines)),
+                      std::bit_cast<uint64_t>(expected))
+                << "hist " << h << " lines " << lines;
+        }
+
+        const std::vector<double> prefix = referencePrefix(hist);
+        std::vector<uint64_t> rds = {0, 1, 15, 16, 17, 1000,
+                                     LogHistogram::kInfinity,
+                                     LogHistogram::kInfinity - 1,
+                                     uint64_t{1} << 40, uint64_t{1} << 50};
+        for (size_t i = 0; i < LogHistogram::numBuckets(); ++i) {
+            rds.push_back(LogHistogram::bucketLo(i));
+            rds.push_back(LogHistogram::bucketHi(i));
+        }
+        for (int i = 0; i < 64; ++i)
+            rds.push_back(rng.nextBounded(
+                (uint64_t{1} << rng.nextBounded(44)) + 1));
+        for (uint64_t rd : rds) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(ss.stackDistance(rd)),
+                      std::bit_cast<uint64_t>(
+                          referenceStackDistance(hist, prefix, rd)))
+                << "hist " << h << " rd " << rd;
+        }
+    }
+}
+
+// ------------------------------------------------ frozen histograms ---
+
+/** A frozen copy of @p hist. */
+LogHistogram
+frozenCopy(const LogHistogram &hist)
+{
+    LogHistogram copy = hist;
+    copy.freeze();
+    return copy;
+}
+
+/** Every (value, count) forEach visits, in order. */
+std::vector<std::pair<uint64_t, uint64_t>>
+visited(const LogHistogram &hist)
+{
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    hist.forEach([&out](uint64_t v, uint64_t c) { out.emplace_back(v, c); });
+    return out;
+}
+
+/** Asserts that @p got answers every query exactly like @p want. */
+void
+expectSameAnswers(const LogHistogram &got, const LogHistogram &want,
+                  const std::string &what)
+{
+    EXPECT_EQ(visited(got), visited(want)) << what;
+    EXPECT_EQ(got.total(), want.total()) << what;
+    EXPECT_EQ(got.totalFinite(), want.totalFinite()) << what;
+    EXPECT_EQ(got.totalInfinite(), want.totalInfinite()) << what;
+    EXPECT_EQ(got.nonEmptyBuckets(), want.nonEmptyBuckets()) << what;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.meanFinite()),
+              std::bit_cast<uint64_t>(want.meanFinite()))
+        << what;
+    for (size_t i = 0; i < LogHistogram::numBuckets(); ++i) {
+        for (uint64_t v : {LogHistogram::bucketLo(i),
+                           LogHistogram::bucketMid(i),
+                           LogHistogram::bucketHi(i)}) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.survival(v)),
+                      std::bit_cast<uint64_t>(want.survival(v)))
+                << what << " value " << v;
+        }
+    }
+    EXPECT_EQ(got.survival(LogHistogram::kInfinity),
+              want.survival(LogHistogram::kInfinity));
+    for (double q : {0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0})
+        EXPECT_EQ(got.quantile(q), want.quantile(q)) << what << " q " << q;
+}
+
+TEST(FrozenHistogram, AnswersEveryQueryLikeItsDenseOriginal)
+{
+    const std::vector<LogHistogram> hists = randomHistograms(2010);
+    for (size_t h = 0; h < hists.size(); ++h) {
+        const LogHistogram &dense = hists[h];
+        const LogHistogram frozen = frozenCopy(dense);
+        ASSERT_TRUE(frozen.frozen());
+        ASSERT_FALSE(dense.frozen());
+        // Only the non-empty buckets are stored.
+        EXPECT_LE(frozen.heapBytes(),
+                  frozen.nonEmptyBuckets() * (sizeof(uint64_t) + 1))
+            << "hist " << h;
+        expectSameAnswers(frozen, dense, "hist " + std::to_string(h));
+    }
+}
+
+TEST(FrozenHistogram, MergeAndAddMatchTheDenseForm)
+{
+    // Every pairing of forms merges to the same distribution, and a
+    // frozen histogram keeps its form through merge() and add().
+    const std::vector<LogHistogram> hists = randomHistograms(77);
+    Rng rng(77);
+    for (size_t h = 0; h + 1 < hists.size(); ++h) {
+        const LogHistogram &a = hists[h];
+        const LogHistogram &b = hists[h + 1];
+        LogHistogram want = a;
+        want.merge(b);
+        for (const bool freeze_a : {false, true}) {
+            for (const bool freeze_b : {false, true}) {
+                LogHistogram got = freeze_a ? frozenCopy(a) : a;
+                got.merge(freeze_b ? frozenCopy(b) : b);
+                EXPECT_EQ(got.frozen(), freeze_a);
+                expectSameAnswers(got, want,
+                                  "merge " + std::to_string(h) + " " +
+                                      std::to_string(freeze_a) +
+                                      std::to_string(freeze_b));
+            }
+        }
+        // Samples added after freezing, in any bucket order.
+        LogHistogram dense = a;
+        LogHistogram frozen = frozenCopy(a);
+        for (int i = 0; i < 20; ++i) {
+            const uint64_t v = rng.nextBool(0.1) ?
+                LogHistogram::kInfinity :
+                rng.nextBounded((uint64_t{1} << rng.nextBounded(44)) + 1);
+            const uint64_t c = 1 + rng.nextBounded(1000);
+            dense.add(v, c);
+            frozen.add(v, c);
+        }
+        EXPECT_TRUE(frozen.frozen());
+        expectSameAnswers(frozen, dense, "add " + std::to_string(h));
+        frozen.freeze(); // trims the inserts' growth; values unchanged
+        expectSameAnswers(frozen, dense, "refreeze " + std::to_string(h));
+        EXPECT_LE(frozen.heapBytes(),
+                  frozen.nonEmptyBuckets() * (sizeof(uint64_t) + 1));
+    }
+}
+
+TEST(StatStack, FrozenTablesMatchHistogramSurvivalBitForBit)
+{
+    // TablesMatchHistogramSurvivalBitForBit on stacks built from frozen
+    // copies: the same reuse distances (every bucket's bounds, empty
+    // buckets, 2^40, 2^50 and kInfinity) and cache sizes, checked
+    // against the dense histogram's survival.
+    Rng rng(2010);
+    const std::vector<LogHistogram> hists = randomHistograms(2010);
+    for (size_t h = 0; h < hists.size(); ++h) {
+        const LogHistogram &hist = hists[h];
+        const StatStack ss(frozenCopy(hist));
+        const StatStack dense(hist);
+        EXPECT_EQ(ss.empty(), hist.totalFinite() == 0) << "hist " << h;
+        // One slot per non-empty bucket, not a table per bucket.
+        EXPECT_EQ(ss.heapBytes(), dense.heapBytes()) << "hist " << h;
+        EXPECT_LE(ss.heapBytes(), hist.nonEmptyBuckets() * 3 * sizeof(double))
+            << "hist " << h;
+
+        for (uint64_t lines :
+             {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{7},
+              uint64_t{64}, uint64_t{512}, uint64_t{4096}, uint64_t{32768},
+              uint64_t{1} << 20, uint64_t{1} << 30, uint64_t{1} << 45,
+              1 + rng.nextBounded(1u << 24)}) {
+            const uint64_t critical = ss.criticalReuseDistance(lines);
+            EXPECT_EQ(critical, dense.criticalReuseDistance(lines))
+                << "hist " << h << " lines " << lines;
             const double expected = critical == LogHistogram::kInfinity ?
                 (hist.total() == 0 ? 0.0 :
                      static_cast<double>(hist.totalInfinite()) /
