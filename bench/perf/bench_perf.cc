@@ -39,10 +39,12 @@
  * against one noisy CI iteration in either direction, unlike best-of
  * (which a lucky run biases) or the mean (which a descheduled run
  * poisons). The regression check compares the normalized ns/op metrics
- * (profile, profile_par, sim, sim_par, predict, grid_memo) against the
- * baseline with a relative tolerance (default 0.25 = fail when >25%
- * slower); the baseline must come from the same machine, which is why
- * CI records it from the parent commit in the same job. The profiler's
+ * (profile, profile_par, sim, sim_par, predict, grid_memo) and the
+ * profile_mb/stacks_mb footprints against the baseline with a relative
+ * tolerance (default 0.25 = fail when >25% slower or larger); a metric
+ * the baseline lacks is skipped. The baseline must come from the same
+ * machine, which is why CI records it from the parent commit in the
+ * same job. The profiler's
  * parallel speedup --min-profile-par-speedup is gated per kernel. The
  * simulator gate --min-sim-par-speedup applies to the geomean over the
  * kernel set instead: the sim phases run tens of milliseconds at smoke
@@ -77,6 +79,16 @@
  * uses 1.15: the pipeline may cost at most 15% over the one-job
  * profile at smoke scale).
  *
+ * profile_mb and stacks_mb are deterministic footprints, not timings:
+ * the one-job profile's WorkloadProfile::approxResidentBytes and the
+ * summed EpochStacks::approxResidentBytes of one full set of stack
+ * bundles (every epoch, with its per-load stack distances built), in
+ * MiB. Both are gated like the ns/op metrics.
+ *
+ * Before the first kernel is timed, one untimed pass runs it once (every
+ * phase at one repeat): the first timed phases of a process otherwise
+ * pay its page-fault, allocator and thread-start costs.
+ *
  * Every medianOf-timed phase also records the getrusage max-RSS *delta*
  * across its repeats as <metric>_rss_delta_kb: how much that phase grew
  * the process's resident high-water mark. Deltas are order-dependent (a
@@ -96,7 +108,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -107,6 +118,7 @@
 #include "pipeline.hh"
 #include "profile/profiler.hh"
 #include "rppm/predictor.hh"
+#include "statstack/epoch_stacks.hh"
 #include "server/client.hh"
 #include "server/server.hh"
 #include "sim/simulator.hh"
@@ -145,6 +157,9 @@ struct KernelResult
     double serveSpeedup = 0.0;
     double streamOverhead = 0.0;
     double rppmVsSim = 0.0;
+    // Deterministic footprints in MiB (see file comment).
+    double profileMb = 0.0;
+    double stacksMb = 0.0;
 
     double
     nsPerOp(const std::string &metric) const
@@ -153,6 +168,18 @@ struct KernelResult
         if (it == ms.end() || ops == 0)
             return 0.0;
         return it->second * 1e6 / static_cast<double>(ops);
+    }
+
+    /** Value of a gated metric: a footprint, or a phase's ns/op. */
+    double
+    gated(const std::string &metric) const
+    {
+        if (metric == "profile_mb")
+            return profileMb;
+        if (metric == "stacks_mb")
+            return stacksMb;
+        const std::string suffix = "_ns_per_op";
+        return nsPerOp(metric.substr(0, metric.size() - suffix.size()));
     }
 };
 
@@ -289,6 +316,20 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
     // The one-job profile: the engine run serially, in one window.
     WorkloadProfile profile;
     timed("profile", [&] { profile = profileWorkload(cols); });
+
+    // Footprints of the profile and of one full set of stack bundles.
+    constexpr double kMiB = 1024.0 * 1024.0;
+    result.profileMb =
+        static_cast<double>(profile.approxResidentBytes()) / kMiB;
+    uint64_t stackBytes = 0;
+    for (const ThreadProfile &thread : profile.threads) {
+        for (const EpochProfile &epoch : thread.epochs) {
+            const EpochStacks stacks(epoch, true);
+            stacks.microSd();
+            stackBytes += stacks.approxResidentBytes();
+        }
+    }
+    result.stacksMb = static_cast<double>(stackBytes) / kMiB;
 
     // The same engine and window on the harness's --jobs workers.
     // profile_par_speedup is one-job/--jobs wall time: > 1 means the
@@ -487,7 +528,9 @@ resultsToJson(const std::vector<KernelResult> &results, double scale,
         for (const auto &[metric, kb] : r.rssDeltaKb)
             os << "      \"" << metric << "_rss_delta_kb\": " << kb
                << ",\n";
-        os << "      \"stream_overhead\": " << r.streamOverhead << ",\n"
+        os << "      \"profile_mb\": " << r.profileMb << ",\n"
+           << "      \"stacks_mb\": " << r.stacksMb << ",\n"
+           << "      \"stream_overhead\": " << r.streamOverhead << ",\n"
            << "      \"profile_par_speedup\": " << r.profileParSpeedup
            << ",\n"
            << "      \"sim_par_speedup\": " << r.simParSpeedup << ",\n"
@@ -676,12 +719,13 @@ class BaselineParser
 
 // -------------------------------------------------------- regression ---
 
-/** Metrics gated against the baseline (normalized per-op, so trace size
- *  changes show up too). */
+/** Metrics gated against the baseline: the phase timings normalized
+ *  per op (so trace size changes show up too) and the footprints. */
 const char *kGatedMetrics[] = {"profile_ns_per_op",
                                "profile_par_ns_per_op",
                                "sim_ns_per_op", "sim_par_ns_per_op",
-                               "predict_ns_per_op", "grid_memo_ns_per_op"};
+                               "predict_ns_per_op", "grid_memo_ns_per_op",
+                               "profile_mb", "stacks_mb"};
 
 int
 checkRegressions(const std::vector<KernelResult> &results,
@@ -717,13 +761,10 @@ checkRegressions(const std::vector<KernelResult> &results,
             const auto m = base_it->second.find(metric);
             if (m == base_it->second.end() || m->second <= 0.0)
                 continue;
-            const std::string bare(metric,
-                                   std::strlen(metric) -
-                                       std::strlen("_ns_per_op"));
-            const double now = r.nsPerOp(bare);
+            const double now = r.gated(metric);
             const double ratio = now / m->second;
             const bool bad = ratio > 1.0 + max_regression;
-            std::printf("  %-16s %-24s %8.1f -> %8.1f ns/op (%+5.1f%%)%s\n",
+            std::printf("  %-16s %-24s %8.1f -> %8.1f (%+5.1f%%)%s\n",
                         r.name.c_str(), metric, m->second, now,
                         (ratio - 1.0) * 100.0, bad ? "  REGRESSION" : "");
             if (bad)
@@ -936,6 +977,9 @@ main(int argc, char **argv)
 
     std::printf("bench_perf: %zu kernel(s), scale %.2f, median of %d\n",
                 entries.size(), scale, repeat);
+    // Untimed warm-up: the first kernel once, every phase (file comment).
+    measureKernel(entries.front(), scale, 1, jobs, stream_chunk);
+
     std::vector<KernelResult> results;
     for (const SuiteEntry &entry : entries) {
         KernelResult r =
@@ -944,7 +988,8 @@ main(int argc, char **argv)
                     "(par %7.1fms, %.2fx; stream %7.1fms, %.2fx) "
                     "sim=%7.1fms (par %7.1fms, %.2fx) predict=%6.2fms "
                     "(rppm_vs_sim %.2fx) grid=%7.1fms cold=%7.1fms "
-                    "serve=%6.1fms (%.2fx)\n",
+                    "serve=%6.1fms (%.2fx) profile_mb=%.1f "
+                    "stacks_mb=%.1f\n",
                     r.name.c_str(),
                     static_cast<unsigned long long>(r.ops), r.ms["build"],
                     r.ms["profile"], r.ms["profile_par"],
@@ -952,7 +997,8 @@ main(int argc, char **argv)
                     r.streamOverhead, r.ms["sim"], r.ms["sim_par"],
                     r.simParSpeedup, r.ms["predict"], r.rppmVsSim,
                     r.ms["grid_memo"], r.ms["study_cold"],
-                    r.ms["serve_warm"], r.serveSpeedup);
+                    r.ms["serve_warm"], r.serveSpeedup, r.profileMb,
+                    r.stacksMb);
         results.push_back(std::move(r));
     }
     std::printf("bench_perf: geomean profile_par_speedup %.2fx (jobs %u) | "

@@ -1,7 +1,5 @@
 #include "common/histogram.hh"
 
-#include <algorithm>
-
 #include "common/assert.hh"
 
 namespace rppm {
@@ -9,7 +7,7 @@ namespace rppm {
 LogHistogram::LogHistogram() : infinite_(0), totalFinite_(0)
 {
     // counts_ is allocated lazily on the first finite sample: profiles
-    // hold many per-epoch histograms and many of them stay empty.
+    // hold many per-epoch histograms and most of them stay empty.
 }
 
 uint64_t
