@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -86,9 +87,8 @@ class OnceCache
     Ptr
     get(const K &key, Eval &&eval) RPPM_EXCLUDES(mutex_)
     {
-        std::promise<Ptr> promise;
         std::shared_future<Ptr> slot;
-        bool evaluate = false;
+        std::optional<std::promise<Ptr>> promise; // set: this call evaluates
         {
             MutexLock lock(mutex_);
             const auto it = slots_.find(key);
@@ -96,12 +96,12 @@ class OnceCache
                 ++hits_;
                 slot = it->second;
             } else {
-                slot = promise.get_future().share();
+                promise.emplace();
+                slot = promise->get_future().share();
                 slots_.emplace(key, slot);
-                evaluate = true;
             }
         }
-        if (!evaluate)
+        if (!promise)
             return slot.get(); // waits; rethrows the evaluation's error
         try {
             Ptr value = eval();
@@ -109,13 +109,13 @@ class OnceCache
                 MutexLock lock(mutex_);
                 ++evaluations_;
             }
-            promise.set_value(std::move(value));
+            promise->set_value(std::move(value));
         } catch (...) {
             {
                 MutexLock lock(mutex_);
                 slots_.erase(key);
             }
-            promise.set_exception(std::current_exception());
+            promise->set_exception(std::current_exception());
             throw;
         }
         return slot.get();

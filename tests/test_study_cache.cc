@@ -315,8 +315,8 @@ TEST(MemoPool, BudgetEvictsWholeEngines)
 TEST(MemoPool, ChargeCoversEveryStackBundle)
 {
     // The pool budget evicts by approxResidentBytes, so the charge must
-    // grow with every StatStack bundle the engine keeps: each holds its
-    // five stacks' tables inline.
+    // grow with every StatStack bundle the engine keeps: each charges
+    // itself, its stacks' slots and its per-load stack distances.
     const auto profile = std::make_shared<const WorkloadProfile>(
         profileWorkload(generateWorkload(cacheSpec("memo-charge"))));
     PredictionMemoPool pool;
