@@ -85,22 +85,27 @@ StatStack::StatStack(const LogHistogram &reuse_distances)
     const double tot = static_cast<double>(total_);
     double prefix = 0.0;
     size_t next = 0; // first bucket not yet added
-    for (size_t k = 0; k < slots_.size(); ++k) {
-        const size_t idx = bucketOf(k);
-        if (next < idx) {
-            const double run_surv = runSurvival(k);
-            for (; next < idx; ++next)
-                prefix += run_surv * table.span[next];
+    size_t k = 0;
+    for (size_t w = 0; w < mask_.size(); ++w) {
+        for (uint64_t bits = mask_[w]; bits != 0; bits &= bits - 1, ++k) {
+            const size_t idx =
+                w * 64 + static_cast<size_t>(std::countr_zero(bits));
+            if (next < idx) {
+                const double run_surv = runSurvival(k);
+                for (; next < idx; ++next)
+                    prefix += run_surv * table.span[next];
+            }
+            Slot &slot = slots_[k];
+            slot.before = prefix;
+            const uint64_t count = suffixBefore(k) - slot.suffix;
+            const double surv =
+                (static_cast<double>(slot.suffix) +
+                 static_cast<double>(count) * table.fracMid[idx]) /
+                tot;
+            prefix += surv * table.span[idx];
+            slot.after = prefix;
+            next = idx + 1;
         }
-        Slot &slot = slots_[k];
-        slot.before = prefix;
-        const uint64_t count = suffixBefore(k) - slot.suffix;
-        const double surv = (static_cast<double>(slot.suffix) +
-                             static_cast<double>(count) * table.fracMid[idx]) /
-            tot;
-        prefix += surv * table.span[idx];
-        slot.after = prefix;
-        next = idx + 1;
     }
 }
 
@@ -233,9 +238,12 @@ StatStack::criticalReuseDistance(uint64_t cache_lines) const
         slots_.begin());
     size_t lo = kBuckets;
     double below = 0.0;
-    if (k == slots_.size() || slots_[k].before >= target) {
-        double prefix = k == 0 ? 0.0 : slots_[k - 1].after;
-        const double run_surv = runSurvival(k);
+    double prefix = k == 0 ? 0.0 : slots_[k - 1].after;
+    const double run_surv = runSurvival(k);
+    // A run of zero survival adds +0.0 per bucket: it reaches the target
+    // only if its start does.
+    if ((k == slots_.size() || slots_[k].before >= target) &&
+        (run_surv > 0.0 || prefix >= target)) {
         const size_t end = k == slots_.size() ? kBuckets : bucketOf(k);
         for (size_t j = k == 0 ? 0 : bucketOf(k - 1) + 1; j < end; ++j) {
             below = prefix;
