@@ -124,7 +124,7 @@ struct ReplayLane
 
 /**
  * epochIlp for every lane at once, with load latencies from @p mem's
- * precomputed per-op stack distances (EpochStacks::microSd). @p mem must
+ * precomputed per-load stack distances (EpochStacks::microSd). @p mem must
  * model @p epoch on @p core. Scratch space is one buffer owned by the
  * call. Instantiated for 1 and 5 lanes.
  */

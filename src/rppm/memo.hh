@@ -11,7 +11,7 @@
  * for the lifetime of a grid:
  *
  *  - per (thread, epoch): the config-independent EpochStacks bundle
- *    (StatStacks, per-op stack distances, memoized miss-rate curves) is
+ *    (StatStacks, per-load stack distances, memoized miss-rate curves) is
  *    built once and shared by every design point;
  *  - per (thread, phase-1 key): the full ThreadPrediction is evaluated
  *    once per distinct sub-config a thread actually runs on — a
@@ -35,7 +35,6 @@
 #define RPPM_RPPM_MEMO_HH
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -72,9 +71,10 @@ struct MemoStats
  * Single-flight cache of shared immutable values: the first caller of a
  * key publishes an in-flight slot under the lock and evaluates outside
  * it; concurrent callers of that key wait on the slot instead of
- * evaluating again. A throwing evaluation wakes its waiters with the
- * exception and leaves no entry behind, so a later call evaluates
- * afresh. Thread-safe.
+ * evaluating again. Once evaluated, an entry holds just the value (the
+ * slot is released), so a resident cache costs what a plain map would.
+ * A throwing evaluation wakes its waiters with the exception and leaves
+ * no entry behind, so a later call evaluates afresh. Thread-safe.
  */
 template <typename K, typename T>
 class OnceCache
@@ -87,38 +87,43 @@ class OnceCache
     Ptr
     get(const K &key, Eval &&eval) RPPM_EXCLUDES(mutex_)
     {
-        std::shared_future<Ptr> slot;
         std::optional<std::promise<Ptr>> promise; // set: this call evaluates
+        std::shared_future<Ptr> pending;
         {
             MutexLock lock(mutex_);
-            const auto it = slots_.find(key);
-            if (it != slots_.end()) {
+            const auto [it, inserted] = entries_.try_emplace(key);
+            if (!inserted) {
                 ++hits_;
-                slot = it->second;
+                if (it->second.value)
+                    return it->second.value;
+                pending = it->second.pending;
             } else {
                 promise.emplace();
-                slot = promise->get_future().share();
-                slots_.emplace(key, slot);
+                it->second.pending = promise->get_future().share();
             }
         }
         if (!promise)
-            return slot.get(); // waits; rethrows the evaluation's error
+            return pending.get(); // waits; rethrows the evaluation's error
+        Ptr value;
         try {
-            Ptr value = eval();
-            {
-                MutexLock lock(mutex_);
-                ++evaluations_;
-            }
-            promise->set_value(std::move(value));
+            value = eval();
         } catch (...) {
             {
                 MutexLock lock(mutex_);
-                slots_.erase(key);
+                entries_.erase(key);
             }
             promise->set_exception(std::current_exception());
             throw;
         }
-        return slot.get();
+        {
+            MutexLock lock(mutex_);
+            Entry &entry = entries_.at(key);
+            entry.value = value;
+            entry.pending = {};
+            ++evaluations_;
+        }
+        promise->set_value(value);
+        return value;
     }
 
     /** Evaluations performed (each key once, failures excluded). */
@@ -142,17 +147,22 @@ class OnceCache
     {
         MutexLock lock(mutex_);
         // rppm-lint: ordered-ok(callers only sum over the entries)
-        for (const auto &[key, slot] : slots_) {
-            if (slot.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready)
-                fn(key, *slot.get());
+        for (const auto &[key, entry] : entries_) {
+            if (entry.value)
+                fn(key, *entry.value);
         }
     }
 
   private:
+    /** An evaluated value, or the slot its evaluation will fill. */
+    struct Entry
+    {
+        Ptr value;
+        std::shared_future<Ptr> pending;
+    };
+
     mutable Mutex mutex_;
-    std::unordered_map<K, std::shared_future<Ptr>> slots_
-        RPPM_GUARDED_BY(mutex_);
+    std::unordered_map<K, Entry> entries_ RPPM_GUARDED_BY(mutex_);
     uint64_t evaluations_ RPPM_GUARDED_BY(mutex_) = 0;
     uint64_t hits_ RPPM_GUARDED_BY(mutex_) = 0;
 };

@@ -202,7 +202,8 @@ StatStack::stackDistance(uint64_t rd) const
         return static_cast<double>(rd);
     const size_t idx = LogHistogram::bucketIndex(rd);
     const uint64_t lo = bucketTable().lo[idx];
-    double below, surv;
+    double below = 0.0;
+    double surv = 0.0;
     if (present(idx)) {
         // The common case: the same arithmetic as survivalAtBucketMid
         // and prefixThrough(idx - 1), from one slot.
