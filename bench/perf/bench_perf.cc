@@ -44,13 +44,12 @@
  * tolerance (default 0.25 = fail when >25% slower or larger); a metric
  * the baseline lacks is skipped. The baseline must come from the same
  * machine, which is why CI records it from the parent commit in the
- * same job. The profiler's
- * parallel speedup --min-profile-par-speedup is gated per kernel. The
- * simulator gate --min-sim-par-speedup applies to the geomean over the
- * kernel set instead: the sim phases run tens of milliseconds at smoke
- * scale, where per-kernel ratios are noise-dominated, and the two
- * engines are timed interleaved (see medianOfInterleaved) so
- * machine-speed drift cancels out of the ratio.
+ * same job. The profiler's parallel speedup --min-profile-par-speedup
+ * is gated per kernel. The simulator gate --min-sim-par-speedup
+ * applies to the geomean over the kernel set instead: the sim phases
+ * run tens of milliseconds at smoke scale, where per-kernel ratios are
+ * noise-dominated, and the two engines are timed interleaved (see
+ * medianOfInterleaved) so machine-speed drift cancels out of the ratio.
  *
  * rppm_vs_sim = sim_ms / predict_ms (per kernel and as a geomean) is
  * the paper's Sec. VII claim: the cost of one more simulated design

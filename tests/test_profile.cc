@@ -390,12 +390,18 @@ TEST(Profiler, ClosedEpochsHoldOnlyNonEmptyBuckets)
     spec.initOps = std::max<uint64_t>(1, spec.initOps / 20);
     spec.finalOps = std::max<uint64_t>(1, spec.finalOps / 20);
     spec.itemOps = std::max<uint64_t>(1, spec.itemOps / 20);
-    const WorkloadProfile prof = profileWorkload(generateWorkload(spec));
+    const WorkloadTrace trace = generateWorkload(spec);
+    const WorkloadProfile prof = profileWorkload(trace);
     size_t epochs = 0;
     for (const ThreadProfile &thread : prof.threads)
         epochs += thread.epochs.size();
     EXPECT_GT(epochs, 1000u);
     const uint64_t heap = expectFrozenHistograms(prof, "profiled");
+    // Segmented phase E: pendings insert into frozen epochs at stitch.
+    ProfilerOptions par;
+    par.jobs = 4;
+    EXPECT_EQ(expectFrozenHistograms(profileWorkload(trace, par), "jobs 4"),
+              heap);
 
     std::stringstream text, binary;
     saveProfile(prof, text);
