@@ -202,24 +202,15 @@ StatStack::stackDistance(uint64_t rd) const
         return static_cast<double>(rd);
     const size_t idx = LogHistogram::bucketIndex(rd);
     const uint64_t lo = bucketTable().lo[idx];
+    // A sampled reuse distance lands in a non-empty bucket, whose slot
+    // holds the prefix through the bucket below it.
     double below = 0.0;
-    double surv = 0.0;
-    if (present(idx)) {
-        // The common case: the same arithmetic as survivalAtBucketMid
-        // and prefixThrough(idx - 1), from one slot.
-        const size_t k = rank(idx);
-        const Slot &slot = slots_[k];
-        below = slot.before;
-        const double partial =
-            static_cast<double>(suffixBefore(k) - slot.suffix) *
-            bucketTable().fracMid[idx];
-        surv = (static_cast<double>(slot.suffix) + partial) /
-            static_cast<double>(total_);
-    } else {
-        below = idx > 0 ? prefixThrough(idx - 1) : 0.0;
-        surv = survivalAtBucketMid(idx);
-    }
-    return below + surv * static_cast<double>(rd - lo + 1);
+    if (present(idx))
+        below = slots_[rank(idx)].before;
+    else if (idx > 0)
+        below = prefixThrough(idx - 1);
+    return below +
+        survivalAtBucketMid(idx) * static_cast<double>(rd - lo + 1);
 }
 
 uint64_t
