@@ -11,7 +11,9 @@
  *  - profile.txt: byte length and CRC32C of the text-serialized and of
  *    the binary (RPPMPRF) profile (test_profile_parallel records it);
  *  - sim.txt: byte length and CRC32C of the hexfloat SimResult dump,
- *    then the %.17g totals (test_sim_parallel records it).
+ *    then the %.17g totals (test_sim_parallel records it);
+ *  - trace.txt: byte length and CRC32C of the synthesized trace's
+ *    RPPMTRC serialization (test_trace_columnar records it).
  *
  * Regenerate a corpus only in a change that alters results on purpose,
  * and say there why every changed line changed. The recorder test of

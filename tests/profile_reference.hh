@@ -9,6 +9,11 @@
  * workload and option set, each holding the byte length and CRC32C of
  * one serialization. This header names the corpus cases, so that the
  * tests and the recorder in test_profile_parallel.cc agree on them.
+ *
+ * The same workloads, once each, make up the trace corpus
+ * tests/golden/trace.txt: one line per workload holding the byte length
+ * and CRC32C of its saveTrace (RPPMTRC) bytes, recorded by
+ * test_trace_columnar.cc.
  */
 
 #ifndef RPPM_TESTS_PROFILE_REFERENCE_HH
@@ -27,6 +32,7 @@
 #include "golden.hh"
 #include "profile/profiler.hh"
 #include "profile/serialize.hh"
+#include "trace/trace_io.hh"
 #include "workload/suite.hh"
 #include "workload/workload.hh"
 
@@ -204,6 +210,58 @@ profileCorpusCases()
         cases.push_back({profileKey("hot-shared", opts_name),
                          hotSharedSpec(), opts});
     return cases;
+}
+
+/** The distinct workloads of profileCorpusCases(), in corpus order:
+ *  the cases of tests/golden/trace.txt. */
+inline std::vector<WorkloadSpec>
+traceCorpusSpecs()
+{
+    std::vector<WorkloadSpec> specs;
+    for (const ProfileCase &c : profileCorpusCases()) {
+        const bool seen = std::any_of(
+            specs.begin(), specs.end(),
+            [&](const WorkloadSpec &s) { return s.name == c.spec.name; });
+        if (!seen)
+            specs.push_back(c.spec);
+    }
+    return specs;
+}
+
+/** Corpus key of workload @p workload in tests/golden/trace.txt. */
+inline std::string
+traceKey(const std::string &workload)
+{
+    return workload + "|rppmtrc";
+}
+
+/** The saveTrace (RPPMTRC) bytes of @p trace. */
+inline std::string
+serializeTraceBytes(const ColumnarTrace &trace)
+{
+    std::stringstream ss;
+    saveTrace(trace, ss);
+    return ss.str();
+}
+
+/** Does the RPPMTRC serialization of @p trace match the trace corpus
+ *  line of workload @p workload? */
+inline ::testing::AssertionResult
+matchesTraceCorpus(const std::string &workload, const ColumnarTrace &trace)
+{
+    static const std::map<std::string, std::string> corpus =
+        golden::load("trace.txt");
+    const std::string key = traceKey(workload);
+    const auto it = corpus.find(key);
+    if (it == corpus.end())
+        return ::testing::AssertionFailure()
+            << "no line for " << key << " in " << golden::path("trace.txt");
+    const std::string got =
+        golden::digest(key, serializeTraceBytes(trace));
+    if (got != it->second)
+        return ::testing::AssertionFailure()
+            << "computed '" << got << "', corpus '" << it->second << "'";
+    return ::testing::AssertionSuccess();
 }
 
 /** Do both serializations of @p profile match the corpus lines of

@@ -5,6 +5,9 @@
  *  - AoS <-> columnar conversion is lossless;
  *  - binary trace serialization round-trips bit-identically and rejects
  *    old-version, truncated and corrupt input cleanly;
+ *  - synthesis at every job count reproduces the committed trace corpus
+ *    tests/golden/trace.txt (byte length and CRC32C of the RPPMTRC
+ *    bytes), which this file also records;
  *  - profileWorkload() (both overloads) produces profiles bit-identical
  *    to the committed corpus tests/golden/profile.txt on every workload
  *    kernel of the suite (byte length and CRC32C of the deterministic
@@ -18,7 +21,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "profile/profiler.hh"
 #include "profile/serialize.hh"
@@ -184,6 +190,57 @@ TEST(TraceIo, RejectsTrailingGarbage)
     bytes += "garbage.";
     std::stringstream in(bytes);
     EXPECT_THROW(loadTrace(in), std::invalid_argument);
+}
+
+// ------------------------------------------ synthesis vs. the corpus ---
+
+TEST(TraceGolden, CorpusCoversEveryCase)
+{
+    // Records tests/golden/trace.txt from the one-job synthesis when
+    // RPPM_GOLDEN_WRITE names it (golden.hh). Otherwise the corpus must
+    // hold exactly the workloads the identity test looks up.
+    const std::vector<WorkloadSpec> specs = traceCorpusSpecs();
+    const std::string target = golden::writePath("trace.txt");
+    if (!target.empty()) {
+        std::vector<std::string> lines;
+        for (const WorkloadSpec &spec : specs) {
+            lines.push_back(golden::digest(
+                traceKey(spec.name),
+                serializeTraceBytes(ColumnarTrace::fromWorkload(
+                    generateWorkload(spec)))));
+        }
+        ASSERT_TRUE(golden::write(
+            target,
+            "# RPPM golden trace corpus: <workload>|rppmtrc then the byte\n"
+            "# length and CRC32C of the synthesized trace's RPPMTRC\n"
+            "# serialization (trace/trace_io.hh).\n"
+            "# Written by tests/test_trace_columnar.cc; see "
+            "tests/golden.hh before regenerating.\n",
+            lines))
+            << "cannot write " << target;
+        return;
+    }
+    const std::map<std::string, std::string> corpus =
+        golden::load("trace.txt");
+    EXPECT_EQ(corpus.size(), specs.size());
+    for (const WorkloadSpec &spec : specs) {
+        EXPECT_EQ(corpus.count(traceKey(spec.name)), 1u)
+            << "no corpus line for " << spec.name;
+    }
+}
+
+TEST(TraceGolden, SynthesisMatchesCorpusForEveryJobCount)
+{
+    // Pins the synthesized trace itself, not only the profiles and
+    // simulations derived from it.
+    for (const WorkloadSpec &spec : traceCorpusSpecs()) {
+        for (const unsigned jobs : {1u, 4u}) {
+            EXPECT_TRUE(matchesTraceCorpus(
+                spec.name, ColumnarTrace::fromWorkload(
+                               generateWorkload(spec, jobs), jobs)))
+                << "jobs=" << jobs;
+        }
+    }
 }
 
 // ------------------------------------------- zero-copy mmap views ---
