@@ -1,7 +1,7 @@
 /**
  * @file
- * Performance micro-harness for the hot path: trace build, columnar
- * conversion, profiling (at one job, at --jobs and chunked), the
+ * Performance micro-harness for the hot path: trace synthesis,
+ * profiling (at one job, at --jobs and chunked), the
  * simulator oracle (sequential columnar vs. parallel engine), single
  * prediction and a full Study sweep-grid evaluation through the
  * memoized component engine, per workload kernel.
@@ -305,12 +305,9 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
         result.rssDeltaKb[metric] = maxRssKb() - rss0;
     };
 
-    WorkloadTrace trace;
-    timed("build", [&] { trace = generateWorkload(spec); });
-    result.ops = trace.totalOps();
-
     ColumnarTrace cols;
-    timed("columnar", [&] { cols = ColumnarTrace::fromWorkload(trace); });
+    timed("build", [&] { cols = synthesizeTrace(spec); });
+    result.ops = cols.totalOps();
 
     // The one-job profile: the engine run serially, in one window.
     WorkloadProfile profile;
@@ -401,7 +398,7 @@ measureKernel(const SuiteEntry &entry, double scale, int repeat,
     const std::vector<MulticoreConfig> sweep = sweepConfigs(spec.numThreads());
     timed("grid_memo", [&] {
         Study study;
-        study.addWorkload(trace)
+        study.addWorkload(cols)
             .addConfigs(sweep)
             .addEvaluator("rppm")
             .jobs(jobs);

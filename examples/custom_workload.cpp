@@ -11,8 +11,8 @@
  *      importing traces from external tools.
  *
  * Both land in one Study as workload sources — a spec directly, a
- * hand-built trace via WorkloadSource — and the grid evaluates all four
- * backends (sim, rppm, main, crit) on each.
+ * hand-built ColumnarTrace via WorkloadSource — and the grid evaluates
+ * all four backends (sim, rppm, main, crit) on each.
  *
  * Build & run:  ./build/examples/custom_workload
  */
@@ -71,7 +71,7 @@ main()
     service.kernel.branchEntropy = 0.08;
 
     // ---- 2. Imperative: hand-built two-thread ping-pong. ----
-    WorkloadTrace pingpong;
+    ColumnarTrace pingpong;
     pingpong.name = "custom-pingpong";
     pingpong.threads.resize(2);
     {

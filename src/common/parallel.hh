@@ -116,6 +116,7 @@ class WorkDeque
     void workerLoop();
 
     unsigned jobs_;
+    // std::mutex: std::condition_variable needs std::unique_lock of it.
     std::mutex mutex_;
     std::condition_variable cv_;
     std::deque<Task> tasks_;

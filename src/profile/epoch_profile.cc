@@ -16,6 +16,11 @@ EpochProfile::freeze()
     for (LogHistogram *h : {&depDist, &localRd, &globalRd, &loadLocalRd,
                             &loadGlobalRd, &instrRd, &loadGap})
         h->freeze();
+    // Snippets grow by push_back while the epoch is open; drop the
+    // growth slack now that none of them can grow further.
+    for (MicroTrace &trace : microTraces)
+        trace.ops.shrink_to_fit();
+    microTraces.shrink_to_fit();
 }
 
 uint64_t

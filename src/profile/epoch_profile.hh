@@ -76,8 +76,9 @@ struct EpochProfile
     /** Mean micro-ops between loads (numOps when the epoch has <2 loads). */
     double meanLoadGap() const;
 
-    /** Freeze every distribution (LogHistogram::freeze): the profiler
-     *  calls this once the epoch is closed. */
+    /** Freeze every distribution (LogHistogram::freeze) and trim the
+     *  micro-traces to their size: the profiler calls this once the
+     *  epoch is closed. */
     void freeze();
 };
 

@@ -113,10 +113,6 @@ WorkloadProfile profileWorkload(const ColumnarTrace &trace,
 WorkloadProfile profileWorkloadStreamingFile(const std::string &path,
                                              const ProfilerOptions &opts = {});
 
-/** AoS convenience overload: converts to columnar form, then profiles. */
-WorkloadProfile profileWorkload(const WorkloadTrace &trace,
-                                const ProfilerOptions &opts = {});
-
 } // namespace rppm
 
 #endif // RPPM_PROFILE_PROFILER_HH

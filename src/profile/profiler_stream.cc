@@ -796,9 +796,11 @@ streamProfile(StreamSource &src, WorkDeque &deque,
                      "taken column length does not match branch count");
         // A thread with no records still owns one (empty) epoch. Its
         // last epoch closes with the thread.
-        if (profile.threads[t].epochs.empty())
-            profile.threads[t].epochs.emplace_back();
-        profile.threads[t].epochs.back().freeze();
+        std::vector<EpochProfile> &epochs = profile.threads[t].epochs;
+        if (epochs.empty())
+            epochs.emplace_back();
+        epochs.back().freeze();
+        epochs.shrink_to_fit();
     }
 
     // --- Phase F: synchronization aggregates (order-independent).
@@ -816,12 +818,6 @@ profileWorkload(const ColumnarTrace &trace, const ProfilerOptions &opts)
     WorkDeque deque(opts.jobs);
     MemorySource src(trace, deque);
     return streamProfile(src, deque, opts, opts.streamChunkRecords);
-}
-
-WorkloadProfile
-profileWorkload(const WorkloadTrace &trace, const ProfilerOptions &opts)
-{
-    return profileWorkload(ColumnarTrace::fromWorkload(trace), opts);
 }
 
 WorkloadProfile

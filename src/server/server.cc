@@ -21,13 +21,14 @@ namespace server {
 
 // ------------------------------------------------------ connection state ---
 
-/** One accepted socket. Writes are serialized by writeMutex; the first
- *  failed write marks the peer dead and later sends become no-ops (a
- *  vanished client must not take the daemon down with it). */
+/** One accepted socket. Frames are written under writeMutex so
+ *  concurrent senders never interleave; the first failed write marks
+ *  the peer dead and later sends become no-ops (a vanished client must
+ *  not take the daemon down with it). */
 struct RppmServer::Connection
 {
-    int fd = -1;
-    std::mutex writeMutex;
+    int fd = -1; ///< set before the connection is shared, const after
+    Mutex writeMutex;
     std::atomic<bool> dead{false};
     /** Admitted requests whose Done/Error has not been delivered yet.
      *  The idle reaper only closes a connection when this is zero, so
@@ -41,10 +42,18 @@ struct RppmServer::Connection
     }
 
     void send(MsgType type, std::string_view payload)
+        RPPM_EXCLUDES(writeMutex)
     {
         if (dead.load(std::memory_order_relaxed))
             return;
-        std::lock_guard<std::mutex> lock(writeMutex);
+        MutexLock lock(writeMutex);
+        writeLocked(type, payload);
+    }
+
+  private:
+    void writeLocked(MsgType type, std::string_view payload)
+        RPPM_REQUIRES(writeMutex)
+    {
         if (dead.load(std::memory_order_relaxed))
             return;
         try {
@@ -185,7 +194,7 @@ RppmServer::stop()
         acceptThread_.join();
     std::vector<std::thread> readers;
     {
-        std::lock_guard<std::mutex> lock(connMutex_);
+        MutexLock lock(connMutex_);
         readers.swap(readers_);
     }
     for (std::thread &t : readers)
@@ -204,7 +213,7 @@ RppmServer::stop()
 
     // 3. Tear down sockets.
     {
-        std::lock_guard<std::mutex> lock(connMutex_);
+        MutexLock lock(connMutex_);
         conns_.clear();
     }
     ::close(listenFd_);
@@ -266,7 +275,7 @@ RppmServer::acceptLoop()
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
         ++connections_;
-        std::lock_guard<std::mutex> lock(connMutex_);
+        MutexLock lock(connMutex_);
         conns_.push_back(conn);
         readers_.emplace_back([this, conn] { serveConnection(conn); });
     }
@@ -350,7 +359,7 @@ RppmServer::resolveWorkload(WorkloadRefKind kind, const std::string &name)
 {
     const std::string key =
         (kind == WorkloadRefKind::SuiteName ? "name:" : "path:") + name;
-    std::lock_guard<std::mutex> lock(artMutex_);
+    MutexLock lock(artMutex_);
     const auto it = artifacts_.find(key);
     if (it != artifacts_.end())
         return it->second;

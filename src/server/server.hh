@@ -57,6 +57,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_annotations.hh"
 #include "rppm/memo.hh"
 #include "server/protocol.hh"
 #include "study/profile_cache.hh"
@@ -144,7 +145,7 @@ class RppmServer
      * stop the workers and close all sockets. Idempotent; called by
      * the destructor if needed.
      */
-    void stop();
+    void stop() RPPM_EXCLUDES(connMutex_);
 
     bool running() const { return running_; }
 
@@ -183,12 +184,13 @@ class RppmServer
         Timeout,
     };
 
-    void acceptLoop();
+    void acceptLoop() RPPM_EXCLUDES(connMutex_);
     void serveConnection(const std::shared_ptr<Connection> &conn);
     void handleRequest(const std::shared_ptr<Connection> &conn,
                        const std::string &payload);
     WorkloadSource resolveWorkload(WorkloadRefKind kind,
-                                   const std::string &name);
+                                   const std::string &name)
+        RPPM_EXCLUDES(artMutex_);
     void enqueue(const std::shared_ptr<RequestState> &req);
     void workerLoop();
     void runCell(const Cell &cell);
@@ -207,17 +209,20 @@ class RppmServer
     std::thread acceptThread_;
     std::vector<std::thread> workers_;
 
-    mutable std::mutex connMutex_;
-    std::vector<std::shared_ptr<Connection>> conns_;
-    std::vector<std::thread> readers_;
+    mutable Mutex connMutex_;
+    std::vector<std::shared_ptr<Connection>> conns_
+        RPPM_GUARDED_BY(connMutex_);
+    std::vector<std::thread> readers_ RPPM_GUARDED_BY(connMutex_);
 
-    mutable std::mutex artMutex_;
-    std::map<std::string, WorkloadSource> artifacts_;
+    mutable Mutex artMutex_;
+    std::map<std::string, WorkloadSource> artifacts_
+        RPPM_GUARDED_BY(artMutex_);
 
     // --- Batch queue. groups_ holds the pending cells of each
     // component-key batch; groupOrder_ fixes FIFO pop order by first
     // arrival. pendingCells_ counts enqueued-but-unfinished cells so
     // stop() can drain.
+    // std::mutex: std::condition_variable needs std::unique_lock of it.
     mutable std::mutex qMutex_;
     std::condition_variable qCv_;
     std::condition_variable drainCv_;

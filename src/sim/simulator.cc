@@ -22,11 +22,4 @@ SimResult::averageCpiStack() const
     return avg;
 }
 
-SimResult
-simulate(const WorkloadTrace &trace, const MulticoreConfig &cfg,
-         const SimOptions &opts)
-{
-    return simulate(ColumnarTrace::fromWorkload(trace), cfg, opts);
-}
-
 } // namespace rppm

@@ -116,14 +116,8 @@ struct SimOptions
  *
  * The simulation is deterministic: same trace + config => same result,
  * for every SimOptions::jobs value. Throws on deadlock (which indicates
- * a malformed trace). The AoS overload converts to the columnar view
- * first; callers that already hold one (e.g. WorkloadSource::columnar())
- * should pass it directly.
+ * a malformed trace).
  */
-SimResult simulate(const WorkloadTrace &trace, const MulticoreConfig &cfg,
-                   const SimOptions &opts = {});
-
-/** As above, driving fetch directly from the columnar view. */
 SimResult simulate(const ColumnarTrace &trace, const MulticoreConfig &cfg,
                    const SimOptions &opts = {});
 

@@ -52,9 +52,8 @@ SimEvaluator::evaluate(const EvalContext &ctx,
                        const MulticoreConfig &cfg) const
 {
     Evaluation result = makeResult(ctx, cfg);
-    // The cached columnar view feeds the simulator's hot engines
-    // directly (and SimOptions::jobs selects the parallel one); results
-    // are byte-identical to the AoS overload.
+    // The source's cached trace feeds the simulator's engines directly
+    // (SimOptions::jobs selects the parallel one).
     result.sim = simulate(ctx.workload.columnar(), cfg, ctx.options.sim);
     result.cycles = result.sim->totalCycles;
     result.seconds = result.sim->totalSeconds;

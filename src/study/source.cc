@@ -13,23 +13,23 @@
 namespace rppm {
 
 /**
- * Immutable-after-publish state. Each lazily built member (trace,
- * columnar view) is initialized exactly once inside its std::once_flag
- * and never written again; std::call_once makes the completed write
- * visible to every subsequent caller, after which reads are lock-free.
- * With profile and trace-build of *distinct* workloads overlapping
- * inside one Study — and the parallel profiler's own pool reading the
- * columnar view from several threads — this is what keeps the source
- * data-race-free without serializing readers behind a mutex
- * (tests/test_profile_parallel.cc hammers it under TSan).
+ * Immutable-after-publish state. The lazily built trace is initialized
+ * exactly once inside its std::once_flag and never written again;
+ * std::call_once makes the completed write visible to every subsequent
+ * caller, after which reads are lock-free. With profile and trace-build
+ * of *distinct* workloads overlapping inside one Study — and the
+ * parallel profiler's own pool reading the trace from several threads —
+ * this is what keeps the source data-race-free without serializing
+ * readers behind a mutex (tests/test_profile_parallel.cc hammers it
+ * under TSan).
  */
 struct WorkloadSource::State
 {
     // Shared-state discipline (thread_annotations.hh has no vocabulary
     // for once_flag publication, so it is spelled out here instead):
     // name/spec/fixedProfile are set in the constructor and const
-    // afterwards; trace and columnar are written exactly once, inside
-    // their std::call_once, and are immutable after it returns. Nothing
+    // afterwards; columnar is written exactly once, inside its
+    // std::call_once, and is immutable after it returns. Nothing
     // here may ever be guarded by a mutex — lock-free reads after
     // publication are the point (see file comment in source.hh).
     std::string name;
@@ -38,9 +38,7 @@ struct WorkloadSource::State
     std::string tracePath; ///< file-backed source; empty otherwise
     uint64_t fileBytes = 0;
 
-    std::once_flag traceOnce;
     std::once_flag columnarOnce;
-    std::optional<WorkloadTrace> trace;    ///< written once in traceOnce
     std::optional<ColumnarTrace> columnar; ///< written once in columnarOnce
 };
 
@@ -49,13 +47,6 @@ WorkloadSource::WorkloadSource(WorkloadSpec spec)
 {
     state_->name = spec.name;
     state_->spec = std::move(spec);
-}
-
-WorkloadSource::WorkloadSource(WorkloadTrace trace)
-    : state_(std::make_shared<State>())
-{
-    state_->name = trace.name;
-    state_->trace = std::move(trace);
 }
 
 WorkloadSource::WorkloadSource(ColumnarTrace trace)
@@ -102,24 +93,26 @@ WorkloadSource::name() const
 bool
 WorkloadSource::hasTrace() const
 {
-    return state_->spec.has_value() || state_->trace.has_value() ||
-        state_->columnar.has_value() || !state_->tracePath.empty();
+    return state_->spec.has_value() || state_->columnar.has_value() ||
+        !state_->tracePath.empty();
 }
 
-const WorkloadTrace &
-WorkloadSource::trace(unsigned jobs) const
+const ColumnarTrace &
+WorkloadSource::columnar(unsigned jobs) const
 {
+    // The member is immutable once its call_once returns, so the
+    // reference stays valid forever. An exception inside call_once
+    // (profile-only source) leaves the flag unset, so every caller
+    // observes the same failure.
     State &s = *state_;
-    // An exception inside call_once (profile-only source) leaves the
-    // flag unset, so every caller observes the same failure.
-    std::call_once(s.traceOnce, [&] {
-        if (s.trace)
+    std::call_once(s.columnarOnce, [&] {
+        if (s.columnar)
             return; // trace-backed source: published at construction
-        if (s.columnar || !s.tracePath.empty()) {
-            // Columnar- or file-backed source: reconstruct the AoS form
-            // from the columnar view (the conversion is lossless in
-            // both directions; columnar() maps the file if needed).
-            s.trace = columnar(jobs).toWorkload();
+        if (!s.tracePath.empty()) {
+            // File-backed source whose consumer needs the in-memory
+            // trace: a zero-copy mmap view keeps the page cache as the
+            // backing store.
+            s.columnar = loadTraceViewFromFile(s.tracePath);
             return;
         }
         if (!s.spec) {
@@ -127,28 +120,7 @@ WorkloadSource::trace(unsigned jobs) const
                 "WorkloadSource '" + s.name +
                 "' is profile-only: no trace available");
         }
-        s.trace = generateWorkload(*s.spec, jobs);
-    });
-    return *s.trace;
-}
-
-const ColumnarTrace &
-WorkloadSource::columnar(unsigned jobs) const
-{
-    // Both members are immutable once their call_once returns, so the
-    // references stay valid forever.
-    State &s = *state_;
-    std::call_once(s.columnarOnce, [&] {
-        if (s.columnar)
-            return; // columnar-backed source: published at construction
-        if (!s.tracePath.empty()) {
-            // File-backed source whose consumer needs the in-memory
-            // view: a zero-copy mmap view keeps the page cache as the
-            // backing store.
-            s.columnar = loadTraceViewFromFile(s.tracePath);
-            return;
-        }
-        s.columnar = ColumnarTrace::fromWorkload(trace(jobs), jobs);
+        s.columnar = synthesizeTrace(*s.spec, jobs);
     });
     return *s.columnar;
 }

@@ -3,16 +3,17 @@
  * Workload sources for Study evaluation.
  *
  * A WorkloadSource is the facade's handle on "one workload", however it
- * was described: a synthetic WorkloadSpec (trace generated lazily), a
- * ready-made WorkloadTrace (e.g. hand-built or imported), or a bare
- * WorkloadProfile (profile-only — the analytical evaluators work, the
- * trace-consuming ones don't). Sources are cheap copyable handles onto
- * shared state with *immutable-after-publish* semantics: the trace and
- * its columnar view are each built exactly once under a std::once_flag
- * and never mutated afterwards, so any number of Study workers (and the
- * parallel profiler's own worker pool) can read them concurrently
- * without locks — ThreadSanitizer-clean by test. Profiles are produced
- * through the study's ProfileCache.
+ * was described: a synthetic WorkloadSpec (trace synthesized lazily), a
+ * ready-made ColumnarTrace (hand-built, converted or an mmap'd view), an
+ * RPPMTRC file, or a bare WorkloadProfile (profile-only — the
+ * analytical evaluators work, the trace-consuming ones don't). A source
+ * holds exactly one trace, its columns, which the profiler and the
+ * simulator both read. Sources are cheap copyable handles onto shared
+ * state with *immutable-after-publish* semantics: the trace is built
+ * exactly once under a std::once_flag and never mutated afterwards, so
+ * any number of Study workers (and the parallel profiler's own worker
+ * pool) can read it concurrently without locks — ThreadSanitizer-clean
+ * by test. Profiles are produced through the study's ProfileCache.
  */
 
 #ifndef RPPM_STUDY_SOURCE_HH
@@ -25,7 +26,6 @@
 #include "profile/epoch_profile.hh"
 #include "profile/profiler.hh"
 #include "trace/columnar.hh"
-#include "trace/trace.hh"
 #include "workload/workload.hh"
 
 namespace rppm {
@@ -47,18 +47,14 @@ constexpr uint64_t kStreamFileBytesThreshold = uint64_t{256} << 20;
 class WorkloadSource
 {
   public:
-    /** Source backed by a spec; the trace is generated on first use. */
+    /** Source backed by a spec; the trace is synthesized on first use. */
     explicit WorkloadSource(WorkloadSpec spec);
 
-    /** Source backed by an existing trace. */
-    explicit WorkloadSource(WorkloadTrace trace);
-
     /**
-     * Source backed by an existing columnar trace — e.g. a zero-copy
-     * mmap view from loadTraceView(); borrowed storage stays borrowed
-     * (the trace carries its own file-image keepalive), so profiling
-     * such a source reads straight out of the page cache. The AoS view
-     * is reconstructed lazily only if a consumer asks for trace().
+     * Source backed by an existing trace — e.g. a zero-copy mmap view
+     * from loadTraceView(); borrowed storage stays borrowed (the trace
+     * carries its own file-image keepalive), so profiling such a source
+     * reads straight out of the page cache.
      */
     explicit WorkloadSource(ColumnarTrace trace);
 
@@ -71,8 +67,7 @@ class WorkloadSource
      * surface immediately) and records its size. profile() streams the
      * file out-of-core when it is large (>= kStreamFileBytesThreshold)
      * or when opts.streamChunkRecords asks for it; only consumers that
-     * need the in-memory views (trace()/columnar()) materialize the
-     * trace, lazily. Throws std::invalid_argument on a malformed file.
+     * need the in-memory trace (columnar()) map it, lazily. Throws std::invalid_argument on a malformed file.
      */
     static WorkloadSource fromTraceFile(const std::string &path);
 
@@ -83,19 +78,11 @@ class WorkloadSource
     bool hasTrace() const;
 
     /**
-     * The workload trace, generating it from the spec on first call
-     * (on up to @p jobs synthesis workers; 0 = all hardware threads —
-     * the trace is bit-identical for every job count, so concurrent
-     * callers with different values are fine). Thread-safe,
-     * immutable-after-publish; throws std::logic_error on a
-     * profile-only source.
-     */
-    const WorkloadTrace &trace(unsigned jobs = 1) const;
-
-    /**
-     * The columnar view of the trace, built (and cached) on first call —
-     * the representation the in-memory profiler consumes, so a Study grid
-     * converts each workload at most once. Thread-safe,
+     * The workload trace, synthesized from the spec (on up to @p jobs
+     * workers; 0 = all hardware threads — the trace is bit-identical
+     * for every job count, so concurrent callers with different values
+     * are fine) or mapped from the file on first call, so a Study grid
+     * builds each workload's trace at most once. Thread-safe,
      * immutable-after-publish; throws std::logic_error on a
      * profile-only source.
      */

@@ -242,7 +242,7 @@ Study::addWorkload(const SuiteEntry &entry)
 }
 
 Study &
-Study::addWorkload(WorkloadTrace trace)
+Study::addWorkload(ColumnarTrace trace)
 {
     return add(WorkloadSource(std::move(trace)));
 }
@@ -412,7 +412,7 @@ Study::run()
         if (!source.hasTrace())
             return;
         if (anyTraceUser)
-            source.trace(options_.profiler.jobs);
+            source.columnar(options_.profiler.jobs);
         if (anyProfileUser)
             source.profile(options_.profiler, cache_);
     });

@@ -115,7 +115,7 @@ class Study
     Study &add(WorkloadSource source);
     Study &addWorkload(const WorkloadSpec &spec);
     Study &addWorkload(const SuiteEntry &entry);
-    Study &addWorkload(WorkloadTrace trace);
+    Study &addWorkload(ColumnarTrace trace);
     Study &addWorkload(WorkloadProfile profile);
     Study &addSuite(const std::vector<SuiteEntry> &entries);
 

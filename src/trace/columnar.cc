@@ -4,6 +4,7 @@
 
 #include "common/assert.hh"
 #include "common/parallel.hh"
+#include "trace/trace_builder.hh"
 
 namespace rppm {
 
@@ -78,12 +79,6 @@ ColumnarTrace::countSync(SyncType type) const
 }
 
 ColumnarTrace
-ColumnarTrace::fromWorkload(const WorkloadTrace &trace)
-{
-    return fromWorkload(trace, 1);
-}
-
-ColumnarTrace
 ColumnarTrace::fromWorkload(const WorkloadTrace &trace, unsigned jobs)
 {
     ColumnarTrace out;
@@ -94,33 +89,9 @@ ColumnarTrace::fromWorkload(const WorkloadTrace &trace, unsigned jobs)
     // for every job count.
     ParallelExecutor pool(jobs);
     pool.forEach(trace.threads.size(), [&](size_t tid) {
-        const auto &records = trace.threads[tid].records;
-        ThreadColumns &cols = out.threads[tid];
-        cols.op.reserve(records.size());
-        cols.pc.reserve(records.size());
-        cols.dep1.reserve(records.size());
-        cols.dep2.reserve(records.size());
-        for (size_t i = 0; i < records.size(); ++i) {
-            const TraceRecord &rec = records[i];
-            if (rec.isSync()) {
-                cols.op.push_back(OpClass::IntAlu);
-                cols.pc.push_back(0);
-                cols.dep1.push_back(0);
-                cols.dep2.push_back(0);
-                cols.syncPos.push_back(i);
-                cols.syncType.push_back(rec.sync);
-                cols.syncArg.push_back(rec.syncArg);
-                continue;
-            }
-            cols.op.push_back(rec.op);
-            cols.pc.push_back(rec.pc);
-            cols.dep1.push_back(rec.dep1);
-            cols.dep2.push_back(rec.dep2);
-            if (isMemory(rec.op))
-                cols.addr.push_back(rec.addr);
-            else if (rec.op == OpClass::Branch)
-                cols.taken.push_back(rec.taken ? 1 : 0);
-        }
+        ThreadTraceBuilder builder(out.threads[tid]);
+        for (const TraceRecord &rec : trace.threads[tid].records)
+            builder.record(rec);
     });
     return out;
 }

@@ -1,13 +1,13 @@
 /**
  * @file
- * Columnar (structure-of-arrays) trace representation.
+ * Columnar (structure-of-arrays) trace representation: the one form a
+ * trace takes from synthesis through the profiler, the simulator, the
+ * RPPMTRC file format and the daemon.
  *
- * The AoS TraceRecord is convenient for authoring (trace_builder) and for
- * the cycle-level simulator, but it is a poor fit for the profiler — the
- * hottest loop in the repository — which streams through billions of
- * records touching only a couple of fields per record kind. ColumnarTrace
- * stores each field as its own column, and the fields that only exist for
- * a subset of records are stored *sparsely*:
+ * The profiler, the hottest loop in the repository, streams through
+ * billions of records touching only a couple of fields per record kind.
+ * ColumnarTrace stores each field as its own column, and the fields
+ * that only exist for a subset of records are stored *sparsely*:
  *
  *   dense  (one entry per record):  op, pc, dep1, dep2
  *   sparse (one entry per subset):  addr  (memory records, in order)
@@ -18,13 +18,15 @@
  * whether record i is a sync event is answered by syncPos, which also
  * lets a sequential consumer process the run of micro-ops up to the next
  * sync event without any per-record branching. A typical record costs
- * ~9 bytes here versus 24 in the AoS form, and structural validation plus
- * barrier-population discovery read only the sparse sync columns instead
- * of re-walking the whole trace.
+ * ~9 bytes here versus 24 in the AoS TraceRecord, and structural
+ * validation plus barrier-population discovery read only the sparse
+ * sync columns instead of re-walking the whole trace.
  *
- * ColumnCursor provides the sequential view (the only access pattern the
- * profiler needs); toWorkload()/fromWorkload() convert to and from the
- * AoS form losslessly.
+ * Records are appended through ThreadTraceBuilder (trace_builder.hh),
+ * the one place that encodes a record into columns. ColumnCursor
+ * provides the sequential view (the only access pattern the profiler
+ * needs); toWorkload()/fromWorkload() convert to and from the AoS form
+ * losslessly, for tests that assert on individual records.
  */
 
 #ifndef RPPM_TRACE_COLUMNAR_HH
@@ -155,8 +157,12 @@ class ColumnCursor
 };
 
 /**
- * A complete multi-threaded workload trace in columnar form. Semantically
- * identical to WorkloadTrace (thread 0 is main, etc.); see trace.hh.
+ * A complete multi-threaded workload trace in columnar form.
+ *
+ * Thread 0 is the main thread (exists at program start); all other
+ * threads must be started by a ThreadCreate record and are typically
+ * joined before the main thread finishes. The region of interest is the
+ * whole trace.
  */
 struct ColumnarTrace
 {
@@ -190,23 +196,22 @@ struct ColumnarTrace
     /** Count of dynamic sync events of @p type across all threads. */
     uint64_t countSync(SyncType type) const;
 
-    /** Lossless conversion from the AoS form. */
-    static ColumnarTrace fromWorkload(const WorkloadTrace &trace);
-
-    /** Convert on up to @p jobs worker threads (0 = all hardware
-     *  threads), one task per trace thread; the columnar view is
-     *  identical for every job count. */
+    /** Lossless conversion from the AoS form, on up to @p jobs worker
+     *  threads (0 = all hardware threads), one task per trace thread;
+     *  the columns are identical for every job count. */
     static ColumnarTrace fromWorkload(const WorkloadTrace &trace,
-                                      unsigned jobs);
+                                      unsigned jobs = 1);
 
     /** Lossless conversion back to the AoS form. */
     WorkloadTrace toWorkload() const;
 
     /**
-     * Validate the same structural invariants as WorkloadTrace::validate()
-     * and return the barrier populations, in one sweep over the *sparse
-     * sync columns only* — O(sync events), not O(records). Throws
-     * std::invalid_argument on violation.
+     * Validate the structural invariants (every non-main thread with
+     * records is created exactly once, by ThreadCreate in some thread;
+     * created threads are joined at most once; mutex lock/unlock pairs
+     * are balanced per thread) and return the barrier populations, in
+     * one sweep over the *sparse sync columns only* — O(sync events),
+     * not O(records). Throws std::invalid_argument on violation.
      */
     std::unordered_map<uint32_t, uint32_t> validateAndBarrierPopulations()
         const;

@@ -1,9 +1,5 @@
 #include "trace/trace.hh"
 
-#include <map>
-
-#include "common/assert.hh"
-
 namespace rppm {
 
 const char *
@@ -38,91 +34,6 @@ syncTypeName(SyncType type)
       case SyncType::QueuePop:     return "QueuePop";
       case SyncType::CondMarker:   return "CondMarker";
       default:                     return "Unknown";
-    }
-}
-
-uint64_t
-ThreadTrace::numOps() const
-{
-    uint64_t n = 0;
-    for (const auto &rec : records) {
-        if (!rec.isSync())
-            ++n;
-    }
-    return n;
-}
-
-uint64_t
-WorkloadTrace::totalOps() const
-{
-    uint64_t n = 0;
-    for (const auto &t : threads)
-        n += t.numOps();
-    return n;
-}
-
-uint64_t
-WorkloadTrace::countSync(SyncType type) const
-{
-    uint64_t n = 0;
-    for (const auto &t : threads) {
-        for (const auto &rec : t.records) {
-            if (rec.sync == type)
-                ++n;
-        }
-    }
-    return n;
-}
-
-void
-WorkloadTrace::validate() const
-{
-    RPPM_REQUIRE(!threads.empty(), "workload has no threads");
-
-    std::vector<int> created(threads.size(), 0);
-    std::vector<int> joined(threads.size(), 0);
-    created[0] = 1; // main thread exists at startup
-
-    for (size_t tid = 0; tid < threads.size(); ++tid) {
-        std::map<uint32_t, int> lock_depth;
-        for (const auto &rec : threads[tid].records) {
-            switch (rec.sync) {
-              case SyncType::ThreadCreate:
-                RPPM_REQUIRE(rec.syncArg < threads.size(),
-                             "create of unknown thread");
-                RPPM_REQUIRE(rec.syncArg != 0, "cannot create main thread");
-                ++created[rec.syncArg];
-                break;
-              case SyncType::ThreadJoin:
-                RPPM_REQUIRE(rec.syncArg < threads.size(),
-                             "join of unknown thread");
-                ++joined[rec.syncArg];
-                break;
-              case SyncType::MutexLock:
-                ++lock_depth[rec.syncArg];
-                RPPM_REQUIRE(lock_depth[rec.syncArg] == 1,
-                             "recursive mutex lock");
-                break;
-              case SyncType::MutexUnlock:
-                --lock_depth[rec.syncArg];
-                RPPM_REQUIRE(lock_depth[rec.syncArg] == 0,
-                             "unlock of unheld mutex");
-                break;
-              default:
-                break;
-            }
-        }
-        for (const auto &[id, depth] : lock_depth) {
-            RPPM_REQUIRE(depth == 0, "mutex held at thread exit");
-        }
-    }
-
-    for (size_t tid = 1; tid < threads.size(); ++tid) {
-        if (!threads[tid].records.empty()) {
-            RPPM_REQUIRE(created[tid] == 1,
-                         "thread with records must be created exactly once");
-        }
-        RPPM_REQUIRE(joined[tid] <= 1, "thread joined more than once");
     }
 }
 

@@ -1,14 +1,22 @@
 /**
  * @file
- * Micro-op trace representation.
+ * Micro-op trace vocabulary: op classes, sync event types and the
+ * record a trace is made of.
  *
- * A workload is a set of per-thread traces of TraceRecords. A record is
- * either a micro-op (with op class, PC, dependence distances and, for
- * memory ops, an address) or a synchronization event. Traces are the
- * common substrate of the whole repository: the multicore simulator
- * executes them with timing, and the RPPM profiler observes them to build
+ * A workload is a set of per-thread record streams. A record is either
+ * a micro-op (with op class, PC, dependence distances and, for memory
+ * ops, an address) or a synchronization event. Traces are the common
+ * substrate of the whole repository: the multicore simulator executes
+ * them with timing, and the RPPM profiler observes them to build
  * microarchitecture-independent profiles — exactly the role the dynamic
  * instruction stream plays for Pin in the paper.
+ *
+ * Every consumer reads the columnar form (trace/columnar.hh), and
+ * records are encoded into it by ThreadTraceBuilder
+ * (trace/trace_builder.hh). TraceRecord is the builder's argument; the
+ * AoS containers ThreadTrace and WorkloadTrace below exist only as the
+ * lossless record-by-record view ColumnarTrace::toWorkload() returns,
+ * for tests that assert on individual records.
  */
 
 #ifndef RPPM_TRACE_TRACE_HH
@@ -100,42 +108,19 @@ struct TraceRecord
     bool isBranch() const { return !isSync() && op == OpClass::Branch; }
 };
 
-/** A single thread's dynamic stream. */
+/** A single thread's dynamic stream, record by record. */
 struct ThreadTrace
 {
     std::vector<TraceRecord> records;
-
-    /** Number of micro-ops (sync records excluded). */
-    uint64_t numOps() const;
 };
 
-/**
- * A complete multi-threaded workload trace.
- *
- * Thread 0 is the main thread (exists at program start); all other threads
- * must be started by a ThreadCreate record and are typically joined before
- * the main thread finishes. The region of interest is the whole trace.
- */
+/** A multi-threaded trace, record by record (see file comment). */
 struct WorkloadTrace
 {
     std::string name;
     std::vector<ThreadTrace> threads;
 
     size_t numThreads() const { return threads.size(); }
-
-    /** Total micro-ops across all threads. */
-    uint64_t totalOps() const;
-
-    /** Count of dynamic sync events of @p type across all threads. */
-    uint64_t countSync(SyncType type) const;
-
-    /**
-     * Validate structural invariants: every non-main thread is created
-     * exactly once by a lower-numbered thread before any of its records
-     * can run; mutex lock/unlock pairs are balanced per thread; created
-     * threads are joined at most once. Throws on violation.
-     */
-    void validate() const;
 };
 
 } // namespace rppm

@@ -3,68 +3,23 @@
 namespace rppm {
 
 void
-ThreadTraceBuilder::push(TraceRecord rec)
+ThreadTraceBuilder::record(const TraceRecord &rec)
 {
-    trace_.records.push_back(rec);
-    if (!rec.isSync())
-        ++ops_;
-}
-
-void
-ThreadTraceBuilder::op(OpClass cls, uint32_t pc, uint16_t dep1, uint16_t dep2)
-{
-    TraceRecord rec;
-    rec.op = cls;
-    rec.pc = pc;
-    rec.dep1 = dep1;
-    rec.dep2 = dep2;
-    push(rec);
-}
-
-void
-ThreadTraceBuilder::load(uint64_t addr, uint32_t pc,
-                         uint16_t dep1, uint16_t dep2)
-{
-    TraceRecord rec;
-    rec.op = OpClass::Load;
-    rec.pc = pc;
-    rec.addr = addr;
-    rec.dep1 = dep1;
-    rec.dep2 = dep2;
-    push(rec);
-}
-
-void
-ThreadTraceBuilder::store(uint64_t addr, uint32_t pc,
-                          uint16_t dep1, uint16_t dep2)
-{
-    TraceRecord rec;
-    rec.op = OpClass::Store;
-    rec.pc = pc;
-    rec.addr = addr;
-    rec.dep1 = dep1;
-    rec.dep2 = dep2;
-    push(rec);
-}
-
-void
-ThreadTraceBuilder::branch(uint32_t pc, bool taken, uint16_t dep1)
-{
-    TraceRecord rec;
-    rec.op = OpClass::Branch;
-    rec.pc = pc;
-    rec.taken = taken;
-    rec.dep1 = dep1;
-    push(rec);
-}
-
-void
-ThreadTraceBuilder::sync(SyncType type, uint32_t arg)
-{
-    TraceRecord rec;
-    rec.sync = type;
-    rec.syncArg = arg;
-    push(rec);
+    if (rec.isSync()) {
+        cols_.syncPos.push_back(cols_.numRecords());
+        cols_.syncType.push_back(rec.sync);
+        cols_.syncArg.push_back(rec.syncArg);
+    } else if (isMemory(rec.op)) {
+        cols_.addr.push_back(rec.addr);
+    } else if (rec.op == OpClass::Branch) {
+        cols_.taken.push_back(rec.taken ? 1 : 0);
+    }
+    // Sync slots carry neutral dense values (IntAlu, pc 0, deps 0).
+    const bool sync = rec.isSync();
+    cols_.op.push_back(sync ? OpClass::IntAlu : rec.op);
+    cols_.pc.push_back(sync ? 0 : rec.pc);
+    cols_.dep1.push_back(sync ? 0 : rec.dep1);
+    cols_.dep2.push_back(sync ? 0 : rec.dep2);
 }
 
 } // namespace rppm

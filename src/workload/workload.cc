@@ -110,7 +110,7 @@ namespace {
 /** Emit one worker thread's full stream (tid = w + 1). */
 void
 generateWorkerThread(const WorkloadSpec &spec, uint32_t w, Rng rng,
-                     ThreadTrace &out)
+                     ThreadColumns &out)
 {
     const uint32_t participants = spec.numWorkers + (spec.mainWorks ? 1 : 0);
     const uint32_t tid = w + 1;
@@ -140,7 +140,7 @@ generateWorkerThread(const WorkloadSpec &spec, uint32_t w, Rng rng,
 
 /** Emit the main thread's full stream (tid 0). */
 void
-generateMainThread(const WorkloadSpec &spec, Rng rng, ThreadTrace &out)
+generateMainThread(const WorkloadSpec &spec, Rng rng, ThreadColumns &out)
 {
     const uint32_t participants = spec.numWorkers + (spec.mainWorks ? 1 : 0);
     ThreadTraceBuilder builder(out);
@@ -175,19 +175,13 @@ generateMainThread(const WorkloadSpec &spec, Rng rng, ThreadTrace &out)
 
 } // namespace
 
-WorkloadTrace
-generateWorkload(const WorkloadSpec &spec)
-{
-    return generateWorkload(spec, 1);
-}
-
-WorkloadTrace
-generateWorkload(const WorkloadSpec &spec, unsigned jobs)
+ColumnarTrace
+synthesizeTrace(const WorkloadSpec &spec, unsigned jobs)
 {
     RPPM_REQUIRE(spec.numWorkers >= 1, "need at least one worker");
     const uint32_t num_threads = spec.numThreads();
 
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.name = spec.name;
     trace.threads.resize(num_threads);
 
@@ -216,8 +210,14 @@ generateWorkload(const WorkloadSpec &spec, unsigned jobs)
         }
     });
 
-    trace.validate();
+    trace.validateAndBarrierPopulations();
     return trace;
+}
+
+WorkloadTrace
+generateWorkload(const WorkloadSpec &spec, unsigned jobs)
+{
+    return synthesizeTrace(spec, jobs).toWorkload();
 }
 
 WorkloadSpec

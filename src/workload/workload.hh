@@ -6,9 +6,9 @@
  * sequential init/finalization by the main thread, thread creation and
  * join, barrier-delimited parallel epochs (classic OpenMP-style barriers
  * or condvar-implemented pthread barriers), critical sections, and
- * producer-consumer condvar queues. The generator turns a spec into a
- * deterministic WorkloadTrace — the stand-in for running a real Rodinia
- * or Parsec binary.
+ * producer-consumer condvar queues. synthesizeTrace() turns a spec into
+ * a deterministic ColumnarTrace — the stand-in for running a real
+ * Rodinia or Parsec binary.
  */
 
 #ifndef RPPM_WORKLOAD_WORKLOAD_HH
@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "trace/columnar.hh"
 #include "trace/trace.hh"
 #include "workload/kernel.hh"
 
@@ -72,16 +73,18 @@ struct WorkloadSpec
     uint64_t approxTotalOps() const;
 };
 
-/** Generate the deterministic trace for @p spec. */
-WorkloadTrace generateWorkload(const WorkloadSpec &spec);
-
 /**
- * Generate the trace on up to @p jobs worker threads (0 = all hardware
- * threads), one per workload thread stream. The per-thread RNG streams
- * are forked up front in the sequential generator's order, so the
- * resulting trace is bit-identical for every job count.
+ * Synthesize the deterministic trace for @p spec on up to @p jobs
+ * worker threads (0 = all hardware threads), one per workload thread
+ * stream. The per-thread RNG streams are forked up front in a fixed
+ * order, so the trace is bit-identical for every job count. Throws
+ * std::invalid_argument on a spec without workers.
  */
-WorkloadTrace generateWorkload(const WorkloadSpec &spec, unsigned jobs);
+ColumnarTrace synthesizeTrace(const WorkloadSpec &spec, unsigned jobs = 1);
+
+/** The same trace as its AoS record view:
+ *  synthesizeTrace(spec, jobs).toWorkload(). */
+WorkloadTrace generateWorkload(const WorkloadSpec &spec, unsigned jobs = 1);
 
 /**
  * The Table-I style microbenchmark: @p threads threads iterating a loop

@@ -294,8 +294,7 @@ TEST_F(Chaos, FlippedByteInTracePayloadFailsEveryReader)
 {
     const TempDir dir("flip");
     const std::string path = dir.file("trace.rppmtrc");
-    const ColumnarTrace trace =
-        ColumnarTrace::fromWorkload(generateWorkload(chaosSpec("flip")));
+    const ColumnarTrace trace = synthesizeTrace(chaosSpec("flip"));
     saveTraceToFile(trace, path);
 
     // Aim inside a known column payload via the layout index so the
@@ -342,8 +341,7 @@ TEST_F(Chaos, StreamingIndexVerifiesUnderInjectedShortReads)
 {
     const TempDir dir("shortread");
     const std::string path = dir.file("trace.rppmtrc");
-    const ColumnarTrace trace = ColumnarTrace::fromWorkload(
-        generateWorkload(chaosSpec("shortread")));
+    const ColumnarTrace trace = synthesizeTrace(chaosSpec("shortread"));
     saveTraceToFile(trace, path);
 
     // Injected short preads perturb the syscall pattern, not the bytes:
@@ -359,8 +357,7 @@ TEST_F(Chaos, LegacyVersion1TraceStillLoads)
 {
     const TempDir dir("legacy");
     const std::string path = dir.file("legacy.rppmtrc");
-    const ColumnarTrace trace = ColumnarTrace::fromWorkload(
-        generateWorkload(chaosSpec("legacy")));
+    const ColumnarTrace trace = synthesizeTrace(chaosSpec("legacy"));
 
     // Craft a pre-checksum version-1 image: same layout, no trailers.
     BinWriter out(kTraceMagic, 1, /*block_crcs=*/false);
@@ -411,7 +408,7 @@ TEST_F(Chaos, ProfileCacheQuarantinesTornArtifactAndSelfHeals)
 {
     const TempDir dir("heal");
     const WorkloadSpec spec = chaosSpec("chaos-heal");
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     int computations = 0;
     const auto compute = [&] {
         ++computations;
@@ -457,7 +454,7 @@ TEST_F(Chaos, ProfileCacheDegradesToMemoryOnEnospc)
 {
     const TempDir dir("cachespc");
     const WorkloadSpec spec = chaosSpec("chaos-enospc");
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const auto compute = [&] { return profileWorkload(trace); };
 
     // ENOSPC during the write-back: the study must still get its
@@ -496,8 +493,7 @@ TEST_F(Chaos, DaemonByteIdenticalToLocalUnderBenignFaultPlan)
     // profiler) plus a suite kernel, referenced fault-free first.
     const TempDir dir("daemon");
     WorkloadSpec spec = chaosSpec("chaos-daemon");
-    const ColumnarTrace trace =
-        ColumnarTrace::fromWorkload(generateWorkload(spec));
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const std::string tracePath = dir.file("chaos.rppmtrc");
     saveTraceToFile(trace, tracePath);
     const std::vector<MulticoreConfig> configs = tableIvConfigs();

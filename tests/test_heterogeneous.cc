@@ -61,7 +61,7 @@ TEST(HeterogeneousEquivalence, AllIdenticalCoresMatchUniformEverywhere)
     const MulticoreConfig uniform = baseConfig();
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = shrink(entry.spec);
-        const WorkloadTrace trace = generateWorkload(spec);
+        const ColumnarTrace trace = synthesizeTrace(spec);
         const WorkloadProfile prof = profileWorkload(trace);
 
         MulticoreConfig het = uniform;
@@ -104,7 +104,7 @@ TEST(HeterogeneousEquivalence, AllIdenticalCoresMatchUniformEverywhere)
 TEST(HeterogeneousEquivalence, MappingPermutationInvariantOnSymmetricCores)
 {
     const WorkloadSpec spec = shrink(parsecSuite()[0].spec); // blackscholes
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
 
     const MulticoreConfig base = baseConfig();
@@ -225,7 +225,7 @@ TEST(HeterogeneousConfig, MappingSweepDeduplicatesSymmetricPlacements)
 TEST(HeterogeneousPrediction, LittleCoresAreSlower)
 {
     WorkloadSpec spec = shrink(rodiniaSuite()[0].spec); // backprop
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
 
     const MulticoreConfig bl = bigLittleConfig(2, 2);
@@ -256,7 +256,7 @@ TEST(HeterogeneousPrediction, LittleCoresAreSlower)
 TEST(HeterogeneousPrediction, DvfsSlowdownShowsUpInSeconds)
 {
     WorkloadSpec spec = shrink(rodiniaSuite()[4].spec); // hotspot
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
 
     const MulticoreConfig base = baseConfig();

@@ -51,7 +51,7 @@ struct PipelineResult
 PipelineResult
 runPipeline(const WorkloadSpec &spec, const MulticoreConfig &cfg)
 {
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     PipelineResult result;
     result.sim = simulate(trace, cfg);
@@ -115,7 +115,7 @@ TEST(Integration, ProfileOncePredictMany)
     // One profile drives predictions across the full Table-IV space and
     // they remain sane versus per-config simulation.
     WorkloadSpec spec = shrink(rodiniaSuite()[0].spec, 40); // backprop
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     for (const MulticoreConfig &cfg : tableIvConfigs()) {
         const SimResult sim = simulate(trace, cfg);
@@ -134,7 +134,7 @@ TEST(Integration, PredictionTracksArchitectureTrend)
     WorkloadSpec spec = barrierLoopSpec(4, 6, 5000);
     spec.kernel.chainFrac = 0.05;
     spec.kernel.depMean = 40.0;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     const auto configs = tableIvConfigs();
     const SimResult sim_small = simulate(trace, configs.front());
@@ -153,7 +153,7 @@ TEST(Integration, BottlegraphShapeMatchesSim)
     const auto entry = findBenchmark("Freqmine");
     ASSERT_TRUE(entry.has_value());
     const WorkloadSpec spec = shrink(entry->spec);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     const SimResult sim = simulate(trace, baseConfig());
     const RppmPrediction pred = predict(prof, baseConfig());
@@ -218,7 +218,7 @@ TEST_P(SuiteAccuracyTest, RppmWithinBoundsEverywhere)
     const auto suite = fullSuite();
     const SuiteEntry entry = suite[static_cast<size_t>(GetParam())];
     const WorkloadSpec spec = shrink(entry.spec, 30);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile profile = profileWorkload(trace);
 
     const auto configs = tableIvConfigs();
@@ -298,7 +298,7 @@ TEST(Integration, PredictionMuchFasterThanSimulation)
 {
     // The "R" in RPPM: model evaluation must beat simulation wall-clock.
     WorkloadSpec spec = shrink(rodiniaSuite()[5].spec, 10); // kmeans
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
 
     const auto t0 = std::chrono::steady_clock::now();

@@ -200,7 +200,7 @@ TEST(PredictEpoch, StackTotalEqualsCycles)
 {
     WorkloadSpec spec = barrierLoopSpec(2, 3, 5000);
     spec.kernel.sharedFrac = 0.2;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     for (const auto &thread : prof.threads) {
         for (const auto &epoch : thread.epochs) {
@@ -215,7 +215,7 @@ TEST(PredictEpoch, MlpReportedInBounds)
 {
     WorkloadSpec spec = barrierLoopSpec(2, 2, 8000);
     spec.kernel.privateBytes = 32 << 20; // streaming: DRAM misses
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     const MulticoreConfig cfg = baseConfig();
     for (const auto &epoch : prof.threads[1].epochs) {
@@ -242,7 +242,7 @@ TEST_P(EpochSanityTest, AllEpochsFiniteOnAllConfigs)
     spec.numEpochs = std::min<uint32_t>(spec.numEpochs, 6);
     spec.queueItems = std::min<uint32_t>(spec.queueItems, 12);
     spec.initOps /= 20;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     for (const MulticoreConfig &cfg : tableIvConfigs()) {
         for (const auto &thread : prof.threads) {

@@ -132,11 +132,11 @@ class AblationTest : public ::testing::Test
         spec.kernel.privateBytes = 4 << 20;
         spec.kernel.branchEntropy = 0.2;
         spec.kernel.fracBranch = 0.15;
-        trace_ = generateWorkload(spec);
+        trace_ = synthesizeTrace(spec);
         profile_ = profileWorkload(trace_);
     }
 
-    WorkloadTrace trace_;
+    ColumnarTrace trace_;
     WorkloadProfile profile_;
 };
 
@@ -319,7 +319,7 @@ TEST(BusContention, SimulatorSlowsUnderLimitedBandwidth)
     WorkloadSpec spec = barrierLoopSpec(4, 4, 8000);
     spec.kernel.privateBytes = 32 << 20; // streams to DRAM
     spec.kernel.fracLoad = 0.35;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     MulticoreConfig free_bus = baseConfig();
     MulticoreConfig tight_bus = baseConfig();
     tight_bus.memBusCycles = 32; // each transfer occupies the bus
@@ -334,7 +334,7 @@ TEST(BusContention, ComputeBoundWorkloadUnaffected)
     spec.kernel.privateBytes = 8 << 10; // L1-resident
     spec.kernel.reuseFrac = 0.8;
     spec.kernel.fracLoad = 0.1;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     MulticoreConfig tight_bus = baseConfig();
     tight_bus.memBusCycles = 32;
     // Only the cold-start misses queue; the loop body is bus-free.
@@ -351,7 +351,7 @@ TEST(BusContention, ModelFollowsSimulatorDirection)
     WorkloadSpec spec = barrierLoopSpec(4, 4, 8000);
     spec.kernel.privateBytes = 32 << 20;
     spec.kernel.fracLoad = 0.35;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile profile = profileWorkload(trace);
     MulticoreConfig tight_bus = baseConfig();
     tight_bus.memBusCycles = 32;
@@ -368,7 +368,7 @@ TEST(BusContention, ModelBallparkAtModerateLoad)
     WorkloadSpec spec = barrierLoopSpec(4, 4, 8000);
     spec.kernel.privateBytes = 32 << 20;
     spec.kernel.fracLoad = 0.35;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile profile = profileWorkload(trace);
     MulticoreConfig bus = baseConfig();
     bus.memBusCycles = 4;
@@ -380,7 +380,7 @@ TEST(BusContention, ModelBallparkAtModerateLoad)
 TEST(BusContention, ZeroBusCyclesIsNoOp)
 {
     WorkloadSpec spec = barrierLoopSpec(2, 3, 4000);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile profile = profileWorkload(trace);
     MulticoreConfig a = baseConfig();
     MulticoreConfig b = baseConfig();
@@ -397,7 +397,7 @@ TEST(SimulatorSanity, MainIdleTimeMatchesWorkerSpan)
 {
     // Main creates one worker doing a long run and joins: main's sync
     // idle must be ~the worker's runtime.
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.name = "idle";
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
@@ -415,7 +415,7 @@ TEST(SimulatorSanity, PredictedIdleTracksSimulatedIdle)
 {
     WorkloadSpec spec = barrierLoopSpec(4, 10, 3000);
     spec.epochJitter = 0.5;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile profile = profileWorkload(trace);
     const SimResult sim = simulate(trace, baseConfig());
     const RppmPrediction pred = predict(profile, baseConfig());

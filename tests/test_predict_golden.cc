@@ -139,7 +139,7 @@ TEST(PredictGolden, PredictAndGridMatchCorpus)
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = shrink(entry.spec);
         const WorkloadProfile prof =
-            profileWorkload(generateWorkload(spec));
+            profileWorkload(synthesizeTrace(spec));
         const std::vector<MulticoreConfig> configs =
             corpusConfigs(spec.numThreads());
         ASSERT_EQ(configs.size(), kConfigs);

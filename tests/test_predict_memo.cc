@@ -161,7 +161,7 @@ TEST(PredictMemo, BitIdenticalOnTableIvGridAllKernels)
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = shrink(entry.spec);
         const WorkloadProfile prof =
-            profileWorkload(generateWorkload(spec));
+            profileWorkload(synthesizeTrace(spec));
         EXPECT_EQ(expectGridsIdentical(prof, tableIvVGrid(), {}, spec.name,
                                        "full", spec.name),
                   tableIvVGrid().size())
@@ -174,7 +174,7 @@ TEST(PredictMemo, BitIdenticalOnMappingSweepAllKernels)
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = shrink(entry.spec);
         const WorkloadProfile prof =
-            profileWorkload(generateWorkload(spec));
+            profileWorkload(synthesizeTrace(spec));
         // The corpus holds the first placement of the sweep.
         EXPECT_EQ(expectGridsIdentical(
                       prof,
@@ -196,7 +196,7 @@ TEST(PredictMemo, BitIdenticalOnDvfsAndBusGrids)
             continue;
         const WorkloadSpec spec = shrink(entry.spec);
         const WorkloadProfile prof =
-            profileWorkload(generateWorkload(spec));
+            profileWorkload(synthesizeTrace(spec));
         std::vector<MulticoreConfig> grid = dvfsGrid();
         MulticoreConfig bus = baseConfig();
         bus.name = "bus";
@@ -217,7 +217,7 @@ TEST(PredictMemo, BitIdenticalUnderOptionVariants)
     // stay bit-identical to its own per-point evaluation and to the
     // corpus (variant names as in test_predict_golden.cc).
     const WorkloadSpec spec = shrink(fullSuite()[2].spec);
-    const WorkloadProfile prof = profileWorkload(generateWorkload(spec));
+    const WorkloadProfile prof = profileWorkload(synthesizeTrace(spec));
     const char *const names[] = {"nodecompose", "noilp", "localllc",
                                  "nomlp", "nobranch"};
     for (int variant = 0; variant < 5; ++variant) {
@@ -241,7 +241,7 @@ TEST(PredictMemo, BitIdenticalUnderOptionVariants)
 TEST(PredictMemo, MappingSweepReusesThreadEvaluations)
 {
     const WorkloadSpec spec = shrink(fullSuite()[0].spec);
-    const WorkloadProfile prof = profileWorkload(generateWorkload(spec));
+    const WorkloadProfile prof = profileWorkload(synthesizeTrace(spec));
     const auto grid = mappingSweep(bigLittleConfig(2, 2),
                                    spec.numThreads());
     ASSERT_GT(grid.size(), 1u);
@@ -263,7 +263,7 @@ TEST(PredictMemo, DvfsAxisIsFreeWithBusOff)
     // factory's DRAM-latency rescale; two states with the same rescaled
     // memLatency share every component key.
     const WorkloadSpec spec = shrink(fullSuite()[0].spec);
-    const WorkloadProfile prof = profileWorkload(generateWorkload(spec));
+    const WorkloadProfile prof = profileWorkload(synthesizeTrace(spec));
     const MulticoreConfig base = baseConfig();
 
     // dvfs at the reference frequency rescales memLatency by 1.0: the
@@ -329,7 +329,7 @@ TEST(PredictMemo, ComponentKeysIsolateSubsets)
 TEST(PredictMemo, StudyMatchesPerPointPredict)
 {
     const WorkloadSpec spec = shrink(fullSuite()[1].spec);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     std::vector<MulticoreConfig> grid = tableIvConfigs();
     for (const MulticoreConfig &m :
          mappingSweep(bigLittleConfig(2, 2), spec.numThreads()))
@@ -377,7 +377,7 @@ TEST(PredictMemo, StudyMatchesPerPointPredict)
 TEST(PredictMemo, StudyReportsCacheEfficiency)
 {
     const WorkloadSpec spec = shrink(fullSuite()[0].spec);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
 
     Study study;
     study.addWorkload(trace)
@@ -399,7 +399,7 @@ TEST(PredictMemo, StudyEvaluatesEachKeyExactlyOnce)
     // on one key wait for the first evaluation instead of repeating it,
     // so the counters are the serial engine's at every worker count.
     const WorkloadSpec spec = shrink(fullSuite()[1].spec);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     std::vector<MulticoreConfig> grid = tableIvConfigs();
     for (const MulticoreConfig &m :
          mappingSweep(bigLittleConfig(2, 2), spec.numThreads()))
@@ -471,7 +471,7 @@ TEST(PredictMemo, MixedEvaluatorsShareOneGrid)
 {
     // Memo-capable and baseline evaluators coexist in one sharded grid.
     const WorkloadSpec spec = shrink(fullSuite()[0].spec, 40);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
 
     Study study;
     study.addWorkload(trace)

@@ -21,10 +21,10 @@ namespace rppm {
 namespace {
 
 /** Single-thread trace wrapper. */
-WorkloadTrace
-singleThread(ThreadTrace thread)
+ColumnarTrace
+singleThread(ThreadColumns thread)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.name = "single";
     trace.threads.push_back(std::move(thread));
     return trace;
@@ -32,7 +32,7 @@ singleThread(ThreadTrace thread)
 
 TEST(Profiler, CountsOpsAndMix)
 {
-    ThreadTrace t;
+    ThreadColumns t;
     ThreadTraceBuilder b(t);
     for (int i = 0; i < 100; ++i)
         b.op(OpClass::IntAlu, 4 * (i % 16));
@@ -57,7 +57,7 @@ TEST(Profiler, CountsOpsAndMix)
 
 TEST(Profiler, EpochsSplitAtSyncEvents)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
     main.op(OpClass::IntAlu, 0);
@@ -82,7 +82,7 @@ TEST(Profiler, EpochsSplitAtSyncEvents)
 
 TEST(Profiler, MarkersDoNotSplitEpochs)
 {
-    ThreadTrace t;
+    ThreadColumns t;
     ThreadTraceBuilder b(t);
     b.op(OpClass::IntAlu, 0);
     b.sync(SyncType::CondMarker, 9);
@@ -95,7 +95,7 @@ TEST(Profiler, MarkersDoNotSplitEpochs)
 TEST(Profiler, LocalReuseDistances)
 {
     // Access pattern to one line: L, 3 fillers, L => reuse distance 3.
-    ThreadTrace t;
+    ThreadColumns t;
     ThreadTraceBuilder b(t);
     b.load(0x1000, 0x0);
     b.load(0x2000, 0x4);
@@ -115,7 +115,7 @@ TEST(Profiler, GlobalReuseSeesOtherThreads)
     // Two threads ping-pong on one line. Per-thread reuse distance is 0
     // fillers between own accesses... but globally the other thread's
     // access sits in between, and the line was last touched by the peer.
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
     main.sync(SyncType::ThreadCreate, 1);
@@ -141,7 +141,7 @@ TEST(Profiler, WriteInvalidationRecordedAsInfinite)
     // Worker writes the line between two reads by main: main's second
     // read must be recorded as an invalidation (infinite local reuse
     // distance), per the paper's coherence modeling.
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
     main.load(0x9000, 0x0);            // main's first read (cold)
@@ -165,7 +165,7 @@ TEST(Profiler, WriteInvalidationRecordedAsInfinite)
 
 TEST(Profiler, OwnWriteDoesNotInvalidate)
 {
-    ThreadTrace t;
+    ThreadColumns t;
     ThreadTraceBuilder b(t);
     b.load(0x9000, 0x0);
     b.store(0x9000, 0x4);
@@ -178,7 +178,7 @@ TEST(Profiler, OwnWriteDoesNotInvalidate)
 
 TEST(Profiler, MicroTraceSampledAtEpochStart)
 {
-    ThreadTrace t;
+    ThreadColumns t;
     ThreadTraceBuilder b(t);
     for (int i = 0; i < 500; ++i)
         b.op(OpClass::IntAlu, 4 * (i % 16), 1);
@@ -191,7 +191,7 @@ TEST(Profiler, MicroTraceSampledAtEpochStart)
 
 TEST(Profiler, MicroTraceRespectsSamplingInterval)
 {
-    ThreadTrace t;
+    ThreadColumns t;
     ThreadTraceBuilder b(t);
     for (int i = 0; i < 30000; ++i)
         b.op(OpClass::IntAlu, 4 * (i % 16));
@@ -209,7 +209,7 @@ TEST(Profiler, MicroTraceRespectsSamplingInterval)
 
 TEST(Profiler, LoadGapTracksSpacing)
 {
-    ThreadTrace t;
+    ThreadColumns t;
     ThreadTraceBuilder b(t);
     for (int i = 0; i < 100; ++i) {
         b.op(OpClass::IntAlu, 0);
@@ -224,7 +224,7 @@ TEST(Profiler, LoadGapTracksSpacing)
 
 TEST(Profiler, PointerChaseDetected)
 {
-    ThreadTrace t;
+    ThreadColumns t;
     ThreadTraceBuilder b(t);
     b.load(0x1000, 0x0);
     for (int i = 0; i < 99; ++i)
@@ -236,7 +236,7 @@ TEST(Profiler, PointerChaseDetected)
 
 TEST(Profiler, BranchEntropyCollected)
 {
-    ThreadTrace t;
+    ThreadColumns t;
     ThreadTraceBuilder b(t);
     for (int i = 0; i < 1000; ++i)
         b.branch(0x100, i % 2 == 0); // coin flip branch
@@ -247,7 +247,7 @@ TEST(Profiler, BranchEntropyCollected)
 
 TEST(Profiler, InstructionReuseDistances)
 {
-    ThreadTrace t;
+    ThreadColumns t;
     ThreadTraceBuilder b(t);
     // 4 distinct PC lines cycled: instruction reuse distance 3.
     for (int i = 0; i < 400; ++i)
@@ -265,7 +265,7 @@ TEST(Profiler, SyncCountsMatchTableIiiCategories)
     spec.csPerEpoch = 3;
     spec.queueItems = 5;
     spec.numWorkers = 3;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     EXPECT_EQ(prof.syncCounts.criticalSections, 4u * 4u * 3u);
     EXPECT_EQ(prof.syncCounts.barriers, 4u * 4u);
@@ -277,7 +277,7 @@ TEST(Profiler, CondBarrierClassifiedAsBarrier)
     WorkloadSpec spec;
     spec.numEpochs = 3;
     spec.barrierFlavor = BarrierFlavor::CondVar;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     bool found = false;
     for (const auto &[id, cls] : prof.condVarClasses) {
@@ -292,7 +292,7 @@ TEST(Profiler, QueueClassifiedAsProducerConsumer)
     WorkloadSpec spec;
     spec.numEpochs = 1;
     spec.queueItems = 8;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     bool found = false;
     for (const auto &[id, cls] : prof.condVarClasses) {
@@ -307,7 +307,7 @@ TEST(Profiler, TotalOpsMatchesTrace)
     WorkloadSpec spec;
     spec.numEpochs = 3;
     spec.opsPerEpoch = 3000;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     EXPECT_EQ(prof.totalOps(), trace.totalOps());
 }
@@ -318,7 +318,7 @@ TEST(Profiler, BarrierPopulationExported)
     spec.numEpochs = 2;
     spec.numWorkers = 3;
     spec.mainWorks = true;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     for (const auto &[id, pop] : prof.barrierPopulation)
         EXPECT_EQ(pop, 4u);
@@ -331,7 +331,7 @@ TEST(Profiler, DeterministicAcrossRuns)
     spec.numEpochs = 3;
     spec.opsPerEpoch = 2000;
     spec.csPerEpoch = 2;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile a = profileWorkload(trace);
     const WorkloadProfile b = profileWorkload(trace);
     ASSERT_EQ(a.threads.size(), b.threads.size());
@@ -390,7 +390,7 @@ TEST(Profiler, ClosedEpochsHoldOnlyNonEmptyBuckets)
     spec.initOps = std::max<uint64_t>(1, spec.initOps / 20);
     spec.finalOps = std::max<uint64_t>(1, spec.finalOps / 20);
     spec.itemOps = std::max<uint64_t>(1, spec.itemOps / 20);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     size_t epochs = 0;
     for (const ThreadProfile &thread : prof.threads)

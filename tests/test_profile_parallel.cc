@@ -50,7 +50,7 @@ TEST(ProfileGolden, CorpusCoversEveryCase)
         std::vector<std::string> lines;
         for (const ProfileCase &c : cases) {
             const WorkloadProfile profile =
-                profileWorkload(generateWorkload(c.spec), c.opts);
+                profileWorkload(synthesizeTrace(c.spec), c.opts);
             const auto [text, binary] = profileDigests(c.key, profile);
             lines.push_back(text);
             lines.push_back(binary);
@@ -84,8 +84,7 @@ TEST(ParallelProfiler, BitIdenticalOnEveryKernelForEveryJobCount)
     // every tested job count (including the serial run, jobs = 1).
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
-        const ColumnarTrace cols =
-            ColumnarTrace::fromWorkload(generateWorkload(spec));
+        const ColumnarTrace cols = synthesizeTrace(spec);
         for (const unsigned jobs : kJobCounts) {
             ProfilerOptions opts;
             opts.jobs = jobs;
@@ -103,8 +102,7 @@ TEST(ParallelProfiler, BitIdenticalUnderCustomOptions)
     // corpus: the schedule honors the quantum, the sharded
     // resolution honors detectInvalidation, the sweep honors the
     // sampling windows.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec("par-test")));
+    const ColumnarTrace cols = synthesizeTrace(richSpec("par-test"));
     for (const auto &[name, proto] : customProfilerOptions()) {
         for (const unsigned jobs : kJobCounts) {
             ProfilerOptions opts = proto;
@@ -122,8 +120,7 @@ TEST(ParallelProfiler, AllHardwareThreadsMatchesCorpus)
     // resolves to on this machine, the profile is the corpus'.
     ProfilerOptions all;
     all.jobs = 0;
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec("par-test")));
+    const ColumnarTrace cols = synthesizeTrace(richSpec("par-test"));
     EXPECT_TRUE(matchesProfileCorpus(profileKey("par-test"),
                                      profileWorkload(cols, all)));
 }
@@ -156,8 +153,7 @@ TEST(ParallelProfiler, CacheArtifactsIdenticalForAnyJobCount)
     std::filesystem::remove_all(dir);
 
     const WorkloadSpec spec = richSpec("par-cache");
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(spec));
+    const ColumnarTrace cols = synthesizeTrace(spec);
 
     ProfilerOptions serial;
     serial.jobs = 1;
@@ -212,8 +208,7 @@ TEST(ParallelProfiler, SingleThreadedWorkload)
     // Degenerate shape: one thread, no synchronization except the built-in
     // create/join scaffolding; the schedule and sharded resolution
     // must still reproduce the corpus exactly.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(singleThreadSpec()));
+    const ColumnarTrace cols = synthesizeTrace(singleThreadSpec());
     for (const unsigned jobs : kJobCounts) {
         ProfilerOptions opts;
         opts.jobs = jobs;
@@ -229,8 +224,7 @@ TEST(ParallelProfiler, HotSharedRegionMatchesCorpusForEveryJobCount)
     // change the profile, so the noinval case checks something the q17
     // case does not: the sharded resolution must honor
     // detectInvalidation for every job count.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(hotSharedSpec()));
+    const ColumnarTrace cols = synthesizeTrace(hotSharedSpec());
     for (const auto &[name, proto] : hotSharedOptions()) {
         for (const unsigned jobs : kJobCounts) {
             ProfilerOptions opts = proto;
@@ -251,25 +245,23 @@ TEST(ParallelProfiler, HotSharedRegionMatchesCorpusForEveryJobCount)
 
 TEST(ParallelTraceSynthesis, JobCountDoesNotChangeTheTrace)
 {
-    // generateWorkload(spec, jobs) parallelizes per-thread stream
+    // synthesizeTrace(spec, jobs) parallelizes per-thread stream
     // synthesis; the forked RNG streams make the result independent of
     // the worker count, so traces stay bit-reproducible.
     const WorkloadSpec spec = richSpec("par-gen");
-    const WorkloadTrace serial = generateWorkload(spec, 1);
+    const ColumnarTrace serial = synthesizeTrace(spec, 1);
     for (const unsigned jobs : {2u, 4u, 7u, 0u}) {
-        const WorkloadTrace par = generateWorkload(spec, jobs);
-        EXPECT_TRUE(ColumnarTrace::fromWorkload(par) ==
-                    ColumnarTrace::fromWorkload(serial))
-            << "jobs=" << jobs;
+        const ColumnarTrace par = synthesizeTrace(spec, jobs);
+        EXPECT_TRUE(par == serial) << "jobs=" << jobs;
     }
 }
 
 TEST(WorkloadSourceConcurrency, ImmutableAfterPublishUnderHammer)
 {
-    // Regression test for the columnar-view publication race: many
-    // threads concurrently demand the trace, the columnar view and the
-    // profile of one WorkloadSource. Immutable-after-publish semantics
-    // mean every caller sees the same fully-built objects; under
+    // Regression test for the trace publication race: many threads
+    // concurrently demand the trace and the profile of one
+    // WorkloadSource. Immutable-after-publish semantics mean every
+    // caller sees the same fully-built objects; under
     // -DRPPM_SANITIZE=thread this also proves the publication is
     // data-race-free.
     const WorkloadSpec spec = richSpec("par-source");
@@ -279,27 +271,22 @@ TEST(WorkloadSourceConcurrency, ImmutableAfterPublishUnderHammer)
     opts.jobs = 2; // profile computation itself fans out, too
 
     constexpr int kHammerThreads = 8;
-    std::vector<const WorkloadTrace *> traces(kHammerThreads);
-    std::vector<const ColumnarTrace *> columnars(kHammerThreads);
+    std::vector<const ColumnarTrace *> traces(kHammerThreads);
     std::vector<std::shared_ptr<const WorkloadProfile>> profiles(
         kHammerThreads);
     std::vector<std::thread> threads;
     threads.reserve(kHammerThreads);
     for (int i = 0; i < kHammerThreads; ++i) {
         threads.emplace_back([&, i] {
-            // Mix the access order so publication is raced from every
-            // entry point.
-            if (i % 3 == 0) {
-                traces[i] = &source.trace();
-                columnars[i] = &source.columnar();
-            } else if (i % 3 == 1) {
-                columnars[i] = &source.columnar();
-                traces[i] = &source.trace();
-            }
-            profiles[i] = source.profile(opts, cache);
-            if (i % 3 == 2) {
-                traces[i] = &source.trace();
-                columnars[i] = &source.columnar();
+            // Mix the access order and the synthesis job count so
+            // publication is raced from every entry point.
+            const unsigned jobs = i % 4 < 2 ? 1 : 4;
+            if (i % 2 == 0) {
+                traces[i] = &source.columnar(jobs);
+                profiles[i] = source.profile(opts, cache);
+            } else {
+                profiles[i] = source.profile(opts, cache);
+                traces[i] = &source.columnar(jobs);
             }
         });
     }
@@ -308,7 +295,6 @@ TEST(WorkloadSourceConcurrency, ImmutableAfterPublishUnderHammer)
 
     for (int i = 1; i < kHammerThreads; ++i) {
         EXPECT_EQ(traces[i], traces[0]);
-        EXPECT_EQ(columnars[i], columnars[0]);
         EXPECT_EQ(profiles[i].get(), profiles[0].get());
     }
     EXPECT_EQ(cache.stats().misses, 1u);

@@ -79,8 +79,7 @@ TEST(StreamingProfiler, BitIdenticalOnEveryKernelChunkSizeAndJobCount)
     // corpus, for every (chunk size, job count) combination.
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
-        const ColumnarTrace cols =
-            ColumnarTrace::fromWorkload(generateWorkload(spec));
+        const ColumnarTrace cols = synthesizeTrace(spec);
         for (const uint64_t chunk : kChunkSizes) {
             for (const unsigned jobs : kJobCounts) {
                 ProfilerOptions opts;
@@ -100,7 +99,7 @@ TEST(StreamingProfiler, FileBackedBitIdentical)
     // from the file through mapped chunk windows, and require the exact
     // corpus bytes — across chunk sizes that force many windows per run.
     const TempTraceFile file(
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec(kRich))));
+        synthesizeTrace(richSpec(kRich)));
     for (const uint64_t chunk : kChunkSizes) {
         for (const unsigned jobs : kJobCounts) {
             ProfilerOptions opts;
@@ -119,8 +118,7 @@ TEST(StreamingProfiler, BitIdenticalUnderCustomOptions)
     // Content-shaping options (sampling policy, quantum, coherence
     // detection, line size) must keep streaming on the corpus for small
     // chunks, where every epoch spans many chunk stitches.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec(kRich)));
+    const ColumnarTrace cols = synthesizeTrace(richSpec(kRich));
     for (const auto &[name, proto] : customProfilerOptions()) {
         for (const uint64_t chunk : {uint64_t{1}, uint64_t{4096}}) {
             ProfilerOptions opts = proto;
@@ -139,8 +137,7 @@ TEST(StreamingProfiler, HotSharedRegionOnEveryChunkSizeAndJobCount)
     // region) under the default options and with coherence detection
     // on and off: invalidation state carried across chunk edges must
     // reproduce the corpus for every chunk size and job count.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(hotSharedSpec()));
+    const ColumnarTrace cols = synthesizeTrace(hotSharedSpec());
     for (const auto &[name, proto] : hotSharedOptions()) {
         for (const uint64_t chunk : kChunkSizes) {
             for (const unsigned jobs : kJobCounts) {
@@ -161,8 +158,7 @@ TEST(StreamingProfiler, SingleThreadedWorkload)
     // Degenerate shape: one thread, no synchronization beyond the
     // create/join scaffolding — every chunk edge is a bare quantum
     // boundary inside one long epoch.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(singleThreadSpec()));
+    const ColumnarTrace cols = synthesizeTrace(singleThreadSpec());
     for (const uint64_t chunk : kChunkSizes) {
         ProfilerOptions opts;
         opts.streamChunkRecords = chunk;
@@ -179,7 +175,7 @@ TEST(StreamingProfiler, DeadlockRejectedLikeTheSimulator)
     // main's join never returns. The profiler walks the simulator's
     // schedule, so both must reject the trace: a profile of a schedule
     // that cannot complete would only fail later, inside predict().
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.name = "deadlock";
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
@@ -189,7 +185,7 @@ TEST(StreamingProfiler, DeadlockRejectedLikeTheSimulator)
     for (uint32_t i = 0; i < 50; ++i)
         worker.load(0x1000 + 64 * i, 4 * i);
     worker.sync(SyncType::QueuePop, 9);
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+    const ColumnarTrace cols = trace;
 
     for (const unsigned jobs : {1u, 4u}) {
         ProfilerOptions opts;
@@ -220,8 +216,8 @@ TEST(StreamingProfiler, TruncatedFileRejectedAtEveryPrefix)
     // profiled. (The streaming reader validates the whole container
     // before any chunk work starts, so "mid-chunk" truncation cannot
     // exist: it is caught here.)
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(
-        generateWorkload(scaledSpec(fullSuite().front(), 100)));
+    const ColumnarTrace cols =
+        synthesizeTrace(scaledSpec(fullSuite().front(), 100));
     std::stringstream ss;
     saveTrace(cols, ss);
     const std::string whole = ss.str();
@@ -259,8 +255,7 @@ TEST(StreamingProfiler, FileBackedWorkloadSource)
     // the container (picking up the embedded name), profile() with an
     // explicit chunk size streams straight from the file, and the
     // result matches the corpus bit for bit.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec(kRich)));
+    const ColumnarTrace cols = synthesizeTrace(richSpec(kRich));
     const TempTraceFile file(cols);
 
     const WorkloadSource src = WorkloadSource::fromTraceFile(file.path());
@@ -307,8 +302,7 @@ TEST(StreamingProfiler, CacheArtifactIdenticalAcrossEngines)
     std::filesystem::remove_all(dir);
 
     const WorkloadSpec spec = richSpec("stream-cache");
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(spec));
+    const ColumnarTrace cols = synthesizeTrace(spec);
 
     ProfilerOptions memory;
     ProfilerOptions stream;

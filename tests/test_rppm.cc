@@ -293,7 +293,7 @@ TEST(MlpModel, GrowsWithRob)
 WorkloadProfile
 profileSimpleThread(uint64_t ops, double load_frac, uint64_t ws_bytes)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.name = "eq1";
     trace.threads.resize(1);
     ThreadTraceBuilder b(trace.threads[0]);
@@ -519,7 +519,7 @@ TEST(Predictor, PredictsBalancedBarrierWorkload)
     // Enough epochs that the cold start (where Eq. 1's additive
     // components overlap heavily in the simulator) is amortized.
     WorkloadSpec spec = barrierLoopSpec(4, 40, 3000);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     const MulticoreConfig cfg = baseConfig();
     const SimResult sim = simulate(trace, cfg);
@@ -530,7 +530,7 @@ TEST(Predictor, PredictsBalancedBarrierWorkload)
 TEST(Predictor, FrequencyOnlyChangesSeconds)
 {
     WorkloadSpec spec = barrierLoopSpec(2, 4, 2000);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     MulticoreConfig fast = baseConfig();
     fast.eachCore([](CoreConfig &c) { c.frequencyGHz = 5.0; });
@@ -564,7 +564,7 @@ cleanComputeSpec(uint32_t threads, uint32_t epochs, uint64_t ops)
 TEST(Predictor, CpiStackComparableToSim)
 {
     WorkloadSpec spec = cleanComputeSpec(4, 40, 4000);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     const MulticoreConfig cfg = baseConfig();
     const SimResult sim = simulate(trace, cfg);
@@ -578,7 +578,7 @@ TEST(Predictor, CpiStackComparableToSim)
 TEST(Predictor, BottlegraphSharesSumToOne)
 {
     WorkloadSpec spec = barrierLoopSpec(4, 5, 2000);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     const RppmPrediction pred = predict(prof, baseConfig());
     const Bottlegraph graph = pred.bottlegraph();
@@ -604,7 +604,7 @@ TEST(Baselines, MainUnderestimatesWhenMainIdle)
     spec.finalOps = 100;
     spec.mainBookkeepingOps = 200;
     spec.barrierFlavor = BarrierFlavor::None;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     const MulticoreConfig cfg = baseConfig();
     const SimResult sim = simulate(trace, cfg);
@@ -620,7 +620,7 @@ TEST(Baselines, CritLowerBoundedByRppmActiveTime)
 {
     WorkloadSpec spec = barrierLoopSpec(4, 6, 2000);
     spec.epochJitter = 0.3;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     const MulticoreConfig cfg = baseConfig();
     const double crit = predictCrit(prof, cfg);
@@ -678,7 +678,7 @@ TEST(Dse, CandidatesMonotoneInBound)
 TEST(Dse, ExploreUsesOneProfileForAllPoints)
 {
     WorkloadSpec spec = barrierLoopSpec(2, 3, 1500);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile prof = profileWorkload(trace);
     const auto configs = tableIvConfigs();
     std::vector<double> sim_seconds;

@@ -27,7 +27,7 @@ sampleProfile()
     spec.queueItems = 5;
     spec.kernel.sharedFrac = 0.2;
     spec.kernel.branchEntropy = 0.1;
-    return profileWorkload(generateWorkload(spec));
+    return profileWorkload(synthesizeTrace(spec));
 }
 
 WorkloadProfile

@@ -329,8 +329,7 @@ TEST(Server, ServesMmapTraceFilesIdenticallyToLocalStudy)
     WorkloadSpec spec = barrierLoopSpec(3, 4, 2500);
     spec.name = "served-trace";
     spec.csPerEpoch = 2;
-    const ColumnarTrace trace =
-        ColumnarTrace::fromWorkload(generateWorkload(spec));
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const std::string tracePath =
         socketPathFor("tracefile") + ".rppmtrc";
     saveTraceToFile(trace, tracePath);

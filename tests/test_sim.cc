@@ -166,7 +166,7 @@ TEST(SyncState, BarrierPopulationsFromTrace)
 {
     // Barrier sizing reads only the sync columns: classic and
     // condvar-implemented barriers count their distinct participants.
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(3);
     ThreadTraceBuilder b0(trace.threads[0]);
     b0.sync(SyncType::ThreadCreate, 1);
@@ -178,15 +178,15 @@ TEST(SyncState, BarrierPopulationsFromTrace)
     ThreadTraceBuilder b2(trace.threads[2]);
     b2.sync(SyncType::CondBarrier, 6);
     const auto pop =
-        ColumnarTrace::fromWorkload(trace).validateAndBarrierPopulations();
+        trace.validateAndBarrierPopulations();
     EXPECT_EQ(pop.size(), 2u);
     EXPECT_EQ(pop.at(5), 2u);
     EXPECT_EQ(pop.at(6), 2u);
 
     // A synthesized barrier loop: two workers plus the working main
     // thread meet at the four rotating barrier ids.
-    const ColumnarTrace loop_trace = ColumnarTrace::fromWorkload(
-        generateWorkload(barrierLoopSpec(3, 4, 2500)));
+    const ColumnarTrace loop_trace =
+        synthesizeTrace(barrierLoopSpec(3, 4, 2500));
     const auto loop = loop_trace.validateAndBarrierPopulations();
     const std::unordered_map<uint32_t, uint32_t> expected = {
         {0x1000, 3}, {0x1001, 3}, {0x1002, 3}, {0x1003, 3}};
@@ -196,10 +196,10 @@ TEST(SyncState, BarrierPopulationsFromTrace)
 // ------------------------------------------------------------ Simulator ---
 
 /** Build a trivial N-thread workload: create, work, barrier, work, join. */
-WorkloadTrace
+ColumnarTrace
 tinyWorkload(uint32_t workers, uint64_t ops, uint32_t barriers = 1)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.name = "tiny";
     trace.threads.resize(workers + 1);
     ThreadTraceBuilder main(trace.threads[0]);
@@ -227,7 +227,7 @@ tinyWorkload(uint32_t workers, uint64_t ops, uint32_t barriers = 1)
 
 TEST(Simulator, Deterministic)
 {
-    const WorkloadTrace trace = tinyWorkload(3, 500, 3);
+    const ColumnarTrace trace = tinyWorkload(3, 500, 3);
     const MulticoreConfig cfg = baseConfig();
     const SimResult a = simulate(trace, cfg);
     const SimResult b = simulate(trace, cfg);
@@ -239,7 +239,7 @@ TEST(Simulator, Deterministic)
 TEST(Simulator, SlowestThreadDeterminesBarrierTiming)
 {
     // Worker 3 does 3x the work of worker 1; everyone waits for it.
-    const WorkloadTrace trace = tinyWorkload(3, 2000, 1);
+    const ColumnarTrace trace = tinyWorkload(3, 2000, 1);
     const SimResult res = simulate(trace, baseConfig());
     // Worker 1 must have substantial sync idle time; worker 3 little.
     EXPECT_GT(res.threads[1].syncCycles, res.threads[3].syncCycles * 2);
@@ -247,7 +247,7 @@ TEST(Simulator, SlowestThreadDeterminesBarrierTiming)
 
 TEST(Simulator, TotalIsMaxThreadFinish)
 {
-    const WorkloadTrace trace = tinyWorkload(2, 1000, 2);
+    const ColumnarTrace trace = tinyWorkload(2, 1000, 2);
     const SimResult res = simulate(trace, baseConfig());
     double max_finish = 0.0;
     for (const auto &t : res.threads)
@@ -259,7 +259,7 @@ TEST(Simulator, TotalIsMaxThreadFinish)
 TEST(Simulator, MainFinishesLast)
 {
     // Main joins all workers, so its finish time is the total.
-    const WorkloadTrace trace = tinyWorkload(3, 800, 2);
+    const ColumnarTrace trace = tinyWorkload(3, 800, 2);
     const SimResult res = simulate(trace, baseConfig());
     EXPECT_DOUBLE_EQ(res.totalCycles, res.threads[0].finishTime);
 }
@@ -268,7 +268,7 @@ TEST(Simulator, MutexSerializesCriticalSections)
 {
     // Two workers each run K critical sections of L ops protected by one
     // mutex; with no other work, execution is fully serialized.
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.name = "cs";
     trace.threads.resize(3);
     ThreadTraceBuilder main(trace.threads[0]);
@@ -296,7 +296,7 @@ TEST(Simulator, MutexSerializesCriticalSections)
 TEST(Simulator, JoinOnlyWorkloadOverlaps)
 {
     // Without a mutex, the two workers overlap almost perfectly.
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.name = "overlap";
     trace.threads.resize(3);
     ThreadTraceBuilder main(trace.threads[0]);
@@ -317,7 +317,7 @@ TEST(Simulator, JoinOnlyWorkloadOverlaps)
 
 TEST(Simulator, ProducerConsumerQueue)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.name = "queue";
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
@@ -343,7 +343,7 @@ TEST(Simulator, ProducerConsumerQueue)
 
 TEST(Simulator, HigherFrequencyShortensSeconds)
 {
-    const WorkloadTrace trace = tinyWorkload(2, 2000, 1);
+    const ColumnarTrace trace = tinyWorkload(2, 2000, 1);
     MulticoreConfig fast = baseConfig();
     fast.eachCore([](CoreConfig &c) { c.frequencyGHz = 5.0; });
     const SimResult base = simulate(trace, baseConfig());
@@ -355,7 +355,7 @@ TEST(Simulator, HigherFrequencyShortensSeconds)
 
 TEST(Simulator, WiderCoreIsFaster)
 {
-    const WorkloadTrace trace = tinyWorkload(2, 5000, 1);
+    const ColumnarTrace trace = tinyWorkload(2, 5000, 1);
     MulticoreConfig narrow = baseConfig();
     narrow.eachCore([](CoreConfig &c) {
         c.dispatchWidth = 1;
@@ -368,7 +368,7 @@ TEST(Simulator, WiderCoreIsFaster)
 
 TEST(Simulator, CpiStackAccountsTotal)
 {
-    const WorkloadTrace trace = tinyWorkload(3, 1500, 2);
+    const ColumnarTrace trace = tinyWorkload(3, 1500, 2);
     const SimResult res = simulate(trace, baseConfig());
     for (const auto &t : res.threads) {
         if (t.instructions == 0)
@@ -382,7 +382,7 @@ TEST(Simulator, DeadlockDetected)
     // A thread waiting on a barrier nobody else reaches... a barrier with
     // population 2 where the second participant never arrives because it
     // first waits on an empty queue.
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
     main.sync(SyncType::ThreadCreate, 1);
@@ -395,7 +395,7 @@ TEST(Simulator, DeadlockDetected)
 
 TEST(Simulator, ActivityIntervalsCoverBusyTime)
 {
-    const WorkloadTrace trace = tinyWorkload(2, 1000, 2);
+    const ColumnarTrace trace = tinyWorkload(2, 1000, 2);
     const SimResult res = simulate(trace, baseConfig());
     for (const auto &t : res.threads) {
         double covered = 0.0;

@@ -152,10 +152,10 @@ busConfig()
 }
 
 /** A 1-thread trace: nothing to overlap. */
-WorkloadTrace
+ColumnarTrace
 soloTrace()
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.name = "solo";
     trace.threads.resize(1);
     ThreadTraceBuilder main(trace.threads[0]);
@@ -213,7 +213,7 @@ matchesSimCorpus(const std::string &key, const SimResult &r)
 struct SimCase
 {
     std::string key;
-    std::function<WorkloadTrace()> trace;
+    std::function<ColumnarTrace()> trace;
     MulticoreConfig cfg;
     SimOptions opts;
 };
@@ -226,12 +226,12 @@ simCorpusCases()
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
         cases.push_back({simKey(spec.name),
-                         [spec] { return generateWorkload(spec); },
+                         [spec] { return synthesizeTrace(spec); },
                          baseConfig(),
                          {}});
     }
     const WorkloadSpec rich = richSpec();
-    const auto rich_trace = [rich] { return generateWorkload(rich); };
+    const auto rich_trace = [rich] { return synthesizeTrace(rich); };
     for (const Variant &v : customVariants())
         cases.push_back(
             {simKey(rich.name, v.name), rich_trace, v.cfg, v.opts});
@@ -278,8 +278,7 @@ TEST(ParallelSimulator, BitIdenticalOnEveryKernelForEveryJobCount)
     const MulticoreConfig cfg = baseConfig();
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
-        const ColumnarTrace cols =
-            ColumnarTrace::fromWorkload(generateWorkload(spec));
+        const ColumnarTrace cols = synthesizeTrace(spec);
         for (const unsigned jobs : kJobCounts) {
             SimOptions opts;
             opts.jobs = jobs;
@@ -293,8 +292,7 @@ TEST(ParallelSimulator, BitIdenticalOnEveryKernelForEveryJobCount)
 TEST(ParallelSimulator, BitIdenticalUnderCustomOptions)
 {
     // Every engine stays on the corpus under each custom variant.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+    const ColumnarTrace cols = synthesizeTrace(richSpec());
     for (const Variant &v : customVariants()) {
         for (const unsigned jobs : kJobCounts) {
             SimOptions opts = v.opts;
@@ -312,8 +310,7 @@ TEST(ParallelSimulator, BusCoupledConfigFallsBackAndStaysIdentical)
     // sharded replay cannot honor; the dispatcher must route such
     // configs to the sequential engine for every job count — still
     // byte-identical to the corpus.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+    const ColumnarTrace cols = synthesizeTrace(richSpec());
     for (const unsigned jobs : kJobCounts) {
         SimOptions opts;
         opts.jobs = jobs;
@@ -327,7 +324,7 @@ TEST(ParallelSimulator, SingleThreadedTraceIsIdenticalAtAnyJobCount)
 {
     // A 1-thread trace has nothing to overlap; the dispatcher runs it
     // sequentially no matter what jobs says, and the result matches.
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(soloTrace());
+    const ColumnarTrace cols = soloTrace();
     for (const unsigned jobs : kJobCounts) {
         SimOptions opts;
         opts.jobs = jobs;
@@ -337,23 +334,11 @@ TEST(ParallelSimulator, SingleThreadedTraceIsIdenticalAtAnyJobCount)
     }
 }
 
-TEST(ParallelSimulator, AosOverloadRoutesThroughColumnar)
-{
-    // The WorkloadTrace overload converts and forwards; it must equal
-    // both the explicit columnar call and the corpus.
-    const WorkloadTrace trace = generateWorkload(richSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    const SimResult via_aos = simulate(trace, baseConfig());
-    EXPECT_EQ(dumpResult(via_aos), dumpResult(simulate(cols, baseConfig())));
-    EXPECT_TRUE(matchesSimCorpus(simKey(trace.name), via_aos));
-}
-
 TEST(ParallelSimulator, JobsZeroMeansAllHardwareThreads)
 {
     // jobs = 0 resolves to the hardware thread count; whatever that is
     // on the host, the result bits cannot change.
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+    const ColumnarTrace cols = synthesizeTrace(richSpec());
     SimOptions opts;
     opts.jobs = 0;
     EXPECT_TRUE(matchesSimCorpus(simKey(cols.name),
@@ -362,8 +347,7 @@ TEST(ParallelSimulator, JobsZeroMeansAllHardwareThreads)
 
 TEST(ParallelSimulator, RejectsZeroQuantum)
 {
-    const ColumnarTrace cols =
-        ColumnarTrace::fromWorkload(generateWorkload(richSpec()));
+    const ColumnarTrace cols = synthesizeTrace(richSpec());
     SimOptions opts;
     opts.quantum = 0;
     EXPECT_THROW(simulate(cols, baseConfig(), opts), std::invalid_argument);

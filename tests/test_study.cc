@@ -122,7 +122,7 @@ TEST(Evaluators, BackendsMatchFreeFunctions)
 {
     const WorkloadSpec spec = smallSpec("backend-check", 7);
     const MulticoreConfig cfg = baseConfig();
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile profile = profileWorkload(trace);
 
     Study study;
@@ -161,7 +161,7 @@ TEST(Study, GridEqualsSerialPerPairPredict)
 
     for (const WorkloadSpec &spec : specs) {
         const WorkloadProfile profile =
-            profileWorkload(generateWorkload(spec));
+            profileWorkload(synthesizeTrace(spec));
         for (const MulticoreConfig &cfg : configs) {
             const RppmPrediction direct = predict(profile, cfg);
             const Evaluation &cell = grid.at(spec.name, cfg.name, "rppm");
@@ -270,7 +270,7 @@ TEST(Study, ProfileOnlySourceServesModelButNotSim)
 {
     const WorkloadSpec spec = smallSpec("profile-only", 5);
     const WorkloadProfile profile =
-        profileWorkload(generateWorkload(spec));
+        profileWorkload(synthesizeTrace(spec));
 
     Study model;
     model.addWorkload(profile).addConfig(baseConfig()).addEvaluator(
@@ -355,7 +355,7 @@ TEST(Dse, EvaluatorBackedExplorationMatchesLegacyWrapper)
         exploreDesignSpace(WorkloadSource(spec), configs, opts);
 
     // Legacy wrapper: caller-computed oracle times.
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile profile = profileWorkload(trace);
     std::vector<double> sim_seconds;
     for (const MulticoreConfig &cfg : configs)

@@ -54,7 +54,7 @@ class TempDir
 TEST(ProfileCache, MemoryTierComputesOnce)
 {
     const WorkloadSpec spec = cacheSpec("cache-mem");
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
 
     ProfileCache cache;
     int computations = 0;
@@ -76,7 +76,7 @@ TEST(ProfileCache, MemoryTierComputesOnce)
 TEST(ProfileCache, KeyedByProfilerOptions)
 {
     const WorkloadSpec spec = cacheSpec("cache-key");
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
 
     ProfilerOptions stripped;
     stripped.detectInvalidation = false;
@@ -177,7 +177,7 @@ TEST(ProfileCache, ClearMemoryForcesDiskReload)
     cache.setDirectory(dir.str());
 
     const WorkloadSpec spec = cacheSpec("cache-clear");
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     auto compute = [&] { return profileWorkload(trace); };
 
     cache.getOrCompute(spec.name, {}, compute);
@@ -202,7 +202,7 @@ TEST(ProfileCache, FailedComputationIsRetriable)
     // The failure was not cached: a later attempt succeeds.
     const WorkloadSpec spec = cacheSpec("flaky");
     const auto profile = cache.getOrCompute("flaky", {}, [&] {
-        return profileWorkload(generateWorkload(spec));
+        return profileWorkload(synthesizeTrace(spec));
     });
     EXPECT_EQ(profile->name, "flaky");
 }
@@ -214,8 +214,8 @@ TEST(ProfileCache, UnlimitedBudgetNeverEvicts)
     ProfileCache cache;
     for (const char *name : {"evict-a", "evict-b", "evict-c"}) {
         const WorkloadSpec spec = cacheSpec(name);
-        cache.getOrCompute(name, {},
-                           [&] { return profileWorkload(generateWorkload(spec)); });
+        cache.getOrCompute(
+            name, {}, [&] { return profileWorkload(synthesizeTrace(spec)); });
     }
     const ProfileCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.evictions, 0u);
@@ -230,7 +230,7 @@ TEST(ProfileCache, BudgetEvictsLeastRecentlyUsed)
     auto computeFor = [&](const char *name) {
         return [&, name] {
             ++computations;
-            return profileWorkload(generateWorkload(cacheSpec(name)));
+            return profileWorkload(synthesizeTrace(cacheSpec(name)));
         };
     };
     const auto a = cache.getOrCompute("evict-a", {}, computeFor("evict-a"));
@@ -262,7 +262,7 @@ TEST(ProfileCache, TouchRefreshesRecency)
     auto computeFor = [&](const char *name) {
         return [&, name] {
             ++computations;
-            return profileWorkload(generateWorkload(cacheSpec(name)));
+            return profileWorkload(synthesizeTrace(cacheSpec(name)));
         };
     };
     const auto a = cache.getOrCompute("lru-a", {}, computeFor("lru-a"));
@@ -285,7 +285,7 @@ TEST(MemoPool, BudgetEvictsWholeEngines)
 {
     const auto profileFor = [](const char *name) {
         return std::make_shared<const WorkloadProfile>(
-            profileWorkload(generateWorkload(cacheSpec(name))));
+            profileWorkload(synthesizeTrace(cacheSpec(name))));
     };
     const auto pa = profileFor("memo-a");
     const auto pb = profileFor("memo-b");
@@ -318,7 +318,7 @@ TEST(MemoPool, ChargeCoversEveryStackBundle)
     // grow with every StatStack bundle the engine keeps: each charges
     // itself, its stacks' slots and its per-load stack distances.
     const auto profile = std::make_shared<const WorkloadProfile>(
-        profileWorkload(generateWorkload(cacheSpec("memo-charge"))));
+        profileWorkload(synthesizeTrace(cacheSpec("memo-charge"))));
     PredictionMemoPool pool;
     const auto engine = pool.forProfile(profile);
     const uint64_t before = engine->approxResidentBytes();

@@ -1,11 +1,12 @@
 /**
  * @file
- * Unit tests for src/trace: record semantics, builder behaviour and
- * trace-level structural validation.
+ * Unit tests for src/trace: record semantics, the builder's encoding of
+ * records into columns and trace-level structural validation.
  */
 
 #include <gtest/gtest.h>
 
+#include "trace/columnar.hh"
 #include "trace/trace.hh"
 #include "trace/trace_builder.hh"
 
@@ -49,8 +50,8 @@ TEST(TraceRecord, SyncTypeNames)
 
 TEST(TraceBuilder, CountsOpsNotSyncs)
 {
-    ThreadTrace trace;
-    ThreadTraceBuilder b(trace);
+    ThreadColumns cols;
+    ThreadTraceBuilder b(cols);
     b.op(OpClass::IntAlu, 0x40);
     b.load(0x1000, 0x44);
     b.sync(SyncType::BarrierWait, 1);
@@ -58,25 +59,51 @@ TEST(TraceBuilder, CountsOpsNotSyncs)
     b.branch(0x4c, true);
     EXPECT_EQ(b.numOps(), 4u);
     EXPECT_EQ(b.size(), 5u);
-    EXPECT_EQ(trace.numOps(), 4u);
+    EXPECT_EQ(cols.numOps(), 4u);
 }
 
 TEST(TraceBuilder, RecordFieldsPreserved)
 {
-    ThreadTrace trace;
-    ThreadTraceBuilder b(trace);
+    ThreadColumns cols;
+    ThreadTraceBuilder b(cols);
     b.load(0xdeadbeef, 0x400, 3, 7);
-    const TraceRecord &rec = trace.records[0];
-    EXPECT_EQ(rec.addr, 0xdeadbeefu);
-    EXPECT_EQ(rec.pc, 0x400u);
-    EXPECT_EQ(rec.dep1, 3u);
-    EXPECT_EQ(rec.dep2, 7u);
-    EXPECT_EQ(rec.op, OpClass::Load);
+    ASSERT_EQ(cols.addr.size(), 1u);
+    EXPECT_EQ(cols.addr[0], 0xdeadbeefu);
+    EXPECT_EQ(cols.pc[0], 0x400u);
+    EXPECT_EQ(cols.dep1[0], 3u);
+    EXPECT_EQ(cols.dep2[0], 7u);
+    EXPECT_EQ(cols.op[0], OpClass::Load);
 }
 
-TEST(WorkloadTrace, CountSync)
+TEST(TraceBuilder, SyncSlotsCarryNeutralDenseValues)
 {
-    WorkloadTrace trace;
+    ThreadColumns cols;
+    ThreadTraceBuilder b(cols);
+    b.branch(0x10, true, 1);
+    TraceRecord sync;
+    sync.sync = SyncType::MutexLock;
+    sync.syncArg = 9;
+    sync.op = OpClass::Load; // ignored for sync records
+    sync.pc = 0x20;
+    sync.dep1 = 5;
+    b.record(sync);
+    ASSERT_EQ(cols.numRecords(), 2u);
+    EXPECT_EQ(cols.op[1], OpClass::IntAlu);
+    EXPECT_EQ(cols.pc[1], 0u);
+    EXPECT_EQ(cols.dep1[1], 0u);
+    EXPECT_EQ(cols.dep2[1], 0u);
+    ASSERT_EQ(cols.syncPos.size(), 1u);
+    EXPECT_EQ(cols.syncPos[0], 1u);
+    EXPECT_EQ(cols.syncType[0], SyncType::MutexLock);
+    EXPECT_EQ(cols.syncArg[0], 9u);
+    ASSERT_EQ(cols.taken.size(), 1u);
+    EXPECT_EQ(cols.taken[0], 1u);
+    EXPECT_TRUE(cols.addr.empty());
+}
+
+TEST(ColumnarTrace, CountSync)
+{
+    ColumnarTrace trace;
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
     main.sync(SyncType::ThreadCreate, 1);
@@ -89,9 +116,9 @@ TEST(WorkloadTrace, CountSync)
     EXPECT_EQ(trace.countSync(SyncType::MutexLock), 0u);
 }
 
-TEST(WorkloadTrace, ValidateAcceptsWellFormed)
+TEST(ColumnarTrace, ValidateAcceptsWellFormed)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
     main.op(OpClass::IntAlu, 0);
@@ -101,51 +128,55 @@ TEST(WorkloadTrace, ValidateAcceptsWellFormed)
     worker.sync(SyncType::MutexLock, 9);
     worker.op(OpClass::IntAlu, 4);
     worker.sync(SyncType::MutexUnlock, 9);
-    EXPECT_NO_THROW(trace.validate());
+    EXPECT_NO_THROW(trace.validateAndBarrierPopulations());
 }
 
-TEST(WorkloadTrace, ValidateRejectsUncreatedThread)
+TEST(ColumnarTrace, ValidateRejectsUncreatedThread)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(2);
     ThreadTraceBuilder worker(trace.threads[1]);
     worker.op(OpClass::IntAlu, 0);
-    EXPECT_THROW(trace.validate(), std::invalid_argument);
+    EXPECT_THROW(trace.validateAndBarrierPopulations(),
+                 std::invalid_argument);
 }
 
-TEST(WorkloadTrace, ValidateRejectsUnbalancedMutex)
+TEST(ColumnarTrace, ValidateRejectsUnbalancedMutex)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(1);
     ThreadTraceBuilder main(trace.threads[0]);
     main.sync(SyncType::MutexLock, 1);
-    EXPECT_THROW(trace.validate(), std::invalid_argument);
+    EXPECT_THROW(trace.validateAndBarrierPopulations(),
+                 std::invalid_argument);
 }
 
-TEST(WorkloadTrace, ValidateRejectsUnlockWithoutLock)
+TEST(ColumnarTrace, ValidateRejectsUnlockWithoutLock)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(1);
     ThreadTraceBuilder main(trace.threads[0]);
     main.sync(SyncType::MutexUnlock, 1);
-    EXPECT_THROW(trace.validate(), std::invalid_argument);
+    EXPECT_THROW(trace.validateAndBarrierPopulations(),
+                 std::invalid_argument);
 }
 
-TEST(WorkloadTrace, ValidateRejectsRecursiveLock)
+TEST(ColumnarTrace, ValidateRejectsRecursiveLock)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(1);
     ThreadTraceBuilder main(trace.threads[0]);
     main.sync(SyncType::MutexLock, 1);
     main.sync(SyncType::MutexLock, 1);
     main.sync(SyncType::MutexUnlock, 1);
     main.sync(SyncType::MutexUnlock, 1);
-    EXPECT_THROW(trace.validate(), std::invalid_argument);
+    EXPECT_THROW(trace.validateAndBarrierPopulations(),
+                 std::invalid_argument);
 }
 
-TEST(WorkloadTrace, ValidateRejectsDoubleJoin)
+TEST(ColumnarTrace, ValidateRejectsDoubleJoin)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
     main.sync(SyncType::ThreadCreate, 1);
@@ -153,18 +184,20 @@ TEST(WorkloadTrace, ValidateRejectsDoubleJoin)
     main.sync(SyncType::ThreadJoin, 1);
     ThreadTraceBuilder worker(trace.threads[1]);
     worker.op(OpClass::IntAlu, 0);
-    EXPECT_THROW(trace.validate(), std::invalid_argument);
+    EXPECT_THROW(trace.validateAndBarrierPopulations(),
+                 std::invalid_argument);
 }
 
-TEST(WorkloadTrace, ValidateRejectsEmpty)
+TEST(ColumnarTrace, ValidateRejectsEmpty)
 {
-    WorkloadTrace trace;
-    EXPECT_THROW(trace.validate(), std::invalid_argument);
+    ColumnarTrace trace;
+    EXPECT_THROW(trace.validateAndBarrierPopulations(),
+                 std::invalid_argument);
 }
 
-TEST(WorkloadTrace, TotalOpsSumsThreads)
+TEST(ColumnarTrace, TotalOpsSumsThreads)
 {
-    WorkloadTrace trace;
+    ColumnarTrace trace;
     trace.threads.resize(2);
     ThreadTraceBuilder main(trace.threads[0]);
     main.op(OpClass::IntAlu, 0);

@@ -2,13 +2,14 @@
  * @file
  * Tests for the columnar trace engine and the profiler entry points:
  *
- *  - AoS <-> columnar conversion is lossless;
+ *  - the builder encodes records into columns, and the AoS record view
+ *    (toWorkload/fromWorkload) round-trips losslessly;
  *  - binary trace serialization round-trips bit-identically and rejects
  *    old-version, truncated and corrupt input cleanly;
  *  - synthesis at every job count reproduces the committed trace corpus
  *    tests/golden/trace.txt (byte length and CRC32C of the RPPMTRC
  *    bytes), which this file also records;
- *  - profileWorkload() (both overloads) produces profiles bit-identical
+ *  - profileWorkload() produces profiles bit-identical
  *    to the committed corpus tests/golden/profile.txt on every workload
  *    kernel of the suite (byte length and CRC32C of the deterministic
  *    text serialization);
@@ -50,31 +51,39 @@ serializeTrace(const ColumnarTrace &trace)
 
 TEST(Columnar, ConversionIsLossless)
 {
-    const WorkloadTrace trace = generateWorkload(columnarRichSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
+    const ColumnarTrace cols = synthesizeTrace(columnarRichSpec());
+    const WorkloadTrace aos = cols.toWorkload();
 
-    EXPECT_EQ(cols.numThreads(), trace.numThreads());
-    EXPECT_EQ(cols.totalOps(), trace.totalOps());
+    EXPECT_EQ(aos.name, cols.name);
+    ASSERT_EQ(aos.numThreads(), cols.numThreads());
+    uint64_t ops = 0;
+    std::map<SyncType, uint64_t> syncs;
+    for (size_t t = 0; t < aos.numThreads(); ++t) {
+        const auto &records = aos.threads[t].records;
+        EXPECT_EQ(records.size(), cols.threads[t].numRecords());
+        for (const TraceRecord &rec : records) {
+            if (rec.isSync())
+                ++syncs[rec.sync];
+            else
+                ++ops;
+        }
+    }
+    EXPECT_EQ(ops, cols.totalOps());
     for (SyncType type :
          {SyncType::BarrierWait, SyncType::MutexLock, SyncType::QueuePush,
           SyncType::ThreadCreate, SyncType::ThreadJoin}) {
-        EXPECT_EQ(cols.countSync(type), trace.countSync(type))
-            << syncTypeName(type);
+        EXPECT_EQ(syncs[type], cols.countSync(type)) << syncTypeName(type);
     }
 
-    // AoS -> columnar -> AoS -> columnar is a fixed point.
-    const WorkloadTrace back = cols.toWorkload();
-    EXPECT_EQ(back.name, trace.name);
-    ASSERT_EQ(back.threads.size(), trace.threads.size());
-    EXPECT_TRUE(ColumnarTrace::fromWorkload(back) == cols);
+    // columnar -> AoS -> columnar is a fixed point at every job count.
+    EXPECT_TRUE(ColumnarTrace::fromWorkload(aos) == cols);
+    EXPECT_TRUE(ColumnarTrace::fromWorkload(aos, 4) == cols);
 }
 
 TEST(Columnar, CursorWalksRecordsInOrder)
 {
-    WorkloadTrace trace;
-    trace.name = "cursor";
-    trace.threads.resize(1);
-    ThreadTraceBuilder b(trace.threads[0]);
+    ThreadColumns cols;
+    ThreadTraceBuilder b(cols);
     b.op(OpClass::IntAlu, 0x10);
     b.load(0x1000, 0x14, 1);
     b.sync(SyncType::MutexLock, 7);
@@ -82,8 +91,7 @@ TEST(Columnar, CursorWalksRecordsInOrder)
     b.branch(0x1c, true, 2);
     b.sync(SyncType::MutexUnlock, 7);
 
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    ColumnCursor cur(cols.threads[0]);
+    ColumnCursor cur(cols);
 
     EXPECT_FALSE(cur.atSync());
     EXPECT_EQ(cur.op(), OpClass::IntAlu);
@@ -108,31 +116,11 @@ TEST(Columnar, CursorWalksRecordsInOrder)
     EXPECT_TRUE(cur.atEnd());
 }
 
-TEST(Columnar, ValidateMatchesAoSValidate)
-{
-    const WorkloadTrace good = generateWorkload(columnarRichSpec());
-    EXPECT_NO_THROW(good.validate());
-    EXPECT_NO_THROW(
-        ColumnarTrace::fromWorkload(good).validateAndBarrierPopulations());
-
-    // Unbalanced mutex: both representations must reject it.
-    WorkloadTrace bad;
-    bad.threads.resize(1);
-    ThreadTraceBuilder b(bad.threads[0]);
-    b.op(OpClass::IntAlu, 0);
-    b.sync(SyncType::MutexLock, 1);
-    EXPECT_THROW(bad.validate(), std::invalid_argument);
-    EXPECT_THROW(
-        ColumnarTrace::fromWorkload(bad).validateAndBarrierPopulations(),
-        std::invalid_argument);
-}
-
 // ------------------------------------------------- binary trace I/O ---
 
 TEST(TraceIo, RoundTripIsBitIdentical)
 {
-    const ColumnarTrace original =
-        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec()));
+    const ColumnarTrace original = synthesizeTrace(columnarRichSpec());
     const std::string bytes = serializeTrace(original);
 
     std::stringstream in(bytes);
@@ -145,8 +133,7 @@ TEST(TraceIo, RoundTripIsBitIdentical)
 
 TEST(TraceIo, FileRoundTrip)
 {
-    const ColumnarTrace original =
-        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec()));
+    const ColumnarTrace original = synthesizeTrace(columnarRichSpec());
     const std::string path = "/tmp/rppm_test_trace.rppmtrc";
     saveTraceToFile(original, path);
     const ColumnarTrace loaded = loadTraceFromFile(path);
@@ -163,7 +150,7 @@ TEST(TraceIo, RejectsBadMagic)
 TEST(TraceIo, RejectsOldVersion)
 {
     std::string bytes = serializeTrace(
-        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec())));
+        synthesizeTrace(columnarRichSpec()));
     // The version field sits after the 8-byte magic and the 4-byte
     // endianness marker.
     bytes[12] = static_cast<char>(kTraceFormatVersion + 1);
@@ -174,7 +161,7 @@ TEST(TraceIo, RejectsOldVersion)
 TEST(TraceIo, RejectsTruncatedInput)
 {
     const std::string bytes = serializeTrace(
-        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec())));
+        synthesizeTrace(columnarRichSpec()));
     for (const double frac : {0.25, 0.5, 0.9}) {
         std::stringstream in(bytes.substr(
             0, static_cast<size_t>(static_cast<double>(bytes.size()) *
@@ -186,7 +173,7 @@ TEST(TraceIo, RejectsTruncatedInput)
 TEST(TraceIo, RejectsTrailingGarbage)
 {
     std::string bytes = serializeTrace(
-        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec())));
+        synthesizeTrace(columnarRichSpec()));
     bytes += "garbage.";
     std::stringstream in(bytes);
     EXPECT_THROW(loadTrace(in), std::invalid_argument);
@@ -206,8 +193,7 @@ TEST(TraceGolden, CorpusCoversEveryCase)
         for (const WorkloadSpec &spec : specs) {
             lines.push_back(golden::digest(
                 traceKey(spec.name),
-                serializeTraceBytes(ColumnarTrace::fromWorkload(
-                    generateWorkload(spec)))));
+                serializeTraceBytes(synthesizeTrace(spec))));
         }
         ASSERT_TRUE(golden::write(
             target,
@@ -232,14 +218,17 @@ TEST(TraceGolden, CorpusCoversEveryCase)
 TEST(TraceGolden, SynthesisMatchesCorpusForEveryJobCount)
 {
     // Pins the synthesized trace itself, not only the profiles and
-    // simulations derived from it.
+    // simulations derived from it, and its round trip through the AoS
+    // record view.
     for (const WorkloadSpec &spec : traceCorpusSpecs()) {
         for (const unsigned jobs : {1u, 4u}) {
-            EXPECT_TRUE(matchesTraceCorpus(
-                spec.name, ColumnarTrace::fromWorkload(
-                               generateWorkload(spec, jobs), jobs)))
+            EXPECT_TRUE(matchesTraceCorpus(spec.name,
+                                           synthesizeTrace(spec, jobs)))
                 << "jobs=" << jobs;
         }
+        EXPECT_TRUE(matchesTraceCorpus(
+            spec.name, ColumnarTrace::fromWorkload(generateWorkload(spec))))
+            << "via the AoS view";
     }
 }
 
@@ -261,8 +250,7 @@ writeTempFile(const std::string &bytes, const char *name)
 
 TEST(TraceView, BorrowedViewEqualsOwnedLoad)
 {
-    const ColumnarTrace original =
-        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec()));
+    const ColumnarTrace original = synthesizeTrace(columnarRichSpec());
     const std::string path =
         writeTempFile(serializeTrace(original), "rppm_test_view.rppmtrc");
 
@@ -289,8 +277,7 @@ TEST(TraceView, BorrowedViewEqualsOwnedLoad)
 
 TEST(TraceView, ProfilesBitIdenticallyToOwnedLoad)
 {
-    const ColumnarTrace original =
-        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec()));
+    const ColumnarTrace original = synthesizeTrace(columnarRichSpec());
     const std::string path = writeTempFile(
         serializeTrace(original), "rppm_test_view_prof.rppmtrc");
 
@@ -310,7 +297,7 @@ TEST(TraceView, ProfilesBitIdenticallyToOwnedLoad)
 TEST(TraceView, RejectsExactlyWhatTheCopyLoaderRejects)
 {
     const std::string bytes = serializeTrace(
-        ColumnarTrace::fromWorkload(generateWorkload(columnarRichSpec())));
+        synthesizeTrace(columnarRichSpec()));
     const char *path_name = "rppm_test_view_bad.rppmtrc";
 
     // Bad magic.
@@ -375,20 +362,12 @@ TEST(Profiler, BitIdenticalToCorpusOnEveryKernel)
     // One text-serialized byte mismatch anywhere in mix, histograms,
     // micro-traces, branch counts or sync structure fails this test.
     // Kernels are scaled down to keep the test fast; every suite entry
-    // is covered, through the AoS overload at default options.
+    // is covered at default options.
     for (const SuiteEntry &entry : fullSuite()) {
         const WorkloadSpec spec = scaledSpec(entry);
         EXPECT_TRUE(matchesProfileCorpus(
-            profileKey(spec.name), profileWorkload(generateWorkload(spec))));
+            profileKey(spec.name), profileWorkload(synthesizeTrace(spec))));
     }
-}
-
-TEST(Profiler, ColumnarOverloadMatchesAoSOverload)
-{
-    const WorkloadTrace trace = generateWorkload(columnarRichSpec());
-    const ColumnarTrace cols = ColumnarTrace::fromWorkload(trace);
-    EXPECT_TRUE(serializeProfileText(profileWorkload(cols)) ==
-                serializeProfileText(profileWorkload(trace)));
 }
 
 TEST(Profiler, RespectsProfilerOptions)
@@ -402,7 +381,7 @@ TEST(Profiler, RespectsProfilerOptions)
     opts.microTraceInterval = 500;
     EXPECT_TRUE(matchesProfileCorpus(
         profileKey("columnar-test", "noinval"),
-        profileWorkload(generateWorkload(columnarRichSpec()), opts)));
+        profileWorkload(synthesizeTrace(columnarRichSpec()), opts)));
 }
 
 // ----------------------------------------------- binary profile I/O ---
@@ -410,7 +389,7 @@ TEST(Profiler, RespectsProfilerOptions)
 TEST(ProfileBinary, RoundTripPredictsIdentically)
 {
     const WorkloadProfile original =
-        profileWorkload(generateWorkload(columnarRichSpec()));
+        profileWorkload(synthesizeTrace(columnarRichSpec()));
     std::stringstream ss;
     saveProfileBinary(original, ss);
     const WorkloadProfile copy = loadProfileBinary(ss);
@@ -425,7 +404,7 @@ TEST(ProfileBinary, RoundTripPredictsIdentically)
 TEST(ProfileBinary, DoubleRoundTripIsByteStable)
 {
     const WorkloadProfile original =
-        profileWorkload(generateWorkload(columnarRichSpec()));
+        profileWorkload(synthesizeTrace(columnarRichSpec()));
     std::stringstream once, twice;
     saveProfileBinary(original, once);
     const WorkloadProfile copy = loadProfileBinary(once);
@@ -436,7 +415,7 @@ TEST(ProfileBinary, DoubleRoundTripIsByteStable)
 TEST(ProfileBinary, RejectsBadInput)
 {
     const WorkloadProfile original =
-        profileWorkload(generateWorkload(columnarRichSpec()));
+        profileWorkload(synthesizeTrace(columnarRichSpec()));
     std::stringstream ss;
     saveProfileBinary(original, ss);
     std::string bytes = ss.str();
@@ -467,7 +446,7 @@ TEST(ProfileBinary, CacheSelfHealsCorruptAndLegacyArtifacts)
     std::filesystem::create_directories(dir);
 
     const WorkloadSpec spec = columnarRichSpec("heal-me");
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile reference = profileWorkload(trace);
 
     ProfileCache cache;

@@ -19,21 +19,31 @@
 namespace rppm {
 namespace {
 
-ThreadTrace
-runKernel(const KernelParams &params, uint64_t ops, uint64_t seed = 7)
+/** One thread's columns as emitted by a kernel. */
+ColumnarTrace
+kernelColumns(const KernelParams &params, uint64_t ops, uint64_t seed = 7)
 {
-    ThreadTrace trace;
-    ThreadTraceBuilder builder(trace);
+    ColumnarTrace trace;
+    trace.threads.resize(1);
+    ThreadTraceBuilder builder(trace.threads[0]);
     KernelGenerator gen(params, 0, 0x1000, Rng(seed));
     gen.emit(builder, ops);
     return trace;
 }
 
+/** The same stream record by record, for per-record assertions. */
+ThreadTrace
+runKernel(const KernelParams &params, uint64_t ops, uint64_t seed = 7)
+{
+    return kernelColumns(params, ops, seed).toWorkload().threads[0];
+}
+
 TEST(Kernel, EmitsExactOpCount)
 {
-    const ThreadTrace t = runKernel(KernelParams{}, 12345);
-    EXPECT_EQ(t.numOps(), 12345u);
-    EXPECT_EQ(t.records.size(), 12345u); // kernels emit no sync records
+    const ColumnarTrace t = kernelColumns(KernelParams{}, 12345);
+    EXPECT_EQ(t.totalOps(), 12345u);
+    // Kernels emit no sync records.
+    EXPECT_EQ(t.threads[0].numRecords(), 12345u);
 }
 
 TEST(Kernel, Deterministic)
@@ -59,7 +69,7 @@ TEST(Kernel, InstructionMixMatchesParams)
     std::unordered_map<OpClass, uint64_t> mix;
     for (const auto &rec : t.records)
         ++mix[rec.op];
-    const double n = static_cast<double>(t.numOps());
+    const double n = static_cast<double>(t.records.size());
     EXPECT_NEAR(mix[OpClass::Branch] / n, 0.2, 0.02);
     // Memory ops: (1 - branch) * (load + store) = 0.8 * 0.4 = 0.32.
     const double mem_frac =
@@ -167,15 +177,15 @@ TEST(Kernel, DependenceDistancesBounded)
     }
 }
 
-// ------------------------------------------------------ generateWorkload ---
+// ------------------------------------------------------- synthesizeTrace ---
 
 TEST(Workload, StructureValidates)
 {
     WorkloadSpec spec;
     spec.numEpochs = 5;
     spec.opsPerEpoch = 1000;
-    const WorkloadTrace trace = generateWorkload(spec);
-    EXPECT_NO_THROW(trace.validate());
+    const ColumnarTrace trace = synthesizeTrace(spec);
+    EXPECT_NO_THROW(trace.validateAndBarrierPopulations());
     EXPECT_EQ(trace.numThreads(), 4u);
 }
 
@@ -185,16 +195,10 @@ TEST(Workload, Deterministic)
     spec.numEpochs = 3;
     spec.opsPerEpoch = 2000;
     spec.csPerEpoch = 2;
-    const WorkloadTrace a = generateWorkload(spec);
-    const WorkloadTrace b = generateWorkload(spec);
+    const ColumnarTrace a = synthesizeTrace(spec);
+    const ColumnarTrace b = synthesizeTrace(spec);
     ASSERT_EQ(a.threads.size(), b.threads.size());
-    for (size_t t = 0; t < a.threads.size(); ++t) {
-        ASSERT_EQ(a.threads[t].records.size(), b.threads[t].records.size());
-        for (size_t i = 0; i < a.threads[t].records.size(); ++i) {
-            EXPECT_EQ(a.threads[t].records[i].addr,
-                      b.threads[t].records[i].addr);
-        }
-    }
+    EXPECT_TRUE(a == b);
 }
 
 TEST(Workload, BarrierCountMatchesSpec)
@@ -203,7 +207,7 @@ TEST(Workload, BarrierCountMatchesSpec)
     spec.numEpochs = 7;
     spec.numWorkers = 3;
     spec.mainWorks = true;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     // 4 participants x 7 epochs.
     EXPECT_EQ(trace.countSync(SyncType::BarrierWait), 28u);
 }
@@ -213,7 +217,7 @@ TEST(Workload, CondVarFlavorEmitsMarkers)
     WorkloadSpec spec;
     spec.numEpochs = 4;
     spec.barrierFlavor = BarrierFlavor::CondVar;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     EXPECT_EQ(trace.countSync(SyncType::BarrierWait), 0u);
     EXPECT_EQ(trace.countSync(SyncType::CondBarrier), 16u);
     EXPECT_EQ(trace.countSync(SyncType::CondMarker), 16u);
@@ -224,7 +228,7 @@ TEST(Workload, CriticalSectionsBalanced)
     WorkloadSpec spec;
     spec.numEpochs = 3;
     spec.csPerEpoch = 5;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     EXPECT_EQ(trace.countSync(SyncType::MutexLock),
               trace.countSync(SyncType::MutexUnlock));
     EXPECT_EQ(trace.countSync(SyncType::MutexLock), 4u * 3u * 5u);
@@ -236,7 +240,7 @@ TEST(Workload, QueueItemsBalanced)
     spec.numEpochs = 1;
     spec.queueItems = 17;
     spec.numWorkers = 3;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     EXPECT_EQ(trace.countSync(SyncType::QueuePush), 17u);
     EXPECT_EQ(trace.countSync(SyncType::QueuePop), 17u);
 }
@@ -251,7 +255,7 @@ TEST(Workload, MainWorksFalseKeepsMainLight)
     spec.initOps = 1000;
     spec.finalOps = 100;
     spec.mainBookkeepingOps = 500;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     // Main: init + bookkeeping + final only.
     EXPECT_EQ(trace.threads[0].numOps(), 1600u);
     // Workers carry the epochs.
@@ -267,7 +271,7 @@ TEST(Workload, ImbalanceSkewsThreads)
     spec.opsPerEpoch = 10000;
     spec.initOps = 0;
     spec.finalOps = 0;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     uint64_t min_ops = UINT64_MAX, max_ops = 0;
     for (const auto &t : trace.threads) {
         min_ops = std::min(min_ops, t.numOps());
@@ -282,7 +286,7 @@ TEST(Workload, ApproxTotalOpsClose)
     WorkloadSpec spec;
     spec.numEpochs = 6;
     spec.opsPerEpoch = 5000;
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     const double approx = static_cast<double>(spec.approxTotalOps());
     const double actual = static_cast<double>(trace.totalOps());
     EXPECT_NEAR(approx / actual, 1.0, 0.15);
@@ -293,7 +297,7 @@ TEST(Workload, BarrierLoopSpecShape)
     const WorkloadSpec spec = barrierLoopSpec(4, 10, 500);
     EXPECT_EQ(spec.numThreads(), 4u);
     EXPECT_EQ(spec.numEpochs, 10u);
-    const WorkloadTrace trace = generateWorkload(spec);
+    const ColumnarTrace trace = synthesizeTrace(spec);
     EXPECT_EQ(trace.countSync(SyncType::BarrierWait), 40u);
 }
 
@@ -301,6 +305,7 @@ TEST(Workload, RejectsZeroWorkers)
 {
     WorkloadSpec spec;
     spec.numWorkers = 0;
+    EXPECT_THROW(synthesizeTrace(spec), std::invalid_argument);
     EXPECT_THROW(generateWorkload(spec), std::invalid_argument);
 }
 
@@ -335,8 +340,9 @@ TEST(Suite, AllBenchmarksGenerateValidTraces)
         spec.initOps /= 10;
         spec.queueItems = std::min<uint32_t>(spec.queueItems, 30);
         spec.numEpochs = std::min<uint32_t>(spec.numEpochs, 10);
-        const WorkloadTrace trace = generateWorkload(spec);
-        EXPECT_NO_THROW(trace.validate()) << entry.spec.name;
+        const ColumnarTrace trace = synthesizeTrace(spec);
+        EXPECT_NO_THROW(trace.validateAndBarrierPopulations())
+            << entry.spec.name;
         EXPECT_GT(trace.totalOps(), 0u) << entry.spec.name;
     }
 }
