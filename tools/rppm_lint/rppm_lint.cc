@@ -42,6 +42,13 @@
  *
  *  [using-namespace] No using-namespace directives in headers.
  *
+ *  [aos-trace]       No WorkloadTrace or ThreadTrace in src/ outside
+ *                    src/trace/ and src/workload/workload.{hh,cc}.
+ *                    Every engine reads the one columnar trace; the AoS
+ *                    record view exists for tests that assert on
+ *                    individual records and must not creep back onto
+ *                    the hot path. Not waivable.
+ *
  *  [waiver]          Every rppm-lint waiver must use a known tag and
  *                    carry a non-empty reason:
  *                    // rppm-lint: <tag>(<why this is safe>).
@@ -361,6 +368,7 @@ struct FileClass
     bool resultDir = false;   ///< unordered-iter applies
     bool rngExempt = false;   ///< workload synthesis / the RNG itself
     bool srcTree = false;     ///< float-reduce applies
+    bool aosBanned = false;   ///< aos-trace applies
 };
 
 FileClass
@@ -378,7 +386,25 @@ classify(const std::string &path)
                    path.find("src/common/rng") != std::string::npos ||
                    path.find("tests/") != std::string::npos;
     fc.srcTree = path.find("src/") != std::string::npos;
+    fc.aosBanned = fc.srcTree &&
+                   path.find("src/trace/") == std::string::npos &&
+                   !path.ends_with("src/workload/workload.hh") &&
+                   !path.ends_with("src/workload/workload.cc");
     return fc;
+}
+
+/** Does @p code name the identifier @p tok (not a longer one)? */
+bool
+namesIdentifier(const std::string &code, const std::string &tok)
+{
+    for (size_t at = code.find(tok); at != std::string::npos;
+         at = code.find(tok, at + 1)) {
+        const size_t after = at + tok.size();
+        if ((at == 0 || !isIdentChar(code[at - 1])) &&
+            (after >= code.size() || !isIdentChar(code[after])))
+            return true;
+    }
+    return false;
 }
 
 /** forEach-lambda extents, as [firstLine, lastLine] 0-based pairs. */
@@ -599,6 +625,24 @@ lintFile(const std::string &displayPath, const std::string &text,
                                  "deterministic-reduce(reason)"});
                     }
                 }
+            }
+        }
+    }
+
+    // --- [aos-trace] -------------------------------------------------
+    if (fc.aosBanned) {
+        for (size_t i = 0; i < lines.size(); ++i) {
+            for (const char *tok : {"WorkloadTrace", "ThreadTrace"}) {
+                if (!namesIdentifier(lines[i].code, tok))
+                    continue;
+                findings.push_back(
+                    {displayPath, i + 1, "aos-trace",
+                     std::string("'") + tok +
+                         "' outside src/trace/ and "
+                         "src/workload/workload.{hh,cc}: engines read "
+                         "the columnar trace (ColumnarTrace, built with "
+                         "ThreadTraceBuilder or synthesizeTrace)"});
+                break;
             }
         }
     }
