@@ -67,7 +67,8 @@ class WorkloadSource
      * surface immediately) and records its size. profile() streams the
      * file out-of-core when it is large (>= kStreamFileBytesThreshold)
      * or when opts.streamChunkRecords asks for it; only consumers that
-     * need the in-memory trace (columnar()) map it, lazily. Throws std::invalid_argument on a malformed file.
+     * need the in-memory trace (columnar()) map it, lazily. Throws
+     * std::invalid_argument on a malformed file.
      */
     static WorkloadSource fromTraceFile(const std::string &path);
 
