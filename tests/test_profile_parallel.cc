@@ -77,6 +77,21 @@ TEST(ProfileGolden, CorpusCoversEveryCase)
     }
 }
 
+TEST(ProfileGolden, BinaryRoundTripDeterminesText)
+{
+    // Both serializations write the same fields: decoding the RPPMPRF
+    // bytes of every corpus case reproduces its text serialization, so
+    // each case's |rppmprf line pins everything its text line pins.
+    for (const ProfileCase &c : profileCorpusCases()) {
+        const WorkloadProfile profile =
+            profileWorkload(synthesizeTrace(c.spec), c.opts);
+        std::stringstream bytes(serializeProfileBinary(profile));
+        EXPECT_TRUE(serializeProfileText(loadProfileBinary(bytes)) ==
+                    serializeProfileText(profile))
+            << c.key;
+    }
+}
+
 TEST(ParallelProfiler, BitIdenticalOnEveryKernelForEveryJobCount)
 {
     // The central guarantee: on all 26 suite kernels, the one-window
