@@ -23,7 +23,7 @@
  *
  * Comparison is by content, so an owned column and a borrowed view of
  * the same serialized bytes compare equal — the round-trip tests rely
- * on this to pin mmap views byte-identical to the copying loader.
+ * on this to pin mmap views equal to the trace that was saved.
  */
 
 #ifndef RPPM_COMMON_COLUMN_HH

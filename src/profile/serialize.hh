@@ -1,26 +1,22 @@
 /**
  * @file
- * Profile serialization.
+ * Profile serialization ("RPPMPRF").
  *
  * The whole point of RPPM is that the profile is collected once and
  * reused for every subsequent prediction; that only pays off if profiles
- * are durable artifacts. Two formats are provided, both preserving
- * everything the model consumes (per-epoch counters, instruction mix,
- * all reuse-distance histograms, per-static-branch outcome counts,
- * micro-traces and the synchronization structure):
+ * are durable artifacts. RPPMPRF is the one serialized form: an RPPM
+ * binary container (common/binio.hh; same header/block discipline as
+ * the RPPMTRC trace format) preserving everything the model consumes
+ * (per-epoch counters, instruction mix, all reuse-distance histograms,
+ * per-static-branch outcome counts, micro-traces and the
+ * synchronization structure). The Study ProfileCache and rppmd persist
+ * profiles in it.
  *
- *  - a line-oriented text format ("RPPMPROF 1"): human-readable, handy
- *    for debugging and diffing;
- *  - the binary container format ("RPPMPRF", common/binio.hh; same
- *    header/block discipline as the RPPMTRC trace format): compact and
- *    fast, used by the Study ProfileCache's serialized tier. Old-version
- *    or foreign files are rejected with std::invalid_argument, never
- *    half-decoded.
- *
- * Round-tripping through either format is exact with respect to
- * predictions: predict(load(save(p))) == predict(p) for every
- * configuration. Both writers emit byte-deterministic output (maps are
- * sorted before writing).
+ * Round-tripping is exact with respect to predictions:
+ * predict(load(save(p))) == predict(p) for every configuration. The
+ * writer emits byte-deterministic output (maps are sorted before
+ * writing). The reader rejects old-version, foreign or malformed files
+ * with std::invalid_argument, never half-decoding them.
  */
 
 #ifndef RPPM_PROFILE_SERIALIZE_HH
@@ -34,18 +30,6 @@
 
 namespace rppm {
 
-/** Write @p profile to @p os; throws std::runtime_error on I/O error. */
-void saveProfile(const WorkloadProfile &profile, std::ostream &os);
-
-/** Parse a profile from @p is; throws std::invalid_argument on bad
- *  input (wrong magic, truncated stream, malformed records). */
-WorkloadProfile loadProfile(std::istream &is);
-
-/** Convenience wrappers over file paths. */
-void saveProfileToFile(const WorkloadProfile &profile,
-                       const std::string &path);
-WorkloadProfile loadProfileFromFile(const std::string &path);
-
 /** Current RPPMPRF binary format version. Version 2 added CRC32C
  *  trailers to every column block (common/binio.hh); version 1 files
  *  (no trailers) still load, just without integrity verification. */
@@ -57,15 +41,15 @@ constexpr uint32_t kProfileFormatVersionMin = 1;
 /** First version whose column blocks carry CRC32C trailers. */
 constexpr uint32_t kProfileFormatVersionCrc = 2;
 
-/** Write @p profile in the binary container format; throws
- *  std::runtime_error on I/O error. */
+/** Write @p profile in the RPPMPRF format; throws std::runtime_error
+ *  on I/O error. */
 void saveProfileBinary(const WorkloadProfile &profile, std::ostream &os);
 
-/** Parse a binary-format profile; throws std::invalid_argument on bad
+/** Parse an RPPMPRF profile; throws std::invalid_argument on bad
  *  magic, foreign byte order, unsupported version or malformed input. */
 WorkloadProfile loadProfileBinary(std::istream &is);
 
-/** Convenience wrappers over file paths (binary format). */
+/** Convenience wrappers over file paths. */
 void saveProfileBinaryToFile(const WorkloadProfile &profile,
                              const std::string &path);
 WorkloadProfile loadProfileBinaryFromFile(const std::string &path);

@@ -4,8 +4,6 @@
 #include <limits>
 
 #include "common/assert.hh"
-#include "rppm/memo.hh"
-#include "rppm/predictor.hh"
 #include "study/study.hh"
 
 namespace rppm {
@@ -88,29 +86,6 @@ exploreDesignSpace(const WorkloadSource &workload,
         result.predictedSeconds.push_back(cell->seconds);
     for (const Evaluation *cell : grid.sweep(workload.name(), oracleName))
         result.simulatedSeconds.push_back(cell->seconds);
-    return result;
-}
-
-DseResult
-exploreDesignSpace(const WorkloadProfile &profile,
-                   const std::vector<MulticoreConfig> &configs,
-                   const std::vector<double> &simulated_seconds)
-{
-    RPPM_REQUIRE(configs.size() == simulated_seconds.size(),
-                 "one simulated time required per design point");
-    RPPM_REQUIRE(!configs.empty(), "empty design space");
-
-    // Deliberately positional (not via Study): the legacy contract
-    // indexes design points by position and accepts duplicate or
-    // unnamed configurations, which name-keyed grids reject. Design
-    // points share one memoized engine; the key property — the same
-    // profile serves every design point — now extends to every model
-    // component the points have in common.
-    DseResult result;
-    result.workload = profile.name;
-    result.simulatedSeconds = simulated_seconds;
-    for (const RppmPrediction &pred : predictGrid(profile, configs))
-        result.predictedSeconds.push_back(pred.totalSeconds);
     return result;
 }
 

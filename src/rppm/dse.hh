@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "arch/config.hh"
-#include "profile/epoch_profile.hh"
 #include "study/evaluator.hh"
 #include "study/source.hh"
 
@@ -83,16 +82,6 @@ struct DseOptions
 DseResult exploreDesignSpace(const WorkloadSource &workload,
                              const std::vector<MulticoreConfig> &configs,
                              const DseOptions &opts = {});
-
-/**
- * Backward-compatible wrapper over pre-computed golden-reference times:
- * predicts with the RPPM model and adopts @p simulated_seconds as the
- * oracle column. Prefer the WorkloadSource overload, which obtains
- * oracle times through the Evaluator interface.
- */
-DseResult exploreDesignSpace(const WorkloadProfile &profile,
-                             const std::vector<MulticoreConfig> &configs,
-                             const std::vector<double> &simulated_seconds);
 
 } // namespace rppm
 

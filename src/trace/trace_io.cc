@@ -1,9 +1,7 @@
 #include "trace/trace_io.hh"
 
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/binio.hh"
@@ -39,45 +37,22 @@ saveTrace(const ColumnarTrace &trace, std::ostream &os)
 
 namespace {
 
-/** Column policy for the copying loader: payloads land in owned
- *  vectors. */
-struct CopyColumns
+/** Column @p tag of the mapped image, borrowed in place. */
+template <typename T>
+Column<T>
+viewColumn(BinReader &in, uint32_t tag, const char *what)
 {
-    BinReader &in;
-
-    template <typename T>
-    Column<T>
-    read(uint32_t tag, const char *what) const
-    {
-        return in.column<T>(tag, what);
-    }
-};
-
-/** Column policy for the zero-copy loader: payloads stay in the mapped
- *  image and the columns borrow pointers into it. */
-struct ViewColumns
-{
-    BinReader &in;
-
-    template <typename T>
-    Column<T>
-    read(uint32_t tag, const char *what) const
-    {
-        const auto [p, n] = in.columnView<T>(tag, what);
-        return Column<T>::borrow(p, n);
-    }
-};
+    const auto [p, n] = in.columnView<T>(tag, what);
+    return Column<T>::borrow(p, n);
+}
 
 /**
- * Structural parse shared by both loaders; they differ only in how a
- * column block becomes a Column<T>. Every validation path — header,
- * tags, element sizes, bounds, trailing bytes, dense/sparse
- * cross-consistency — is this one function, so the view loader rejects
- * exactly what the copying loader rejects.
+ * Structural parse of a mapped RPPMTRC image: header, tags, element
+ * sizes, bounds, trailing bytes and dense/sparse cross-consistency. The
+ * columns point into the image instead of copying it.
  */
-template <typename ColumnPolicy>
 ColumnarTrace
-parseTrace(BinReader &in, size_t image_size, const ColumnPolicy &cols_in)
+parseTrace(BinReader &in, size_t image_size)
 {
     ColumnarTrace trace;
     trace.name = in.str("name");
@@ -89,19 +64,18 @@ parseTrace(BinReader &in, size_t image_size, const ColumnPolicy &cols_in)
     for (uint64_t t = 0; t < threads; ++t) {
         ThreadColumns &cols = trace.threads[t];
         const uint64_t records = in.u64("record count");
-        cols.op = cols_in.template read<OpClass>(kTagOp, "op column");
-        cols.pc = cols_in.template read<uint32_t>(kTagPc, "pc column");
-        cols.dep1 = cols_in.template read<uint16_t>(kTagDep1, "dep1 column");
-        cols.dep2 = cols_in.template read<uint16_t>(kTagDep2, "dep2 column");
-        cols.addr = cols_in.template read<uint64_t>(kTagAddr, "addr column");
-        cols.taken =
-            cols_in.template read<uint8_t>(kTagTaken, "taken column");
+        cols.op = viewColumn<OpClass>(in, kTagOp, "op column");
+        cols.pc = viewColumn<uint32_t>(in, kTagPc, "pc column");
+        cols.dep1 = viewColumn<uint16_t>(in, kTagDep1, "dep1 column");
+        cols.dep2 = viewColumn<uint16_t>(in, kTagDep2, "dep2 column");
+        cols.addr = viewColumn<uint64_t>(in, kTagAddr, "addr column");
+        cols.taken = viewColumn<uint8_t>(in, kTagTaken, "taken column");
         cols.syncPos =
-            cols_in.template read<uint64_t>(kTagSyncPos, "syncPos column");
+            viewColumn<uint64_t>(in, kTagSyncPos, "syncPos column");
         cols.syncType =
-            cols_in.template read<SyncType>(kTagSyncTyp, "syncType column");
+            viewColumn<SyncType>(in, kTagSyncTyp, "syncType column");
         cols.syncArg =
-            cols_in.template read<uint32_t>(kTagSyncArg, "syncArg column");
+            viewColumn<uint32_t>(in, kTagSyncArg, "syncArg column");
         if (cols.op.size() != records)
             in.fail("record count does not match op column");
     }
@@ -117,25 +91,12 @@ parseTrace(BinReader &in, size_t image_size, const ColumnPolicy &cols_in)
 } // namespace
 
 ColumnarTrace
-loadTrace(std::istream &is)
-{
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const std::string data = buf.str();
-
-    BinReader in(data, kTraceMagic, kTraceFormatVersionMin,
-                 kTraceFormatVersion);
-    in.setBlockCrcVerify(in.version() >= kTraceFormatVersionCrc);
-    return parseTrace(in, data.size(), CopyColumns{in});
-}
-
-ColumnarTrace
 loadTraceView(std::shared_ptr<const MappedFile> image)
 {
     BinReader in(image->view(), kTraceMagic, kTraceFormatVersionMin,
                  kTraceFormatVersion);
     in.setBlockCrcVerify(in.version() >= kTraceFormatVersionCrc);
-    ColumnarTrace trace = parseTrace(in, image->size(), ViewColumns{in});
+    ColumnarTrace trace = parseTrace(in, image->size());
     // The columns alias the mapped bytes; the trace keeps the image
     // alive (and marks itself borrowed) by holding it.
     trace.storage = std::move(image);
@@ -155,15 +116,6 @@ saveTraceToFile(const ColumnarTrace &trace, const std::string &path)
     if (!os)
         throw std::runtime_error("cannot open " + path + " for writing");
     saveTrace(trace, os);
-}
-
-ColumnarTrace
-loadTraceFromFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        throw std::runtime_error("cannot open " + path);
-    return loadTrace(is);
 }
 
 } // namespace rppm

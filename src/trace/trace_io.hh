@@ -6,8 +6,10 @@
  * (magic, endianness marker, version), the workload name, the thread
  * count, then per thread a small count block followed by one block per
  * column. Blocks are 8-byte aligned with sizes declared up front, so the
- * format is mmap-friendly: a reader can map the file and point into the
- * column payloads directly.
+ * format is mmap-friendly: the whole-file loader maps the file and points
+ * the columns into the payloads directly (ColumnarTrace::toOwned()
+ * detaches a loaded trace from the mapping); the chunked reader
+ * (trace_stream.hh) maps one window at a time.
  *
  * Loading validates everything the sequential consumers rely on: magic,
  * byte order and version (unknown versions are rejected, never
@@ -34,7 +36,7 @@ namespace rppm {
  *  still load, just without integrity verification. */
 constexpr uint32_t kTraceFormatVersion = 2;
 
-/** Oldest RPPMTRC version the loaders accept. */
+/** Oldest RPPMTRC version the readers accept. */
 constexpr uint32_t kTraceFormatVersionMin = 1;
 
 /** First version whose column blocks carry CRC32C trailers. */
@@ -44,7 +46,7 @@ constexpr uint32_t kTraceFormatVersionCrc = 2;
 constexpr char kTraceMagic[8] = {'R', 'P', 'P', 'M', 'T', 'R', 'C', '\0'};
 
 /** Column tags ("fourcc" style, stable across versions). Shared by the
- *  whole-file loaders here and the chunked reader (trace_stream.hh). */
+ *  whole-file loader here and the chunked reader (trace_stream.hh). */
 enum TraceColumnTag : uint32_t
 {
     kTagOp = 0x4f500000,      // 'OP'
@@ -61,21 +63,15 @@ enum TraceColumnTag : uint32_t
 /** Serialize @p trace to @p os; throws std::runtime_error on I/O error. */
 void saveTrace(const ColumnarTrace &trace, std::ostream &os);
 
-/** Parse a trace from @p is; throws std::invalid_argument on bad input. */
-ColumnarTrace loadTrace(std::istream &is);
-
-/** Convenience wrappers over file paths. */
+/** Convenience wrapper over a file path. */
 void saveTraceToFile(const ColumnarTrace &trace, const std::string &path);
-ColumnarTrace loadTraceFromFile(const std::string &path);
 
 /**
- * Zero-copy load: parse the container structure of @p image but point
- * the trace's columns straight into the mapped payload bytes instead of
- * copying them out (the format keeps every payload 8-byte aligned for
- * exactly this). The returned trace holds @p image alive via
- * ColumnarTrace::storage and reports isBorrowed() == true; it validates
- * the same invariants and rejects the same malformed inputs as
- * loadTrace(), and compares equal to the copying loader's result.
+ * Zero-copy load: parse the container structure of @p image and point
+ * the trace's columns straight into the mapped payload bytes (the format
+ * keeps every payload 8-byte aligned for exactly this). The returned
+ * trace holds @p image alive via ColumnarTrace::storage and reports
+ * isBorrowed() == true. Malformed input throws std::invalid_argument.
  */
 ColumnarTrace loadTraceView(std::shared_ptr<const MappedFile> image);
 

@@ -3,15 +3,15 @@
  * Out-of-core access to RPPMTRC containers: layout index, resident sync
  * columns, and windowed chunk views.
  *
- * The whole-file loaders (trace_io.hh) either copy every column into
- * memory or mmap the entire file — both charge O(file) against the
- * process's address-space limit, which is exactly what the streaming
- * profiler must avoid. This reader decomposes access instead:
+ * The whole-file loader (trace_io.hh) maps the entire file, which
+ * charges O(file) against the process's address-space limit: exactly
+ * what the streaming profiler must avoid. This reader decomposes access
+ * instead:
  *
  *  - indexTraceFile() walks the container structure with pread (a few
  *    dozen small reads, no mapping at all) and returns the byte extent
  *    of every column of every thread, validating the same structural
- *    properties the whole-file loaders validate: magic, byte order,
+ *    properties the whole-file loader validates: magic, byte order,
  *    version, block tags, element sizes, bounds, trailing bytes. A
  *    truncated or corrupt file is rejected here, before any profiling
  *    work starts.
@@ -76,7 +76,7 @@ struct TraceFileLayout
 /**
  * Walk the container structure of @p file and return its layout.
  * Throws std::invalid_argument (same type and "binary container: "
- * prefix as the whole-file loaders) on any structural defect, including
+ * prefix as the whole-file loader) on any structural defect, including
  * truncation anywhere in the file.
  */
 TraceFileLayout indexTraceFile(const FdFile &file);
@@ -122,7 +122,7 @@ struct TraceChunk
 /**
  * Rolling CRC32C verification of a trace file's column payloads as the
  * chunked reader maps them — the streaming analogue of the whole-file
- * loaders' per-block trailer check, without ever holding a whole column.
+ * loader's per-block trailer check, without ever holding a whole column.
  *
  * Each verified column keeps a frontier: the element ordinal up to which
  * its CRC has been folded. A mapped slice starting exactly at the

@@ -8,8 +8,8 @@
  * against a retained slow reference implementation:
  *
  *  - predict.txt: %.17g predictions (test_predict_golden);
- *  - profile.txt: byte length and CRC32C of the text-serialized and of
- *    the binary (RPPMPRF) profile (test_profile_parallel records it);
+ *  - profile.txt: byte length and CRC32C of the RPPMPRF-serialized
+ *    profile (test_profile_parallel records it);
  *  - sim.txt: byte length and CRC32C of the hexfloat SimResult dump,
  *    then the %.17g totals (test_sim_parallel records it);
  *  - trace.txt: byte length and CRC32C of the synthesized trace's

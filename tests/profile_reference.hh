@@ -2,13 +2,13 @@
  * @file
  * Shared helpers of the profiler identity tests.
  *
- * Every byte-identity check of the profiler engine compares both
- * deterministic serializations (profile/serialize.hh) of its profile,
- * the text form and the binary RPPMPRF form, against the committed
- * corpus tests/golden/profile.txt (see golden.hh): two lines per
- * workload and option set, each holding the byte length and CRC32C of
- * one serialization. This header names the corpus cases, so that the
- * tests and the recorder in test_profile_parallel.cc agree on them.
+ * Every byte-identity check of the profiler engine compares the
+ * deterministic RPPMPRF serialization (profile/serialize.hh) of its
+ * profile against the committed corpus tests/golden/profile.txt (see
+ * golden.hh): one line per workload and option set, holding the byte
+ * length and CRC32C of that serialization. This header names the corpus
+ * cases, so that the tests and the recorder in test_profile_parallel.cc
+ * agree on them.
  *
  * The same workloads, once each, make up the trace corpus
  * tests/golden/trace.txt: one line per workload holding the byte length
@@ -38,16 +38,7 @@
 
 namespace rppm {
 
-/** The deterministic text serialization of @p profile. */
-inline std::string
-serializeProfileText(const WorkloadProfile &profile)
-{
-    std::stringstream ss;
-    saveProfile(profile, ss);
-    return ss.str();
-}
-
-/** The binary (RPPMPRF) serialization of @p profile. */
+/** The deterministic RPPMPRF serialization of @p profile. */
 inline std::string
 serializeProfileBinary(const WorkloadProfile &profile)
 {
@@ -160,21 +151,19 @@ profileKey(const std::string &workload, const char *options = "default")
     return workload + "|" + options;
 }
 
-/** Corpus key of the binary serialization of case @p key. */
+/** Corpus key of the RPPMPRF serialization of case @p key. */
 inline std::string
 binaryProfileKey(const std::string &key)
 {
     return key + "|rppmprf";
 }
 
-/** The two corpus lines of case @p key: the text serialization's
- *  digest, then the binary serialization's. */
-inline std::pair<std::string, std::string>
-profileDigests(const std::string &key, const WorkloadProfile &profile)
+/** The corpus line of case @p key: the digest of its RPPMPRF bytes. */
+inline std::string
+profileDigest(const std::string &key, const WorkloadProfile &profile)
 {
-    return {golden::digest(key, serializeProfileText(profile)),
-            golden::digest(binaryProfileKey(key),
-                           serializeProfileBinary(profile))};
+    return golden::digest(binaryProfileKey(key),
+                          serializeProfileBinary(profile));
 }
 
 /** One line of tests/golden/profile.txt. */
@@ -264,26 +253,23 @@ matchesTraceCorpus(const std::string &workload, const ColumnarTrace &trace)
     return ::testing::AssertionSuccess();
 }
 
-/** Do both serializations of @p profile match the corpus lines of
- *  @p key? */
+/** Does the RPPMPRF serialization of @p profile match the corpus line
+ *  of case @p key? */
 inline ::testing::AssertionResult
 matchesProfileCorpus(const std::string &key, const WorkloadProfile &profile)
 {
     static const std::map<std::string, std::string> corpus =
         golden::load("profile.txt");
-    const auto [text, binary] = profileDigests(key, profile);
-    for (const auto &[line_key, got] :
-         {std::pair{key, text}, std::pair{binaryProfileKey(key), binary}}) {
-        const auto it = corpus.find(line_key);
-        if (it == corpus.end())
-            return ::testing::AssertionFailure()
-                << "no line for " << line_key << " in "
-                << golden::path("profile.txt");
-        if (got != it->second)
-            return ::testing::AssertionFailure()
-                << "computed '" << got << "', corpus '" << it->second
-                << "'";
-    }
+    const std::string line_key = binaryProfileKey(key);
+    const auto it = corpus.find(line_key);
+    if (it == corpus.end())
+        return ::testing::AssertionFailure()
+            << "no line for " << line_key << " in "
+            << golden::path("profile.txt");
+    const std::string got = profileDigest(key, profile);
+    if (got != it->second)
+        return ::testing::AssertionFailure()
+            << "computed '" << got << "', corpus '" << it->second << "'";
     return ::testing::AssertionSuccess();
 }
 

@@ -403,10 +403,8 @@ TEST(Profiler, ClosedEpochsHoldOnlyNonEmptyBuckets)
     EXPECT_EQ(expectFrozenHistograms(profileWorkload(trace, par), "jobs 4"),
               heap);
 
-    std::stringstream text, binary;
-    saveProfile(prof, text);
+    std::stringstream binary;
     saveProfileBinary(prof, binary);
-    EXPECT_EQ(expectFrozenHistograms(loadProfile(text), "text"), heap);
     EXPECT_EQ(expectFrozenHistograms(loadProfileBinary(binary), "binary"),
               heap);
 }

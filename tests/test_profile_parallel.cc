@@ -11,7 +11,7 @@
  * the workload suite, under custom profiler options, and through the
  * ProfileCache (same key, same serialized bytes, regardless of how many
  * profile workers produced the artifact). Equality is asserted through
- * the byte length and CRC32C of the deterministic text serialization.
+ * the byte length and CRC32C of the deterministic RPPMPRF serialization.
  * This file also records the corpus (ProfileGolden below).
  */
 
@@ -51,16 +51,13 @@ TEST(ProfileGolden, CorpusCoversEveryCase)
         for (const ProfileCase &c : cases) {
             const WorkloadProfile profile =
                 profileWorkload(synthesizeTrace(c.spec), c.opts);
-            const auto [text, binary] = profileDigests(c.key, profile);
-            lines.push_back(text);
-            lines.push_back(binary);
+            lines.push_back(profileDigest(c.key, profile));
         }
         ASSERT_TRUE(golden::write(
             target,
-            "# RPPM golden profile corpus: <workload>|<options> then the\n"
-            "# byte length and CRC32C of the text-serialized profile;\n"
-            "# <workload>|<options>|rppmprf then the same of its binary\n"
-            "# (RPPMPRF) serialization.\n"
+            "# RPPM golden profile corpus: <workload>|<options>|rppmprf\n"
+            "# then the byte length and CRC32C of the profile's RPPMPRF\n"
+            "# serialization (profile/serialize.hh).\n"
             "# Written by tests/test_profile_parallel.cc; see "
             "tests/golden.hh before regenerating.\n",
             lines))
@@ -69,26 +66,10 @@ TEST(ProfileGolden, CorpusCoversEveryCase)
     }
     const std::map<std::string, std::string> corpus =
         golden::load("profile.txt");
-    EXPECT_EQ(corpus.size(), 2 * cases.size());
+    EXPECT_EQ(corpus.size(), cases.size());
     for (const ProfileCase &c : cases) {
-        EXPECT_EQ(corpus.count(c.key), 1u) << "no corpus line for " << c.key;
         EXPECT_EQ(corpus.count(binaryProfileKey(c.key)), 1u)
-            << "no binary corpus line for " << c.key;
-    }
-}
-
-TEST(ProfileGolden, BinaryRoundTripDeterminesText)
-{
-    // Both serializations write the same fields: decoding the RPPMPRF
-    // bytes of every corpus case reproduces its text serialization, so
-    // each case's |rppmprf line pins everything its text line pins.
-    for (const ProfileCase &c : profileCorpusCases()) {
-        const WorkloadProfile profile =
-            profileWorkload(synthesizeTrace(c.spec), c.opts);
-        std::stringstream bytes(serializeProfileBinary(profile));
-        EXPECT_TRUE(serializeProfileText(loadProfileBinary(bytes)) ==
-                    serializeProfileText(profile))
-            << c.key;
+            << "no corpus line for " << c.key;
     }
 }
 
@@ -196,8 +177,6 @@ TEST(ParallelProfiler, CacheArtifactsIdenticalForAnyJobCount)
     EXPECT_EQ(cacheB.stats().diskHits, 1u);
     EXPECT_TRUE(matchesProfileCorpus(profileKey(spec.name), *fromSerial));
     EXPECT_TRUE(matchesProfileCorpus(profileKey(spec.name), *fromPar));
-    EXPECT_TRUE(serializeProfileBinary(*fromSerial) ==
-                serializeProfileBinary(*fromPar));
 
     // And a parallel run into an empty directory writes the same bytes.
     const auto dir2 = std::filesystem::temp_directory_path() /
@@ -251,8 +230,10 @@ TEST(ParallelProfiler, HotSharedRegionMatchesCorpusForEveryJobCount)
     }
     const std::map<std::string, std::string> corpus =
         golden::load("profile.txt");
-    const auto inval = corpus.find(profileKey("hot-shared", "q17"));
-    const auto noinval = corpus.find(profileKey("hot-shared", "noinval"));
+    const auto inval =
+        corpus.find(binaryProfileKey(profileKey("hot-shared", "q17")));
+    const auto noinval =
+        corpus.find(binaryProfileKey(profileKey("hot-shared", "noinval")));
     ASSERT_TRUE(inval != corpus.end() && noinval != corpus.end());
     EXPECT_NE(inval->second.substr(inval->second.find(' ')),
               noinval->second.substr(noinval->second.find(' ')));

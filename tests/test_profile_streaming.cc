@@ -9,10 +9,10 @@
  * the committed corpus tests/golden/profile.txt for every chunk size
  * and every job count, on every kernel of the workload suite. Equality
  * is asserted through the byte length and CRC32C of the deterministic
- * text serialization. On top of
- * the identity sweep: structural rejection of truncated/corrupt trace
- * files at every prefix length, chunk-size exclusion from the profile
- * cache key, and artifact identity between one-window and chunked runs.
+ * RPPMPRF serialization. On top of the identity sweep: structural
+ * rejection of truncated/corrupt trace files at every prefix length,
+ * chunk-size exclusion from the profile cache key, and artifact identity
+ * between one-window and chunked runs.
  */
 
 #include <gtest/gtest.h>

@@ -677,14 +677,8 @@ TEST(Dse, CandidatesMonotoneInBound)
 
 TEST(Dse, ExploreUsesOneProfileForAllPoints)
 {
-    WorkloadSpec spec = barrierLoopSpec(2, 3, 1500);
-    const ColumnarTrace trace = synthesizeTrace(spec);
-    const WorkloadProfile prof = profileWorkload(trace);
-    const auto configs = tableIvConfigs();
-    std::vector<double> sim_seconds;
-    for (const auto &cfg : configs)
-        sim_seconds.push_back(simulate(trace, cfg).totalSeconds);
-    const DseResult res = exploreDesignSpace(prof, configs, sim_seconds);
+    const WorkloadSource source(barrierLoopSpec(2, 3, 1500));
+    const DseResult res = exploreDesignSpace(source, tableIvConfigs());
     EXPECT_EQ(res.predictedSeconds.size(), 5u);
     for (double s : res.predictedSeconds)
         EXPECT_GT(s, 0.0);
@@ -692,13 +686,11 @@ TEST(Dse, ExploreUsesOneProfileForAllPoints)
     EXPECT_LT(res.deficiency(0.05), 0.5);
 }
 
-TEST(Dse, MismatchedInputsRejected)
+TEST(Dse, EmptyDesignSpaceRejected)
 {
-    WorkloadProfile prof;
-    prof.numThreads = 1;
-    prof.threads.resize(1);
-    EXPECT_THROW(exploreDesignSpace(prof, tableIvConfigs(), {1.0}),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        exploreDesignSpace(WorkloadSource(barrierLoopSpec(2, 3, 1500)), {}),
+        std::invalid_argument);
 }
 
 } // namespace

@@ -1,41 +1,67 @@
 /**
  * @file
- * Tests for profile serialization: exact round-tripping of everything
- * the model consumes, error handling on malformed input, and the key
- * property that a reloaded profile yields bit-identical predictions.
+ * Tests for the RPPMPRF profile format (profile/serialize.hh): exact
+ * round-tripping of everything the model consumes, the key property that
+ * a reloaded profile yields bit-identical predictions, rejection of
+ * malformed and legacy input, and the ProfileCache's self-healing of
+ * artifacts the reader rejects.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "profile/profiler.hh"
 #include "profile/serialize.hh"
 #include "rppm/predictor.hh"
+#include "study/profile_cache.hh"
 #include "workload/suite.hh"
 #include "workload/workload.hh"
 
 namespace rppm {
 namespace {
 
-WorkloadProfile
-sampleProfile()
+WorkloadSpec
+sampleSpec(const char *name = "serialize-test")
 {
     WorkloadSpec spec = barrierLoopSpec(3, 4, 2500);
+    spec.name = name;
     spec.csPerEpoch = 2;
     spec.queueItems = 5;
     spec.kernel.sharedFrac = 0.2;
     spec.kernel.branchEntropy = 0.1;
-    return profileWorkload(synthesizeTrace(spec));
+    return spec;
+}
+
+WorkloadProfile
+sampleProfile()
+{
+    return profileWorkload(synthesizeTrace(sampleSpec()));
+}
+
+std::string
+serialize(const WorkloadProfile &profile)
+{
+    std::stringstream ss;
+    saveProfileBinary(profile, ss);
+    return ss.str();
+}
+
+WorkloadProfile
+deserialize(const std::string &bytes)
+{
+    std::stringstream ss(bytes);
+    return loadProfileBinary(ss);
 }
 
 WorkloadProfile
 roundTrip(const WorkloadProfile &profile)
 {
-    std::stringstream ss;
-    saveProfile(profile, ss);
-    return loadProfile(ss);
+    return deserialize(serialize(profile));
 }
 
 TEST(Serialize, RoundTripPreservesStructure)
@@ -124,47 +150,12 @@ TEST(Serialize, ReloadedProfilePredictsIdentically)
     }
 }
 
-TEST(Serialize, DoubleRoundTripStable)
-{
-    const WorkloadProfile original = sampleProfile();
-    const WorkloadProfile once = roundTrip(original);
-    const WorkloadProfile twice = roundTrip(once);
-    std::stringstream sa, sb;
-    saveProfile(once, sa);
-    saveProfile(twice, sb);
-    // EXPECT_TRUE rather than EXPECT_EQ: on failure, gtest would try to
-    // diff two ~0.5 MB strings.
-    EXPECT_TRUE(sa.str() == sb.str());
-}
-
-TEST(Serialize, RejectsBadMagic)
-{
-    std::stringstream ss("NOTAPROFILE 9\n");
-    EXPECT_THROW(loadProfile(ss), std::invalid_argument);
-}
-
-TEST(Serialize, RejectsTruncatedInput)
-{
-    const WorkloadProfile original = sampleProfile();
-    std::stringstream ss;
-    saveProfile(original, ss);
-    const std::string full = ss.str();
-    std::stringstream truncated(full.substr(0, full.size() / 2));
-    EXPECT_THROW(loadProfile(truncated), std::invalid_argument);
-}
-
-TEST(Serialize, RejectsEmptyStream)
-{
-    std::stringstream ss;
-    EXPECT_THROW(loadProfile(ss), std::invalid_argument);
-}
-
 TEST(Serialize, FileRoundTrip)
 {
     const WorkloadProfile original = sampleProfile();
-    const std::string path = "/tmp/rppm_test_profile.txt";
-    saveProfileToFile(original, path);
-    const WorkloadProfile copy = loadProfileFromFile(path);
+    const std::string path = "/tmp/rppm_test_profile.rppmprf";
+    saveProfileBinaryToFile(original, path);
+    const WorkloadProfile copy = loadProfileBinaryFromFile(path);
     EXPECT_EQ(copy.name, original.name);
     const RppmPrediction a = predict(original, baseConfig());
     const RppmPrediction b = predict(copy, baseConfig());
@@ -174,8 +165,101 @@ TEST(Serialize, FileRoundTrip)
 
 TEST(Serialize, MissingFileThrows)
 {
-    EXPECT_THROW(loadProfileFromFile("/nonexistent/rppm.prof"),
+    EXPECT_THROW(loadProfileBinaryFromFile("/nonexistent/rppm.prof"),
                  std::runtime_error);
+}
+
+TEST(ProfileBinary, DoubleRoundTripIsByteStable)
+{
+    const std::string once = serialize(sampleProfile());
+    // EXPECT_TRUE rather than EXPECT_EQ: on failure, gtest would try to
+    // diff two large byte strings.
+    EXPECT_TRUE(serialize(deserialize(once)) == once);
+}
+
+/** The first bytes a pre-binary checkout wrote: its RPPMPROF text
+ *  format. */
+const char kLegacyTextProfile[] =
+    "RPPMPROF 1\nname heal-me\nthreads 4\nbarriers 0\ncondvars 0\n"
+    "synccounts 0 0 0\n";
+
+TEST(ProfileBinary, RejectsBadInput)
+{
+    const std::string bytes = serialize(sampleProfile());
+    const auto rejects = [](const std::string &image) {
+        std::stringstream in(image);
+        EXPECT_THROW(loadProfileBinary(in), std::invalid_argument);
+    };
+    rejects("");                  // empty stream
+    rejects("NOTAPROFILE 9\n");   // foreign magic
+    rejects(kLegacyTextProfile);  // legacy text-format profile
+    {   // Old/newer version.
+        std::string old = bytes;
+        old[12] = static_cast<char>(kProfileFormatVersion + 3);
+        rejects(old);
+    }
+    rejects(bytes.substr(0, bytes.size() / 2)); // truncation
+}
+
+TEST(ProfileBinary, CacheSelfHealsCorruptAndLegacyArtifacts)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "rppm_serialize_heal";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    const WorkloadSpec spec = sampleSpec("heal-me");
+    const ColumnarTrace trace = synthesizeTrace(spec);
+    const WorkloadProfile reference = profileWorkload(trace);
+    const auto recompute = [&](ProfileCache &cache) {
+        int computations = 0;
+        cache.getOrCompute(spec.name, {}, [&] {
+            ++computations;
+            return profileWorkload(trace);
+        });
+        return computations;
+    };
+
+    ProfileCache cache;
+    cache.setDirectory(dir.string());
+    const std::string path = cache.pathFor(spec.name, {});
+
+    // Seed the artifact with a *legacy text-format* profile (what a
+    // pre-binary checkout would have written), as the interesting case
+    // of "old version on disk".
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << kLegacyTextProfile;
+    }
+    EXPECT_EQ(recompute(cache), 1); // text artifact rejected, recomputed
+    EXPECT_EQ(cache.stats().diskHits, 0u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().quarantined, 1u);
+
+    // The artifact was overwritten in the binary format: a fresh cache
+    // now hits disk and predicts identically.
+    ProfileCache fresh;
+    fresh.setDirectory(dir.string());
+    const auto from_disk = fresh.getOrCompute(spec.name, {}, [&] {
+        ADD_FAILURE() << "should have loaded from disk";
+        return profileWorkload(trace);
+    });
+    EXPECT_EQ(fresh.stats().diskHits, 1u);
+    const RppmPrediction a = predict(reference, baseConfig());
+    const RppmPrediction b = predict(*from_disk, baseConfig());
+    EXPECT_DOUBLE_EQ(a.totalCycles, b.totalCycles);
+
+    // Plain corruption self-heals the same way.
+    {
+        std::ofstream os(path, std::ios::binary);
+        os << "corrupted beyond recognition";
+    }
+    ProfileCache corrupt;
+    corrupt.setDirectory(dir.string());
+    EXPECT_EQ(recompute(corrupt), 1);
+    EXPECT_EQ(corrupt.stats().quarantined, 1u);
+
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

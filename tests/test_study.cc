@@ -343,36 +343,37 @@ TEST(Study, RppmOptionVariantsFlowThrough)
 
 // ----------------------------------------------------------------- dse ---
 
-TEST(Dse, EvaluatorBackedExplorationMatchesLegacyWrapper)
+TEST(Dse, EvaluatorBackedExplorationMatchesPerPointCalls)
 {
     const WorkloadSpec spec = smallSpec("dse", 41);
     const std::vector<MulticoreConfig> configs = threeConfigs();
 
-    // New API: oracle times through the Evaluator interface.
+    // Oracle times through the Evaluator interface.
     DseOptions opts;
     opts.jobs = 4;
     const DseResult viaEvaluators =
         exploreDesignSpace(WorkloadSource(spec), configs, opts);
 
-    // Legacy wrapper: caller-computed oracle times.
+    // The same design points, one predict() and one simulate() each.
     const ColumnarTrace trace = synthesizeTrace(spec);
     const WorkloadProfile profile = profileWorkload(trace);
-    std::vector<double> sim_seconds;
-    for (const MulticoreConfig &cfg : configs)
-        sim_seconds.push_back(simulate(trace, cfg).totalSeconds);
-    const DseResult legacy =
-        exploreDesignSpace(profile, configs, sim_seconds);
+    DseResult direct;
+    for (const MulticoreConfig &cfg : configs) {
+        direct.predictedSeconds.push_back(
+            predict(profile, cfg).totalSeconds);
+        direct.simulatedSeconds.push_back(simulate(trace, cfg).totalSeconds);
+    }
 
     ASSERT_EQ(viaEvaluators.predictedSeconds.size(), configs.size());
     ASSERT_EQ(viaEvaluators.simulatedSeconds.size(), configs.size());
     for (size_t i = 0; i < configs.size(); ++i) {
         EXPECT_DOUBLE_EQ(viaEvaluators.predictedSeconds[i],
-                         legacy.predictedSeconds[i]) << i;
+                         direct.predictedSeconds[i]) << i;
         EXPECT_DOUBLE_EQ(viaEvaluators.simulatedSeconds[i],
-                         legacy.simulatedSeconds[i]) << i;
+                         direct.simulatedSeconds[i]) << i;
     }
-    EXPECT_EQ(viaEvaluators.predictedBest(), legacy.predictedBest());
-    EXPECT_EQ(viaEvaluators.trueBest(), legacy.trueBest());
+    EXPECT_EQ(viaEvaluators.predictedBest(), direct.predictedBest());
+    EXPECT_EQ(viaEvaluators.trueBest(), direct.trueBest());
 }
 
 TEST(Dse, RejectsNonOracleBackend)
