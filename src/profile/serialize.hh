@@ -16,7 +16,11 @@
  * predict(load(save(p))) == predict(p) for every configuration. The
  * writer emits byte-deterministic output (maps are sorted before
  * writing). The reader rejects old-version, foreign or malformed files
- * with std::invalid_argument, never half-decoding them.
+ * with std::invalid_argument, never half-decoding them. Because the
+ * CRC32C trailers cover column blocks only, it also checks each
+ * thread's epoch ends with the trace's sync validator (see
+ * validateSyncAndBarrierPopulations in trace/columnar.hh): a profile it
+ * returns cannot abort predict().
  */
 
 #ifndef RPPM_PROFILE_SERIALIZE_HH
@@ -46,7 +50,8 @@ constexpr uint32_t kProfileFormatVersionCrc = 2;
 void saveProfileBinary(const WorkloadProfile &profile, std::ostream &os);
 
 /** Parse an RPPMPRF profile; throws std::invalid_argument on bad
- *  magic, foreign byte order, unsupported version or malformed input. */
+ *  magic, foreign byte order, unsupported version, malformed input or
+ *  a synchronization structure predict() cannot execute. */
 WorkloadProfile loadProfileBinary(std::istream &is);
 
 /** Convenience wrappers over file paths. */

@@ -22,7 +22,9 @@
 #include <tuple>
 #include <vector>
 
+#include "common/assert.hh"
 #include "common/binio.hh"
+#include "trace/columnar.hh"
 
 namespace rppm {
 
@@ -204,6 +206,50 @@ readEpoch(BinReader &in)
     return epoch;
 }
 
+/**
+ * Reject a decoded profile whose synchronization structure the sync
+ * model cannot execute. The CRC trailers cover the column blocks only,
+ * so a flipped epoch end type or argument reaches this point intact.
+ * Each thread's epoch ends are its sync events, checked by the trace
+ * validator (trace/columnar.hh); the barrier populations it derives must
+ * be the decoded ones, and only a thread's last epoch may end it.
+ */
+void
+validateProfileSync(const WorkloadProfile &profile)
+{
+    struct Events
+    {
+        std::vector<uint64_t> pos;
+        std::vector<SyncType> type;
+        std::vector<uint32_t> arg;
+    };
+    std::vector<Events> events(profile.threads.size());
+    std::vector<SyncView> views;
+    views.reserve(profile.threads.size());
+    for (size_t t = 0; t < profile.threads.size(); ++t) {
+        const std::vector<EpochProfile> &epochs = profile.threads[t].epochs;
+        RPPM_REQUIRE(!epochs.empty(), "thread has no epochs");
+        Events &ev = events[t];
+        uint64_t records = 0;
+        for (size_t e = 0; e < epochs.size(); ++e) {
+            const bool last = e + 1 == epochs.size();
+            RPPM_REQUIRE((epochs[e].endType == SyncType::None) == last,
+                         "only a thread's last epoch may end the thread");
+            records += epochs[e].numOps;
+            if (last)
+                break;
+            ev.pos.push_back(records++);
+            ev.type.push_back(epochs[e].endType);
+            ev.arg.push_back(epochs[e].endArg);
+        }
+        views.push_back({ev.pos.data(), ev.type.data(), ev.arg.data(),
+                         ev.pos.size(), records});
+    }
+    RPPM_REQUIRE(validateSyncAndBarrierPopulations(views) ==
+                     profile.barrierPopulation,
+                 "barrier populations do not match the epoch ends");
+}
+
 } // namespace
 
 void
@@ -276,6 +322,9 @@ loadProfileBinary(std::istream &is)
     if (condvar_flat.size() % 2 != 0)
         in.fail("condvar block not a multiple of 2");
     for (size_t c = 0; c < condvar_flat.size(); c += 2) {
+        if (condvar_flat[c + 1] >
+            static_cast<uint32_t>(CondVarClass::ProducerConsumer))
+            in.fail("bad condvar class");
         profile.condVarClasses[condvar_flat[c]] =
             static_cast<CondVarClass>(condvar_flat[c + 1]);
     }
@@ -299,6 +348,7 @@ loadProfileBinary(std::istream &is)
     }
     if (!in.atEnd())
         in.fail("trailing bytes after last thread");
+    validateProfileSync(profile);
     return profile;
 }
 

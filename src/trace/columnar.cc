@@ -255,6 +255,7 @@ validateSyncAndBarrierPopulations(const std::vector<SyncView> &threads)
             RPPM_REQUIRE(created[tid] == 1,
                          "thread with records must be created exactly once");
         }
+        RPPM_REQUIRE(created[tid] <= 1, "thread created more than once");
         RPPM_REQUIRE(joined[tid] <= 1, "thread joined more than once");
     }
 

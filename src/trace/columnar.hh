@@ -206,9 +206,10 @@ struct ColumnarTrace
     WorkloadTrace toWorkload() const;
 
     /**
-     * Validate the structural invariants (every non-main thread with
-     * records is created exactly once, by ThreadCreate in some thread;
-     * created threads are joined at most once; mutex lock/unlock pairs
+     * Validate the structural invariants (no thread is created more
+     * than once, and every non-main thread with records is created
+     * exactly once, by ThreadCreate in some thread; created threads are
+     * joined at most once; mutex lock/unlock pairs
      * are balanced per thread) and return the barrier populations, in
      * one sweep over the *sparse sync columns only* — O(sync events),
      * not O(records). Throws std::invalid_argument on violation.

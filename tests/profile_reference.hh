@@ -6,9 +6,10 @@
  * deterministic RPPMPRF serialization (profile/serialize.hh) of its
  * profile against the committed corpus tests/golden/profile.txt (see
  * golden.hh): one line per workload and option set, holding the byte
- * length and CRC32C of that serialization. This header names the corpus
- * cases, so that the tests and the recorder in test_profile_parallel.cc
- * agree on them.
+ * length and CRC32C of that serialization; the check also feeds the
+ * bytes back through the RPPMPRF reader, which must accept them. This
+ * header names the corpus cases, so that the tests and the recorder in
+ * test_profile_parallel.cc agree on them.
  *
  * The same workloads, once each, make up the trace corpus
  * tests/golden/trace.txt: one line per workload holding the byte length
@@ -254,7 +255,7 @@ matchesTraceCorpus(const std::string &workload, const ColumnarTrace &trace)
 }
 
 /** Does the RPPMPRF serialization of @p profile match the corpus line
- *  of case @p key? */
+ *  of case @p key, and does the reader accept it? */
 inline ::testing::AssertionResult
 matchesProfileCorpus(const std::string &key, const WorkloadProfile &profile)
 {
@@ -266,10 +267,18 @@ matchesProfileCorpus(const std::string &key, const WorkloadProfile &profile)
         return ::testing::AssertionFailure()
             << "no line for " << line_key << " in "
             << golden::path("profile.txt");
-    const std::string got = profileDigest(key, profile);
+    const std::string bytes = serializeProfileBinary(profile);
+    const std::string got = golden::digest(line_key, bytes);
     if (got != it->second)
         return ::testing::AssertionFailure()
             << "computed '" << got << "', corpus '" << it->second << "'";
+    try {
+        std::stringstream in(bytes);
+        loadProfileBinary(in);
+    } catch (const std::invalid_argument &e) {
+        return ::testing::AssertionFailure()
+            << "the reader rejects it: " << e.what();
+    }
     return ::testing::AssertionSuccess();
 }
 

@@ -5,6 +5,13 @@
  * a reloaded profile yields bit-identical predictions, rejection of
  * malformed and legacy input, and the ProfileCache's self-healing of
  * artifacts the reader rejects.
+ *
+ * The reader is a decoder of hostile input, and its checksums cover the
+ * column blocks only: the epoch scalars (counters, end type and end
+ * argument) sit outside them. The sweeps at the end corrupt those
+ * scalars structurally, flip sampled bytes and truncate the image; the
+ * reader must reject every result or hand back a profile predict()
+ * executes without aborting.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +19,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -259,7 +267,122 @@ TEST(ProfileBinary, CacheSelfHealsCorruptAndLegacyArtifacts)
     EXPECT_EQ(recompute(corrupt), 1);
     EXPECT_EQ(corrupt.stats().quarantined, 1u);
 
+    // So does an artifact that passes every checksum but whose sync
+    // structure cannot execute: the main thread's first epoch claims to
+    // end the thread.
+    WorkloadProfile inconsistent = reference;
+    ASSERT_GT(inconsistent.threads[0].epochs.size(), 1u);
+    inconsistent.threads[0].epochs[0].endType = SyncType::None;
+    saveProfileBinaryToFile(inconsistent, path);
+    ProfileCache unsound;
+    unsound.setDirectory(dir.string());
+    EXPECT_EQ(recompute(unsound), 1);
+    EXPECT_EQ(unsound.stats().quarantined, 1u);
+    EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
+
     std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------- corrupt-input sweeps ---
+
+/** A small profile with every kind of sync event the sweeps mutate:
+ *  create/join, barriers, critical sections and a queue. */
+WorkloadProfile
+sweepProfile()
+{
+    WorkloadSpec spec = barrierLoopSpec(2, 2, 150);
+    spec.name = "sweep";
+    spec.csPerEpoch = 1;
+    spec.queueItems = 2;
+    spec.itemOps = 40;
+    spec.initOps = 60;
+    spec.finalOps = 60;
+    return profileWorkload(synthesizeTrace(spec));
+}
+
+/**
+ * The rule every corrupt image must keep: loading it throws
+ * std::invalid_argument, or the loaded profile's predict() returns or
+ * throws std::invalid_argument. Anything else (an abort, another
+ * exception type) fails the test.
+ */
+::testing::AssertionResult
+loadsSafely(const std::string &image)
+{
+    WorkloadProfile profile;
+    try {
+        profile = deserialize(image);
+    } catch (const std::invalid_argument &) {
+        return ::testing::AssertionSuccess();
+    }
+    try {
+        predict(profile, baseConfig());
+    } catch (const std::invalid_argument &) {
+    } catch (const std::exception &e) {
+        return ::testing::AssertionFailure()
+            << "predict() threw a non-input error: " << e.what();
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(ProfileSweep, StructuralMutationsLoadSafely)
+{
+    // Every epoch end retargeted at every other sync id the profile
+    // uses and at the first thread id past the end, and retyped as
+    // every sync type: the scalars a CRC does not cover.
+    const WorkloadProfile profile = sweepProfile();
+    std::set<uint32_t> ids = {profile.numThreads};
+    for (const ThreadProfile &thread : profile.threads) {
+        for (const EpochProfile &epoch : thread.epochs)
+            ids.insert(epoch.endArg);
+    }
+    size_t mutants = 0;
+    for (size_t t = 0; t < profile.threads.size(); ++t) {
+        for (size_t e = 0; e < profile.threads[t].epochs.size(); ++e) {
+            const EpochProfile &epoch = profile.threads[t].epochs[e];
+            WorkloadProfile mutant = profile;
+            EpochProfile &target = mutant.threads[t].epochs[e];
+            for (const uint32_t id : ids) {
+                if (id == epoch.endArg)
+                    continue;
+                target.endArg = id;
+                EXPECT_TRUE(loadsSafely(serialize(mutant)))
+                    << "thread " << t << " epoch " << e << " endArg "
+                    << id;
+                ++mutants;
+            }
+            target.endArg = epoch.endArg;
+            for (uint8_t type = 0;
+                 type < static_cast<uint8_t>(SyncType::NumTypes); ++type) {
+                if (type == static_cast<uint8_t>(epoch.endType))
+                    continue;
+                target.endType = static_cast<SyncType>(type);
+                EXPECT_TRUE(loadsSafely(serialize(mutant)))
+                    << "thread " << t << " epoch " << e << " endType "
+                    << syncTypeName(target.endType);
+                ++mutants;
+            }
+        }
+    }
+    EXPECT_GT(mutants, 100u);
+}
+
+TEST(ProfileSweep, FlippedAndTruncatedImagesLoadSafely)
+{
+    const std::string image = serialize(sweepProfile());
+    // Sample every k-th offset and length; k is odd so both sweeps
+    // visit every byte lane of the 8-byte-aligned fields.
+    const size_t k = 7;
+    for (size_t at = 0; at < image.size(); at += k) {
+        std::string flipped = image;
+        flipped[at] = static_cast<char>(~flipped[at]);
+        EXPECT_TRUE(loadsSafely(flipped)) << "flip at " << at;
+    }
+    for (size_t len = 0; len < image.size(); len += k) {
+        std::stringstream in(image.substr(0, len));
+        EXPECT_THROW(loadProfileBinary(in), std::invalid_argument)
+            << "truncated to " << len;
+    }
 }
 
 } // namespace

@@ -188,6 +188,20 @@ TEST(ColumnarTrace, ValidateRejectsDoubleJoin)
                  std::invalid_argument);
 }
 
+TEST(ColumnarTrace, ValidateRejectsDoubleCreateOfEmptyThread)
+{
+    // A thread with no records need not be created, but a second create
+    // would find it already running (the simulator's and sync model's
+    // SyncState asserts on that).
+    ColumnarTrace trace;
+    trace.threads.resize(2);
+    ThreadTraceBuilder main(trace.threads[0]);
+    main.sync(SyncType::ThreadCreate, 1);
+    main.sync(SyncType::ThreadCreate, 1);
+    EXPECT_THROW(trace.validateAndBarrierPopulations(),
+                 std::invalid_argument);
+}
+
 TEST(ColumnarTrace, ValidateRejectsEmpty)
 {
     ColumnarTrace trace;
