@@ -159,14 +159,6 @@ binaryProfileKey(const std::string &key)
     return key + "|rppmprf";
 }
 
-/** The corpus line of case @p key: the digest of its RPPMPRF bytes. */
-inline std::string
-profileDigest(const std::string &key, const WorkloadProfile &profile)
-{
-    return golden::digest(binaryProfileKey(key),
-                          serializeProfileBinary(profile));
-}
-
 /** One line of tests/golden/profile.txt. */
 struct ProfileCase
 {

@@ -51,7 +51,8 @@ TEST(ProfileGolden, CorpusCoversEveryCase)
         for (const ProfileCase &c : cases) {
             const WorkloadProfile profile =
                 profileWorkload(synthesizeTrace(c.spec), c.opts);
-            lines.push_back(profileDigest(c.key, profile));
+            lines.push_back(golden::digest(binaryProfileKey(c.key),
+                                           serializeProfileBinary(profile)));
         }
         ASSERT_TRUE(golden::write(
             target,

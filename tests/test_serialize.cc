@@ -185,8 +185,8 @@ TEST(ProfileBinary, DoubleRoundTripIsByteStable)
     EXPECT_TRUE(serialize(deserialize(once)) == once);
 }
 
-/** The first bytes a pre-binary checkout wrote: its RPPMPROF text
- *  format. */
+/** The first bytes of a profile a pre-binary checkout wrote in its
+ *  line-oriented text format. */
 const char kLegacyTextProfile[] =
     "RPPMPROF 1\nname heal-me\nthreads 4\nbarriers 0\ncondvars 0\n"
     "synccounts 0 0 0\n";
