@@ -19,8 +19,9 @@
  * with std::invalid_argument, never half-decoding them. Because the
  * CRC32C trailers cover column blocks only, it also checks each
  * thread's epoch ends with the trace's sync validator (see
- * validateSyncAndBarrierPopulations in trace/columnar.hh): a profile it
- * returns cannot abort predict().
+ * validateSyncAndBarrierPopulations in trace/columnar.hh), so a sync
+ * structure the sync model cannot execute is rejected instead of
+ * aborting predict().
  */
 
 #ifndef RPPM_PROFILE_SERIALIZE_HH
