@@ -19,8 +19,14 @@
  *
  * Because every block states its size up front and data is 8-byte
  * aligned, a consumer can mmap the file and point straight into the
- * column payloads without parsing them; the stream-based reader here
- * does the same bounds checking over an in-memory buffer.
+ * column payloads without parsing them: the RPPMTRC readers index the
+ * blocks with pread (trace/trace_stream.hh) and then borrow or window
+ * the payloads. BinReader here walks an in-memory image instead (the
+ * RPPMPRF profile and the wire messages), copying each column out.
+ *
+ * BinWriter builds an image in memory; writing columns a piece at a
+ * time (beginColumn/payload/endColumn) and draining the buffer with
+ * flushTo() writes a file of any size in O(1) memory, same bytes.
  *
  * All multi-byte values are in host byte order; the endianness marker in
  * the header makes cross-endian files fail loudly instead of silently
@@ -32,6 +38,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -92,18 +99,62 @@ class BinWriter
     {
         using T = typename C::value_type;
         static_assert(std::is_trivially_copyable_v<T>);
+        beginColumn(tag, sizeof(T), data.size());
+        payload(data.data(), data.size() * sizeof(T));
+        endColumn();
+    }
+
+    /** Open a block of @p count elements of @p elem_size bytes whose
+     *  payload then arrives piecewise through payload(). */
+    void
+    beginColumn(uint32_t tag, uint32_t elem_size, uint64_t count)
+    {
         pad8();
         u32(tag);
-        u32(static_cast<uint32_t>(sizeof(T)));
-        u64(data.size());
-        raw(data.data(), data.size() * sizeof(T));
+        u32(elem_size);
+        u64(count);
+        payloadLeft_ = count * elem_size;
+        crc_ = kCrc32cInit;
+    }
+
+    /** Append @p n payload bytes to the open column. */
+    void
+    payload(const void *p, size_t n)
+    {
+        if (n > payloadLeft_)
+            throw std::logic_error("binary container: column overrun");
+        payloadLeft_ -= n;
+        crc_ = crc32cExtend(crc_, p, n);
+        raw(p, n);
+    }
+
+    /** Close the open column: payload padding, then the CRC trailer. */
+    void
+    endColumn()
+    {
+        if (payloadLeft_ != 0)
+            throw std::logic_error("binary container: column underrun");
         pad8();
         if (blockCrcs_) {
-            u32(crc32c(data.data(), data.size() * sizeof(T)));
+            u32(crc_);
             u32(0); // reserved; keeps the trailer 8 bytes
         }
     }
 
+    /** Write the buffered bytes to @p os and drop them from the buffer;
+     *  throws std::runtime_error on a failed write. */
+    void
+    flushTo(std::ostream &os)
+    {
+        os.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+        if (!os)
+            throw std::runtime_error("binary container: write failed");
+        flushed_ += buf_.size();
+        buf_.clear();
+    }
+
+    /** The bytes buffered since the last flushTo() (the whole image
+     *  when nothing was flushed). */
     const std::string &data() const { return buf_; }
 
   private:
@@ -116,11 +167,14 @@ class BinWriter
     void
     pad8()
     {
-        while (buf_.size() % 8 != 0)
+        while ((flushed_ + buf_.size()) % 8 != 0)
             buf_.push_back('\0');
     }
 
     std::string buf_;
+    uint64_t flushed_ = 0;     ///< bytes already written by flushTo()
+    uint64_t payloadLeft_ = 0; ///< open column's payload bytes to come
+    uint32_t crc_ = kCrc32cInit; ///< open column's running CRC32C
     bool blockCrcs_;
 };
 
@@ -132,9 +186,7 @@ class BinReader
      * Bind to @p data and validate the header. Throws
      * std::invalid_argument on bad magic, foreign endianness, or a
      * version other than @p expect_version (old/new formats are rejected,
-     * never half-decoded). The reader never copies or outlives @p data;
-     * binding a view over an mmap'd image (common/mmap.hh) lets
-     * columnView() hand out zero-copy pointers into the file.
+     * never half-decoded). The reader never outlives @p data.
      */
     BinReader(std::string_view data, const char magic[8],
               uint32_t expect_version)
@@ -230,41 +282,6 @@ class BinReader
         skipPad8();
         checkBlockCrc(payload, count * sizeof(T), what);
         return data;
-    }
-
-    /**
-     * Read one column block without copying: returns {pointer, count}
-     * aliasing the element payload inside the bound image. The caller
-     * owns keeping the image alive for as long as the pointer is used.
-     * Performs the same tag/element-size/bounds validation as column(),
-     * plus an alignment check on the payload address — the container
-     * discipline guarantees 8-byte payload *offsets*, so a misaligned
-     * address means the image itself is not 8-byte aligned (e.g. an
-     * odd-offset slice of a larger buffer) and borrowing is unsafe.
-     */
-    template <typename T>
-    std::pair<const T *, size_t>
-    columnView(uint32_t tag, const char *what)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        skipPad8();
-        const uint32_t seen_tag = u32(what);
-        if (seen_tag != tag)
-            fail(std::string("unexpected block tag for ") + what);
-        const uint32_t elem = u32(what);
-        if (elem != sizeof(T))
-            fail(std::string("element size mismatch in ") + what);
-        const uint64_t count = u64(what);
-        if (count > remaining() / sizeof(T))
-            fail(std::string("truncated column: ") + what);
-        if (reinterpret_cast<uintptr_t>(p_) % alignof(T) != 0)
-            fail(std::string("misaligned column payload: ") + what);
-        const T *view = reinterpret_cast<const T *>(p_);
-        p_ += count * sizeof(T);
-        skipPad8();
-        checkBlockCrc(reinterpret_cast<const char *>(view),
-                      count * sizeof(T), what);
-        return {view, static_cast<size_t>(count)};
     }
 
     /** True once the whole image has been consumed. */

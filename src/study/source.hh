@@ -52,9 +52,9 @@ class WorkloadSource
 
     /**
      * Source backed by an existing trace — e.g. a zero-copy mmap view
-     * from loadTraceView(); borrowed storage stays borrowed (the trace
-     * carries its own file-image keepalive), so profiling such a source
-     * reads straight out of the page cache.
+     * from loadTraceViewFromFile(); borrowed storage stays borrowed (the
+     * trace carries its own file-image keepalive), so profiling such a
+     * source reads straight out of the page cache.
      */
     explicit WorkloadSource(ColumnarTrace trace);
 

@@ -152,12 +152,6 @@ ColumnarTrace::validateColumnConsistency() const
                                  cols.pc[i] == 0 && cols.dep1[i] == 0 &&
                                  cols.dep2[i] == 0,
                              "sync slot carries micro-op data");
-                const auto type =
-                    static_cast<uint8_t>(cols.syncType[syncIdx]);
-                RPPM_REQUIRE(
-                    type != static_cast<uint8_t>(SyncType::None) &&
-                        type < static_cast<uint8_t>(SyncType::NumTypes),
-                    "sync type out of range");
                 ++syncIdx;
                 continue;
             }
@@ -241,8 +235,13 @@ validateSyncAndBarrierPopulations(const std::vector<SyncView> &threads)
                 tids[tid] = true;
                 break;
               }
-              default:
+              case SyncType::QueuePush:
+              case SyncType::QueuePop:
+              case SyncType::CondMarker:
                 break;
+              case SyncType::None:
+              default:
+                RPPM_FATAL("sync type out of range");
             }
         }
         for (const auto &[id, depth] : lock_depth) {

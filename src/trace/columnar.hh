@@ -51,8 +51,8 @@ namespace rppm {
  *
  * Each column is a Column<T> (common/column.hh): the read API of a const
  * vector, but the storage may be *borrowed* from an mmap'd RPPMTRC image
- * instead of owned — loadTraceView() builds such zero-copy traces. The
- * enclosing ColumnarTrace keeps the backing file image alive.
+ * instead of owned — loadTraceViewFromFile() builds such zero-copy
+ * traces. The enclosing ColumnarTrace keeps the backing file image alive.
  */
 struct ThreadColumns
 {
@@ -170,9 +170,9 @@ struct ColumnarTrace
     std::vector<ThreadColumns> threads;
 
     /**
-     * Backing storage for borrowed columns. loadTraceView() points the
-     * thread columns into this mmap'd image; it must outlive them, so it
-     * rides along inside the trace (copies of the trace share it).
+     * Backing storage for borrowed columns. loadTraceViewFromFile()
+     * points the thread columns into this mmap'd image; it must outlive
+     * them, so it rides along inside the trace (copies share it).
      * Null for fully-owned traces.
      */
     std::shared_ptr<const MappedFile> storage;
@@ -206,7 +206,8 @@ struct ColumnarTrace
     WorkloadTrace toWorkload() const;
 
     /**
-     * Validate the structural invariants (no thread is created more
+     * Validate the structural invariants (every sync type is an event
+     * type, never None or out of range; no thread is created more
      * than once, and every non-main thread with records is created
      * exactly once, by ThreadCreate in some thread; created threads are
      * joined at most once; mutex lock/unlock pairs
@@ -221,7 +222,9 @@ struct ColumnarTrace
      * Cross-check that the dense and sparse columns are mutually
      * consistent (equal dense lengths; sync positions strictly ascending,
      * in range and carrying neutral dense values; addr/taken lengths
-     * matching the memory-op/branch counts; enums in range). Sequential
+     * matching the memory-op/branch counts; op classes and branch
+     * outcomes in range; sync types are left to
+     * validateAndBarrierPopulations()). Sequential
      * consumers index the sparse columns blindly, so this must hold
      * before a hand-assembled or deserialized trace is walked. Throws
      * std::invalid_argument on violation. O(records), but touches only

@@ -6,18 +6,21 @@
  * (magic, endianness marker, version), the workload name, the thread
  * count, then per thread a small count block followed by one block per
  * column. Blocks are 8-byte aligned with sizes declared up front, so the
- * format is mmap-friendly: the whole-file loader maps the file and points
- * the columns into the payloads directly (ColumnarTrace::toOwned()
- * detaches a loaded trace from the mapping); the chunked reader
- * (trace_stream.hh) maps one window at a time.
+ * format is mmap-friendly.
  *
- * Loading validates everything the sequential consumers rely on: magic,
- * byte order and version (unknown versions are rejected, never
- * half-decoded; version-1 pre-checksum files still load), per-column
- * CRC32C trailers (version >= 2), per-column tags and element sizes,
- * sync positions
- * strictly ascending and in range, enum values in range, and sparse
- * column lengths consistent with the dense op column. Malformed input
+ * The format has one encoder and one structural decoder. saveTrace()
+ * and `rppm_trace synth` write through BinWriter. indexTraceFile()
+ * (trace_stream.hh) walks the blocks; both readers start from its
+ * layout. The whole-file loader here maps the file and points the
+ * columns into the payloads (ColumnarTrace::toOwned() detaches a loaded
+ * trace from the mapping); the chunked reader maps one window at a time.
+ *
+ * The index rejects unknown versions (version-1 pre-checksum files
+ * still load) and bad tags, element sizes, bounds and column lengths.
+ * The whole-file loader then verifies the CRC32C trailers (version >= 2)
+ * and runs validateColumnConsistency(). Sync types and arguments are
+ * left to validateSyncAndBarrierPopulations() (columnar.hh), which
+ * every consumer runs before it applies a sync event. Malformed input
  * throws std::invalid_argument; I/O failures throw std::runtime_error.
  */
 
@@ -46,7 +49,7 @@ constexpr uint32_t kTraceFormatVersionCrc = 2;
 constexpr char kTraceMagic[8] = {'R', 'P', 'P', 'M', 'T', 'R', 'C', '\0'};
 
 /** Column tags ("fourcc" style, stable across versions). Shared by the
- *  whole-file loader here and the chunked reader (trace_stream.hh). */
+ *  writers here and in rppm_trace, and the index (trace_stream.hh). */
 enum TraceColumnTag : uint32_t
 {
     kTagOp = 0x4f500000,      // 'OP'
@@ -60,22 +63,23 @@ enum TraceColumnTag : uint32_t
     kTagSyncArg = 0x53415200, // 'SAR'
 };
 
-/** Serialize @p trace to @p os; throws std::runtime_error on I/O error. */
+/** Serialize @p trace to @p os, one column at a time; throws
+ *  std::runtime_error on I/O error. */
 void saveTrace(const ColumnarTrace &trace, std::ostream &os);
 
 /** Convenience wrapper over a file path. */
 void saveTraceToFile(const ColumnarTrace &trace, const std::string &path);
 
 /**
- * Zero-copy load: parse the container structure of @p image and point
- * the trace's columns straight into the mapped payload bytes (the format
- * keeps every payload 8-byte aligned for exactly this). The returned
- * trace holds @p image alive via ColumnarTrace::storage and reports
- * isBorrowed() == true. Malformed input throws std::invalid_argument.
+ * Zero-copy load: index @p path (indexTraceFile), map it (common/mmap.hh)
+ * and point the trace's columns straight into the mapped payload bytes
+ * (the format keeps every payload 8-byte aligned for exactly this). The
+ * returned trace holds the mapping alive via ColumnarTrace::storage and
+ * reports isBorrowed() == true. Malformed input throws
+ * std::invalid_argument (structural and checksum defects carry the
+ * "binary container: " prefix; a failed CRC says "checksum mismatch");
+ * a missing or unmappable file throws std::runtime_error.
  */
-ColumnarTrace loadTraceView(std::shared_ptr<const MappedFile> image);
-
-/** Map @p path (common/mmap.hh) and loadTraceView() it. */
 ColumnarTrace loadTraceViewFromFile(const std::string &path);
 
 } // namespace rppm

@@ -16,9 +16,8 @@ namespace {
 [[noreturn]] void
 fail(const std::string &msg)
 {
-    // Same exception type and prefix as BinReader::fail, so structural
-    // defects are rejected identically whether a file is loaded whole
-    // (trace_io.cc) or indexed for streaming.
+    // Same exception type and prefix as BinReader::fail, the other
+    // container decoder.
     throw std::invalid_argument("binary container: " + msg);
 }
 
@@ -35,7 +34,7 @@ class FileWalker
     uint64_t remaining() const { return size_ - off_; }
 
     void
-    bytes(void *out, size_t n, const char *what)
+    bytes(void *out, size_t n, const std::string &what)
     {
         if (remaining() < n)
             fail(std::string("truncated input reading ") + what);
@@ -43,24 +42,17 @@ class FileWalker
         off_ += n;
     }
 
-    uint32_t
-    u32(const char *what)
+    template <typename T = uint64_t>
+    T
+    pod(const std::string &what)
     {
-        uint32_t v;
-        bytes(&v, sizeof(v), what);
-        return v;
-    }
-
-    uint64_t
-    u64(const char *what)
-    {
-        uint64_t v;
+        T v;
         bytes(&v, sizeof(v), what);
         return v;
     }
 
     void
-    skip(uint64_t n, const char *what)
+    skip(uint64_t n, const std::string &what)
     {
         if (remaining() < n)
             fail(std::string("truncated input reading ") + what);
@@ -86,25 +78,25 @@ class FileWalker
  *  For checksummed (version >= 2) files, consume the 8-byte trailer and
  *  record the stored CRC so readers can verify payloads later. */
 ColumnExtent
-walkColumn(FileWalker &in, uint32_t tag, uint32_t elemSize,
-           const char *what, bool hasCrc)
+walkColumn(FileWalker &in, const TraceColumnSpec &col, bool hasCrc)
 {
+    const std::string what = std::string(col.name) + " column";
     in.skipPad8();
-    if (in.u32(what) != tag)
-        fail(std::string("unexpected block tag for ") + what);
-    if (in.u32(what) != elemSize)
-        fail(std::string("element size mismatch in ") + what);
-    const uint64_t count = in.u64(what);
-    if (count > in.remaining() / elemSize)
-        fail(std::string("truncated column: ") + what);
+    if (in.pod<uint32_t>(what) != col.tag)
+        fail("unexpected block tag for " + what);
+    if (in.pod<uint32_t>(what) != col.elemSize)
+        fail("element size mismatch in " + what);
+    const uint64_t count = in.pod(what);
+    if (count > in.remaining() / col.elemSize)
+        fail("truncated column: " + what);
     ColumnExtent ext;
     ext.offset = in.offset();
     ext.count = count;
-    in.skip(count * elemSize, what);
+    in.skip(count * col.elemSize, what);
     in.skipPad8();
     if (hasCrc) {
-        ext.crc = in.u32(what);
-        in.u32(what); // reserved
+        ext.crc = in.pod<uint32_t>(what);
+        in.pod<uint32_t>(what); // reserved
     }
     return ext;
 }
@@ -122,9 +114,9 @@ indexTraceFile(const FdFile &file)
     in.bytes(magic, 8, "magic");
     if (std::memcmp(magic, kTraceMagic, 8) != 0)
         fail("bad magic (not this container format)");
-    if (in.u32("endianness") != kBinEndianMarker)
+    if (in.pod<uint32_t>("endianness") != kBinEndianMarker)
         fail("foreign byte order");
-    const uint32_t version = in.u32("version");
+    const uint32_t version = in.pod<uint32_t>("version");
     if (version < kTraceFormatVersionMin || version > kTraceFormatVersion) {
         fail("unsupported format version " + std::to_string(version) +
              " (expected " + std::to_string(kTraceFormatVersionMin) +
@@ -133,7 +125,7 @@ indexTraceFile(const FdFile &file)
     layout.version = version;
     layout.hasBlockCrcs = version >= kTraceFormatVersionCrc;
 
-    const uint64_t nameLen = in.u64("name");
+    const uint64_t nameLen = in.pod("name");
     if (nameLen > in.remaining())
         fail("truncated string: name");
     layout.name.resize(nameLen);
@@ -141,7 +133,7 @@ indexTraceFile(const FdFile &file)
         in.bytes(layout.name.data(), nameLen, "name");
     in.skipPad8();
 
-    const uint64_t threads = in.u64("thread count");
+    const uint64_t threads = in.pod("thread count");
     // An absurd thread count means corruption; fail before allocating.
     if (threads > layout.fileSize)
         fail("thread count exceeds file size");
@@ -149,17 +141,9 @@ indexTraceFile(const FdFile &file)
     const bool crcs = layout.hasBlockCrcs;
     for (uint64_t t = 0; t < threads; ++t) {
         ThreadLayout &th = layout.threads[t];
-        th.records = in.u64("record count");
-        th.op = walkColumn(in, kTagOp, 1, "op column", crcs);
-        th.pc = walkColumn(in, kTagPc, 4, "pc column", crcs);
-        th.dep1 = walkColumn(in, kTagDep1, 2, "dep1 column", crcs);
-        th.dep2 = walkColumn(in, kTagDep2, 2, "dep2 column", crcs);
-        th.addr = walkColumn(in, kTagAddr, 8, "addr column", crcs);
-        th.taken = walkColumn(in, kTagTaken, 1, "taken column", crcs);
-        th.syncPos = walkColumn(in, kTagSyncPos, 8, "syncPos column", crcs);
-        th.syncType =
-            walkColumn(in, kTagSyncTyp, 1, "syncType column", crcs);
-        th.syncArg = walkColumn(in, kTagSyncArg, 4, "syncArg column", crcs);
+        th.records = in.pod("record count");
+        for (const TraceColumnSpec &col : kTraceColumns)
+            th.*col.extent = walkColumn(in, col, crcs);
         if (th.op.count != th.records)
             fail("record count does not match op column");
         if (th.pc.count != th.records || th.dep1.count != th.records ||
@@ -178,6 +162,15 @@ indexTraceFile(const FdFile &file)
     return layout;
 }
 
+void
+checkColumnCrc(const TraceFileLayout &layout, const ColumnExtent &ext,
+               const void *data, size_t bytes, const char *name)
+{
+    if (layout.hasBlockCrcs && crc32c(data, bytes) != ext.crc)
+        fail(std::string("checksum mismatch in ") + name +
+             " column (torn write or corruption)");
+}
+
 std::vector<ResidentSync>
 loadSyncColumns(const FdFile &file, const TraceFileLayout &layout)
 {
@@ -185,32 +178,21 @@ loadSyncColumns(const FdFile &file, const TraceFileLayout &layout)
     for (size_t t = 0; t < layout.threads.size(); ++t) {
         const ThreadLayout &th = layout.threads[t];
         ResidentSync &s = sync[t];
-        const size_t n = static_cast<size_t>(th.syncPos.count);
-        s.pos.resize(n);
-        s.type.resize(n);
-        s.arg.resize(n);
-        if (n > 0) {
-            file.pread(s.pos.data(), n * sizeof(uint64_t),
-                       th.syncPos.offset);
-            file.pread(s.type.data(), n * sizeof(SyncType),
-                       th.syncType.offset);
-            file.pread(s.arg.data(), n * sizeof(uint32_t),
-                       th.syncArg.offset);
-        }
-        if (layout.hasBlockCrcs) {
-            // Sync columns are resident anyway, so verify them here in
-            // one shot; the dense columns are verified incrementally as
-            // the chunk reader maps them.
-            if (crc32c(s.pos.data(), n * sizeof(uint64_t)) !=
-                    th.syncPos.crc ||
-                crc32c(s.type.data(), n * sizeof(SyncType)) !=
-                    th.syncType.crc ||
-                crc32c(s.arg.data(), n * sizeof(uint32_t)) !=
-                    th.syncArg.crc) {
-                fail("checksum mismatch in sync columns "
-                     "(torn write or corruption)");
-            }
-        }
+        // Sync columns are resident anyway, so verify them here in one
+        // shot; the dense columns are verified incrementally as the
+        // chunk reader maps them.
+        const auto read = [&](auto &column, const ColumnExtent &ext,
+                              const char *name) {
+            column.resize(static_cast<size_t>(ext.count));
+            const size_t bytes = column.size() * sizeof(column[0]);
+            if (bytes > 0)
+                file.pread(column.data(), bytes, ext.offset);
+            checkColumnCrc(layout, ext, column.data(), bytes, name);
+        };
+        read(s.pos, th.syncPos, "syncPos");
+        read(s.type, th.syncType, "syncType");
+        read(s.arg, th.syncArg, "syncArg");
+        const size_t n = s.pos.size();
         uint64_t prev = 0;
         for (size_t k = 0; k < n; ++k) {
             if (s.pos[k] >= th.records)
@@ -218,10 +200,6 @@ loadSyncColumns(const FdFile &file, const TraceFileLayout &layout)
             if (k > 0 && s.pos[k] <= prev)
                 fail("sync positions not strictly ascending");
             prev = s.pos[k];
-            if (static_cast<uint8_t>(s.type[k]) >=
-                static_cast<uint8_t>(SyncType::NumTypes)) {
-                fail("sync type out of range");
-            }
         }
     }
     return sync;
@@ -348,10 +326,9 @@ verifyTraceFileCrcs(const FdFile &file, const TraceFileLayout &layout)
     constexpr size_t kSpanBytes = size_t{1} << 20;
     std::vector<char> buf(kSpanBytes);
     uint64_t checked = 0;
-    auto verify = [&](const ColumnExtent &ext, size_t elem,
-                      const char *what) {
+    auto verify = [&](const ColumnExtent &ext, const TraceColumnSpec &col) {
         uint32_t crc = kCrc32cInit;
-        uint64_t bytes = ext.count * elem;
+        uint64_t bytes = ext.count * col.elemSize;
         uint64_t off = ext.offset;
         while (bytes > 0) {
             const size_t n =
@@ -362,20 +339,13 @@ verifyTraceFileCrcs(const FdFile &file, const TraceFileLayout &layout)
             bytes -= n;
         }
         if (crc != ext.crc)
-            fail(std::string("checksum mismatch in ") + what +
-                 " (torn write or corruption)");
+            fail(std::string("checksum mismatch in ") + col.name +
+                 " column (torn write or corruption)");
         ++checked;
     };
     for (const ThreadLayout &th : layout.threads) {
-        verify(th.op, 1, "op column");
-        verify(th.pc, 4, "pc column");
-        verify(th.dep1, 2, "dep1 column");
-        verify(th.dep2, 2, "dep2 column");
-        verify(th.addr, 8, "addr column");
-        verify(th.taken, 1, "taken column");
-        verify(th.syncPos, 8, "syncPos column");
-        verify(th.syncType, 1, "syncType column");
-        verify(th.syncArg, 4, "syncArg column");
+        for (const TraceColumnSpec &col : kTraceColumns)
+            verify(th.*col.extent, col);
     }
     return checked;
 }

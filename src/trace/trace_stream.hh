@@ -3,31 +3,30 @@
  * Out-of-core access to RPPMTRC containers: layout index, resident sync
  * columns, and windowed chunk views.
  *
- * The whole-file loader (trace_io.hh) maps the entire file, which
- * charges O(file) against the process's address-space limit: exactly
- * what the streaming profiler must avoid. This reader decomposes access
- * instead:
+ * indexTraceFile() is the one structural parse of the format, and both
+ * readers start from its layout. The whole-file loader (trace_io.hh)
+ * maps the file, charging O(file) against the address-space limit; the
+ * streaming profiler must avoid exactly that, so it reads through:
  *
- *  - indexTraceFile() walks the container structure with pread (a few
+ *  - indexTraceFile(): walks the container structure with pread (a few
  *    dozen small reads, no mapping at all) and returns the byte extent
- *    of every column of every thread, validating the same structural
- *    properties the whole-file loader validates: magic, byte order,
- *    version, block tags, element sizes, bounds, trailing bytes. A
- *    truncated or corrupt file is rejected here, before any profiling
- *    work starts.
- *  - loadSyncColumns() reads only the sparse sync columns resident
- *    (O(#sync events) memory) and validates them: positions strictly
- *    ascending and in range, types in range, equal lengths.
+ *    of every column of every thread, validating magic, byte order,
+ *    version, block tags, element sizes, bounds, column lengths and
+ *    trailing bytes, before any profiling work starts.
+ *  - loadSyncColumns(): the sparse sync columns, resident (O(#sync
+ *    events) memory), with positions strictly ascending and in range.
+ *    Types and arguments are left to validateSyncAndBarrierPopulations()
+ *    (columnar.hh), which every source runs before applying an event.
  *  - TraceChunkReader::read() maps just the byte ranges one chunk of
  *    one thread needs — dense records [recLo, recHi), the matching
  *    addr/taken slices — through small MappedWindow mappings that die
  *    with the returned TraceChunk. Peak address-space charge is
  *    O(chunks in flight), independent of file size.
  *
- * What the per-record loop of validateColumnConsistency() used to check
- * (sync-slot neutrality, op/taken ranges) is re-checked incrementally by
- * the streaming consumers as they touch each window, so nothing ever
- * walks the whole file.
+ * What the per-record loop of validateColumnConsistency() checks for a
+ * whole-file trace (sync-slot neutrality, op/taken ranges) is re-checked
+ * incrementally by the streaming consumers as they touch each window,
+ * so nothing ever walks the whole file.
  */
 
 #ifndef RPPM_TRACE_TRACE_STREAM_HH
@@ -42,6 +41,7 @@
 #include "common/mmap.hh"
 #include "common/thread_annotations.hh"
 #include "trace/trace.hh"
+#include "trace/trace_io.hh"
 
 namespace rppm {
 
@@ -62,6 +62,28 @@ struct ThreadLayout
     ColumnExtent syncPos, syncType, syncArg;
 };
 
+/** One of a thread's nine columns, in file order: its block tag,
+ *  element size, short name and extent in ThreadLayout. */
+struct TraceColumnSpec
+{
+    uint32_t tag;
+    uint32_t elemSize;
+    const char *name;
+    ColumnExtent ThreadLayout::*extent;
+};
+
+inline constexpr TraceColumnSpec kTraceColumns[] = {
+    {kTagOp, 1, "op", &ThreadLayout::op},
+    {kTagPc, 4, "pc", &ThreadLayout::pc},
+    {kTagDep1, 2, "dep1", &ThreadLayout::dep1},
+    {kTagDep2, 2, "dep2", &ThreadLayout::dep2},
+    {kTagAddr, 8, "addr", &ThreadLayout::addr},
+    {kTagTaken, 1, "taken", &ThreadLayout::taken},
+    {kTagSyncPos, 8, "syncPos", &ThreadLayout::syncPos},
+    {kTagSyncTyp, 1, "syncType", &ThreadLayout::syncType},
+    {kTagSyncArg, 4, "syncArg", &ThreadLayout::syncArg},
+};
+
 /** The structural index of an RPPMTRC file: everything needed to read
  *  any record range of any thread without parsing the container again. */
 struct TraceFileLayout
@@ -75,11 +97,16 @@ struct TraceFileLayout
 
 /**
  * Walk the container structure of @p file and return its layout.
- * Throws std::invalid_argument (same type and "binary container: "
- * prefix as the whole-file loader) on any structural defect, including
- * truncation anywhere in the file.
+ * Throws std::invalid_argument with the "binary container: " prefix on
+ * any structural defect, including truncation anywhere in the file.
  */
 TraceFileLayout indexTraceFile(const FdFile &file);
+
+/** Throw std::invalid_argument ("checksum mismatch in @p name column")
+ *  unless @p bytes at @p data match @p ext's CRC32C trailer; a no-op
+ *  for a pre-checksum layout. */
+void checkColumnCrc(const TraceFileLayout &layout, const ColumnExtent &ext,
+                    const void *data, size_t bytes, const char *name);
 
 /** One thread's sparse sync columns, resident. */
 struct ResidentSync
@@ -90,8 +117,8 @@ struct ResidentSync
 };
 
 /**
- * Read every thread's sync columns resident and validate them
- * (positions strictly ascending and < records, types in range).
+ * Read every thread's sync columns resident and validate their
+ * positions (strictly ascending and < records).
  * Memory: O(total sync events), which is tiny by construction — sync
  * delimits epochs, not records.
  */

@@ -23,7 +23,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/binio.hh"
 #include "profile/profiler.hh"
 #include "profile_reference.hh"
 #include "sim/simulator.hh"
@@ -245,6 +248,136 @@ TEST(StreamingProfiler, TruncatedFileRejectedAtEveryPrefix)
     os.close();
     EXPECT_NO_THROW(profileWorkloadStreamingFile(path.string(), opts));
 
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+}
+
+// ------------------------------------------- the two readers agree ---
+
+/** Write @p bytes to @p path, replacing the file. */
+void
+writeBytes(const std::filesystem::path &path, std::string_view bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/**
+ * Profile the file at @p path from a whole-file mapping and from chunked
+ * file reads, and require the two readers to agree: both reject it with
+ * std::invalid_argument, or both return byte-identical RPPMPRF profiles.
+ * Any other exception fails the test; an abort kills it.
+ */
+void
+expectReadersAgree(const std::filesystem::path &path,
+                   const std::string &what)
+{
+    std::string viaMap, viaStream;
+    bool mapRejects = false, streamRejects = false;
+    try {
+        viaMap = serializeProfileBinary(
+            profileWorkload(loadTraceViewFromFile(path.string())));
+    } catch (const std::invalid_argument &) {
+        mapRejects = true;
+    }
+    ProfilerOptions chunked;
+    chunked.streamChunkRecords = 64;
+    try {
+        viaStream = serializeProfileBinary(
+            profileWorkloadStreamingFile(path.string(), chunked));
+    } catch (const std::invalid_argument &) {
+        streamRejects = true;
+    }
+    EXPECT_EQ(mapRejects, streamRejects) << what;
+    EXPECT_TRUE(viaMap == viaStream) << what;
+}
+
+TEST(StreamingProfiler, SyncColumnMutantsAgreeAcrossReaders)
+{
+    // Every sync event of two small traces, retyped to each SyncType
+    // value (None and the out-of-range NumTypes included) and, apart
+    // from that, pointed at thread id numThreads. saveTrace writes valid
+    // CRCs, so only the sync validation stands between a mutant and the
+    // sync model.
+    WorkloadSpec queued = barrierLoopSpec(2, 2, 300);
+    queued.name = "queued";
+    queued.csPerEpoch = 1;
+    queued.queueItems = 2;
+    const auto path = std::filesystem::temp_directory_path() /
+        "rppm-stream-sync-mutant.rppmtrc";
+    constexpr uint8_t kArgMutant =
+        static_cast<uint8_t>(SyncType::NumTypes) + 1;
+    for (const WorkloadSpec &spec : {barrierLoopSpec(2, 3, 300), queued}) {
+        const ColumnarTrace trace = synthesizeTrace(spec);
+        for (size_t t = 0; t < trace.numThreads(); ++t) {
+            const ThreadColumns &cols = trace.threads[t];
+            for (size_t k = 0; k < cols.syncPos.size(); ++k) {
+                for (uint8_t v = 0; v <= kArgMutant; ++v) {
+                    std::vector<SyncType> types(cols.syncType.begin(),
+                                                cols.syncType.end());
+                    std::vector<uint32_t> args(cols.syncArg.begin(),
+                                               cols.syncArg.end());
+                    if (v == kArgMutant)
+                        args[k] = static_cast<uint32_t>(trace.numThreads());
+                    else
+                        types[k] = static_cast<SyncType>(v);
+                    ColumnarTrace mutant = trace;
+                    mutant.threads[t].syncType = std::move(types);
+                    mutant.threads[t].syncArg = std::move(args);
+                    saveTraceToFile(mutant, path.string());
+                    expectReadersAgree(
+                        path, spec.name + " thread " + std::to_string(t) +
+                            " event " + std::to_string(k) + " mutant " +
+                            std::to_string(v));
+                }
+            }
+        }
+    }
+    std::error_code ec;
+    std::filesystem::remove(path, ec);
+}
+
+TEST(StreamingProfiler, FlippedAndTruncatedBytesAgreeAcrossReaders)
+{
+    // Deterministic fuzz of the RPPMTRC decoder: one flipped byte at
+    // every k-th offset, and a cut at every k-th length, of a small
+    // trace in the checksummed format and in the pre-checksum version-1
+    // format, where no CRC catches a flipped payload byte before the
+    // validators do. k is odd, so the offsets cover every position
+    // within the 8-byte block alignment.
+    const ColumnarTrace trace = synthesizeTrace(barrierLoopSpec(2, 2, 200));
+    std::stringstream ss;
+    saveTrace(trace, ss);
+    BinWriter v1(kTraceMagic, 1, /*block_crcs=*/false);
+    v1.str(trace.name);
+    v1.u64(trace.threads.size());
+    for (const ThreadColumns &cols : trace.threads) {
+        v1.u64(cols.numRecords());
+        v1.column(kTagOp, cols.op);
+        v1.column(kTagPc, cols.pc);
+        v1.column(kTagDep1, cols.dep1);
+        v1.column(kTagDep2, cols.dep2);
+        v1.column(kTagAddr, cols.addr);
+        v1.column(kTagTaken, cols.taken);
+        v1.column(kTagSyncPos, cols.syncPos);
+        v1.column(kTagSyncTyp, cols.syncType);
+        v1.column(kTagSyncArg, cols.syncArg);
+    }
+    const auto path = std::filesystem::temp_directory_path() /
+        "rppm-stream-fuzz.rppmtrc";
+    for (const std::string &image : {ss.str(), v1.data()}) {
+        const size_t k = (image.size() / 200) | 1;
+        for (size_t off = 0; off < image.size(); off += k) {
+            std::string flipped = image;
+            flipped[off] = static_cast<char>(flipped[off] ^ 0x5a);
+            writeBytes(path, flipped);
+            expectReadersAgree(path, "flip at " + std::to_string(off));
+        }
+        for (size_t len = 0; len < image.size(); len += k) {
+            writeBytes(path, std::string_view(image).substr(0, len));
+            expectReadersAgree(path, "cut at " + std::to_string(len));
+        }
+    }
     std::error_code ec;
     std::filesystem::remove(path, ec);
 }

@@ -15,7 +15,10 @@
  *   synth FILE --records N [--name NAME] [--sync-period P]
  *         [--corrupt-at OFF]
  *     Write a synthetic single-thread trace of N records with O(1)
- *     memory: columns stream through a small buffer, never resident.
+ *     memory: each column is generated in batches and written through
+ *     BinWriter's column API (the one RPPMTRC encoder, as in
+ *     saveTrace), draining the buffer as it goes; no column is ever
+ *     resident.
  *     Exists so CI can manufacture a trace far larger than the memory
  *     cap it then profiles under (the out-of-core smoke test) without
  *     shipping multi-GiB fixtures. Every P-th record is a sync event
@@ -27,10 +30,13 @@
  *   profile FILE [--engine memory|streaming] [--stream-chunk N]
  *           [--jobs N] [--mti N]
  *     Profile the trace from the chosen source and print a short
- *     summary. `memory` maps the whole file and runs profileWorkload()
- *     on --jobs workers; `streaming` runs the same engine over chunked
- *     file reads — under `ulimit -v` the former dies where the latter
- *     succeeds, which is exactly what the CI memory-cap job asserts.
+ *     summary. Both sources start from the same index of the file.
+ *     `memory` then maps the whole file (loadTraceViewFromFile) and
+ *     runs profileWorkload() on --jobs workers; `streaming` runs the
+ *     same engine over chunked file reads. Under `ulimit -v` the
+ *     former's mapping fails (exit 1, ": mmap: " on stderr) where the
+ *     latter succeeds, which is exactly what the CI memory-cap job
+ *     asserts.
  */
 
 #include <cinttypes>
@@ -39,13 +45,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cli_flags.hh"
 #include "common/binio.hh"
-#include "common/crc32c.hh"
 #include "common/mmap.hh"
 #include "profile/profiler.hh"
 #include "trace/trace_io.hh"
@@ -97,25 +103,14 @@ cmdInfo(const std::string &path)
     for (size_t t = 0; t < layout.threads.size(); ++t) {
         const ThreadLayout &th = layout.threads[t];
         std::printf("thread %zu: %" PRIu64 " records\n", t, th.records);
-        const struct
-        {
-            const char *name;
-            const ColumnExtent *ext;
-            uint32_t elem;
-        } cols[] = {
-            {"op", &th.op, 1},          {"pc", &th.pc, 4},
-            {"dep1", &th.dep1, 2},      {"dep2", &th.dep2, 2},
-            {"addr", &th.addr, 8},      {"taken", &th.taken, 1},
-            {"syncPos", &th.syncPos, 8}, {"syncType", &th.syncType, 1},
-            {"syncArg", &th.syncArg, 4},
-        };
-        for (const auto &c : cols) {
+        for (const TraceColumnSpec &col : kTraceColumns) {
+            const ColumnExtent &ext = th.*col.extent;
             std::printf("  %-8s %12" PRIu64 " x %u = %12" PRIu64
                         " bytes @ %" PRIu64,
-                        c.name, c.ext->count, c.elem,
-                        c.ext->count * c.elem, c.ext->offset);
+                        col.name, ext.count, col.elemSize,
+                        ext.count * col.elemSize, ext.offset);
             if (layout.hasBlockCrcs)
-                std::printf("  crc32c %08" PRIx32, c.ext->crc);
+                std::printf("  crc32c %08" PRIx32, ext.crc);
             std::printf("\n");
         }
     }
@@ -134,94 +129,26 @@ cmdInfo(const std::string &path)
 
 // ----------------------------------------------------------------- synth ---
 
-/** Buffered container writer mirroring BinWriter's layout discipline
- *  (common/binio.hh) against a file stream, so column payloads can be
- *  generated on the fly instead of built in memory. */
-class StreamWriter
+/** Write a column of @p count elements gen(0..count-1) in bounded
+ *  batches, draining @p out to @p os after each. */
+template <typename T, typename Gen>
+void
+synthColumn(BinWriter &out, std::ostream &os, uint32_t tag, uint64_t count,
+            Gen gen)
 {
-  public:
-    explicit StreamWriter(const std::string &path)
-        : os_(path, std::ios::binary | std::ios::trunc)
-    {
-        if (!os_)
-            throw std::runtime_error("cannot open " + path +
-                                     " for writing");
-        buf_.reserve(kBufBytes);
+    constexpr size_t kBatch = size_t{1} << 16;
+    std::vector<T> batch;
+    batch.reserve(kBatch);
+    out.beginColumn(tag, sizeof(T), count);
+    for (uint64_t i = 0; i < count;) {
+        batch.clear();
+        for (; i < count && batch.size() < kBatch; ++i)
+            batch.push_back(gen(i));
+        out.payload(batch.data(), batch.size() * sizeof(T));
+        out.flushTo(os);
     }
-
-    void
-    raw(const void *p, size_t n)
-    {
-        const char *c = static_cast<const char *>(p);
-        // Payload bytes written between beginBlock()/endBlock() fold
-        // into the block's rolling CRC, mirroring BinWriter's trailer.
-        if (inBlock_)
-            crc_ = crc32cExtend(crc_, p, n);
-        buf_.insert(buf_.end(), c, c + n);
-        off_ += n;
-        if (buf_.size() >= kBufBytes)
-            flush();
-    }
-
-    void u32(uint32_t v) { raw(&v, sizeof(v)); }
-    void u64(uint64_t v) { raw(&v, sizeof(v)); }
-
-    void
-    pad8()
-    {
-        static const char zeros[8] = {};
-        raw(zeros, (8 - off_ % 8) % 8);
-    }
-
-    /** Block header for a column whose payload follows via raw(). The
-     *  caller must write exactly count*elemSize payload bytes, then
-     *  call endBlock(). */
-    void
-    beginBlock(uint32_t tag, uint32_t elemSize, uint64_t count)
-    {
-        pad8();
-        u32(tag);
-        u32(elemSize);
-        u64(count);
-        inBlock_ = true;
-        crc_ = kCrc32cInit;
-    }
-
-    /** Pad the payload and emit the 8-byte CRC32C trailer. */
-    void
-    endBlock()
-    {
-        inBlock_ = false; // padding and trailer are not payload
-        pad8();
-        u32(crc_);
-        u32(0); // reserved; keeps the trailer 8 bytes
-    }
-
-    void
-    finish()
-    {
-        flush();
-        os_.flush();
-        if (!os_)
-            throw std::runtime_error("trace write failed");
-    }
-
-  private:
-    static constexpr size_t kBufBytes = size_t{1} << 20;
-
-    void
-    flush()
-    {
-        os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-        buf_.clear();
-    }
-
-    std::ofstream os_;
-    std::vector<char> buf_;
-    uint64_t off_ = 0;
-    uint32_t crc_ = kCrc32cInit;
-    bool inBlock_ = false;
-};
+    out.endColumn();
+}
 
 /** Flip one bit at byte @p offset of @p path — deliberate corruption
  *  for checksum tests. */
@@ -270,77 +197,45 @@ cmdSynth(const std::string &path, uint64_t records,
             i / syncPeriod <= numSync;
     };
 
-    StreamWriter out(path);
-    out.raw(kTraceMagic, 8);
-    out.u32(kBinEndianMarker);
-    out.u32(kTraceFormatVersion);
-    out.u64(name.size());
-    out.raw(name.data(), name.size());
-    out.pad8();
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    if (!os)
+        throw std::runtime_error("cannot open " + path + " for writing");
+    BinWriter out(kTraceMagic, kTraceFormatVersion);
+    out.str(name);
     out.u64(1); // one thread
     out.u64(records);
 
     // op: Load everywhere, IntAlu in sync slots.
-    out.beginBlock(kTagOp, 1, records);
-    for (uint64_t i = 0; i < records; ++i) {
-        const uint8_t op = static_cast<uint8_t>(
-            isSyncPos(i) ? OpClass::IntAlu : OpClass::Load);
-        out.raw(&op, 1);
-    }
-    out.endBlock();
-
+    synthColumn<OpClass>(out, os, kTagOp, records, [&](uint64_t i) {
+        return isSyncPos(i) ? OpClass::IntAlu : OpClass::Load;
+    });
     // pc: a small rotating text segment; 0 in sync slots.
-    out.beginBlock(kTagPc, 4, records);
-    for (uint64_t i = 0; i < records; ++i) {
-        const uint32_t pc =
-            isSyncPos(i) ? 0 : 0x1000 + (static_cast<uint32_t>(i) & 0xfff);
-        out.raw(&pc, 4);
-    }
-    out.endBlock();
-
+    synthColumn<uint32_t>(out, os, kTagPc, records, [&](uint64_t i) {
+        return isSyncPos(i) ? 0 : 0x1000 + (static_cast<uint32_t>(i) & 0xfff);
+    });
     // dep1/dep2: all zero (no register dependences).
-    for (const uint32_t tag : {kTagDep1, kTagDep2}) {
-        out.beginBlock(tag, 2, records);
-        const uint16_t zero = 0;
-        for (uint64_t i = 0; i < records; ++i)
-            out.raw(&zero, 2);
-        out.endBlock();
-    }
-
+    for (const uint32_t tag : {kTagDep1, kTagDep2})
+        synthColumn<uint16_t>(out, os, tag, records,
+                              [](uint64_t) { return uint16_t{0}; });
     // addr: a stride-64 walk over a 64 MiB window, one entry per load.
-    out.beginBlock(kTagAddr, 8, numMems);
-    for (uint64_t i = 0, m = 0; i < records; ++i) {
-        if (isSyncPos(i))
-            continue;
-        const uint64_t addr = (m++ * 64) & ((uint64_t{64} << 20) - 1);
-        out.raw(&addr, 8);
-    }
-    out.endBlock();
-
+    synthColumn<uint64_t>(out, os, kTagAddr, numMems, [](uint64_t m) {
+        return (m * 64) & ((uint64_t{64} << 20) - 1);
+    });
     // taken: no branches.
-    out.beginBlock(kTagTaken, 1, 0);
-    out.endBlock();
-
-    out.beginBlock(kTagSyncPos, 8, numSync);
-    for (uint64_t k = 1; k <= numSync; ++k)
-        out.u64(k * syncPeriod);
-    out.endBlock();
-
-    out.beginBlock(kTagSyncTyp, 1, numSync);
-    for (uint64_t k = 1; k <= numSync; ++k) {
-        const uint8_t type = static_cast<uint8_t>(
-            k % 2 == 1 ? SyncType::MutexLock : SyncType::MutexUnlock);
-        out.raw(&type, 1);
-    }
-    out.endBlock();
-
-    out.beginBlock(kTagSyncArg, 4, numSync);
-    const uint32_t mutex0 = 0;
-    for (uint64_t k = 0; k < numSync; ++k)
-        out.raw(&mutex0, 4);
-    out.endBlock();
-
-    out.finish();
+    synthColumn<uint8_t>(out, os, kTagTaken, 0,
+                         [](uint64_t) { return uint8_t{0}; });
+    // Sync event k (from 0) sits at record (k + 1) * P; locks on even k.
+    synthColumn<uint64_t>(out, os, kTagSyncPos, numSync,
+                          [&](uint64_t k) { return (k + 1) * syncPeriod; });
+    synthColumn<SyncType>(out, os, kTagSyncTyp, numSync, [](uint64_t k) {
+        return k % 2 == 0 ? SyncType::MutexLock : SyncType::MutexUnlock;
+    });
+    synthColumn<uint32_t>(out, os, kTagSyncArg, numSync,
+                          [](uint64_t) { return uint32_t{0}; }); // mutex 0
+    out.flushTo(os);
+    os.close();
+    if (!os)
+        throw std::runtime_error("trace write failed");
     std::printf("wrote %s: %" PRIu64 " records (%" PRIu64 " loads, %"
                 PRIu64 " sync events)\n",
                 path.c_str(), records, numMems, numSync);

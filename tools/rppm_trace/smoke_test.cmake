@@ -1,8 +1,9 @@
 # Round-trip smoke for rppm_trace: synth -> info -> profile from memory
 # and streamed from the file, which must print the same summary; then
-# malformed numeric flags must be rejected. Invoked by CTest (see
-# CMakeLists.txt).
+# `info` must reject a copy with one flipped payload byte, and malformed
+# numeric flags must be rejected. Invoked by CTest (see CMakeLists.txt).
 set(trace "${WORK_DIR}/smoke.rppmtrc")
+set(corrupt "${WORK_DIR}/smoke-corrupt.rppmtrc")
 
 function(run)
     execute_process(COMMAND ${ARGV} RESULT_VARIABLE rc)
@@ -24,7 +25,7 @@ function(profile_summary out_var)
     set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()
 
-run(${RPPM_TRACE} synth ${trace} --records 300000 --sync-period 10000
+run(${RPPM_TRACE} synth ${trace} --records 100003 --sync-period 1000
     --name smoke)
 run(${RPPM_TRACE} info ${trace})
 profile_summary(memory --engine memory --jobs 2)
@@ -34,6 +35,16 @@ if(NOT memory STREQUAL streaming)
                         "  streaming: ${streaming}")
 endif()
 message(STATUS "both sources: ${memory}")
+
+# One flipped bit inside the op column's payload (it starts at byte 64)
+# passes the structural index but fails its CRC: `info` exits 1.
+run(${RPPM_TRACE} synth ${corrupt} --records 100003 --sync-period 1000
+    --name smoke --corrupt-at 4096)
+execute_process(COMMAND ${RPPM_TRACE} info ${corrupt}
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "checksum mismatch")
+    message(FATAL_ERROR "info on a corrupt trace exited ${rc}: ${err}")
+endif()
 
 # Malformed numeric flags are usage errors (exit 2), never a silently
 # truncated number.
@@ -46,4 +57,4 @@ foreach(bad "--stream-chunk;4k" "--jobs;two")
     endif()
 endforeach()
 
-file(REMOVE ${trace})
+file(REMOVE ${trace} ${corrupt})
