@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/binio.hh"
 #include "golden.hh"
 #include "profile/profiler.hh"
 #include "profile/serialize.hh"
@@ -224,6 +225,29 @@ serializeTraceBytes(const ColumnarTrace &trace)
     std::stringstream ss;
     saveTrace(trace, ss);
     return ss.str();
+}
+
+/** @p trace as a pre-checksum version-1 RPPMTRC image: the current
+ *  layout without the block CRC trailers. */
+inline std::string
+legacyTraceBytes(const ColumnarTrace &trace)
+{
+    BinWriter out(kTraceMagic, 1, /*block_crcs=*/false);
+    out.str(trace.name);
+    out.u64(trace.threads.size());
+    for (const ThreadColumns &cols : trace.threads) {
+        out.u64(cols.numRecords());
+        out.column(kTagOp, cols.op);
+        out.column(kTagPc, cols.pc);
+        out.column(kTagDep1, cols.dep1);
+        out.column(kTagDep2, cols.dep2);
+        out.column(kTagAddr, cols.addr);
+        out.column(kTagTaken, cols.taken);
+        out.column(kTagSyncPos, cols.syncPos);
+        out.column(kTagSyncTyp, cols.syncType);
+        out.column(kTagSyncArg, cols.syncArg);
+    }
+    return out.data();
 }
 
 /** Does the RPPMTRC serialization of @p trace match the trace corpus

@@ -37,10 +37,10 @@
 #include <vector>
 
 #include "arch/config.hh"
-#include "common/binio.hh"
 #include "common/fault.hh"
 #include "common/mmap.hh"
 #include "profile/profiler.hh"
+#include "profile_reference.hh"
 #include "profile/serialize.hh"
 #include "server/client.hh"
 #include "server/server.hh"
@@ -353,26 +353,11 @@ TEST_F(Chaos, LegacyVersion1TraceStillLoads)
     const std::string path = dir.file("legacy.rppmtrc");
     const ColumnarTrace trace = synthesizeTrace(chaosSpec("legacy"));
 
-    // Craft a pre-checksum version-1 image: same layout, no trailers.
-    BinWriter out(kTraceMagic, 1, /*block_crcs=*/false);
-    out.str(trace.name);
-    out.u64(trace.threads.size());
-    for (const ThreadColumns &cols : trace.threads) {
-        out.u64(cols.numRecords());
-        out.column(kTagOp, cols.op);
-        out.column(kTagPc, cols.pc);
-        out.column(kTagDep1, cols.dep1);
-        out.column(kTagDep2, cols.dep2);
-        out.column(kTagAddr, cols.addr);
-        out.column(kTagTaken, cols.taken);
-        out.column(kTagSyncPos, cols.syncPos);
-        out.column(kTagSyncTyp, cols.syncType);
-        out.column(kTagSyncArg, cols.syncArg);
-    }
+    // A pre-checksum version-1 image: same layout, no trailers.
     {
+        const std::string image = legacyTraceBytes(trace);
         std::ofstream os(path, std::ios::binary);
-        os.write(out.data().data(),
-                 static_cast<std::streamsize>(out.data().size()));
+        os.write(image.data(), static_cast<std::streamsize>(image.size()));
         ASSERT_TRUE(os.good());
     }
 

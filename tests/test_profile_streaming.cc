@@ -11,8 +11,10 @@
  * is asserted through the byte length and CRC32C of the deterministic
  * RPPMPRF serialization. On top of the identity sweep: structural
  * rejection of truncated/corrupt trace files at every prefix length,
- * chunk-size exclusion from the profile cache key, and artifact identity
- * between one-window and chunked runs.
+ * agreement of the whole-file and chunked readers on mutated, flipped
+ * and truncated files (both reject, or both return the same profile
+ * bytes), chunk-size exclusion from the profile cache key, and artifact
+ * identity between one-window and chunked runs.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +28,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/binio.hh"
 #include "profile/profiler.hh"
 #include "profile_reference.hh"
 #include "sim/simulator.hh"
@@ -346,26 +347,10 @@ TEST(StreamingProfiler, FlippedAndTruncatedBytesAgreeAcrossReaders)
     // validators do. k is odd, so the offsets cover every position
     // within the 8-byte block alignment.
     const ColumnarTrace trace = synthesizeTrace(barrierLoopSpec(2, 2, 200));
-    std::stringstream ss;
-    saveTrace(trace, ss);
-    BinWriter v1(kTraceMagic, 1, /*block_crcs=*/false);
-    v1.str(trace.name);
-    v1.u64(trace.threads.size());
-    for (const ThreadColumns &cols : trace.threads) {
-        v1.u64(cols.numRecords());
-        v1.column(kTagOp, cols.op);
-        v1.column(kTagPc, cols.pc);
-        v1.column(kTagDep1, cols.dep1);
-        v1.column(kTagDep2, cols.dep2);
-        v1.column(kTagAddr, cols.addr);
-        v1.column(kTagTaken, cols.taken);
-        v1.column(kTagSyncPos, cols.syncPos);
-        v1.column(kTagSyncTyp, cols.syncType);
-        v1.column(kTagSyncArg, cols.syncArg);
-    }
     const auto path = std::filesystem::temp_directory_path() /
         "rppm-stream-fuzz.rppmtrc";
-    for (const std::string &image : {ss.str(), v1.data()}) {
+    for (const std::string &image :
+         {serializeTraceBytes(trace), legacyTraceBytes(trace)}) {
         const size_t k = (image.size() / 200) | 1;
         for (size_t off = 0; off < image.size(); off += k) {
             std::string flipped = image;
