@@ -28,26 +28,25 @@ BranchModelCache::get(const BranchPredictorConfig &cfg)
 }
 
 double
-epochBranchMissRate(const EpochProfile &epoch, const CoreConfig &core)
+epochBranchMissRate(const EpochStacks &stacks,
+                    const EntropyMissRateModel &model)
 {
-    if (epoch.numBranches == 0)
+    if (stacks.epoch().numBranches == 0)
         return 0.0;
-    const EntropyMissRateModel &model =
-        BranchModelCache::instance().get(core.branch);
-    return model.missRate(epoch.branches.averageLinearEntropy());
+    return model.missRate(stacks.branchEntropy());
 }
 
 BranchComponent
-branchComponent(const EpochProfile &epoch, const CoreConfig &core,
+branchComponent(const EpochStacks &stacks, const EntropyMissRateModel &model,
                 double penalty_per_mispredict)
 {
     BranchComponent result;
-    if (epoch.numBranches == 0)
+    const uint64_t branches = stacks.epoch().numBranches;
+    if (branches == 0)
         return result;
 
-    const double miss_rate = epochBranchMissRate(epoch, core);
-    result.mispredicts =
-        miss_rate * static_cast<double>(epoch.numBranches);
+    const double miss_rate = epochBranchMissRate(stacks, model);
+    result.mispredicts = miss_rate * static_cast<double>(branches);
 
     // Eq. 1's mbpred x (cres + cfr), with (cres + cfr) evaluated as the
     // replay-measured effective redirect cost: resolution + refill minus

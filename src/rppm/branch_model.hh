@@ -19,6 +19,7 @@
 #include "common/thread_annotations.hh"
 #include "branch/entropy.hh"
 #include "profile/epoch_profile.hh"
+#include "statstack/epoch_stacks.hh"
 
 namespace rppm {
 
@@ -53,19 +54,25 @@ struct BranchComponent
     double cycles = 0.0;
 };
 
-/** Entropy-predicted misprediction probability of @p epoch on @p core. */
-double epochBranchMissRate(const EpochProfile &epoch,
-                           const CoreConfig &core);
+/**
+ * Entropy-predicted misprediction probability of the epoch of @p stacks
+ * through @p model, the calibrated map of the core's predictor
+ * (BranchModelCache::get). The entropy is the one the bundle took at
+ * construction; callers resolve the model once per thread.
+ */
+double epochBranchMissRate(const EpochStacks &stacks,
+                           const EntropyMissRateModel &model);
 
 /**
- * Evaluate the branch component of @p epoch on @p core.
+ * Evaluate the branch component of the epoch of @p stacks through the
+ * calibrated map @p model.
  *
  * @param penalty_per_mispredict effective front-end redirect cost of one
  *        misprediction (resolution + refill beyond back-end slack), from
  *        the epoch's ILP replay
  */
-BranchComponent branchComponent(const EpochProfile &epoch,
-                                const CoreConfig &core,
+BranchComponent branchComponent(const EpochStacks &stacks,
+                                const EntropyMissRateModel &model,
                                 double penalty_per_mispredict);
 
 } // namespace rppm

@@ -1,6 +1,7 @@
 #include "rppm/memo.hh"
 
 #include <sstream>
+#include <unordered_set>
 #include <utility>
 
 #include "arch/component_key.hh"
@@ -16,6 +17,17 @@ appendU32(std::string &buf, uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
         buf.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+/** The phase-1 cache key of @p thread on @p cfg: the thread's component
+ *  key, the Eq1Options fingerprint @p opt_bits and the thread index. */
+std::string
+threadKey(const MulticoreConfig &cfg, uint32_t thread, char opt_bits)
+{
+    std::string key = threadComponentKey(cfg, thread);
+    key.push_back(opt_bits);
+    appendU32(key, thread);
+    return key;
 }
 
 } // namespace
@@ -68,16 +80,40 @@ PredictionMemo::stacksFor(uint32_t thread, size_t epoch, bool llc_global)
 }
 
 std::shared_ptr<const ThreadPrediction>
-PredictionMemo::threadFor(uint32_t thread, const std::string &key,
-                          const MulticoreConfig &cfg,
-                          const CoreConfig &core, const Eq1Options &opts)
+PredictionMemo::evaluateThread(uint32_t thread, const MulticoreConfig &cfg,
+                               const Eq1Options &opts)
 {
-    return threads_.get(key, [&] {
-        return std::make_shared<const ThreadPrediction>(predictThread(
-            profile_->threads[thread], cfg, core, opts,
-            [this, thread, &opts](size_t epoch) {
-                return stacksFor(thread, epoch, opts.llcUsesGlobalRd);
-            }));
+    return std::make_shared<const ThreadPrediction>(predictThread(
+        profile_->threads[thread], cfg, cfg.threadCore(thread), opts,
+        [this, thread, &opts](size_t epoch) {
+            return stacksFor(thread, epoch, opts.llcUsesGlobalRd);
+        }));
+}
+
+std::vector<ThreadEval>
+PredictionMemo::planThreads(const std::vector<MulticoreConfig> &configs,
+                            const Eq1Options &opts) const
+{
+    const char opt_bits = eq1OptionsBits(opts);
+    std::vector<ThreadEval> tasks;
+    std::unordered_set<std::string> planned;
+    for (const MulticoreConfig &cfg : configs) {
+        cfg.validate();
+        for (uint32_t t = 0; t < profile_->numThreads; ++t) {
+            std::string key = threadKey(cfg, t, opt_bits);
+            if (threads_.contains(key) || !planned.insert(key).second)
+                continue;
+            tasks.push_back({t, std::move(key), &cfg, opts});
+        }
+    }
+    return tasks;
+}
+
+void
+PredictionMemo::runThread(const ThreadEval &task)
+{
+    threads_.prefetch(task.key, [&] {
+        return evaluateThread(task.thread, *task.cfg, task.opts);
     });
 }
 
@@ -97,14 +133,12 @@ PredictionMemo::predict(const MulticoreConfig &cfg, const RppmOptions &opts)
     pred.threads.reserve(profile_->numThreads);
     pred.threadCoreIds.reserve(profile_->numThreads);
     for (uint32_t t = 0; t < profile_->numThreads; ++t) {
-        std::string key = threadComponentKey(cfg, t);
-        key.push_back(opt_bits);
-        appendU32(key, t);
+        const std::string key = threadKey(cfg, t, opt_bits);
         sync_key += key;
         appendKeyF64(sync_key, cfg.threadTimeScale(t));
         pred.threadCoreIds.push_back(cfg.coreOf(t));
-        pred.threads.push_back(
-            *threadFor(t, key, cfg, cfg.threadCore(t), opts.eq1));
+        pred.threads.push_back(*threads_.get(
+            key, [&] { return evaluateThread(t, cfg, opts.eq1); }));
     }
     appendKeyF64(sync_key, opts.sync.syncOpCost);
 
@@ -192,6 +226,14 @@ PredictionMemoPool::forProfile(std::shared_ptr<const WorkloadProfile> profile)
     return engine;
 }
 
+std::shared_ptr<PredictionMemo>
+PredictionMemoPool::find(const WorkloadProfile &profile) const
+{
+    MutexLock lock(mutex_);
+    const auto it = engines_.find(&profile);
+    return it == engines_.end() ? nullptr : it->second;
+}
+
 void
 PredictionMemoPool::setMaxResidentBytes(uint64_t bytes)
 {
@@ -262,6 +304,8 @@ predictGrid(const WorkloadProfile &profile,
     // Non-owning alias: the engine only lives for this call.
     PredictionMemo memo(std::shared_ptr<const WorkloadProfile>(
         std::shared_ptr<const WorkloadProfile>(), &profile));
+    for (const ThreadEval &task : memo.planThreads(configs, opts.eq1))
+        memo.runThread(task);
     std::vector<RppmPrediction> out;
     out.reserve(configs.size());
     for (const MulticoreConfig &cfg : configs)

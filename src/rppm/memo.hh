@@ -21,6 +21,12 @@
  *  - per (thread-key vector, time scales, sync cost): the phase-2
  *    symbolic synchronization execution.
  *
+ * A grid first asks planThreads() for the phase-1 evaluations it needs
+ * and the engine lacks, each distinct key once, and runs them (a Study
+ * spreads them over its worker pool); its predict() calls then only
+ * copy phase 1 and run phase 2. The distinct thread evaluations, not
+ * the design points, are the grid's expensive unit of work.
+ *
  * Every cached value is produced by the same code rppm::predict runs,
  * on the same inputs, so memoized predictions are bit-identical to
  * rppm::predict per design point (tests/test_predict_golden pins both
@@ -93,10 +99,14 @@ class OnceCache
             MutexLock lock(mutex_);
             const auto [it, inserted] = entries_.try_emplace(key);
             if (!inserted) {
-                ++hits_;
-                if (it->second.value)
-                    return it->second.value;
-                pending = it->second.pending;
+                Entry &entry = it->second;
+                if (entry.prefetched)
+                    entry.prefetched = false;
+                else
+                    ++hits_;
+                if (entry.value)
+                    return entry.value;
+                pending = entry.pending;
             } else {
                 promise.emplace();
                 it->second.pending = promise->get_future().share();
@@ -104,26 +114,37 @@ class OnceCache
         }
         if (!promise)
             return pending.get(); // waits; rethrows the evaluation's error
-        Ptr value;
-        try {
-            value = eval();
-        } catch (...) {
-            {
-                MutexLock lock(mutex_);
-                entries_.erase(key);
-            }
-            promise->set_exception(std::current_exception());
-            throw;
-        }
+        return fill(key, *promise, eval);
+    }
+
+    /**
+     * Evaluate @p key now, unless it is already held or in flight (then
+     * this is a no-op). The evaluation is charged to the key's first
+     * get(), which counts as the evaluating call rather than a hit, so
+     * the counters read as if that get() had evaluated: a grid that
+     * prefetches its keys reports what one that did not would.
+     */
+    template <typename Eval>
+    void
+    prefetch(const K &key, Eval &&eval) RPPM_EXCLUDES(mutex_)
+    {
+        std::promise<Ptr> promise;
         {
             MutexLock lock(mutex_);
-            Entry &entry = entries_.at(key);
-            entry.value = value;
-            entry.pending = {};
-            ++evaluations_;
+            const auto [it, inserted] = entries_.try_emplace(key);
+            if (!inserted)
+                return;
+            it->second.pending = promise.get_future().share();
+            it->second.prefetched = true;
         }
-        promise->set_value(value);
-        return value;
+        fill(key, promise, eval);
+    }
+
+    /** True when @p key is held or in flight. */
+    bool contains(const K &key) const RPPM_EXCLUDES(mutex_)
+    {
+        MutexLock lock(mutex_);
+        return entries_.count(key) != 0;
     }
 
     /** Evaluations performed (each key once, failures excluded). */
@@ -159,12 +180,52 @@ class OnceCache
     {
         Ptr value;
         std::shared_future<Ptr> pending;
+        bool prefetched = false; ///< evaluation owed to the next get()
     };
+
+    /** Evaluate the key this call published as in flight, then publish
+     *  the value (or, on failure, drop the entry and wake the waiters
+     *  with the error). */
+    template <typename Eval>
+    Ptr
+    fill(const K &key, std::promise<Ptr> &promise, Eval &eval)
+        RPPM_EXCLUDES(mutex_)
+    {
+        Ptr value;
+        try {
+            value = eval();
+        } catch (...) {
+            {
+                MutexLock lock(mutex_);
+                entries_.erase(key);
+            }
+            promise.set_exception(std::current_exception());
+            throw;
+        }
+        {
+            MutexLock lock(mutex_);
+            Entry &entry = entries_.at(key);
+            entry.value = value;
+            entry.pending = {};
+            ++evaluations_;
+        }
+        promise.set_value(value);
+        return value;
+    }
 
     mutable Mutex mutex_;
     std::unordered_map<K, Entry> entries_ RPPM_GUARDED_BY(mutex_);
     uint64_t evaluations_ RPPM_GUARDED_BY(mutex_) = 0;
     uint64_t hits_ RPPM_GUARDED_BY(mutex_) = 0;
+};
+
+/** One phase-1 thread evaluation of a grid (see planThreads). */
+struct ThreadEval
+{
+    uint32_t thread = 0;
+    std::string key;                      ///< the phase-1 cache key
+    const MulticoreConfig *cfg = nullptr; ///< a config that needs it
+    Eq1Options opts;
 };
 
 /** Memoized prediction engine for one profile (see file comment). */
@@ -180,6 +241,28 @@ class PredictionMemo
     RppmPrediction predict(const MulticoreConfig &cfg,
                            const RppmOptions &opts = {});
 
+    /**
+     * The phase-1 thread evaluations that predicting every config of
+     * @p configs under @p opts needs and the engine does not yet hold:
+     * each distinct (thread, phase-1 key) once, in config order with
+     * threads inner. The tasks point into @p configs, which must
+     * outlive them. A grid runs them (on any number of workers) before
+     * its predict() calls, which then only copy phase 1 and run phase
+     * 2; an engine that already served some configs returns only the
+     * missing keys.
+     */
+    std::vector<ThreadEval>
+    planThreads(const std::vector<MulticoreConfig> &configs,
+                const Eq1Options &opts) const;
+
+    /**
+     * Evaluate @p task into the phase-1 cache. Single-flight, and a
+     * no-op when the key is already held or in flight. The evaluation
+     * is charged to the first predict() that reads it, so MemoStats
+     * read exactly as if predict() had evaluated it. Thread-safe.
+     */
+    void runThread(const ThreadEval &task);
+
     MemoStats stats() const;
 
     /** Approximate heap footprint of the engine *including* the profile
@@ -190,10 +273,10 @@ class PredictionMemo
     std::shared_ptr<const EpochStacks>
     stacksFor(uint32_t thread, size_t epoch, bool llc_global);
 
+    /** Phase-1 evaluation of @p thread on @p cfg's mapped core. */
     std::shared_ptr<const ThreadPrediction>
-    threadFor(uint32_t thread, const std::string &key,
-              const MulticoreConfig &cfg, const CoreConfig &core,
-              const Eq1Options &opts);
+    evaluateThread(uint32_t thread, const MulticoreConfig &cfg,
+                   const Eq1Options &opts);
 
     std::shared_ptr<const WorkloadProfile> profile_;
 
@@ -214,6 +297,12 @@ class PredictionMemoPool
     std::shared_ptr<PredictionMemo>
     forProfile(std::shared_ptr<const WorkloadProfile> profile)
         RPPM_EXCLUDES(mutex_);
+
+    /** The engine resident for @p profile, or nullptr. A plain lookup:
+     *  unlike forProfile it neither re-charges the engine (a walk of
+     *  all its tables) nor enforces the budget. */
+    std::shared_ptr<PredictionMemo>
+    find(const WorkloadProfile &profile) const RPPM_EXCLUDES(mutex_);
 
     /** Aggregate stats over all engines. */
     MemoStats stats() const RPPM_EXCLUDES(mutex_);
@@ -264,9 +353,10 @@ class PredictionMemoPool
 
 /**
  * Evaluate every design point of @p configs through one shared
- * PredictionMemo. Bit-identical to rppm::predict per design point;
- * @p stats (when non-null) receives the engine's cache-efficiency
- * counters.
+ * PredictionMemo: the grid's distinct phase-1 thread evaluations
+ * first (planThreads), then each point. Bit-identical to rppm::predict
+ * per design point; @p stats (when non-null) receives the engine's
+ * cache-efficiency counters.
  */
 std::vector<RppmPrediction>
 predictGrid(const WorkloadProfile &profile,

@@ -146,6 +146,9 @@ struct EpochMemoryModel
             core_.fus[static_cast<size_t>(OpClass::Store)].latency);
     }
 
+    /** The epoch's config-independent stack bundle. */
+    const EpochStacks &stacks() const { return *stacks_; }
+
     /** Expected stack distances of the epoch's micro-trace loads, one
      *  per load in trace order (built by the stack bundle on first
      *  use). */

@@ -1,6 +1,7 @@
 #include "rppm/thread_model.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "rppm/branch_model.hh"
 #include "rppm/ilp_model.hh"
@@ -46,26 +47,22 @@ busAdjustedDram(const MulticoreConfig &cfg, const CoreConfig &core,
     return std::max(inflated, bound);
 }
 
-} // namespace
-
-EpochPrediction
-predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
-             const Eq1Options &opts)
+/** The calibrated entropy map of @p core's predictor, or nullptr when
+ *  @p opts leaves branches out. Resolved once per call, not per epoch:
+ *  the lookup takes the process-wide cache's lock. */
+const EntropyMissRateModel *
+branchModelFor(const CoreConfig &core, const Eq1Options &opts)
 {
-    return predictEpoch(epoch, cfg, cfg.core(0), opts, nullptr);
+    return opts.branch ? &BranchModelCache::instance().get(core.branch)
+                       : nullptr;
 }
 
+/** Eq. 1 for one epoch; @p branch_model is branchModelFor(core, opts). */
 EpochPrediction
-predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
-             const CoreConfig &core, const Eq1Options &opts)
-{
-    return predictEpoch(epoch, cfg, core, opts, nullptr);
-}
-
-EpochPrediction
-predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
-             const CoreConfig &core, const Eq1Options &opts,
-             std::shared_ptr<const EpochStacks> stacks)
+predictEpochWith(const EpochProfile &epoch, const MulticoreConfig &cfg,
+                 const CoreConfig &core, const Eq1Options &opts,
+                 std::shared_ptr<const EpochStacks> stacks,
+                 const EntropyMissRateModel *branch_model)
 {
     EpochPrediction pred;
     if (epoch.numOps == 0)
@@ -97,7 +94,7 @@ predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
         pred.stack[CpiComponent::ICache] = mem.icacheCycles();
         if (opts.branch) {
             const BranchComponent branch = branchComponent(
-                epoch, core,
+                mem.stacks(), *branch_model,
                 static_cast<double>(core.frontendDepth) + 10.0);
             pred.stack[CpiComponent::Branch] = branch.cycles;
         }
@@ -119,8 +116,8 @@ predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
     const LoadPricing full =
         opts.mlpOverlap ? LoadPricing::Full : LoadPricing::HitPath;
     const double fetch_stall = mem.icachePerFetch();
-    const double miss_rate_pred =
-        opts.branch ? epochBranchMissRate(epoch, core) : 0.0;
+    const double miss_rate_pred = opts.branch ?
+        epochBranchMissRate(mem.stacks(), *branch_model) : 0.0;
 
     if (!opts.decompose) {
         // Fast path: only the final replay (full memory + I-cache
@@ -214,6 +211,31 @@ predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
     return pred;
 }
 
+} // namespace
+
+EpochPrediction
+predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
+             const Eq1Options &opts)
+{
+    return predictEpoch(epoch, cfg, cfg.core(0), opts, nullptr);
+}
+
+EpochPrediction
+predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
+             const CoreConfig &core, const Eq1Options &opts)
+{
+    return predictEpoch(epoch, cfg, core, opts, nullptr);
+}
+
+EpochPrediction
+predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
+             const CoreConfig &core, const Eq1Options &opts,
+             std::shared_ptr<const EpochStacks> stacks)
+{
+    return predictEpochWith(epoch, cfg, core, opts, std::move(stacks),
+                            branchModelFor(core, opts));
+}
+
 ThreadPrediction
 predictThread(const ThreadProfile &thread, const MulticoreConfig &cfg,
               const Eq1Options &opts)
@@ -233,12 +255,13 @@ predictThread(const ThreadProfile &thread, const MulticoreConfig &cfg,
               const CoreConfig &core, const Eq1Options &opts,
               const EpochStacksFn &stacks)
 {
+    const EntropyMissRateModel *branch_model = branchModelFor(core, opts);
     ThreadPrediction result;
     result.epochs.reserve(thread.epochs.size());
     for (size_t e = 0; e < thread.epochs.size(); ++e) {
-        EpochPrediction pred =
-            predictEpoch(thread.epochs[e], cfg, core, opts,
-                         stacks ? stacks(e) : nullptr);
+        EpochPrediction pred = predictEpochWith(
+            thread.epochs[e], cfg, core, opts, stacks ? stacks(e) : nullptr,
+            branch_model);
         result.activeCycles += pred.cycles;
         result.stack.add(pred.stack);
         result.instructions += thread.epochs[e].numOps;

@@ -7,6 +7,7 @@ namespace rppm {
 EpochStacks::EpochStacks(const EpochProfile &epoch, bool llc_uses_global_rd)
     : epoch_(epoch), llcGlobal_(llc_uses_global_rd),
       hasInstr_(epoch.numOps > 0 && epoch.instrRd.total() > 0),
+      branchEntropy_(epoch.branches.averageLinearEntropy()),
       local_(epoch.localRd),
       global_(llc_uses_global_rd ? epoch.globalRd : epoch.localRd),
       loadLocal_(epoch.loadLocalRd),

@@ -24,7 +24,9 @@
  *    load instead of re-walking the survival sums;
  *  - missRate() is memoized per (stack, line count): a grid axis with
  *    ten cache sizes evaluates each CDF ten times total, not once per
- *    grid point.
+ *    grid point;
+ *  - the epoch's average linear branch entropy, a walk of its branch
+ *    table, is taken once per bundle rather than once per evaluation.
  *
  * All cached values are produced by calling the same StatStack methods
  * the naive path calls, on stacks built from the same histograms, so
@@ -80,6 +82,10 @@ class EpochStacks
 
     const StatStack &stack(Which w) const;
 
+    /** The epoch's average linear branch entropy (the branch model's
+     *  config-independent input), computed at construction. */
+    double branchEntropy() const { return branchEntropy_; }
+
     /**
      * Memoized StatStack::missRate: the survival CDF of @p w is
      * evaluated once per distinct @p cache_lines and served from the
@@ -122,6 +128,7 @@ class EpochStacks
     const EpochProfile &epoch_;
     bool llcGlobal_;
     bool hasInstr_;
+    double branchEntropy_;
     StatStack local_, global_, loadLocal_, loadGlobal_, instr_;
 
     mutable std::once_flag microOnce_;

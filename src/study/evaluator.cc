@@ -31,6 +31,22 @@ Evaluator::makeResult(const EvalContext &ctx,
     return result;
 }
 
+std::vector<std::function<void()>>
+RppmEvaluator::prefetchTasks(const EvalContext &ctx,
+                             const std::vector<MulticoreConfig> &configs) const
+{
+    const std::shared_ptr<PredictionMemo> engine =
+        ctx.memos.forProfile(ctx.profile(profiler_));
+    const RppmOptions &opts = rppm_ ? *rppm_ : ctx.options.rppm;
+    std::vector<std::function<void()>> tasks;
+    for (ThreadEval &task : engine->planThreads(configs, opts.eq1)) {
+        tasks.emplace_back([engine, task = std::move(task)] {
+            engine->runThread(task);
+        });
+    }
+    return tasks;
+}
+
 Evaluation
 RppmEvaluator::evaluate(const EvalContext &ctx,
                         const MulticoreConfig &cfg) const
@@ -39,8 +55,13 @@ RppmEvaluator::evaluate(const EvalContext &ctx,
     const auto profile = ctx.profile(profiler_);
     const RppmOptions &opts = rppm_ ? *rppm_ : ctx.options.rppm;
     // Share component evaluations with every other design point of this
-    // profile (bit-identical to rppm::predict per point).
-    result.prediction = ctx.memos.forProfile(profile)->predict(cfg, opts);
+    // profile (bit-identical to rppm::predict per point). The Study made
+    // and charged the row's engine when it planned the row, so a plain
+    // lookup spares each cell forProfile's walk of the engine's tables.
+    std::shared_ptr<PredictionMemo> engine = ctx.memos.find(*profile);
+    if (!engine)
+        engine = ctx.memos.forProfile(profile);
+    result.prediction = engine->predict(cfg, opts);
     result.cycles = result.prediction->totalCycles;
     result.seconds = result.prediction->totalSeconds;
     result.threadSeconds = result.prediction->threadSeconds;

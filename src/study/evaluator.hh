@@ -17,8 +17,9 @@
  * one grid. Custom backends register by name via registerEvaluator() or
  * are handed to Study::addEvaluator directly.
  *
- * Evaluators must be stateless with respect to evaluate() calls: one
- * instance is invoked concurrently from all worker threads.
+ * Evaluators must be stateless with respect to evaluate() and
+ * prefetchTasks() calls: one instance is invoked concurrently from all
+ * worker threads.
  */
 
 #ifndef RPPM_STUDY_EVALUATOR_HH
@@ -104,10 +105,22 @@ class Evaluator
      *  sources cannot serve it). */
     virtual bool needsTrace() const { return false; }
 
-    /** True when the backend exploits a shared PredictionMemoPool; the
-     *  Study sorts and shards such a backend's design points by
-     *  component key so cache neighbours run back to back. */
-    virtual bool usesComponentMemo() const { return false; }
+    /**
+     * Work the backend can do for a whole row, @p ctx's workload on
+     * every config of @p configs, ahead of the row's evaluate() calls:
+     * independent tasks that the Study runs on its worker pool, those
+     * of every row in one batch, before it evaluates any cell. The
+     * memo-backed rppm backend returns one task per distinct phase-1
+     * thread evaluation the row needs, so the pool's unit of work is a
+     * thread evaluation rather than a design point. The tasks may point
+     * into @p configs. None by default.
+     */
+    virtual std::vector<std::function<void()>>
+    prefetchTasks(const EvalContext & /*ctx*/,
+                  const std::vector<MulticoreConfig> & /*configs*/) const
+    {
+        return {};
+    }
 
     /** Evaluate @p ctx's workload on @p cfg. Must be thread-safe. */
     virtual Evaluation evaluate(const EvalContext &ctx,
@@ -136,7 +149,9 @@ class RppmEvaluator : public Evaluator
           profiler_(std::move(profiler))
     {}
 
-    bool usesComponentMemo() const override { return true; }
+    std::vector<std::function<void()>>
+    prefetchTasks(const EvalContext &ctx,
+                  const std::vector<MulticoreConfig> &configs) const override;
 
     Evaluation evaluate(const EvalContext &ctx,
                         const MulticoreConfig &cfg) const override;

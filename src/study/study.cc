@@ -4,11 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <numeric>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 
-#include "arch/component_key.hh"
 #include "common/parallel.hh"
 #include "common/stats.hh"
 
@@ -390,8 +389,8 @@ Study::run()
 
     // Cold-start pipeline: synthesize the trace and compute the profile
     // of every trace-backed workload on the worker pool *before* grid
-    // evaluation. Without this, the cell shards of the first workload
-    // are claimed by all workers at once and every one of them blocks
+    // evaluation. Without this, the cells of the first workload are
+    // claimed by all workers at once and every one of them blocks
     // on the same in-flight ProfileCache future while the remaining
     // workloads' builds sit idle — a cold multi-kernel Study would
     // serialize its profile phase. With it, distinct workloads' trace
@@ -417,72 +416,47 @@ Study::run()
             source.profile(options_.profiler, cache_);
     });
 
-    const size_t numCells =
-        sources_.size() * configs_.size() * evaluators_.size();
-    std::vector<Evaluation> cells(numCells);
-    const auto cellIndex = [&](size_t w, size_t c, size_t e) {
-        return (w * configs_.size() + c) * evaluators_.size() + e;
-    };
+    std::vector<Evaluation> cells(sources_.size() * configs_.size() *
+                                  evaluators_.size());
 
-    // Batched grid execution: the worker pool's unit of work is a shard
-    // of cells rather than one cell. For memo-backed evaluators the
-    // shard plan orders each (workload, evaluator) row's design points
-    // by component key — points sharing sub-configs run adjacently, so
-    // the second of two cache neighbours hits the component caches the
-    // first just filled — and groups points with *equal* keys (identical
-    // in every field any component reads) into one shard so they never
-    // race to evaluate the same components on two workers. Other
-    // backends keep one cell per shard. Results still land by cell
-    // index: the registry is deterministic for any job count and any
-    // shard schedule.
+    // Grid phase 1: every row's prefetch tasks in one batch. For the
+    // memo-backed rppm backend a task is one distinct phase-1 thread
+    // evaluation (a full replay of one profile thread), so the pool
+    // balances those rather than whole design points: a DVFS or
+    // placement sweep needs few distinct evaluations for many points,
+    // and points handed out whole would queue behind the one worker
+    // that evaluates their shared keys. Rows are planned on the pool
+    // too, so the profiles of variant evaluators with their own
+    // profiler options are built side by side.
     PredictionMemoPool pool;
-    const bool anyMemoEvaluator =
-        std::any_of(evaluators_.begin(), evaluators_.end(),
-                    [](const auto &e) { return e->usesComponentMemo(); });
-    std::vector<size_t> order(configs_.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::vector<std::string> cfgKeys;
-    if (anyMemoEvaluator) {
-        cfgKeys.reserve(configs_.size());
-        for (const MulticoreConfig &cfg : configs_)
-            cfgKeys.push_back(configComponentKey(cfg));
-        std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-            return cfgKeys[a] != cfgKeys[b] ? cfgKeys[a] < cfgKeys[b]
-                                            : a < b;
-        });
+    const size_t numRows = sources_.size() * evaluators_.size();
+    std::vector<std::vector<std::function<void()>>> rowTasks(numRows);
+    executor.forEach(numRows, [&](size_t r) {
+        const EvalContext ctx{sources_[r / evaluators_.size()], options_,
+                              cache_, pool};
+        rowTasks[r] = evaluators_[r % evaluators_.size()]->prefetchTasks(
+            ctx, configs_);
+    });
+    std::vector<std::function<void()>> tasks;
+    for (std::vector<std::function<void()>> &row : rowTasks) {
+        for (std::function<void()> &task : row)
+            tasks.push_back(std::move(task));
     }
+    executor.forEach(tasks.size(), [&](size_t i) { tasks[i](); });
 
-    std::vector<std::vector<size_t>> shards;
-    shards.reserve(numCells);
-    for (size_t w = 0; w < sources_.size(); ++w) {
-        for (size_t e = 0; e < evaluators_.size(); ++e) {
-            const bool sharded = evaluators_[e]->usesComponentMemo();
-            if (!sharded) {
-                for (size_t c = 0; c < configs_.size(); ++c)
-                    shards.push_back({cellIndex(w, c, e)});
-                continue;
-            }
-            for (size_t i = 0; i < order.size(); ++i) {
-                if (i == 0 || cfgKeys[order[i]] != cfgKeys[order[i - 1]])
-                    shards.emplace_back();
-                shards.back().push_back(cellIndex(w, order[i], e));
-            }
-        }
-    }
-
-    // Result-registry discipline: `cells` is pre-sized and each shard
-    // writes only its own cell indices, so workers never alias a slot
-    // and the vector needs no lock (the executor's joins publish the
-    // writes). The shard plan guarantees index-disjointness; anything
-    // that breaks it is a data race, not just a determinism bug.
-    executor.forEach(shards.size(), [&](size_t s) {
-        for (const size_t idx : shards[s]) {
-            const size_t e = idx % evaluators_.size();
-            const size_t c = (idx / evaluators_.size()) % configs_.size();
-            const size_t w = idx / (evaluators_.size() * configs_.size());
-            const EvalContext ctx{sources_[w], options_, cache_, pool};
-            cells[idx] = evaluators_[e]->evaluate(ctx, configs_[c]);
-        }
+    // Grid phase 2: one cell per work item. An rppm cell is now phase-1
+    // cache hits plus its phase-2 sync run; identical design points
+    // still evaluate their shared keys once (the caches are
+    // single-flight). `cells` is pre-sized and each item writes only
+    // its own index, so workers never alias a slot and the vector needs
+    // no lock (the executor's joins publish the writes): the registry
+    // is deterministic for any job count.
+    executor.forEach(cells.size(), [&](size_t idx) {
+        const size_t e = idx % evaluators_.size();
+        const size_t c = (idx / evaluators_.size()) % configs_.size();
+        const size_t w = idx / (evaluators_.size() * configs_.size());
+        const EvalContext ctx{sources_[w], options_, cache_, pool};
+        cells[idx] = evaluators_[e]->evaluate(ctx, configs_[c]);
     });
 
     lastMemoStats_.reset();

@@ -98,11 +98,20 @@ TEST(FlushReplay, BranchPenaltyBoundedByResolutionPlusRefill)
 
 // ------------------------------------------------------ branch miss rate ---
 
+/** The entropy-predicted miss rate of @p epoch on Base's predictor. */
+double
+baseMissRate(const EpochProfile &epoch)
+{
+    return epochBranchMissRate(
+        EpochStacks(epoch, true),
+        BranchModelCache::instance().get(baseConfig().core().branch));
+}
+
 TEST(BranchMissRate, ZeroForBranchlessEpoch)
 {
     EpochProfile epoch;
     epoch.numOps = 100;
-    EXPECT_DOUBLE_EQ(epochBranchMissRate(epoch, baseConfig().core()), 0.0);
+    EXPECT_DOUBLE_EQ(baseMissRate(epoch), 0.0);
 }
 
 TEST(BranchMissRate, GrowsWithEntropy)
@@ -114,8 +123,7 @@ TEST(BranchMissRate, GrowsWithEntropy)
         low.branches.record(0x100, true);           // biased
         high.branches.record(0x100, i % 2 == 0);    // coin flip
     }
-    EXPECT_LT(epochBranchMissRate(low, baseConfig().core()),
-              epochBranchMissRate(high, baseConfig().core()));
+    EXPECT_LT(baseMissRate(low), baseMissRate(high));
 }
 
 // ------------------------------------------------------ ablation switches ---

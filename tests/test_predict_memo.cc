@@ -7,8 +7,8 @@
  * per-core DVFS ladder, a big.LITTLE placement sweep and a
  * bus-contention config, and must reproduce the total cycles of every
  * point the golden corpus tests/golden/predict.txt holds — plus
- * Study-level equivalence, worker-pool determinism and cache-efficiency
- * accounting.
+ * Study-level equivalence, worker-pool determinism, cache-efficiency
+ * accounting and the phase-1 planner of a warm engine.
  */
 
 #include <gtest/gtest.h>
@@ -19,12 +19,15 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "arch/component_key.hh"
 #include "arch/config.hh"
+#include "common/parallel.hh"
 #include "golden.hh"
 #include "profile/profiler.hh"
 #include "rppm/memo.hh"
@@ -433,6 +436,32 @@ TEST(PredictMemo, StudyEvaluatesEachKeyExactlyOnce)
     }
 }
 
+TEST(OnceCache, PrefetchIsChargedToTheFirstGet)
+{
+    OnceCache<int, int> cache;
+    int evals = 0;
+    const auto eval = [&] {
+        ++evals;
+        return std::make_shared<const int>(5);
+    };
+    cache.prefetch(1, eval);
+    EXPECT_TRUE(cache.contains(1));
+    EXPECT_FALSE(cache.contains(2));
+    // Prefetching a held key is a no-op: no evaluation, no hit.
+    cache.prefetch(1, eval);
+    EXPECT_EQ(evals, 1);
+    EXPECT_EQ(cache.evaluations(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
+
+    // The first get() is the evaluating call; later ones are hits, just
+    // as if no prefetch had happened.
+    EXPECT_EQ(*cache.get(1, eval), 5);
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(*cache.get(1, eval), 5);
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(evals, 1);
+}
+
 TEST(OnceCache, FailedEvaluationWakesWaitersAndIsRetried)
 {
     OnceCache<int, int> cache;
@@ -467,9 +496,78 @@ TEST(OnceCache, FailedEvaluationWakesWaitersAndIsRetried)
     EXPECT_EQ(cache.hits(), 2u);
 }
 
+TEST(PredictMemo, WarmEnginePlansOnlyMissingKeys)
+{
+    // A long-lived engine (rppmd keeps one per profile across requests)
+    // that already served some configs plans only the phase-1 keys it
+    // lacks, and ends with the counters of a fresh engine that served
+    // the union.
+    const WorkloadSpec spec = shrink(fullSuite()[1].spec);
+    const auto prof = std::make_shared<const WorkloadProfile>(
+        profileWorkload(synthesizeTrace(spec)));
+    const std::vector<MulticoreConfig> served = tableIvConfigs();
+    std::vector<MulticoreConfig> asked;
+    const MulticoreConfig base = baseConfig();
+    for (double ghz : {1.67, 2.5, 3.33}) {
+        for (double other : {1.67, 3.33}) {
+            asked.push_back(dvfsConfig(
+                base, {2.5, ghz, other, ghz},
+                "dvfs-" + std::to_string(asked.size())));
+        }
+    }
+    for (const MulticoreConfig &m :
+         mappingSweep(bigLittleConfig(2, 2), spec.numThreads()))
+        asked.push_back(m);
+
+    PredictionMemo warm(prof);
+    for (const MulticoreConfig &cfg : served)
+        warm.predict(cfg);
+
+    const PredictionMemo fresh(prof);
+    std::set<std::string> servedKeys;
+    for (const ThreadEval &task : fresh.planThreads(served, {}))
+        servedKeys.insert(task.key);
+    const std::vector<ThreadEval> all = fresh.planThreads(asked, {});
+    std::vector<std::string> missing;
+    for (const ThreadEval &task : all) {
+        if (servedKeys.count(task.key) == 0)
+            missing.push_back(task.key);
+    }
+    // The DVFS states at the reference clock share Base's keys, so the
+    // warm engine must have something to skip.
+    ASSERT_LT(missing.size(), all.size());
+
+    const std::vector<ThreadEval> tasks = warm.planThreads(asked, {});
+    std::vector<std::string> planned;
+    for (const ThreadEval &task : tasks)
+        planned.push_back(task.key);
+    EXPECT_EQ(planned, missing);
+
+    ParallelExecutor(3).forEach(tasks.size(), [&](size_t i) {
+        warm.runThread(tasks[i]);
+    });
+    EXPECT_TRUE(warm.planThreads(asked, {}).empty());
+    for (const MulticoreConfig &cfg : asked)
+        expectIdentical(predict(*prof, cfg), warm.predict(cfg), cfg.name);
+
+    std::vector<MulticoreConfig> both = served;
+    both.insert(both.end(), asked.begin(), asked.end());
+    MemoStats expected;
+    predictGrid(*prof, both, {}, &expected);
+    const MemoStats got = warm.stats();
+    EXPECT_EQ(got.predictions, expected.predictions);
+    EXPECT_EQ(got.threadEvals, expected.threadEvals);
+    EXPECT_EQ(got.threadHits, expected.threadHits);
+    EXPECT_EQ(got.syncRuns, expected.syncRuns);
+    EXPECT_EQ(got.syncHits, expected.syncHits);
+    EXPECT_EQ(got.stacksBuilt, expected.stacksBuilt);
+    EXPECT_EQ(got.curvePoints, expected.curvePoints);
+    EXPECT_EQ(got.curveHits, expected.curveHits);
+}
+
 TEST(PredictMemo, MixedEvaluatorsShareOneGrid)
 {
-    // Memo-capable and baseline evaluators coexist in one sharded grid.
+    // Memo-capable and baseline evaluators coexist in one grid.
     const WorkloadSpec spec = shrink(fullSuite()[0].spec, 40);
     const ColumnarTrace trace = synthesizeTrace(spec);
 

@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -339,6 +341,149 @@ TEST(Study, RppmOptionVariantsFlowThrough)
 
     EXPECT_NEAR(grid.at(spec.name, "Base", "fast").cycles,
                 grid.at(spec.name, "Base", "rppm").cycles, 1e-6);
+}
+
+TEST(Study, ThreadEvaluationScheduleMatchesPerPointPredict)
+{
+    // The grid runs its distinct phase-1 thread evaluations as one
+    // batch of tasks, then the cells. At every worker count each cell
+    // must equal per-point predict() to the last bit, and each row must
+    // count exactly what a predictGrid of that row counts.
+    std::vector<WorkloadSpec> specs;
+    for (const uint64_t seed : {41u, 42u}) {
+        WorkloadSpec spec = barrierLoopSpec(4, 3, 1500);
+        spec.name = "sched-" + std::to_string(seed);
+        spec.seed = seed;
+        spec.csPerEpoch = 1;
+        spec.kernel.sharedFrac = 0.2;
+        spec.kernel.branchEntropy = 0.1;
+        specs.push_back(spec);
+    }
+    // Table IV, the 27-state per-core DVFS ladder on Base and every
+    // big.LITTLE 2+2 placement.
+    std::vector<MulticoreConfig> configs = tableIvConfigs();
+    const MulticoreConfig base = baseConfig();
+    for (double a : {1.67, 2.5, 3.33}) {
+        for (double b : {1.67, 2.5, 3.33}) {
+            for (double c : {1.67, 2.5, 3.33}) {
+                configs.push_back(dvfsConfig(
+                    base, {2.5, a, b, c},
+                    "dvfs-" + std::to_string(configs.size())));
+            }
+        }
+    }
+    for (const MulticoreConfig &m :
+         mappingSweep(bigLittleConfig(2, 2), specs[0].numThreads()))
+        configs.push_back(m);
+
+    // The variant profiles with its own options, so it gets its own
+    // memo engine and every row's counters are its engine's.
+    RppmOptions fast;
+    fast.eq1.decompose = false;
+    ProfilerOptions dense;
+    dense.microTraceInterval = 5000;
+    struct Row
+    {
+        size_t workload;
+        std::string evaluator;
+        RppmOptions opts;
+        ProfilerOptions profiler;
+    };
+    const std::vector<Row> rows = {{0, "rppm", {}, {}},
+                                   {0, "fast", fast, dense},
+                                   {1, "rppm", {}, {}},
+                                   {1, "fast", fast, dense}};
+    const auto addEvaluators = [&](Study &study, const std::string &only) {
+        if (only.empty() || only == "rppm")
+            study.addEvaluator("rppm");
+        if (only.empty() || only == "fast")
+            study.addEvaluator(
+                std::make_unique<RppmEvaluator>("fast", fast, dense));
+    };
+
+    std::vector<std::vector<RppmPrediction>> expected;
+    std::vector<MemoStats> rowStats(rows.size());
+    MemoStats total;
+    for (size_t r = 0; r < rows.size(); ++r) {
+        const WorkloadProfile profile = profileWorkload(
+            synthesizeTrace(specs[rows[r].workload]), rows[r].profiler);
+        expected.emplace_back();
+        for (const MulticoreConfig &cfg : configs)
+            expected.back().push_back(predict(profile, cfg, rows[r].opts));
+        predictGrid(profile, configs, rows[r].opts, &rowStats[r]);
+        // Every (thread, config) pair is one phase-1 evaluation or one
+        // hit, and every config one sync run or one hit, however the
+        // grid is scheduled.
+        EXPECT_EQ(rowStats[r].threadEvals + rowStats[r].threadHits,
+                  configs.size() * profile.numThreads);
+        EXPECT_EQ(rowStats[r].syncRuns + rowStats[r].syncHits,
+                  configs.size());
+        total.add(rowStats[r]);
+    }
+
+    const auto g17 = [](double v) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        return std::string(buf);
+    };
+    const auto expectStats = [](const MemoStats &got, const MemoStats &want,
+                                const std::string &where) {
+        EXPECT_EQ(got.predictions, want.predictions) << where;
+        EXPECT_EQ(got.threadEvals, want.threadEvals) << where;
+        EXPECT_EQ(got.threadHits, want.threadHits) << where;
+        EXPECT_EQ(got.syncRuns, want.syncRuns) << where;
+        EXPECT_EQ(got.syncHits, want.syncHits) << where;
+        EXPECT_EQ(got.stacksBuilt, want.stacksBuilt) << where;
+        EXPECT_EQ(got.curvePoints, want.curvePoints) << where;
+        EXPECT_EQ(got.curveHits, want.curveHits) << where;
+    };
+
+    for (const unsigned jobs : {1u, 2u, 3u, 7u}) {
+        const std::string at = "jobs " + std::to_string(jobs);
+        Study study;
+        for (const WorkloadSpec &spec : specs)
+            study.addWorkload(spec);
+        study.addConfigs(configs).jobs(jobs);
+        addEvaluators(study, "");
+        const StudyResult grid = study.run();
+        ASSERT_EQ(grid.cells().size(), rows.size() * configs.size());
+        for (size_t r = 0; r < rows.size(); ++r) {
+            const std::string &workload = specs[rows[r].workload].name;
+            for (size_t c = 0; c < configs.size(); ++c) {
+                const std::string where = at + " " + workload + "/" +
+                    rows[r].evaluator + "/" + configs[c].name;
+                const RppmPrediction &want = expected[r][c];
+                const Evaluation &cell =
+                    grid.at(workload, configs[c].name, rows[r].evaluator);
+                EXPECT_EQ(g17(cell.cycles), g17(want.totalCycles)) << where;
+                EXPECT_EQ(g17(cell.seconds), g17(want.totalSeconds))
+                    << where;
+                ASSERT_EQ(cell.threadSeconds.size(),
+                          want.threadSeconds.size())
+                    << where;
+                for (size_t t = 0; t < want.threadSeconds.size(); ++t) {
+                    EXPECT_EQ(g17(cell.threadSeconds[t]),
+                              g17(want.threadSeconds[t]))
+                        << where << " t" << t;
+                }
+            }
+        }
+        ASSERT_TRUE(study.lastMemoStats().has_value()) << at;
+        expectStats(*study.lastMemoStats(), total, at);
+
+        // Each row alone, on the same worker count.
+        for (size_t r = 0; r < rows.size(); ++r) {
+            Study row;
+            row.addWorkload(specs[rows[r].workload])
+                .addConfigs(configs)
+                .jobs(jobs);
+            addEvaluators(row, rows[r].evaluator);
+            row.run();
+            ASSERT_TRUE(row.lastMemoStats().has_value());
+            expectStats(*row.lastMemoStats(), rowStats[r],
+                        at + " row " + std::to_string(r));
+        }
+    }
 }
 
 // ----------------------------------------------------------------- dse ---

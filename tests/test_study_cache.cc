@@ -291,8 +291,10 @@ TEST(MemoPool, BudgetEvictsWholeEngines)
     const auto pb = profileFor("memo-b");
 
     PredictionMemoPool pool;
+    EXPECT_EQ(pool.find(*pa), nullptr);
     const auto ea = pool.forProfile(pa);
     EXPECT_EQ(pool.forProfile(pa).get(), ea.get());
+    EXPECT_EQ(pool.find(*pa).get(), ea.get());
 
     // Budget below one engine's footprint: each forProfile evicts the
     // other engine, but outstanding shared_ptrs stay fully usable.
@@ -302,6 +304,8 @@ TEST(MemoPool, BudgetEvictsWholeEngines)
     const auto ea2 = pool.forProfile(pa);
     EXPECT_NE(ea2.get(), ea.get()); // rebuilt after eviction
     EXPECT_GE(pool.poolStats().evictions, 2u);
+    // Evicted engines are no longer found.
+    EXPECT_EQ(pool.find(*pb), nullptr);
 
     // Evicted-then-rebuilt engines still predict bit-identically.
     const MulticoreConfig cfg = baseConfig();
