@@ -39,91 +39,49 @@ appendKeyF64(std::string &buf, double v)
     buf += e.buf;
 }
 
-ComponentKeys
-componentKeys(const MulticoreConfig &cfg, const CoreConfig &core)
+std::string
+threadComponentKey(const MulticoreConfig &cfg, uint32_t thread)
 {
-    ComponentKeys keys;
+    const CoreConfig &core = cfg.threadCore(thread);
+    KeyEncoder e;
 
     // Memory: everything the statistical cache model distinguishes. Line
     // counts are what StatStack sees; associativity and line size only
     // matter through them.
-    {
-        KeyEncoder e;
-        e.u32(core.l1i.numLines());
-        e.u32(core.l1d.numLines());
-        e.u32(core.l1d.latency);
-        e.u32(core.l2.numLines());
-        e.u32(core.l2.latency);
-        e.u32(cfg.llc.numLines());
-        e.u32(cfg.llc.latency);
-        e.u32(core.memLatency);
-        e.u32(core.fus[static_cast<size_t>(OpClass::Store)].latency);
-        keys.memory = std::move(e.buf);
-    }
+    e.u32(core.l1i.numLines());
+    e.u32(core.l1d.numLines());
+    e.u32(core.l1d.latency);
+    e.u32(core.l2.numLines());
+    e.u32(core.l2.latency);
+    e.u32(cfg.llc.numLines());
+    e.u32(cfg.llc.latency);
+    e.u32(core.memLatency);
+    e.u32(core.fus[static_cast<size_t>(OpClass::Store)].latency);
 
     // Branch: the entropy-model calibration inputs.
-    {
-        KeyEncoder e;
-        e.u32(core.branch.totalBytes);
-        e.u32(core.branch.historyBits);
-        keys.branch = std::move(e.buf);
-    }
+    e.u32(core.branch.totalBytes);
+    e.u32(core.branch.historyBits);
 
     // Core term: the window-replay structural parameters.
-    {
-        KeyEncoder e;
-        e.u32(core.dispatchWidth);
-        e.u32(core.robSize);
-        e.u32(core.issueQueueSize);
-        e.u32(core.frontendDepth);
-        e.u32(core.mshrs);
-        for (const FuConfig &fu : core.fus) {
-            e.u32(fu.latency);
-            e.u32(fu.count);
-            e.u32(fu.interval);
-        }
-        keys.core = std::move(e.buf);
+    e.u32(core.dispatchWidth);
+    e.u32(core.robSize);
+    e.u32(core.issueQueueSize);
+    e.u32(core.frontendDepth);
+    e.u32(core.mshrs);
+    for (const FuConfig &fu : core.fus) {
+        e.u32(fu.latency);
+        e.u32(fu.count);
+        e.u32(fu.interval);
     }
 
     // Bus: clock-domain fields only matter once contention is modeled.
-    {
-        KeyEncoder e;
-        e.u32(cfg.memBusCycles);
-        if (cfg.memBusCycles > 0) {
-            e.f64(core.frequencyGHz);
-            e.f64(cfg.referenceGHz());
-            e.u32(cfg.numCores());
-        }
-        keys.bus = std::move(e.buf);
+    e.u32(cfg.memBusCycles);
+    if (cfg.memBusCycles > 0) {
+        e.f64(core.frequencyGHz);
+        e.f64(cfg.referenceGHz());
+        e.u32(cfg.numCores());
     }
-
-    return keys;
-}
-
-std::string
-threadComponentKey(const MulticoreConfig &cfg, uint32_t thread)
-{
-    return componentKeys(cfg, cfg.threadCore(thread)).full();
-}
-
-std::string
-configComponentKey(const MulticoreConfig &cfg)
-{
-    KeyEncoder e;
-    e.u32(cfg.numCores());
-    std::string out = std::move(e.buf);
-    for (const CoreConfig &core : cfg.cores) {
-        out += componentKeys(cfg, core).full();
-        KeyEncoder f;
-        f.f64(core.frequencyGHz); // phase-2 time scales
-        out += f.buf;
-    }
-    KeyEncoder m;
-    m.u64(cfg.mapping.threadToCore.size());
-    for (uint32_t c : cfg.mapping.threadToCore)
-        m.u32(c);
-    out += m.buf;
-    return out;
+    return std::move(e.buf);
 }
 
 } // namespace rppm

@@ -1,18 +1,19 @@
 /**
  * @file
- * Parameter-subset keys for the memoized component-evaluation engine.
+ * The phase-1 key of the memoized component-evaluation engine.
  *
  * Eq. 1 (phase 1 of an RPPM prediction) reads only a subset of a
- * MulticoreConfig, and each of its model components reads a smaller
- * subset still. A component key is a compact binary encoding of exactly
- * the fields one component reads, so two design points whose keys match
- * are guaranteed — by construction, not by comparison of outputs — to
- * produce bit-identical component results, and a cache keyed on them is
+ * MulticoreConfig for one thread: the core the thread is mapped to plus
+ * the shared LLC and bus. The thread key is a compact binary encoding
+ * of exactly those fields, section by section in the order of the
+ * components that read them, so two design points whose keys match are
+ * guaranteed — by construction, not by comparison of outputs — to
+ * produce bit-identical phase-1 results, and a cache keyed on them is
  * sound. Fields a component derives (e.g. line counts from
  * size/assoc/line bytes) are encoded in derived form, so configs that
  * differ only in parameters the model never distinguishes share keys.
  *
- * The components and their invalidating fields:
+ * The key's sections, one per component, and their fields:
  *
  *  - memory  cache geometry the StatStack model sees (L1I/L1D/L2/LLC
  *            line counts, hit latencies), the core's DRAM latency and
@@ -47,35 +48,9 @@ namespace rppm {
  *  here and of the prediction engine's derived cache keys). */
 void appendKeyF64(std::string &buf, double v);
 
-/** The per-component keys of one (multicore, core) pair. */
-struct ComponentKeys
-{
-    std::string memory;
-    std::string branch;
-    std::string core;
-    std::string bus;
-
-    /** Concatenation: the full phase-1 invalidation key of a thread
-     *  mapped to this core. */
-    std::string full() const { return memory + branch + core + bus; }
-};
-
-/** Extract the component keys for a thread running on @p core of
- *  @p cfg. */
-ComponentKeys componentKeys(const MulticoreConfig &cfg,
-                            const CoreConfig &core);
-
-/** full() of the core thread @p thread is mapped to. */
+/** The phase-1 key of @p thread on @p cfg: the memory, branch, core
+ *  and bus sections of the core the thread is mapped to. */
 std::string threadComponentKey(const MulticoreConfig &cfg, uint32_t thread);
-
-/**
- * Whole-config ordering key for grid sharding: the per-core full keys in
- * core-table order, the thread mapping and the frequency table. Configs
- * sorted by this key place design points that share component-cache
- * entries next to each other, and equal keys mark design points that are
- * identical in every field any model component reads.
- */
-std::string configComponentKey(const MulticoreConfig &cfg);
 
 } // namespace rppm
 

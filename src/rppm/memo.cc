@@ -151,14 +151,7 @@ PredictionMemo::predict(const MulticoreConfig &cfg, const RppmOptions &opts)
                 runSyncModel(*profile_, pred.threads, cfg, opts.sync));
         });
 
-    pred.totalCycles = sync->totalCycles;
-    pred.totalSeconds = cfg.refCyclesToSeconds(sync->totalCycles);
-    pred.threadIdle = sync->threadIdle;
-    pred.activity = sync->activity;
-    pred.threadSeconds.reserve(profile_->numThreads);
-    for (uint32_t t = 0; t < profile_->numThreads; ++t)
-        pred.threadSeconds.push_back(
-            cfg.refCyclesToSeconds(sync->threadFinish[t]));
+    applySyncResult(pred, cfg, *sync);
 
     predictions_.fetch_add(1, std::memory_order_relaxed);
     return pred;

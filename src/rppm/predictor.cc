@@ -27,6 +27,19 @@ RppmPrediction::bottlegraph() const
     return buildBottlegraph(activity, totalCycles);
 }
 
+void
+applySyncResult(RppmPrediction &pred, const MulticoreConfig &cfg,
+                const SyncModelResult &sync)
+{
+    pred.totalCycles = sync.totalCycles;
+    pred.totalSeconds = cfg.refCyclesToSeconds(sync.totalCycles);
+    pred.threadIdle = sync.threadIdle;
+    pred.activity = sync.activity;
+    pred.threadSeconds.reserve(sync.threadFinish.size());
+    for (double finish : sync.threadFinish)
+        pred.threadSeconds.push_back(cfg.refCyclesToSeconds(finish));
+}
+
 RppmPrediction
 predict(const WorkloadProfile &profile, const MulticoreConfig &cfg,
         const RppmOptions &opts)
@@ -48,16 +61,8 @@ predict(const WorkloadProfile &profile, const MulticoreConfig &cfg,
 
     // Phase 2: symbolic execution of the synchronization trace on the
     // common reference time base.
-    const SyncModelResult sync =
-        runSyncModel(profile, pred.threads, cfg, opts.sync);
-    pred.totalCycles = sync.totalCycles;
-    pred.totalSeconds = cfg.refCyclesToSeconds(sync.totalCycles);
-    pred.threadIdle = sync.threadIdle;
-    pred.activity = sync.activity;
-    pred.threadSeconds.reserve(profile.numThreads);
-    for (uint32_t t = 0; t < profile.numThreads; ++t)
-        pred.threadSeconds.push_back(
-            cfg.refCyclesToSeconds(sync.threadFinish[t]));
+    applySyncResult(pred, cfg,
+                    runSyncModel(profile, pred.threads, cfg, opts.sync));
     return pred;
 }
 

@@ -60,6 +60,12 @@ struct RppmOptions
     Eq1Options eq1;   ///< per-epoch model; defaults to the full model
 };
 
+/** Phase-2 assembly, shared by predict() and PredictionMemo::predict():
+ *  copy @p sync's total, idle times and activity into @p pred and
+ *  convert the total and per-thread finish times to seconds on @p cfg. */
+void applySyncResult(RppmPrediction &pred, const MulticoreConfig &cfg,
+                     const SyncModelResult &sync);
+
 /** Predict @p profile's execution on @p cfg. */
 RppmPrediction predict(const WorkloadProfile &profile,
                        const MulticoreConfig &cfg,

@@ -217,22 +217,8 @@ EpochPrediction
 predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
              const Eq1Options &opts)
 {
-    return predictEpoch(epoch, cfg, cfg.core(0), opts, nullptr);
-}
-
-EpochPrediction
-predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
-             const CoreConfig &core, const Eq1Options &opts)
-{
-    return predictEpoch(epoch, cfg, core, opts, nullptr);
-}
-
-EpochPrediction
-predictEpoch(const EpochProfile &epoch, const MulticoreConfig &cfg,
-             const CoreConfig &core, const Eq1Options &opts,
-             std::shared_ptr<const EpochStacks> stacks)
-{
-    return predictEpochWith(epoch, cfg, core, opts, std::move(stacks),
+    const CoreConfig &core = cfg.core(0);
+    return predictEpochWith(epoch, cfg, core, opts, nullptr,
                             branchModelFor(core, opts));
 }
 
@@ -240,14 +226,7 @@ ThreadPrediction
 predictThread(const ThreadProfile &thread, const MulticoreConfig &cfg,
               const Eq1Options &opts)
 {
-    return predictThread(thread, cfg, cfg.core(0), opts, {});
-}
-
-ThreadPrediction
-predictThread(const ThreadProfile &thread, const MulticoreConfig &cfg,
-              const CoreConfig &core, const Eq1Options &opts)
-{
-    return predictThread(thread, cfg, core, opts, {});
+    return predictThread(thread, cfg, cfg.core(0), opts);
 }
 
 ThreadPrediction

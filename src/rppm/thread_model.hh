@@ -59,13 +59,14 @@ struct Eq1Options
     bool decompose = true;
 };
 
-// A new switch must also enter eq1OptionsBits, or memo and batch keys
-// would alias configurations that predict differently.
+// A new switch must also enter eq1OptionsBits and eq1OptionsFromBits, or
+// memo keys would alias configurations that predict differently and the
+// wire would drop it.
 static_assert(sizeof(Eq1Options) == 5,
-              "extend eq1OptionsBits with the new Eq1Options switch");
+              "extend eq1OptionsBits/eq1OptionsFromBits with the new switch");
 
 /** The Eq1Options switches packed into one byte: the fingerprint that
- *  PredictionMemo's phase-1 keys and rppmd's batch keys fold in. */
+ *  PredictionMemo's phase-1 keys fold in, and rppmd's wire encoding. */
 inline char
 eq1OptionsBits(const Eq1Options &opts)
 {
@@ -73,6 +74,19 @@ eq1OptionsBits(const Eq1Options &opts)
         (opts.ilpReplay ? 1 : 0) | (opts.llcUsesGlobalRd ? 2 : 0) |
         (opts.mlpOverlap ? 4 : 0) | (opts.branch ? 8 : 0) |
         (opts.decompose ? 16 : 0));
+}
+
+/** Inverse of eq1OptionsBits (rppmd's wire decoder). */
+inline Eq1Options
+eq1OptionsFromBits(uint8_t bits)
+{
+    Eq1Options opts;
+    opts.ilpReplay = (bits & 1) != 0;
+    opts.llcUsesGlobalRd = (bits & 2) != 0;
+    opts.mlpOverlap = (bits & 4) != 0;
+    opts.branch = (bits & 8) != 0;
+    opts.decompose = (bits & 16) != 0;
+    return opts;
 }
 
 /** Predicted timing of one epoch. */
@@ -85,29 +99,11 @@ struct EpochPrediction
 };
 
 /**
- * Evaluate Eq. 1 for @p epoch running on core @p core of @p cfg. The
- * core supplies width/ROB/IQ/FU/branch/private-cache parameters; the
- * multicore supplies the shared LLC and bus. Resulting cycles are in
- * @p core's own clock domain.
+ * Evaluate Eq. 1 for @p epoch running on core 0 of @p cfg (uniform
+ * machines). The core supplies width/ROB/IQ/FU/branch/private-cache
+ * parameters; the multicore supplies the shared LLC and bus. Resulting
+ * cycles are in the core's own clock domain.
  */
-EpochPrediction predictEpoch(const EpochProfile &epoch,
-                             const MulticoreConfig &cfg,
-                             const CoreConfig &core,
-                             const Eq1Options &opts = {});
-
-/**
- * Same evaluation over a pre-built (shared) StatStack bundle for the
- * epoch — the memoized grid engine's entry point. @p stacks must match
- * @p epoch and opts.llcUsesGlobalRd; nullptr builds a private bundle
- * (equivalent to the overload above). Bit-identical either way.
- */
-EpochPrediction predictEpoch(const EpochProfile &epoch,
-                             const MulticoreConfig &cfg,
-                             const CoreConfig &core,
-                             const Eq1Options &opts,
-                             std::shared_ptr<const EpochStacks> stacks);
-
-/** Convenience: evaluate on core 0 (uniform machines). */
 EpochPrediction predictEpoch(const EpochProfile &epoch,
                              const MulticoreConfig &cfg,
                              const Eq1Options &opts = {});
@@ -127,19 +123,14 @@ using EpochStacksFn =
     std::function<std::shared_ptr<const EpochStacks>(size_t epochIdx)>;
 
 /** Phase 1 for a whole thread on core @p core: predict every epoch
- *  independently. Cycles are in @p core's own clock domain. */
+ *  independently. Cycles are in @p core's own clock domain. Per-epoch
+ *  StatStack bundles come from @p stacks (the memoized engine's cache);
+ *  an empty function builds them privately. Bit-identical either way. */
 ThreadPrediction predictThread(const ThreadProfile &thread,
                                const MulticoreConfig &cfg,
                                const CoreConfig &core,
-                               const Eq1Options &opts = {});
-
-/** Same, drawing per-epoch StatStack bundles from @p stacks (the
- *  memoized engine's cache); an empty function builds privately. */
-ThreadPrediction predictThread(const ThreadProfile &thread,
-                               const MulticoreConfig &cfg,
-                               const CoreConfig &core,
-                               const Eq1Options &opts,
-                               const EpochStacksFn &stacks);
+                               const Eq1Options &opts = {},
+                               const EpochStacksFn &stacks = {});
 
 /** Convenience: predict on core 0 (uniform machines). */
 ThreadPrediction predictThread(const ThreadProfile &thread,

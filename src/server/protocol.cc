@@ -87,27 +87,6 @@ decodeCache(BinReader &in)
     return c;
 }
 
-char
-packEq1(const Eq1Options &e)
-{
-    return static_cast<char>((e.ilpReplay ? 1 : 0) |
-                             (e.llcUsesGlobalRd ? 2 : 0) |
-                             (e.mlpOverlap ? 4 : 0) | (e.branch ? 8 : 0) |
-                             (e.decompose ? 16 : 0));
-}
-
-Eq1Options
-unpackEq1(uint8_t bits)
-{
-    Eq1Options e;
-    e.ilpReplay = (bits & 1) != 0;
-    e.llcUsesGlobalRd = (bits & 2) != 0;
-    e.mlpOverlap = (bits & 4) != 0;
-    e.branch = (bits & 8) != 0;
-    e.decompose = (bits & 16) != 0;
-    return e;
-}
-
 } // namespace
 
 void
@@ -279,7 +258,7 @@ encodeRequest(const RequestMsg &msg)
     out.u32(msg.profiler.lineBytes);
     out.u8(msg.profiler.detectInvalidation ? 1 : 0);
     out.f64(msg.rppm.sync.syncOpCost);
-    out.u8(static_cast<uint8_t>(packEq1(msg.rppm.eq1)));
+    out.u8(static_cast<uint8_t>(eq1OptionsBits(msg.rppm.eq1)));
     out.u32(msg.deadlineMs); // v2
     out.u64(msg.configs.size());
     for (const MulticoreConfig &cfg : msg.configs)
@@ -305,7 +284,7 @@ decodeRequest(std::string_view payload)
     msg.profiler.lineBytes = in.u32("line bytes");
     msg.profiler.detectInvalidation = in.u8("detect invalidation") != 0;
     msg.rppm.sync.syncOpCost = in.f64("sync op cost");
-    msg.rppm.eq1 = unpackEq1(in.u8("eq1 bits"));
+    msg.rppm.eq1 = eq1OptionsFromBits(in.u8("eq1 bits"));
     msg.deadlineMs = in.u32("deadline ms"); // v2
     const uint64_t configs = in.u64("config count");
     if (configs > in.remainingBytes())

@@ -11,9 +11,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "arch/component_key.hh"
 #include "common/assert.hh"
-#include "rppm/thread_model.hh"
 #include "workload/suite.hh"
 
 namespace rppm {
@@ -87,21 +85,6 @@ struct RppmServer::RequestState
 };
 
 namespace {
-
-/** Cells coalesce across requests (and clients) when they share the
- *  engine, the component key of their design point and the rppm-option
- *  fingerprint — exactly the inputs a memo hit needs to match. */
-std::string
-batchKey(const PredictionMemo *engine, const MulticoreConfig &cfg,
-         const RppmOptions &opts)
-{
-    std::string key = configComponentKey(cfg);
-    key.push_back(eq1OptionsBits(opts.eq1));
-    appendKeyF64(key, opts.sync.syncOpCost);
-    const void *p = engine;
-    key.append(reinterpret_cast<const char *>(&p), sizeof(p));
-    return key;
-}
 
 void
 sysFail(const std::string &what)
@@ -454,14 +437,8 @@ RppmServer::enqueue(const std::shared_ptr<RequestState> &req)
 {
     std::lock_guard<std::mutex> lock(qMutex_);
     pendingCells_ += req->configs.size();
-    for (uint64_t i = 0; i < req->configs.size(); ++i) {
-        std::string key =
-            batchKey(req->engine.get(), req->configs[i], req->opts);
-        auto [it, fresh] = groups_.try_emplace(std::move(key));
-        if (it->second.empty())
-            groupOrder_.push_back(it->first);
-        it->second.push_back(Cell{req, i});
-    }
+    for (uint64_t i = 0; i < req->configs.size(); ++i)
+        queue_.push_back(Cell{req, i});
     qCv_.notify_all();
 }
 
@@ -471,29 +448,21 @@ void
 RppmServer::workerLoop()
 {
     for (;;) {
-        std::vector<Cell> batch;
+        Cell cell;
         {
             std::unique_lock<std::mutex> lock(qMutex_);
-            qCv_.wait(lock, [this] {
-                return workersStop_ || !groupOrder_.empty();
-            });
-            if (groupOrder_.empty())
+            qCv_.wait(lock,
+                      [this] { return workersStop_ || !queue_.empty(); });
+            if (queue_.empty())
                 return; // workersStop_ and the queue is drained
-            const std::string key = std::move(groupOrder_.front());
-            groupOrder_.pop_front();
-            const auto it = groups_.find(key);
-            batch = std::move(it->second);
-            groups_.erase(it);
+            cell = std::move(queue_.front());
+            queue_.pop_front();
         }
         ++batches_;
-        // Whole-batch execution: every cell shares the engine and the
-        // component key, so after the first cell the rest are memo hits.
-        for (const Cell &cell : batch)
-            runCell(cell);
+        runCell(cell);
         {
             std::lock_guard<std::mutex> lock(qMutex_);
-            pendingCells_ -= batch.size();
-            if (pendingCells_ == 0)
+            if (--pendingCells_ == 0)
                 drainCv_.notify_all();
         }
         enforceResidentBudget();

@@ -17,13 +17,12 @@
  *    maxMemoBytes, so repeat queries reuse StatStack bundles, phase-1
  *    thread evaluations and phase-2 sync executions across clients.
  *
- * Scheduling: each request's grid cells are split into batches keyed by
- * (engine, configComponentKey, rppm-option fingerprint) and the worker
- * pool pops *whole batches* in FIFO key-arrival order. Cells of
- * concurrent requests that share a component key land in one batch and
- * run back to back on one worker, maximizing memo-table locality — the
- * cross-client analogue of Study's component-key sharding. Results are
- * streamed to each client as cells complete.
+ * Scheduling: each request's grid cells join one FIFO queue, one cell
+ * per work item, and each worker pops the oldest cell. Cells of
+ * concurrent requests that share a phase-1 key race on the
+ * engine's single-flight memo: one evaluates, the others wait for it
+ * and reuse the result. Results are streamed to each client as cells
+ * complete.
  *
  * Predictions are produced by exactly the code path Study::run() uses
  * (WorkloadSource::profile through the cache, then
@@ -158,7 +157,10 @@ class RppmServer
         uint64_t connections = 0; ///< connections accepted
         uint64_t requests = 0;    ///< Request messages admitted
         uint64_t cells = 0;       ///< grid cells evaluated
-        uint64_t batches = 0;     ///< component-key batches executed
+        /** Cells dequeued by the workers, failed ones included. Equal
+         *  to cells when nothing failed; kept so cells/batches stays a
+         *  readable 1.0 for callers that still divide by it. */
+        uint64_t batches = 0;
         uint64_t shed = 0;        ///< requests refused with Busy
         uint64_t deadlineExpired = 0; ///< requests failed on deadline
         uint64_t idleReaped = 0;  ///< connections closed for idleness
@@ -218,16 +220,13 @@ class RppmServer
     std::map<std::string, WorkloadSource> artifacts_
         RPPM_GUARDED_BY(artMutex_);
 
-    // --- Batch queue. groups_ holds the pending cells of each
-    // component-key batch; groupOrder_ fixes FIFO pop order by first
-    // arrival. pendingCells_ counts enqueued-but-unfinished cells so
-    // stop() can drain.
+    // --- Cell queue: admitted cells in FIFO order. pendingCells_
+    // counts enqueued-but-unfinished cells so stop() can drain.
     // std::mutex: std::condition_variable needs std::unique_lock of it.
     mutable std::mutex qMutex_;
     std::condition_variable qCv_;
     std::condition_variable drainCv_;
-    std::map<std::string, std::vector<Cell>> groups_;
-    std::deque<std::string> groupOrder_;
+    std::deque<Cell> queue_;
     uint64_t pendingCells_ = 0;
     bool workersStop_ = false;
 

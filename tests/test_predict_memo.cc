@@ -286,45 +286,40 @@ TEST(PredictMemo, DvfsAxisIsFreeWithBusOff)
     EXPECT_EQ(stats.syncHits, 1u);
 }
 
-TEST(PredictMemo, ComponentKeysIsolateSubsets)
+TEST(PredictMemo, ThreadKeyTracksOnlyReadFields)
 {
     const MulticoreConfig base = baseConfig();
-    const ComponentKeys keys = componentKeys(base, base.core());
+    const std::string key = threadComponentKey(base, 0);
+    const auto keyAfter = [&base](const auto &edit) {
+        MulticoreConfig cfg = base;
+        edit(cfg);
+        return threadComponentKey(cfg, 0);
+    };
+    const auto eachCore = [](const auto &edit) {
+        return [edit](MulticoreConfig &cfg) { cfg.eachCore(edit); };
+    };
 
-    // ROB only invalidates the core term.
-    MulticoreConfig rob = base;
-    rob.eachCore([](CoreConfig &c) { c.robSize *= 2; });
-    const ComponentKeys robKeys = componentKeys(rob, rob.core());
-    EXPECT_EQ(keys.memory, robKeys.memory);
-    EXPECT_EQ(keys.branch, robKeys.branch);
-    EXPECT_NE(keys.core, robKeys.core);
-    EXPECT_EQ(keys.bus, robKeys.bus);
+    // One field of each section invalidates the key: ROB (core term),
+    // LLC size (memory), predictor budget (branch).
+    EXPECT_NE(key, keyAfter(eachCore([](CoreConfig &c) { c.robSize *= 2; })));
+    EXPECT_NE(key, keyAfter([](MulticoreConfig &c) { c.llc.sizeBytes *= 2; }));
+    EXPECT_NE(key, keyAfter(eachCore(
+                       [](CoreConfig &c) { c.branch.totalBytes *= 2; })));
 
-    // LLC size only invalidates the memory component.
-    MulticoreConfig llc = base;
-    llc.llc.sizeBytes *= 2;
-    const ComponentKeys llcKeys = componentKeys(llc, llc.core());
-    EXPECT_NE(keys.memory, llcKeys.memory);
-    EXPECT_EQ(keys.core, llcKeys.core);
+    // Fields the model never distinguishes leave it alone: LLC
+    // associativity at an unchanged line count, and frequency while the
+    // bus is off.
+    EXPECT_EQ(key, keyAfter([](MulticoreConfig &c) { c.llc.assoc *= 2; }));
+    const auto fast = eachCore([](CoreConfig &c) { c.frequencyGHz = 3.6; });
+    EXPECT_EQ(key, keyAfter(fast));
 
-    // Predictor budget only invalidates the branch component.
-    MulticoreConfig bp = base;
-    bp.eachCore([](CoreConfig &c) { c.branch.totalBytes *= 2; });
-    const ComponentKeys bpKeys = componentKeys(bp, bp.core());
-    EXPECT_EQ(keys.memory, bpKeys.memory);
-    EXPECT_NE(keys.branch, bpKeys.branch);
-    EXPECT_EQ(keys.core, bpKeys.core);
-
-    // Frequency alone invalidates nothing while the bus is off, and the
-    // bus key once it is on.
-    MulticoreConfig fast = base;
-    fast.eachCore([](CoreConfig &c) { c.frequencyGHz = 3.6; });
-    const ComponentKeys fastKeys = componentKeys(fast, fast.core());
-    EXPECT_EQ(keys.full(), fastKeys.full());
-    MulticoreConfig busCfg = fast;
-    busCfg.memBusCycles = 4;
-    const ComponentKeys busKeys = componentKeys(busCfg, busCfg.core());
-    EXPECT_NE(keys.bus, busKeys.bus);
+    // With the bus on, frequency enters the bus section.
+    const auto bus = [](MulticoreConfig &c) { c.memBusCycles = 4; };
+    EXPECT_NE(key, keyAfter(bus));
+    EXPECT_NE(keyAfter(bus), keyAfter([&](MulticoreConfig &c) {
+                  bus(c);
+                  fast(c);
+              }));
 }
 
 // -------------------------------------------------- Study integration ---

@@ -9,6 +9,9 @@
  *  - the daemon negotiates versions, reports request-level errors
  *    without dropping the connection, serves mmap'd trace files, and
  *    drains cleanly on stop();
+ *  - cells that share phase-1 keys, within one request and across two
+ *    concurrent clients, race on the single-flight memo and still equal
+ *    per-point predict() bit for bit;
  *  - the acceptance bar: four concurrent clients sweeping all 26 suite
  *    kernels receive results bit-identical to an in-process
  *    Study::run() of the same grid, while profiles and prediction
@@ -26,12 +29,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "arch/component_key.hh"
 #include "arch/config.hh"
 #include "server/client.hh"
 #include "server/protocol.hh"
@@ -447,6 +452,88 @@ TEST(Server, ConcurrentClientsBitIdenticalToStudyOnAllKernels)
     EXPECT_EQ(stats.profile.evictions, 0u);
     EXPECT_EQ(stats.memo.engines, suite.size());
     server.stop();
+}
+
+TEST(Server, CellsSharingKeysAcrossClientsMatchPredict)
+{
+    // The queue runs one cell per work item, so cells that share a
+    // phase-1 key (within one request and across clients) race on the
+    // engine's single-flight memo. Every cell must still equal a
+    // per-point predict() bit for bit.
+    const MulticoreConfig cfg = tableIvConfigs().front();
+    MulticoreConfig faster = cfg;
+    faster.name = cfg.name + "-faster";
+    faster.eachCore([](CoreConfig &c) { c.frequencyGHz *= 1.25; });
+    const std::vector<MulticoreConfig> grid = {cfg, cfg, faster};
+
+    const auto entry = findBenchmark("backprop");
+    ASSERT_TRUE(entry.has_value());
+    ProfileCache cache;
+    const auto profile =
+        WorkloadSource(entry->spec).profile(lightProfiler(), cache);
+    for (uint32_t t = 0; t < profile->numThreads; ++t)
+        ASSERT_EQ(threadComponentKey(cfg, t),
+                  threadComponentKey(faster, t));
+
+    ServerOptions opts;
+    opts.socketPath = socketPathFor("sharedkeys");
+    opts.workers = 2;
+    RppmServer server(opts);
+    server.start();
+
+    constexpr int kClients = 2;
+    std::vector<std::vector<CellResult>> byClient(kClients);
+    std::atomic<int> ready{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            try {
+                RppmClient client;
+                client.connect(opts.socketPath);
+                Query query;
+                query.workload = "backprop";
+                query.profiler = lightProfiler();
+                query.configs = grid;
+                // Send both grids at the same moment.
+                ++ready;
+                while (ready.load() < kClients)
+                    std::this_thread::yield();
+                byClient[c] = client.evaluate(query);
+            } catch (const std::exception &) {
+                ++failures;
+            }
+        });
+    }
+    for (std::thread &t : clients)
+        t.join();
+    server.stop();
+    ASSERT_EQ(failures.load(), 0);
+
+    const auto g17 = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        return std::string(buf);
+    };
+    for (const std::vector<CellResult> &cells : byClient) {
+        ASSERT_EQ(cells.size(), grid.size());
+        for (size_t i = 0; i < grid.size(); ++i) {
+            const RppmPrediction ref = predict(*profile, grid[i]);
+            EXPECT_EQ(cells[i].config, grid[i].name);
+            EXPECT_EQ(g17(cells[i].cycles), g17(ref.totalCycles)) << i;
+            EXPECT_EQ(g17(cells[i].seconds), g17(ref.totalSeconds)) << i;
+            ASSERT_EQ(cells[i].threadSeconds.size(),
+                      ref.threadSeconds.size());
+            for (size_t t = 0; t < ref.threadSeconds.size(); ++t)
+                EXPECT_EQ(g17(cells[i].threadSeconds[t]),
+                          g17(ref.threadSeconds[t]))
+                    << i << "/" << t;
+        }
+    }
+    const RppmServer::Stats stats = server.stats();
+    EXPECT_EQ(stats.cells, kClients * grid.size());
+    EXPECT_EQ(stats.batches, stats.cells); // one work item per cell
+    EXPECT_EQ(stats.memo.engines, 1u);
 }
 
 TEST(Server, WarmRepeatRequestsShareProfilesAndMemos)

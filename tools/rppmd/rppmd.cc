@@ -175,11 +175,10 @@ main(int argc, char **argv)
         srv.stop();
         const auto stats = srv.stats();
         std::fprintf(stderr,
-                     "rppmd: served %llu requests (%llu cells, %llu "
-                     "batches) over %llu connections\n",
+                     "rppmd: served %llu requests (%llu cells) over %llu "
+                     "connections\n",
                      static_cast<unsigned long long>(stats.requests),
                      static_cast<unsigned long long>(stats.cells),
-                     static_cast<unsigned long long>(stats.batches),
                      static_cast<unsigned long long>(stats.connections));
     } catch (const std::exception &e) {
         std::fprintf(stderr, "rppmd: %s\n", e.what());
